@@ -1,10 +1,9 @@
-"""Ablation — term-evaluation backend of Algorithm 1 (tensor network vs statevector).
+"""Ablation — MPS bond-dimension truncation as an alternative SVD-based axis.
 
-Each substituted term of the approximation algorithm can be evaluated either
-by contracting the two split tensor networks (scales to large qubit counts)
-or by dense statevector propagation (cheaper for small registers).  Both must
-agree exactly; this ablation quantifies the crossover at reproduction scale
-and doubles as an MPS-vs-truncation comparison for the noiseless part.
+Algorithm 1 truncates the *noise* expansion by SVD; an MPS simulator
+truncates the *state* by SVD of its bonds instead.  This ablation measures
+the time/infidelity trade-off of that second axis on a noiseless supremacy
+instance at reproduction scale.
 """
 
 from __future__ import annotations
@@ -12,36 +11,11 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import run_once, write_report
 from repro.analysis import format_table
-from repro.circuits.library import qaoa_circuit, supremacy_circuit
-from repro.core import ApproximateNoisySimulator
-from repro.noise import NoiseModel, depolarizing_channel
+from repro.circuits.library import supremacy_circuit
 from repro.simulators import MPSSimulator, StatevectorSimulator
-
-_rows: dict = {}
-
-
-def _noisy(num_qubits):
-    ideal = qaoa_circuit(num_qubits, seed=29, native_gates=False)
-    return NoiseModel(depolarizing_channel(0.001), seed=29).insert_random(ideal, 4)
-
-
-@pytest.mark.parametrize("backend", ["tn", "statevector"])
-@pytest.mark.parametrize("num_qubits", [4, 9])
-def test_ablation_backend(benchmark, num_qubits, backend):
-    circuit = _noisy(num_qubits)
-    simulator = ApproximateNoisySimulator(level=1, backend=backend)
-
-    def run():
-        start = time.perf_counter()
-        result = simulator.fidelity(circuit)
-        return result.value, time.perf_counter() - start
-
-    value, elapsed = run_once(benchmark, run)
-    _rows.setdefault(num_qubits, {})[backend] = (value, elapsed)
 
 
 def test_ablation_mps_bond_dimension(benchmark):
@@ -72,17 +46,3 @@ def test_ablation_mps_bond_dimension(benchmark):
     infidelities = [row[2] for row in rows]
     assert infidelities[-1] <= infidelities[0] + 1e-12
 
-
-def test_ablation_backend_report(benchmark):
-    if not _rows:
-        pytest.skip("run with --benchmark-only to populate the table")
-    headers = ["Qubits", "TN backend (s)", "Statevector backend (s)", "Values agree"]
-    rows = []
-    for num_qubits, data in sorted(_rows.items()):
-        tn_value, tn_time = data["tn"]
-        sv_value, sv_time = data["statevector"]
-        rows.append([num_qubits, tn_time, sv_time, abs(tn_value - sv_value) < 1e-9])
-    table = format_table(headers, rows, title="Ablation: Algorithm 1 term-evaluation backend")
-    run_once(benchmark, write_report, "ablation_backend", table)
-    for data in _rows.values():
-        assert abs(data["tn"][0] - data["statevector"][0]) < 1e-9

@@ -52,7 +52,7 @@ def test_ablation_path_truncation(benchmark, workload, builder, scheme):
     def run():
         start = time.perf_counter()
         if scheme == "level-1":
-            value = ApproximateNoisySimulator(level=1, backend="statevector").fidelity(circuit).value
+            value = ApproximateNoisySimulator(level=1).fidelity(circuit).value
         else:
             value = PathTruncatedSimulator(max_paths=budget_terms).fidelity(circuit).value
         return value, time.perf_counter() - start

@@ -50,9 +50,7 @@ def test_ablation_truncation_axis(benchmark, p, method, config):
     def run():
         start = time.perf_counter()
         if config["kind"] == "ours":
-            value = ApproximateNoisySimulator(level=config["level"], backend="statevector").fidelity(
-                noisy
-            ).value
+            value = ApproximateNoisySimulator(level=config["level"]).fidelity(noisy).value
         else:
             value = MPDOSimulator(max_bond_dim=config["bond"]).fidelity(noisy)
         return value, time.perf_counter() - start

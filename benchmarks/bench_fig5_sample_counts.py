@@ -70,7 +70,7 @@ def test_fig5_empirical_check(benchmark):
     exact = DensityMatrixSimulator().fidelity(noisy, zero_state(4))
 
     def run():
-        ours = ApproximateNoisySimulator(level=1, backend="statevector").fidelity(noisy)
+        ours = ApproximateNoisySimulator(level=1).fidelity(noisy)
         target = max(abs(ours.value - exact), 1e-7)
         trajectories = TrajectorySimulator("statevector")
         needed = trajectories.samples_for_precision(

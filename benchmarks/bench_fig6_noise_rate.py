@@ -33,7 +33,7 @@ def _level1_error(channel, seed=41):
     ideal = qaoa_circuit(4, seed=13, native_gates=False)
     noisy = NoiseModel(channel, seed=seed).insert_random(ideal, NUM_NOISES)
     exact = DensityMatrixSimulator().fidelity(noisy, zero_state(4))
-    approx = ApproximateNoisySimulator(level=1, backend="statevector").fidelity(noisy)
+    approx = ApproximateNoisySimulator(level=1).fidelity(noisy)
     rates = [noise_rate(inst.operation) for inst in noisy.noise_instructions]
     return float(np.mean(rates)), abs(approx.value - exact)
 

@@ -26,7 +26,7 @@ Example — one blocking call and a two-backend async batch::
     >>> from repro.api import Session
     >>> from repro.circuits.library import ghz_circuit
     >>> with Session(seed=7) as session:
-    ...     blocking = session.run(ghz_circuit(2), backend="statevector")
+    ...     blocking = session.run(ghz_circuit(2), backend="tn")
     ...     futures = [session.submit(ghz_circuit(2), backend=name)
     ...                for name in ("statevector", "tn")]
     ...     batch = [future.result() for future in futures]
@@ -856,7 +856,7 @@ def simulate(
 
     >>> from repro.api import simulate
     >>> from repro.circuits.library import ghz_circuit
-    >>> round(simulate(ghz_circuit(2), backend="statevector").value, 6)
+    >>> round(simulate(ghz_circuit(2), backend="tn").value, 6)
     0.5
     """
     with Session(workers=workers) as session:

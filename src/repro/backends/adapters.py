@@ -5,19 +5,19 @@ vocabulary into the wrapped simulator's own calling convention and packs the
 outcome into a :class:`~repro.backends.base.BackendResult`.  Registration
 happens at import time via :func:`~repro.backends.registry.register_backend`.
 
-Adapters with expensive per-circuit one-time work implement the
-compile/execute split (:meth:`~repro.backends.base.SimulationBackend.compile`
-→ ``run(plan=...)``): the TN adapter records its contraction schedule once,
-the trajectory adapters prepare the engine's per-circuit context (template
-network, Kraus sampling distributions), the approximation adapter records the
-split-network schedules all substituted terms replay, and the statevector
-adapter resolves its dense boundary states.  Plan execution is bit-identical
-to the plan-less path — a plan moves the one-time work, never the values.
+Every adapter has exactly one execution method, ``_execute(circuit, task,
+plan)``, which :meth:`~repro.backends.base.SimulationBackend.run` feeds
+either a caller-supplied plan or the one it builds via ``_compile`` — so a
+one-shot run and a compiled run execute the same code.  Adapters with
+expensive per-circuit one-time work put it in ``_compile``: the TN adapter
+records its contraction schedule, the trajectory adapters prepare the
+engine's per-circuit context (template network, Kraus sampling
+distributions), the approximation adapter records the split-network
+schedules all substituted terms replay, and the statevector adapter resolves
+its dense boundary states.  The remaining adapters have no plan (``None``).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.backends.base import (
     BackendResult,
@@ -80,21 +80,14 @@ class StatevectorBackend(SimulationBackend):
         n = circuit.num_qubits
         return (dense_product_state(input_state, n), dense_product_state(output_state, n))
 
-    def _amplitude(self, circuit: Circuit, task: SimulationTask, psi: np.ndarray, v: np.ndarray):
+    def _execute(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
+        psi, v = plan
         simulator = StatevectorSimulator(
             max_qubits=task.options.get("max_qubits", self.max_qubits()),
             device=task.device,
         )
         amplitude = simulator.amplitude(circuit, v, psi)
         return BackendResult(backend=self.name, value=float(abs(amplitude) ** 2))
-
-    def _run(self, circuit: Circuit, task: SimulationTask) -> BackendResult:
-        psi, v = self._compile(circuit, task)
-        return self._amplitude(circuit, task, psi, v)
-
-    def _run_plan(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
-        psi, v = plan
-        return self._amplitude(circuit, task, psi, v)
 
 
 @register_backend(
@@ -114,7 +107,7 @@ class DensityMatrixBackend(SimulationBackend):
         # Exact superoperator evolution: composing adjacent channels is exact.
         return PassProfile(merge_channels=True)
 
-    def _run(self, circuit: Circuit, task: SimulationTask) -> BackendResult:
+    def _execute(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
         input_state, output_state = _default_states(circuit, task)
         n = circuit.num_qubits
         simulator = DensityMatrixSimulator(
@@ -157,12 +150,7 @@ class TNBackend(SimulationBackend):
         input_state, output_state = _default_states(circuit, task)
         return self._simulator(task).prepare(circuit, input_state, output_state)
 
-    def _run(self, circuit: Circuit, task: SimulationTask) -> BackendResult:
-        input_state, output_state = _default_states(circuit, task)
-        value = self._simulator(task).fidelity(circuit, input_state, output_state)
-        return BackendResult(backend=self.name, value=float(value), num_contractions=1)
-
-    def _run_plan(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
+    def _execute(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
         if getattr(plan, "parametric", False):
             # Bind-slot template: replay the recorded schedule on tensors
             # rebuilt from the bound circuit actually being executed.
@@ -189,7 +177,7 @@ class TDDBackend(SimulationBackend):
         # Decision diagrams evolve the full superoperator exactly as well.
         return PassProfile(merge_channels=True)
 
-    def _run(self, circuit: Circuit, task: SimulationTask) -> BackendResult:
+    def _execute(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
         input_state, output_state = _default_states(circuit, task)
         n = circuit.num_qubits
         simulator = TDDSimulator(
@@ -221,7 +209,7 @@ class MPSBackend(SimulationBackend):
             return "mps supports 1- and 2-qubit gates only"
         return None
 
-    def _run(self, circuit: Circuit, task: SimulationTask) -> BackendResult:
+    def _execute(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
         input_state, output_state = _default_states(circuit, task)
         n = circuit.num_qubits
         if not (isinstance(input_state, str) and set(input_state) <= {"0"}):
@@ -273,7 +261,7 @@ class MPDOBackend(SimulationBackend):
         # yields another single-qubit channel, so the arity constraint holds.
         return PassProfile(merge_channels=True)
 
-    def _run(self, circuit: Circuit, task: SimulationTask) -> BackendResult:
+    def _execute(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
         input_state, output_state = _default_states(circuit, task)
         n = circuit.num_qubits
         if not (isinstance(input_state, str) and set(input_state) <= {"0"}):
@@ -334,7 +322,7 @@ class _TrajectoryBackendBase(SimulationBackend):
         input_state, output_state = _default_states(circuit, task)
         return self.engine.prepare(circuit, input_state, output_state)
 
-    def _run(self, circuit: Circuit, task: SimulationTask, plan=None) -> BackendResult:
+    def _execute(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
         input_state, output_state = _default_states(circuit, task)
         if plan is not None and getattr(plan, "parametric", False):
             # The compiled context is a bind-slot template (prepared from a
@@ -352,7 +340,7 @@ class _TrajectoryBackendBase(SimulationBackend):
             workers=task.workers,
             # A caller-owned process pool (e.g. a session's shared pool); the
             # engine reuses it without shutting it down.
-            executor=task.resolved_executor(),
+            executor=task.executor,
             # The prepared per-circuit context (template network, recorded
             # contraction plan, Kraus sampling distributions) when compiled.
             context=plan,
@@ -364,9 +352,6 @@ class _TrajectoryBackendBase(SimulationBackend):
             num_samples=result.num_samples,
             metadata={"workers": task.workers},
         )
-
-    def _run_plan(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
-        return self._run(circuit, task, plan=plan)
 
     def samples_for_precision(
         self,
@@ -423,19 +408,14 @@ class ApproximationBackend(SimulationBackend):
     """The paper's approximation algorithm (Algorithm 1) at ``task.level``."""
 
     def __init__(
-        self,
-        max_intermediate_size: int | None = 2**26,
-        backend: str = "tn",
-        strategy: str = "greedy",
+        self, max_intermediate_size: int | None = 2**26, strategy: str = "greedy"
     ) -> None:
         self.max_intermediate_size = max_intermediate_size
-        self.backend = backend
         self.strategy = strategy
 
     def _simulator(self, task: SimulationTask) -> ApproximateNoisySimulator:
         return ApproximateNoisySimulator(
             level=task.level,
-            backend=task.options.get("backend", self.backend),
             max_intermediate_size=task.options.get(
                 "max_intermediate_size", self.max_intermediate_size
             ),
@@ -443,23 +423,20 @@ class ApproximationBackend(SimulationBackend):
         )
 
     def _compile(self, circuit: Circuit, task: SimulationTask):
-        simulator = self._simulator(task)
-        if simulator.backend != "tn":
-            # The dense term evaluator has no plan to record.
-            return None
         if is_parametric(circuit):
             # The approximation plan bakes gate tensors into its specialized
             # per-term schedules, which would freeze one binding's values;
-            # parametric circuits use the plan-less path, which reads the
-            # bound circuit on every run.
+            # each run of a parametric executable prepares on the bound
+            # circuit instead.
             return None
         input_state, output_state = _default_states(circuit, task)
-        return simulator.prepare(circuit, input_state, output_state)
+        return self._simulator(task).prepare(circuit, input_state, output_state)
 
-    def _execute(self, circuit: Circuit, task: SimulationTask, prepared) -> BackendResult:
+    def _execute(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
         input_state, output_state = _default_states(circuit, task)
-        simulator = self._simulator(task)
-        result = simulator.fidelity(circuit, input_state, output_state, prepared=prepared)
+        result = self._simulator(task).fidelity(
+            circuit, input_state, output_state, prepared=plan
+        )
         return BackendResult(
             backend=self.name,
             value=result.value,
@@ -471,9 +448,3 @@ class ApproximationBackend(SimulationBackend):
                 "num_noises": result.num_noises,
             },
         )
-
-    def _run(self, circuit: Circuit, task: SimulationTask) -> BackendResult:
-        return self._execute(circuit, task, None)
-
-    def _run_plan(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
-        return self._execute(circuit, task, plan)

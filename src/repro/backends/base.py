@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, Mapping
@@ -111,25 +110,6 @@ class SimulationTask:
     options: Mapping[str, Any] = field(default_factory=dict)
     device: str | None = None
 
-    def resolved_executor(self) -> Any:
-        """The caller-owned process pool, honouring the legacy options key.
-
-        Before the ``executor`` field existed, pools were threaded through
-        ``options["executor"]`` by convention; that spelling still works but
-        warns, so callers migrate to the typed field.
-        """
-        if self.executor is not None:
-            return self.executor
-        legacy = self.options.get("executor")
-        if legacy is not None:
-            warnings.warn(
-                "SimulationTask.options['executor'] is deprecated; pass the "
-                "pool via the typed SimulationTask(executor=...) field",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return legacy
-
 
 @dataclass(frozen=True)
 class BackendResult:
@@ -177,7 +157,7 @@ class SimulationBackend(ABC):
         """Return None when this backend can run ``circuit``, else the reason it cannot.
 
         ``task.options["max_qubits"]`` (when given) overrides the backend's
-        qubit ceiling for this check, mirroring the override ``_run`` passes
+        qubit ceiling for this check, mirroring the override ``_execute`` passes
         to the wrapped simulator, and a ``needs_product_state`` backend
         rejects tasks whose boundary states are dense vectors.
         """
@@ -254,17 +234,8 @@ class SimulationBackend(ABC):
 
     # ------------------------------------------------------------------
     @abstractmethod
-    def _run(self, circuit: Circuit, task: SimulationTask) -> BackendResult:
-        """Backend-specific execution; ``run`` wraps it with checks and timing."""
-
-    def _run_plan(self, circuit: Circuit, task: SimulationTask, plan: Any) -> BackendResult:
-        """Execute with a plan from :meth:`compile`; the default ignores it.
-
-        Overriding adapters must produce values bit-identical to
-        :meth:`_run` — a plan changes where the one-time work happens, never
-        the result.
-        """
-        return self._run(circuit, task)
+    def _execute(self, circuit: Circuit, task: SimulationTask, plan: Any) -> BackendResult:
+        """Backend-specific execution of ``plan`` (what :meth:`_compile` returned)."""
 
     def run(
         self,
@@ -277,8 +248,9 @@ class SimulationBackend(ABC):
         Validates the circuit against the backend's capabilities, times the
         execution, and stamps the backend name onto the result.  ``plan``
         optionally supplies the precompiled one-time work from
-        :meth:`compile` (for the same circuit/task structure), in which case
-        only the execution itself is paid here.
+        :meth:`compile` (for the same circuit/task structure); without one,
+        the plan is built here first, so a one-shot run and a compiled run
+        execute the same code.
 
         Example — exact fidelity of a noiseless GHZ state with ``|00⟩``::
 
@@ -300,9 +272,8 @@ class SimulationBackend(ABC):
         self.check_supported(circuit, task)
         start = time.perf_counter()
         if plan is None:
-            result = self._run(circuit, task)
-        else:
-            result = self._run_plan(circuit, task, plan)
+            plan = self._compile(circuit, task)
+        result = self._execute(circuit, task, plan)
         elapsed = time.perf_counter() - start
         if result.elapsed_seconds == 0.0:
             result = dataclasses.replace(result, elapsed_seconds=elapsed)

@@ -11,7 +11,9 @@ algorithm
    dominant term ``U_0 ⊗ V_0``;
 3. evaluates each substituted diagram as the product of two independent
    single-size tensor-network contractions (upper and lower half) and sums
-   the contributions.
+   the contributions.  Every term shares the same two network topologies, so
+   both contraction schedules are recorded once (:meth:`prepare`) and each
+   term replays them with its ``U_i``/``V_i`` factors swapped in.
 
 The result ``A(l)`` approximates the fidelity ``⟨v| E_N(|ψ⟩⟨ψ|) |v⟩`` with
 the Theorem-1 error bound; ``l = N`` recovers the exact value.
@@ -38,10 +40,8 @@ import numpy as np
 from repro.circuits.circuit import Circuit
 from repro.core.error_bounds import contraction_count, theorem1_error_bound
 from repro.core.svd_decomposition import NoiseTermDecomposition, decompose_noise
-from repro.simulators.statevector import apply_matrix
 from repro.tensornetwork.circuit_to_tn import (
     StateLike,
-    dense_product_state,
     resolve_product_state,
     substituted_split_networks,
 )
@@ -144,21 +144,14 @@ class ApproximateNoisySimulator:
     def __init__(
         self,
         level: int = 1,
-        backend: str = "tn",
         max_intermediate_size: int | None = 2**26,
         strategy: str = "greedy",
         drop_tolerance: float = 1e-14,
     ) -> None:
         if level < 0:
             raise ValidationError("level must be non-negative")
-        if backend not in ("tn", "statevector"):
-            raise ValidationError(f"unknown backend {backend!r}")
         #: Default approximation level ``l`` (the paper recommends 1).
         self.level = int(level)
-        #: "tn" contracts each half diagram as a tensor network; "statevector"
-        #: evaluates it by dense matrix application (useful for small circuits
-        #: and for cross-checking the TN path).
-        self.backend = backend
         self.max_intermediate_size = max_intermediate_size
         self.strategy = strategy
         self.drop_tolerance = drop_tolerance
@@ -188,17 +181,11 @@ class ApproximateNoisySimulator:
 
         SVD-decomposes every noise channel and records the contraction
         schedules of the dominant-term split networks; since every substituted
-        term shares those topologies, :meth:`fidelity` with ``prepared=...``
-        replays the schedules with swapped noise tensors instead of building
-        and greedy-ordering two fresh networks per term.  Values are
-        bit-identical to the unprepared path (the greedy heuristic decides
-        from tensor *shapes* only, which are the same for every term).
+        term shares those topologies (the greedy heuristic decides from
+        tensor *shapes* only, which are the same for every term),
+        :meth:`fidelity` replays the schedules with swapped noise tensors
+        instead of building and greedy-ordering two fresh networks per term.
         """
-        if self.backend != "tn":
-            raise ValidationError(
-                "prepare() applies to the tn term backend only "
-                f"(this simulator evaluates terms via {self.backend!r})"
-            )
         n = circuit.num_qubits
         input_state = "0" * n if input_state is None else input_state
         output_state = "0" * n if output_state is None else output_state
@@ -258,61 +245,6 @@ class ApproximateNoisySimulator:
         return prepared.upper_specialized.execute(upper) * prepared.lower_specialized.execute(lower)
 
     # ------------------------------------------------------------------
-    # Evaluation of a single substituted term
-    # ------------------------------------------------------------------
-    def _evaluate_term(
-        self,
-        circuit: Circuit,
-        substitution: Dict[int, Tuple[np.ndarray, np.ndarray]],
-        input_state: StateLike,
-        output_state: StateLike,
-    ) -> complex:
-        if self.backend == "tn":
-            upper, lower = substituted_split_networks(
-                circuit,
-                substitution,
-                input_state,
-                output_state,
-                max_intermediate_size=self.max_intermediate_size,
-            )
-            upper_value = upper.contract_to_scalar(strategy=self.strategy)
-            lower_value = lower.contract_to_scalar(strategy=self.strategy)
-            return upper_value * lower_value
-        return self._evaluate_term_statevector(circuit, substitution, input_state, output_state)
-
-    def _evaluate_term_statevector(
-        self,
-        circuit: Circuit,
-        substitution: Dict[int, Tuple[np.ndarray, np.ndarray]],
-        input_state: StateLike,
-        output_state: StateLike,
-    ) -> complex:
-        n = circuit.num_qubits
-        if n > 20:
-            raise MemoryError("statevector backend limited to 20 qubits")
-        psi = self._densify(input_state, n)
-        v = self._densify(output_state, n)
-        upper = psi.copy()
-        lower = psi.conj().copy()
-        noise_index = 0
-        for inst in circuit:
-            if inst.is_gate:
-                upper = apply_matrix(upper, inst.operation.matrix, inst.qubits, n)
-                lower = apply_matrix(lower, inst.operation.matrix.conj(), inst.qubits, n)
-            else:
-                u_matrix, v_matrix = substitution[noise_index]
-                upper = apply_matrix(upper, u_matrix, inst.qubits, n)
-                lower = apply_matrix(lower, v_matrix, inst.qubits, n)
-                noise_index += 1
-        upper_value = complex(np.vdot(v, upper))
-        lower_value = complex(np.vdot(v.conj(), lower))
-        return upper_value * lower_value
-
-    @staticmethod
-    def _densify(state: StateLike, num_qubits: int) -> np.ndarray:
-        return dense_product_state(state, num_qubits)
-
-    # ------------------------------------------------------------------
     # Algorithm 1
     # ------------------------------------------------------------------
     def fidelity(
@@ -328,8 +260,8 @@ class ApproximateNoisySimulator:
         ``input_state`` and ``output_state`` default to ``|0…0⟩`` as in the
         paper's Table II experiments.  ``prepared`` optionally supplies the
         one-time work recorded by :meth:`prepare` (for the same circuit and
-        boundary states); terms are then evaluated by plan replay instead of
-        per-term network construction, with bit-identical values.
+        boundary states); without it the work is prepared here, so a one-shot
+        run and a compiled run evaluate every term by the same plan replay.
         """
         start = time.perf_counter()
         level = self.level if level is None else int(level)
@@ -339,16 +271,15 @@ class ApproximateNoisySimulator:
         input_state = "0" * n if input_state is None else input_state
         output_state = "0" * n if output_state is None else output_state
 
-        if prepared is not None:
-            if len(prepared.decompositions) != circuit.noise_count():
-                raise ValidationError(
-                    "prepared plan covers "
-                    f"{len(prepared.decompositions)} noises but the circuit "
-                    f"has {circuit.noise_count()}"
-                )
-            decompositions = list(prepared.decompositions)
-        else:
-            decompositions = self.decompose_noises(circuit)
+        if prepared is None:
+            prepared = self.prepare(circuit, input_state, output_state)
+        elif len(prepared.decompositions) != circuit.noise_count():
+            raise ValidationError(
+                "prepared plan covers "
+                f"{len(prepared.decompositions)} noises but the circuit "
+                f"has {circuit.noise_count()}"
+            )
+        decompositions = prepared.decompositions
         num_noises = len(decompositions)
         level = min(level, num_noises)
 
@@ -372,12 +303,7 @@ class ApproximateNoisySimulator:
                         substitution[noise_index] = decompositions[noise_index].terms[0]
                     for position, term_index in zip(positions, assignment):
                         substitution[position] = decompositions[position].terms[term_index]
-                    if prepared is not None:
-                        contribution += self._evaluate_term_prepared(prepared, substitution)
-                    else:
-                        contribution += self._evaluate_term(
-                            circuit, substitution, input_state, output_state
-                        )
+                    contribution += self._evaluate_term_prepared(prepared, substitution)
                     num_terms += 1
             level_contributions.append(float(np.real(contribution)))
             total += contribution

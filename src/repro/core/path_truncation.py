@@ -12,11 +12,13 @@ paths are added.
 
 The variant reuses the split-network evaluation of
 :class:`~repro.core.approximation.ApproximateNoisySimulator`; each path is
-again a product of two independent single-size contractions.  The level-``l``
-approximation corresponds to the set of paths with at most ``l`` non-dominant
-indices, so the two truncation schemes coincide when the singular-value gaps
-are uniform, and differ when some noises are much stronger than others —
-which is what the ablation benchmark explores.
+again a product of two independent single-size contractions, replayed from
+the plans :meth:`~repro.core.approximation.ApproximateNoisySimulator.prepare`
+records once.  The level-``l`` approximation corresponds to the set of paths
+with at most ``l`` non-dominant indices, so the two truncation schemes
+coincide when the singular-value gaps are uniform, and differ when some
+noises are much stronger than others — which is what the ablation benchmark
+explores.
 """
 
 from __future__ import annotations
@@ -105,7 +107,6 @@ class PathTruncatedSimulator:
     def __init__(
         self,
         max_paths: int = 64,
-        backend: str = "statevector",
         max_intermediate_size: int | None = 2**26,
         strategy: str = "greedy",
     ) -> None:
@@ -115,7 +116,6 @@ class PathTruncatedSimulator:
         #: Term evaluation is delegated to the level-based simulator's machinery.
         self._delegate = ApproximateNoisySimulator(
             level=0,
-            backend=backend,
             max_intermediate_size=max_intermediate_size,
             strategy=strategy,
         )
@@ -136,7 +136,8 @@ class PathTruncatedSimulator:
         input_state = "0" * n if input_state is None else input_state
         output_state = "0" * n if output_state is None else output_state
 
-        decompositions = self._delegate.decompose_noises(circuit)
+        prepared = self._delegate.prepare(circuit, input_state, output_state)
+        decompositions = prepared.decompositions
         total_weight_available = float(
             np.prod([sum(d.singular_values) for d in decompositions])
         ) if decompositions else 1.0
@@ -149,9 +150,7 @@ class PathTruncatedSimulator:
                 noise_index: decompositions[noise_index].terms[term_index]
                 for noise_index, term_index in enumerate(path)
             }
-            total += self._delegate._evaluate_term(
-                circuit, substitution, input_state, output_state
-            )
+            total += self._delegate._evaluate_term_prepared(prepared, substitution)
             evaluated_weight += weight
             num_paths += 1
 

@@ -192,22 +192,11 @@ class TNSimulator:
         """Return ``⟨v| E_N(|ψ⟩⟨ψ|) |v⟩`` exactly.
 
         ``input_state`` and ``output_state`` default to ``|0…0⟩``.  Both may
-        be bitstrings, per-qubit product factors or dense vectors.
+        be bitstrings, per-qubit product factors or dense vectors.  A
+        one-shot evaluation is :meth:`prepare` followed by one execute, whose
+        recorded value is the single contraction paid.
         """
-        n = circuit.num_qubits
-        input_state = "0" * n if input_state is None else input_state
-        output_state = "0" * n if output_state is None else output_state
-        if circuit.is_noiseless():
-            amp = self.amplitude(circuit, input_state, output_state)
-            return float(abs(amp) ** 2)
-        network = noisy_doubled_network(
-            circuit,
-            input_state,
-            output_state,
-            max_intermediate_size=self.max_intermediate_size,
-        )
-        value = network.contract_to_scalar(strategy=self.strategy)
-        return float(np.real(value))
+        return self.prepare(circuit, input_state, output_state).execute()
 
     def prepare(
         self,

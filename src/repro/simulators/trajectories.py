@@ -7,10 +7,10 @@ average ``|⟨v|ψ_traj⟩|²`` over many trajectories.
 
 Two backends are provided, matching the paper's Table III:
 
-* ``backend="statevector"`` ("Traj (MM)") — the trajectory state is a dense
+* the ``"statevector"`` backend ("Traj (MM)") — the trajectory state is a dense
   statevector; Kraus operators are drawn with their exact Born probabilities
   ``p_k = ‖E_k|ψ⟩‖²`` and the state renormalised.
-* ``backend="tn"`` ("Traj (TN)") — each trajectory is evaluated as a single
+* the ``"tn"`` backend ("Traj (TN)") — each trajectory is evaluated as a single
   tensor-network amplitude contraction.  Exact per-state Kraus probabilities
   are unavailable without extra contractions, so operators are drawn from the
   state-independent distribution ``q_k = tr(E_k† E_k)/d`` and the estimator is

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Tuple
@@ -44,13 +43,11 @@ from typing import Any, Callable, Dict, List, Tuple
 import numpy as np
 
 from repro.api import Session, apply_noise, ideal_output_state
-from repro.api import noise_model as _api_noise_model
 from repro.api.executable import one_shot_result
 from repro.backends import BackendUnsupportedError, get_backend
 from repro.circuits.circuit import Circuit
-from repro.noise import NoiseModel
 from repro.sweeps.records import SweepRecords, cell_record, load_records
-from repro.sweeps.spec import NoiseSpec, SweepCell, SweepSpec, stable_seed
+from repro.sweeps.spec import SweepCell, SweepSpec, stable_seed
 from repro.tensornetwork import ContractionMemoryError
 from repro.utils.validation import ValidationError
 
@@ -59,20 +56,6 @@ __all__ = ["CRASH_EXIT_CODE", "CircuitCache", "SweepResult", "SweepRunner", "run
 #: Exit status of a worker killed by the ``crash_after`` fault-injection hook
 #: (distinct from argparse's 2 and pytest's 1, so drills can assert on it).
 CRASH_EXIT_CODE = 32
-
-def noise_model_for(noise: NoiseSpec, seed: int) -> NoiseModel:
-    """Deprecated shim: build the model a noise-axis entry names.
-
-    The implementation moved to :func:`repro.api.noise.noise_model`; this
-    wrapper stays so seed-era callers keep working.
-    """
-    warnings.warn(
-        "repro.sweeps.runner.noise_model_for is deprecated; use "
-        "repro.api.noise_model (or apply_noise) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _api_noise_model(noise.channel, noise.parameter, seed=seed)
 
 
 class CircuitCache:

@@ -127,14 +127,6 @@ class TensorNetwork:
             raise ValidationError("both nodes must belong to this network")
         if self.observer is not None:
             self.observer(self, node_a, node_b)
-        shared_axes = sum(
-            1
-            for edge in node_a.edges
-            if not edge.is_dangling and edge.other(node_a) is node_b
-        )
-        result_size = (node_a.size * node_b.size) // max(4**shared_axes // 1, 1)
-        # The size estimate above assumes each shared edge has dimension 2 on
-        # both sides; compute the exact value instead to keep the budget honest.
         shared_dim = 1
         for edge in node_a.edges:
             if not edge.is_dangling and edge.other(node_a) is node_b:
@@ -145,6 +137,10 @@ class TensorNetwork:
         self.nodes.remove(node_a)
         self.nodes.remove(node_b)
         self.nodes.append(result)
+        # The consumed nodes and their shared edges reference each other;
+        # dropping the edge lists breaks that cycle so each operand tensor is
+        # freed now rather than at the next cyclic garbage collection.
+        node_a.edges = node_b.edges = []
         return result
 
     def contract(

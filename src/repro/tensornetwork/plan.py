@@ -9,9 +9,11 @@ change), so the ordering work and all node/edge bookkeeping can be paid once
 and replayed per trajectory as a flat sequence of ``np.tensordot`` calls.
 
 :meth:`ContractionPlan.record` contracts a template network while recording
-each pairwise step positionally (via the :attr:`TensorNetwork.observer`
-hook); :meth:`ContractionPlan.execute` replays the recorded schedule over a
-plain list of tensors.
+each pairwise step (via the :attr:`TensorNetwork.observer` hook) as a *slot
+program*: inputs occupy slots ``0..num_inputs-1``, step ``i`` writes its
+result to slot ``num_inputs + i``, and each step names the two slots it
+reads.  :meth:`ContractionPlan.execute` replays that program over a plain
+list of tensors.
 
 When only a known subset of inputs varies between replays (the sampled Kraus
 tensors of a trajectory, the substituted SVD factors of an approximation
@@ -19,9 +21,10 @@ term), :meth:`ContractionPlan.specialize` partially evaluates the plan over
 the static inputs once — every contraction whose operands are (transitively)
 independent of the variable positions is computed at specialisation time —
 leaving a :class:`SpecializedPlan` that replays only the residual,
-variable-dependent steps.  The residual performs the *same* ``tensordot``
-calls in the *same* order as a full replay, so the value is bit-identical;
-the static prefix is simply paid once instead of per call.
+variable-dependent steps.  Both plans run the one slot-replay loop
+(:func:`_replay`); the residual performs the *same* ``tensordot`` calls in
+the *same* order as a full replay, so the value is bit-identical — a full
+replay is simply a specialization with no baked steps.
 
 Plans are recorded over whatever circuit the session hands the backend —
 since the optimizing passes (:mod:`repro.circuits.passes`) run before plan
@@ -32,24 +35,21 @@ that circuit's fingerprint.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.tensornetwork.network import TensorNetwork
+from repro.tensornetwork.node import Node
 from repro.utils.validation import ValidationError
-from repro.xp import declare_seam, get_namespace
+from repro.xp import declare_seam
 from repro.xp import host as np
 
 declare_seam(__name__, mode="dispatch")
 
 __all__ = ["ContractionPlan", "SpecializedPlan"]
 
-#: One replay step: positions of the two operands in the evolving tensor list
-#: plus the contracted axes of each (empty axes = outer product).
-_Step = Tuple[int, int, Tuple[int, ...], Tuple[int, ...]]
-
-#: One slot-program step: input slots ``a``/``b``, their contracted axes, and
-#: the output slot the result lands in (slots never move, unlike positions).
-_SlotStep = Tuple[int, int, Tuple[int, ...], Tuple[int, ...], int]
+#: One slot-program step: input slots ``a``/``b``, their contracted axes
+#: (empty axes = outer product), and the output slot the result lands in.
+_Step = Tuple[int, int, Tuple[int, ...], Tuple[int, ...], int]
 
 
 class ContractionPlan:
@@ -94,10 +94,13 @@ class ContractionPlan:
         num_inputs = network.num_nodes
         steps: List[_Step] = []
         peak = [0]
+        slots: Dict[Node, int] = {node: slot for slot, node in enumerate(network.nodes)}
 
         def observer(net: TensorNetwork, node_a, node_b) -> None:
-            position_a = net.nodes.index(node_a)
-            position_b = net.nodes.index(node_b)
+            if steps:
+                # contract_pair appends every result last, so the previous
+                # step's output is the newest node of the network.
+                slots[net.nodes[-1]] = steps[-1][4]
             shared = []
             for edge in node_a.edges:
                 if not edge.is_dangling and edge.other(node_a) is node_b and edge not in shared:
@@ -110,10 +113,11 @@ class ContractionPlan:
             )
             steps.append(
                 (
-                    position_a,
-                    position_b,
+                    slots.pop(node_a),
+                    slots.pop(node_b),
                     tuple(edge.axis_of(node_a) for edge in shared),
                     tuple(edge.axis_of(node_b) for edge in shared),
+                    num_inputs + len(steps),
                 )
             )
 
@@ -125,50 +129,24 @@ class ContractionPlan:
         return cls(steps, num_inputs, peak_intermediate_entries=peak[0]), value
 
     # ------------------------------------------------------------------
+    def _check_inputs(self, tensors: Sequence) -> None:
+        if len(tensors) != self.num_inputs:
+            raise ValidationError(
+                f"plan expects {self.num_inputs} tensors, got {len(tensors)}"
+            )
+
+    def _result_slot(self) -> int:
+        return self.num_inputs + len(self.steps) - 1 if self.steps else 0
+
     def execute(self, tensors: List[np.ndarray], xp=None) -> complex:
         """Replay the schedule over ``tensors`` and return the scalar result.
 
         ``tensors`` must match the template's node order and shapes; only the
         values may differ (device arrays of ``xp`` when a namespace is given).
-        Mirrors ``contract_pair``'s list evolution (remove both operands,
-        append the result) so the recorded positions stay valid.
         """
-        if xp is None:
-            xp = get_namespace("cpu")
-        if len(tensors) != self.num_inputs:
-            raise ValidationError(
-                f"plan expects {self.num_inputs} tensors, got {len(tensors)}"
-            )
-        arrays = list(tensors)
-        for position_a, position_b, axes_a, axes_b in self.steps:
-            result = _contract_step(arrays[position_a], arrays[position_b], axes_a, axes_b, xp)
-            for position in sorted((position_a, position_b), reverse=True):
-                del arrays[position]
-            arrays.append(result)
-        if len(arrays) != 1 or arrays[0].size != 1:
-            raise ValidationError("plan did not reduce the network to a scalar")
-        return complex(xp.to_scalar(arrays[0]))
-
-    # ------------------------------------------------------------------
-    def _slot_program(self) -> List[_SlotStep]:
-        """The positional steps re-expressed over stable slot indices.
-
-        Simulates the evolving-list semantics of :meth:`execute` once, so
-        step ``i``'s operands become fixed slots (inputs ``0..num_inputs-1``,
-        intermediates ``num_inputs + i``) that partial evaluation can reason
-        about without replaying list mutations.
-        """
-        slots = list(range(self.num_inputs))
-        program: List[_SlotStep] = []
-        for index, (position_a, position_b, axes_a, axes_b) in enumerate(self.steps):
-            slot_a = slots[position_a]
-            slot_b = slots[position_b]
-            for position in sorted((position_a, position_b), reverse=True):
-                del slots[position]
-            out = self.num_inputs + index
-            slots.append(out)
-            program.append((slot_a, slot_b, axes_a, axes_b, out))
-        return program
+        self._check_inputs(tensors)
+        buffer = list(tensors) + [None] * len(self.steps)
+        return _replay(buffer, self.steps, self._result_slot(), xp)
 
     def specialize(
         self,
@@ -182,16 +160,12 @@ class ContractionPlan:
         fresh values for the variable positions per call and replays only the
         steps that depend on them.
         """
-        if len(tensors) != self.num_inputs:
-            raise ValidationError(
-                f"plan expects {self.num_inputs} tensors, got {len(tensors)}"
-            )
+        self._check_inputs(tensors)
         variable = {int(position) for position in variable_positions}
         unknown = sorted(position for position in variable if not 0 <= position < self.num_inputs)
         if unknown:
             raise ValidationError(f"variable positions {unknown} out of range")
-        program = self._slot_program()
-        total = self.num_inputs + len(program)
+        total = self.num_inputs + len(self.steps)
         baked: List[np.ndarray | None] = [None] * total
         static = [True] * total
         for position in range(self.num_inputs):
@@ -199,15 +173,14 @@ class ContractionPlan:
                 static[position] = False
             else:
                 baked[position] = tensors[position]
-        residual: List[_SlotStep] = []
-        for slot_a, slot_b, axes_a, axes_b, out in program:
+        residual: List[_Step] = []
+        for slot_a, slot_b, axes_a, axes_b, out in self.steps:
             if static[slot_a] and static[slot_b]:
                 baked[out] = _contract_step(baked[slot_a], baked[slot_b], axes_a, axes_b, None)
             else:
                 static[out] = False
                 residual.append((slot_a, slot_b, axes_a, axes_b, out))
-        result_slot = total - 1 if program else 0
-        return SpecializedPlan(baked, residual, sorted(variable), result_slot)
+        return SpecializedPlan(baked, residual, sorted(variable), self._result_slot())
 
 
 class SpecializedPlan:
@@ -224,7 +197,7 @@ class SpecializedPlan:
     def __init__(
         self,
         baked: List[np.ndarray | None],
-        residual: List[_SlotStep],
+        residual: List[_Step],
         variable_positions: List[int],
         result_slot: int,
     ) -> None:
@@ -270,14 +243,24 @@ class SpecializedPlan:
                     f"missing substitution for variable input {position}"
                 )
             buffer[position] = tensor
-        for slot_a, slot_b, axes_a, axes_b, out in self._residual:
-            buffer[out] = _contract_step(buffer[slot_a], buffer[slot_b], axes_a, axes_b, xp)
-        result = buffer[self._result_slot]
-        if result is None or result.size != 1:
-            raise ValidationError("plan did not reduce the network to a scalar")
-        if xp is None:
-            return complex(result.reshape(()))
-        return complex(xp.to_scalar(result))
+        return _replay(buffer, self._residual, self._result_slot, xp)
+
+
+def _replay(buffer: List, steps: Sequence[_Step], result_slot: int, xp) -> complex:
+    """Run ``steps`` over the slot ``buffer`` and return the scalar in ``result_slot``.
+
+    Every slot is read by exactly one step, so operands are released as soon
+    as they are consumed (the live set matches a destructive contraction's).
+    """
+    for slot_a, slot_b, axes_a, axes_b, out in steps:
+        buffer[out] = _contract_step(buffer[slot_a], buffer[slot_b], axes_a, axes_b, xp)
+        buffer[slot_a] = buffer[slot_b] = None
+    result = buffer[result_slot]
+    if result is None or result.size != 1:
+        raise ValidationError("plan did not reduce the network to a scalar")
+    if xp is None:
+        return complex(result.reshape(()))
+    return complex(xp.to_scalar(result))
 
 
 def _contract_step(

@@ -1,4 +1,4 @@
-"""Session-layer error paths, the CLI-parity contract and the legacy shims."""
+"""Session-layer error paths, the CLI-parity contract and the typed executor field."""
 
 import warnings
 
@@ -96,39 +96,11 @@ class TestFacadeErrors:
 
 
 class TestLegacyShims:
-    def test_legacy_executor_options_key_accepted_and_warned(self, noisy_circuit):
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            task = SimulationTask(
-                num_samples=600, seed=5, workers=2, options={"executor": pool}
-            )
-            with pytest.warns(DeprecationWarning, match="executor"):
-                legacy = get_backend("trajectories").run(noisy_circuit, task)
-        typed = get_backend("trajectories").run(
-            noisy_circuit,
-            SimulationTask(num_samples=600, seed=5, workers=2),
-        )
-        assert legacy.value == typed.value
-
     def test_typed_executor_field_does_not_warn(self, noisy_circuit):
         task = SimulationTask(num_samples=64, seed=5, workers=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             get_backend("trajectories").run(noisy_circuit, task)
-
-    def test_noise_model_for_shim(self):
-        from repro.sweeps.runner import noise_model_for
-        from repro.sweeps.spec import NoiseSpec
-
-        spec = NoiseSpec(channel="depolarizing", parameter=0.01, count=2)
-        with pytest.warns(DeprecationWarning, match="noise_model_for"):
-            model = noise_model_for(spec, seed=3)
-        direct = apply_noise(
-            ghz_circuit(2),
-            {"channel": "depolarizing", "parameter": 0.01, "count": 2, "seed": 3},
-        )
-        assert model.insert_random(ghz_circuit(2), 2).summary() == direct.summary()
 
 
 class TestCompareParity:

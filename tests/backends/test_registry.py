@@ -19,6 +19,7 @@ from repro.circuits.circuit import Circuit
 from repro.circuits.library import benchmark_circuit, ghz_circuit
 from repro.noise import NoiseModel, depolarizing_channel, two_qubit_depolarizing_channel
 from repro.utils.validation import ValidationError
+from repro.verify.generators import generate_workloads
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +58,7 @@ class TestRegistry:
 
             @register_backend("tn", noisy=True, exact=True)
             class Duplicate(SimulationBackend):  # pragma: no cover - never used
-                def _run(self, circuit, task):
+                def _execute(self, circuit, task, plan):
                     raise NotImplementedError
 
         assert _REGISTRY["tn"].name == "tn"
@@ -137,6 +138,27 @@ class TestConformance:
             else:
                 tolerance = 1e-6
             assert result.value == pytest.approx(exact, abs=tolerance), name
+
+    def test_every_adapter_has_one_execution_method(self):
+        # run() always compiles then calls _execute: no adapter may keep a
+        # plan-less twin of its execution path.
+        for name in backend_names():
+            backend_class = _REGISTRY[name]
+            assert not backend_class.__abstractmethods__, name
+            for legacy in ("_run", "_run_plan"):
+                assert not hasattr(backend_class, legacy), (name, legacy)
+
+    @pytest.mark.parametrize("workload", generate_workloads("all", cases=6, seed=3),
+                             ids=lambda workload: workload.family)
+    def test_one_shot_run_equals_compiled_run(self, workload):
+        circuit = workload.noisy_circuit()
+        task = SimulationTask(num_samples=200, seed=4, level=2)
+        for name in available_backends(circuit):
+            backend = get_backend(name)
+            if backend.supports(circuit, task) is not None:
+                continue
+            compiled = backend.run(circuit, task, plan=backend.compile(circuit, task))
+            assert backend.run(circuit, task).value == compiled.value, name
 
     def test_noiseless_backends_agree_on_fidelity(self):
         circuit = ghz_circuit(3)

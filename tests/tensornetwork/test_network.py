@@ -113,6 +113,20 @@ class TestNetworkContraction:
         expected = mats[0] @ mats[1] @ mats[2] @ mats[3]
         assert np.allclose(result, expected)
 
+    def test_consumed_operands_freed_without_cycle_collector(self):
+        import gc
+        import weakref
+
+        rng = np.random.default_rng(5)
+        network = self._chain_network([rng.normal(size=(3, 3)) for _ in range(4)])
+        operands = [weakref.ref(node.tensor) for node in network.nodes]
+        gc.disable()
+        try:
+            network.contract()
+            assert [ref() for ref in operands] == [None] * len(operands)
+        finally:
+            gc.enable()
+
     def test_scalar_contraction(self):
         rng = np.random.default_rng(3)
         v = rng.normal(size=5)

@@ -1,0 +1,165 @@
+"""Tests for recorded contraction plans and their partial evaluation.
+
+A :class:`ContractionPlan` must replay exactly the ``tensordot`` sequence of
+the live contraction it recorded, and a :class:`SpecializedPlan` exactly the
+residual of that sequence — so every comparison here is bit-for-bit.
+"""
+
+import numpy as np
+import pytest
+
+from repro.circuits.circuit import Circuit
+from repro.circuits.library import ghz_circuit, qft_circuit, random_circuit
+from repro.noise import NoiseModel, amplitude_damping_channel, depolarizing_channel
+from repro.tensornetwork import (
+    ContractionPlan,
+    TensorNetwork,
+    circuit_amplitude_network,
+    noisy_doubled_network,
+)
+from repro.tensornetwork.plan import SpecializedPlan
+from repro.utils.validation import ValidationError
+from repro.xp import get_namespace
+
+
+def _noisy(seed, channel):
+    ideal = random_circuit(3, 10, rng=seed)
+    return NoiseModel(channel, seed=seed).insert_random(ideal, 3)
+
+
+def _idle_qubit_circuit():
+    circuit = Circuit(3)
+    circuit.h(0).cx(0, 1)  # qubit 2 stays idle: a disconnected component
+    return circuit
+
+
+def _dense_output(num_qubits):
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
+    return v / np.linalg.norm(v)
+
+
+#: name -> zero-argument builder of a fresh (deterministic) network.
+BUILDERS = {
+    "noisy_depolarizing": lambda: noisy_doubled_network(
+        _noisy(1, depolarizing_channel(0.05)), "000", "000"
+    ),
+    "noisy_amplitude_damping": lambda: noisy_doubled_network(
+        _noisy(2, amplitude_damping_channel(0.1)), "000", "010"
+    ),
+    "noisy_dense_output": lambda: noisy_doubled_network(
+        _noisy(3, depolarizing_channel(0.02)), "000", _dense_output(3)
+    ),
+    "ghz_amplitude": lambda: circuit_amplitude_network(ghz_circuit(4), "0000", "1111"),
+    "qft_amplitude": lambda: circuit_amplitude_network(qft_circuit(4), "0101", "0000"),
+    "idle_qubit": lambda: circuit_amplitude_network(_idle_qubit_circuit(), "000", "110"),
+}
+
+
+def _record(name):
+    """(plan, recorded value, input tensors) for a fresh network."""
+    network = BUILDERS[name]()
+    tensors = [node.tensor for node in network.nodes]
+    plan, value = ContractionPlan.record(network)
+    return plan, value, tensors
+
+
+def _perturbed(tensors, positions, rng):
+    """A copy of ``tensors`` with fresh random values at ``positions``."""
+    swapped = list(tensors)
+    for position in positions:
+        shape = tensors[position].shape
+        swapped[position] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return swapped
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+class TestReplay:
+    def test_recorded_equals_execute_equals_live(self, name):
+        plan, recorded, tensors = _record(name)
+        live = BUILDERS[name]().contract_to_scalar()
+        assert plan.num_inputs == len(tensors)
+        assert plan.execute(tensors) == recorded == live
+
+    def test_execute_on_swapped_values_equals_live_contraction(self, name, rng):
+        plan, _, tensors = _record(name)
+        swapped = _perturbed(tensors, range(0, len(tensors), 3), rng)
+        network = BUILDERS[name]()
+        for node, tensor in zip(network.nodes, swapped):
+            node.tensor = tensor
+        assert plan.execute(swapped) == network.contract_to_scalar()
+
+    def test_replay_is_repeatable(self, name):
+        plan, recorded, tensors = _record(name)
+        assert [plan.execute(tensors) for _ in range(3)] == [recorded] * 3
+
+    def test_specialize_matches_full_execute(self, name, rng):
+        plan, _, tensors = _record(name)
+        subsets = [
+            [],
+            list(range(plan.num_inputs)),
+            sorted(rng.choice(plan.num_inputs, size=plan.num_inputs // 2, replace=False)),
+            sorted(rng.choice(plan.num_inputs, size=1, replace=False)),
+        ]
+        for subset in subsets:
+            specialized = plan.specialize(tensors, subset)
+            swapped = _perturbed(tensors, subset, rng)
+            value = specialized.execute({int(p): swapped[p] for p in subset})
+            assert value == plan.execute(swapped), subset
+
+    def test_residual_step_counts(self, name):
+        plan, _, tensors = _record(name)
+        assert plan.specialize(tensors, []).num_residual_steps == 0
+        assert plan.specialize(tensors, range(plan.num_inputs)).num_residual_steps == plan.num_steps
+        assert plan.describe()["num_steps"] == plan.num_steps
+
+    def test_fake_gpu_equals_cpu(self, name, rng):
+        xp = get_namespace("fake_gpu")
+        plan, recorded, tensors = _record(name)
+        assert plan.execute([xp.asarray(t) for t in tensors], xp=xp) == recorded
+        subset = list(range(0, plan.num_inputs, 2))
+        specialized = plan.specialize(tensors, subset)
+        swapped = _perturbed(tensors, subset, rng)
+        on_device = specialized.execute({p: xp.asarray(swapped[p]) for p in subset}, xp=xp)
+        assert on_device == specialized.execute({p: swapped[p] for p in subset})
+
+
+class TestSingleNode:
+    def test_plan_without_steps_returns_the_input(self):
+        network = TensorNetwork()
+        network.add_node(np.array(0.25 + 0.5j))
+        plan, value = ContractionPlan.record(network)
+        assert plan.num_steps == 0
+        assert value == plan.execute([np.array(0.25 + 0.5j)]) == 0.25 + 0.5j
+        specialized = plan.specialize([np.array(0.0)], [0])
+        assert specialized.execute({0: np.array(2.0 + 0j)}) == 2.0
+
+
+class TestErrors:
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        return _record("noisy_depolarizing")
+
+    def test_execute_rejects_wrong_tensor_count(self, recorded):
+        plan, _, tensors = recorded
+        with pytest.raises(ValidationError, match="expects"):
+            plan.execute(tensors[:-1])
+
+    def test_specialize_rejects_wrong_tensor_count(self, recorded):
+        plan, _, tensors = recorded
+        with pytest.raises(ValidationError, match="expects"):
+            plan.specialize(tensors + [tensors[0]], [0])
+
+    def test_missing_substitution(self, recorded):
+        plan, _, tensors = recorded
+        specialized = plan.specialize(tensors, [0, 1])
+        assert isinstance(specialized, SpecializedPlan)
+        with pytest.raises(ValidationError, match="missing substitution"):
+            specialized.execute({0: tensors[0]})
+
+    @pytest.mark.parametrize("position", [-1, "num_inputs"])
+    def test_out_of_range_position(self, recorded, position):
+        plan, _, tensors = recorded
+        position = plan.num_inputs if position == "num_inputs" else position
+        with pytest.raises(ValidationError, match="out of range"):
+            plan.specialize(tensors, [position])

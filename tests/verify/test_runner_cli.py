@@ -32,13 +32,13 @@ def buggy_backend():
     """A density-matrix backend that silently drops every T gate."""
 
     class _BuggyDM(DensityMatrixBackend):
-        def _run(self, circuit, task):
+        def _execute(self, circuit, task, plan):
             mutated = Circuit(circuit.num_qubits, name=circuit.name)
             for inst in circuit:
                 if inst.is_gate and inst.operation.name == "t":
                     continue
                 mutated.append(inst.operation, inst.qubits)
-            return super()._run(mutated, task)
+            return super()._execute(mutated, task, plan)
 
     register_backend("buggy_dm_test", noisy=True, exact=True, max_qubits=12)(_BuggyDM)
     try:
