@@ -23,10 +23,11 @@ from repro.analysis import (
     crossover_noise_count,
     format_series,
 )
+from repro.api import Session
 from repro.circuits.library import qaoa_circuit
 from repro.core import ApproximateNoisySimulator
 from repro.noise import NoiseModel, depolarizing_channel
-from repro.simulators import DensityMatrixSimulator, TrajectorySimulator
+from repro.simulators import DensityMatrixSimulator
 from repro.utils import zero_state
 
 NOISE_COUNTS = list(range(10, 41, 2))
@@ -72,10 +73,10 @@ def test_fig5_empirical_check(benchmark):
     def run():
         ours = ApproximateNoisySimulator(level=1).fidelity(noisy)
         target = max(abs(ours.value - exact), 1e-7)
-        trajectories = TrajectorySimulator("statevector")
-        needed = trajectories.samples_for_precision(
-            noisy, target, pilot_samples=256, rng=3, max_samples=10**7
-        )
+        with Session(passes=False) as session:
+            needed = session.samples_for_precision(
+                noisy, target, "trajectories", pilot_samples=256, seed=3, max_samples=10**7
+            )
         return ours, target, needed
 
     ours, target, needed = run_once(benchmark, run)

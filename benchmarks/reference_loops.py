@@ -1,8 +1,11 @@
-"""The historical per-sample trajectory loops, kept as a test/benchmark oracle.
+"""Per-sample trajectory loops, kept as a test/benchmark oracle.
 
-These are line-for-line ports of the pre-engine ``TrajectorySimulator``
-implementation.  The batched engine guarantees it reproduces their values for
-the same seed (``workers=None``), so both the equivalence tests
+These are straightforward one-trajectory-at-a-time implementations of the two
+trajectory estimators.  They draw their Kraus choices from the engine's RNG
+schedule — block ``b`` of :data:`~repro.backends.engine.RNG_BLOCK` samples
+uses ``default_rng([seed, b])``, one uniform per (sample, channel) in
+sample-major order — so the batched engine must reproduce their values for
+the same integer seed.  Both the equivalence tests
 (``tests/backends/test_engine.py``) and the speedup benchmark
 (``benchmarks/bench_engine_speedup.py``) measure against this single shared
 reference rather than maintaining separate copies.
@@ -12,19 +15,28 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backends.engine import RNG_BLOCK
 from repro.simulators.statevector import apply_matrix
 from repro.tensornetwork.circuit_to_tn import dense_product_state, operator_amplitude_network
 
 __all__ = ["reference_statevector_loop", "reference_tn_loop"]
 
 
-def reference_statevector_loop(circuit, num_samples, rng):
+def _block_streams(num_samples, seed):
+    """Yield the generator each sample draws from, in sample order."""
+    for block in range(-(-num_samples // RNG_BLOCK)):
+        rng = np.random.default_rng([seed, block])
+        for _ in range(min(RNG_BLOCK, num_samples - block * RNG_BLOCK)):
+            yield rng
+
+
+def reference_statevector_loop(circuit, num_samples, seed):
     """Per-sample statevector trajectories with exact Born-rule Kraus draws."""
     n = circuit.num_qubits
     psi0 = dense_product_state("0" * n, n)
     v = dense_product_state("0" * n, n)
     values = []
-    for _ in range(num_samples):
+    for rng in _block_streams(num_samples, seed):
         state = psi0.copy()
         for inst in circuit:
             if inst.is_gate:
@@ -43,7 +55,7 @@ def reference_statevector_loop(circuit, num_samples, rng):
     return np.array(values)
 
 
-def reference_tn_loop(circuit, num_samples, rng):
+def reference_tn_loop(circuit, num_samples, seed):
     """Per-sample TN trajectories: a fresh network contraction per sample."""
     n = circuit.num_qubits
     distributions = []
@@ -54,7 +66,7 @@ def reference_tn_loop(circuit, num_samples, rng):
             )
             distributions.append(weights / weights.sum())
     values = []
-    for _ in range(num_samples):
+    for rng in _block_streams(num_samples, seed):
         operations, weight, noise_index = [], 1.0, 0
         for inst in circuit:
             if inst.is_gate:

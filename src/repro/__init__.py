@@ -9,8 +9,8 @@ The package is organised around the paper's structure:
 * :mod:`repro.tensornetwork` — the from-scratch tensor-network engine and the
   doubled-diagram builders of Section III.
 * :mod:`repro.simulators` — accurate baselines (statevector, density matrix,
-  tensor network, decision diagram) and approximate baselines (quantum
-  trajectories, MPS).
+  tensor network, decision diagram) and the MPS approximate baseline; the
+  quantum-trajectories baseline runs in :mod:`repro.backends`' batched engine.
 * :mod:`repro.core` — the paper's contribution: the SVD decomposition of
   noise tensors and the level-``l`` approximation algorithm (Algorithm 1)
   with its Theorem-1 guarantees.
@@ -59,7 +59,6 @@ from repro.simulators import (
     StatevectorSimulator,
     TDDSimulator,
     TNSimulator,
-    TrajectorySimulator,
 )
 from repro.verify import run_conformance
 
@@ -92,7 +91,6 @@ __all__ = [
     "DensityMatrixSimulator",
     "TNSimulator",
     "TDDSimulator",
-    "TrajectorySimulator",
     "MPSSimulator",
     "__version__",
 ]

@@ -91,11 +91,8 @@ def task_config_hash(
     """Content hash of one task configuration (the provenance key).
 
     Covers the backend name, its construction options and every *semantic*
-    task field.  The worker *count* and the executor handle are excluded —
-    the engine's seeded block mode gives identical values for every
-    ``workers=k`` — but the RNG regime bit (``workers=None``'s legacy serial
-    stream vs the blocked mode) is included, because those two regimes
-    compute different estimates for the same seed.
+    task field.  ``workers`` and the executor handle are excluded: the
+    engine's seeded RNG blocks give identical values for every setting.
 
     ``bound_params`` is the parameter binding of a
     :meth:`repro.api.Executable.bind` executable; it enters the payload only
@@ -108,7 +105,7 @@ def task_config_hash(
     >>> a == task_config_hash("tn", SimulationTask(seed=7, workers=8))
     True
     >>> a == task_config_hash("tn", SimulationTask(seed=7, workers=None))
-    False
+    True
     >>> a == task_config_hash("tn", SimulationTask(seed=8, workers=1))
     False
     >>> b = task_config_hash("tn", SimulationTask(seed=7, workers=1),
@@ -122,7 +119,6 @@ def task_config_hash(
             "num_samples": task.num_samples,
             "level": task.level,
             "seed": task.seed,
-            "rng_regime": "serial" if task.workers is None else "blocked",
             "keep_samples": task.keep_samples,
         }
     )

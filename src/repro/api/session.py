@@ -135,10 +135,9 @@ class Session:
     ----------
     workers:
         Default process count for the stochastic backends *and* the size of
-        the session's shared process pool.  ``None`` leaves stochastic tasks
-        in the engine's single-stream serial mode (the seed-compatible
-        default); ``k >= 1`` selects the engine's seeded block mode, whose
-        values are identical for every ``k``.
+        the session's shared process pool.  ``None`` and ``1`` run
+        trajectories in-process, ``k > 1`` on the shared pool; the engine's
+        seeded RNG blocks make the values identical for every setting.
     max_parallel:
         Concurrent :meth:`submit` dispatches (default: CPU count, capped at 8).
     seed:
@@ -161,9 +160,10 @@ class Session:
         Default execution device for device-capable backends (see
         :mod:`repro.xp` and ``docs/xp.md``).  ``None`` reads the
         ``REPRO_DEVICE`` environment variable and falls back to ``"cpu"``.
-        Validated eagerly: an unavailable device (``"cuda"`` without
-        CuPy/torch) raises :class:`~repro.xp.DeviceUnavailableError` here
-        rather than falling back silently.  The session default is *soft* —
+        Validated eagerly: an unavailable device (``"cuda"``, which has no
+        namespace in this package) raises
+        :class:`~repro.xp.DeviceUnavailableError` here rather than falling
+        back silently.  The session default is *soft* —
         it is applied only to backends whose capabilities advertise
         ``supports_device``, so cpu-only backends keep working; a per-call
         ``device=`` (or ``SimulationTask.device``) is *hard* and makes
@@ -180,7 +180,7 @@ class Session:
         device: str | None = None,
     ) -> None:
         if workers is not None and workers < 1:
-            raise ValidationError("workers must be >= 1 (or None for serial mode)")
+            raise ValidationError("workers must be >= 1")
         if max_parallel is not None and max_parallel < 1:
             raise ValidationError("max_parallel must be >= 1")
         if plan_cache_size < 0:
@@ -366,7 +366,7 @@ class Session:
                 device=device,
             )
         if built.workers is not None and built.workers < 1:
-            raise ValidationError("workers must be >= 1 (or None for serial mode)")
+            raise ValidationError("workers must be >= 1")
         return built
 
     def _prepare(

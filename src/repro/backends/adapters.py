@@ -353,35 +353,6 @@ class _TrajectoryBackendBase(SimulationBackend):
             metadata={"workers": task.workers},
         )
 
-    def samples_for_precision(
-        self,
-        circuit: Circuit,
-        target_standard_error: float,
-        pilot_samples: int = 64,
-        rng=None,
-        max_samples: int = 1_000_000,
-        input_state=None,
-        output_state=None,
-    ) -> int:
-        """Trajectory count needed to reach ``target_standard_error``.
-
-        Runs the per-sample reference simulator's short pilot with this
-        backend's engine kind; used by the Table III / Fig. 5 harnesses (via
-        :meth:`repro.api.Session.samples_for_precision`) to match the
-        trajectories baseline to the approximation algorithm's accuracy.
-        """
-        from repro.simulators import TrajectorySimulator
-
-        return TrajectorySimulator(self._engine_backend).samples_for_precision(
-            circuit,
-            target_standard_error,
-            pilot_samples=pilot_samples,
-            input_state=input_state,
-            output_state=output_state,
-            rng=rng,
-            max_samples=max_samples,
-        )
-
 
 @register_backend(
     "trajectories", noisy=True, exact=False, stochastic=True, max_qubits=22,

@@ -14,17 +14,14 @@ two batched hot paths:
   :class:`repro.tensornetwork.plan.ContractionPlan` (state-independent Kraus
   sampling with importance weights, as in the original implementation).
 
-Two RNG regimes are supported:
-
-* ``workers=None`` (default) — a single RNG stream consumed in exactly the
-  order of the historical per-sample loop (one uniform per (sample, channel),
-  sample-major), so the engine reproduces the old loop's estimates for the
-  same seed.
-* ``workers=k`` — samples are split into fixed-size blocks of
-  :data:`RNG_BLOCK` trajectories and block ``b`` uses the independent stream
-  ``default_rng([seed, b])``.  Results are therefore identical for any worker
-  count (1, 2, …), and blocks are executed by a ``concurrent.futures``
-  process pool when ``k > 1``.
+Samples are split into fixed-size blocks of :data:`RNG_BLOCK` trajectories
+and block ``b`` draws one uniform per (sample, channel), sample-major, from
+the independent stream ``default_rng([seed, b])``.  Results therefore depend
+only on the seed, never on the worker count: ``workers=None`` and
+``workers=1`` run the blocks in-process, ``workers=k > 1`` on a
+``concurrent.futures`` process pool, all with identical values.  (numpy's
+``default_rng([s, 0])`` is the same stream as ``default_rng(s)``, so block 0
+is the plain seeded stream.)
 
 Both hot paths dispatch their dense math through an
 :class:`repro.xp.ArrayNamespace` (``device=`` on the constructor).  Gate and
@@ -73,8 +70,8 @@ class WorkerPoolError(RuntimeError):
     because block seeding makes values independent of the distribution.
     """
 
-#: Trajectories per RNG block in seeded (``workers``) mode.  Fixed — not a
-#: tuning knob — so that results are reproducible across worker counts.
+#: Trajectories per RNG block.  Fixed — not a tuning knob — so that results
+#: are reproducible across worker counts.
 RNG_BLOCK = 256
 
 
@@ -405,10 +402,9 @@ class BatchedTrajectoryEngine:
         """Estimate ``⟨v| E_N(|ψ⟩⟨ψ|) |v⟩`` from ``num_samples`` trajectories.
 
         Returns a :class:`repro.simulators.trajectories.TrajectoryResult`.
-        With ``workers=None`` the estimate reproduces the historical
-        per-sample loop for the same ``rng``; with ``workers=k`` the estimate
-        is identical for every ``k`` given the same integer seed.  ``executor``
-        optionally supplies an already-running
+        Given the same integer seed the estimate is identical for every
+        ``workers`` setting (``None`` and ``1`` run in-process, ``k > 1`` on
+        a process pool).  ``executor`` optionally supplies an already-running
         :class:`~concurrent.futures.ProcessPoolExecutor` (it is *not* shut
         down here), so callers running many estimates — e.g. a
         :class:`repro.sweeps.SweepRunner` grid — pay the pool start-up cost
@@ -445,39 +441,30 @@ class BatchedTrajectoryEngine:
             if keep_samples:
                 kept.append(values)
 
-        if circuit.noise_count() == 0:
+        noisy = circuit.noise_count() > 0
+        pooled = noisy and workers is not None and workers > 1
+        if context is None and not pooled:
+            # (The pool path prepares one context inside each worker process.)
+            context = _TrajectoryContext(self, circuit, input_state, output_state)
+        if not noisy:
             # Deterministic evolution: every trajectory yields the same value,
-            # so compute one and broadcast (no RNG is consumed, matching the
-            # per-sample loop which drew nothing for noiseless circuits).
-            if context is None:
-                context = _TrajectoryContext(self, circuit, input_state, output_state)
+            # so compute one and broadcast (no RNG is consumed).
             value = self._run_uniforms(context, np.empty((1, 0)))[0]
             absorb(np.full(num_samples, value))
-        elif workers is None:
-            if context is None:
-                context = _TrajectoryContext(self, circuit, input_state, output_state)
-            generator = np.random.default_rng(rng)
-            # One uniform per (sample, channel) in sample-major order: exactly
-            # the stream consumption of the old per-sample loop.  Drawing slab
-            # by slab yields the same stream as one big draw (row-major fill).
-            slab = self._slab_size(n)
-            for start in range(0, num_samples, slab):
-                batch = min(slab, num_samples - start)
-                uniforms = generator.random((batch, context.num_channels))
-                absorb(self._run_uniforms(context, uniforms))
         else:
             seed = self._resolve_seed(rng)
             blocks = self._blocks(num_samples)
-            if workers <= 1:
-                if context is None:
-                    context = _TrajectoryContext(self, circuit, input_state, output_state)
-                for block_index, block_samples in blocks:
-                    absorb(self._run_block(context, seed, block_index, block_samples))
-            else:
-                for values in self._run_pool(
+            if pooled:
+                block_values = self._run_pool(
                     circuit, input_state, output_state, seed, blocks, workers, executor
-                ):
-                    absorb(values)
+                )
+            else:
+                block_values = (
+                    self._run_block(context, seed, block_index, block_samples)
+                    for block_index, block_samples in blocks
+                )
+            for values in block_values:
+                absorb(values)
 
         estimate = float(stats.mean)
         samples = tuple(np.concatenate(kept)) if keep_samples else None
@@ -487,8 +474,6 @@ class BatchedTrajectoryEngine:
     # Scheduling helpers
     # ------------------------------------------------------------------
     def _slab_size(self, num_qubits: int) -> int:
-        if self.backend != "statevector":
-            return RNG_BLOCK
         # A floor of 4 keeps some batching for wide circuits, but Kraus
         # sampling holds all K branches of a slab at once, so above 2**20
         # amplitudes per state the floor drops to 1 to keep the peak memory

@@ -9,10 +9,12 @@ Accurate methods (the paper's Table II baselines):
 
 Approximate methods:
 
-* :class:`TrajectorySimulator` — quantum trajectories (MM and TN backends).
 * :class:`MPSSimulator` — matrix-product-state simulation with bond truncation.
 
-The paper's own approximation algorithm lives in :mod:`repro.core`.
+The paper's own approximation algorithm lives in :mod:`repro.core`; the
+quantum-trajectories baseline (MM and TN) runs in
+:class:`repro.backends.BatchedTrajectoryEngine`, whose
+:class:`TrajectoryResult` is re-exported here.
 
 All of these simulators are also exposed through the unified backend registry
 in :mod:`repro.backends`: ``get_backend(name).run(circuit, task)`` gives every
@@ -32,7 +34,7 @@ from repro.simulators.mps import MatrixProductState, MPSSimulator
 from repro.simulators.statevector import StatevectorSimulator, apply_matrix
 from repro.simulators.tdd import TDDSimulator
 from repro.simulators.tn_simulator import TNSimulator
-from repro.simulators.trajectories import TrajectoryResult, TrajectorySimulator
+from repro.simulators.trajectories import TrajectoryResult
 
 __all__ = [
     "StatevectorSimulator",
@@ -42,7 +44,6 @@ __all__ = [
     "apply_channel_to_density",
     "TNSimulator",
     "TDDSimulator",
-    "TrajectorySimulator",
     "TrajectoryResult",
     "MPSSimulator",
     "MatrixProductState",

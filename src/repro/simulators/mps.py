@@ -2,9 +2,9 @@
 
 The paper's related-work section lists MPS/MPO/MPDO simulation as the other
 family of SVD-based approximation methods.  This module provides a complete
-MPS simulator for noiseless circuits (and, combined with
-:class:`~repro.simulators.trajectories.TrajectorySimulator`-style sampling, a
-building block for approximate noisy simulation).  It is used by the ablation
+MPS simulator for noiseless circuits (and, combined with quantum-trajectories
+sampling of the Kraus operators, a building block for approximate noisy
+simulation).  It is used by the ablation
 benchmarks to contrast bond-dimension truncation with the paper's noise-tensor
 truncation.
 

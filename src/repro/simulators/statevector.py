@@ -93,7 +93,7 @@ class StatevectorSimulator:
         if not circuit.is_noiseless():
             raise ValidationError(
                 "StatevectorSimulator cannot simulate noise channels; "
-                "use DensityMatrixSimulator or TrajectorySimulator"
+                "use DensityMatrixSimulator or the trajectories backend"
             )
 
     def run(self, circuit: Circuit, initial_state=None) -> np.ndarray:

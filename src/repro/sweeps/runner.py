@@ -18,8 +18,8 @@ compiling every cell through one shared :class:`repro.api.Session`
   re-running an interrupted sweep executes only the missing cells and the
   surviving records are byte-identical apart from wall-clock timings.
 
-Every stochastic cell runs in the engine's seeded block mode (``workers >= 1``),
-so a sweep's values are deterministic for a fixed spec seed regardless of the
+Every stochastic cell runs on the engine's seeded RNG blocks, so a sweep's
+values are deterministic for a fixed spec seed regardless of the
 ``--workers`` setting used to produce them.
 
 A runner given ``shard=ShardSpec(k, n)`` executes only the cells the
@@ -149,7 +149,7 @@ class SweepRunner:
         JSONL output file (``sweep_results/<name>.jsonl`` by default).
     workers:
         Process count for the stochastic backends' shared pool.  Values are
-        identical for every setting (the engine's seeded block mode);
+        identical for every setting (the engine's seeded RNG blocks);
         defaults to the spec's ``workers`` entry, else 1.
     resume:
         Re-use final records already present in ``out_path`` (default).
@@ -217,7 +217,7 @@ class SweepRunner:
         # it is created lazily on first use, so a fully-resumed re-run never
         # pays the pool start-up cost.
         with Session(
-            workers=self.workers if self.workers > 1 else None,
+            workers=self.workers,
             passes=self.spec.passes,
             device=self.spec.device,
         ) as session:

@@ -520,8 +520,8 @@ def _parse_spec(data: Mapping, base_dir: Path | None) -> SweepSpec:
         )
     device = None if data.get("device") is None else str(data["device"])
     if device is not None and device not in KNOWN_DEVICES:
-        # Known-name check at parse time; *availability* (e.g. cuda without
-        # CuPy/torch) is checked when the runner opens its session.
+        # Known-name check at parse time; *availability* (e.g. cuda, which
+        # has no namespace here) is checked when the runner opens its session.
         raise ValidationError(
             f"unknown device {device!r}; known: {', '.join(KNOWN_DEVICES)}"
         )

@@ -78,8 +78,8 @@ class ConformanceRunner:
         :func:`~repro.verify.oracles.DEFAULT_ORACLES`).
     workers:
         Size of the session's shared process pool; also the alternate worker
-        count the determinism oracle exercises.  Minimum 2 so the blocked
-        RNG regime is actually parallel at least once.
+        count the determinism oracle exercises.  Minimum 2 so the seeded RNG
+        blocks are actually split across processes at least once.
     artifact_dir:
         Where failure artifacts are written (created on first failure only).
     shrink:

@@ -18,8 +18,8 @@ Three layers:
 * :class:`~repro.xp.namespace.ArrayNamespace` implementations — ``numpy``
   (reference, always available), ``fake_gpu`` (NumPy-backed but with a
   distinct array wrapper and mandatory explicit transfers, so host/device
-  mixing bugs fail on CPU-only CI), and lazily-discovered ``cupy`` / ``torch``
-  namespaces for real CUDA devices.
+  mixing bugs fail on CPU-only CI).  A real accelerator plugs in as a new
+  implementation; ``"cuda"`` is reserved for one but none ships here.
 * :func:`~repro.xp.registry.get_namespace` — device-string resolution
   (``"cpu" | "fake_gpu" | "cuda" | "auto"``) with a structured
   :class:`~repro.xp.registry.DeviceUnavailableError` instead of silent

@@ -15,11 +15,12 @@
     NumPy-backed with a distinct array type and mandatory explicit
     transfers (always available; the CI vehicle for transfer discipline).
 ``"cuda"``
-    A real accelerator namespace, discovered lazily: CuPy first, torch as
-    the fallback.  On machines with neither, a structured
-    :class:`DeviceUnavailableError` is raised — never a silent cpu fallback.
+    Reserved for a real accelerator namespace.  None ships with this
+    package, so it always raises a structured :class:`DeviceUnavailableError`
+    — never a silent cpu fallback.  A new device implements
+    :class:`~repro.xp.ArrayNamespace` and registers here.
 ``"auto"``
-    ``"cuda"`` when available, else ``"cpu"``.
+    The best available device: ``"cpu"`` today.
 ``None``
     The session default: the ``REPRO_DEVICE`` environment variable when set
     (how CI forces ``fake_gpu`` onto the device-capable backends), else
@@ -54,7 +55,7 @@ __all__ = [
     "seam_modules",
 ]
 
-#: Accepted ``device=`` strings (``auto`` resolves to ``cuda`` or ``cpu``).
+#: Accepted ``device=`` strings (``auto`` resolves to ``cpu``).
 KNOWN_DEVICES = ("cpu", "fake_gpu", "cuda", "auto")
 
 #: Environment variable naming the session-default device (soft: applied only
@@ -77,35 +78,7 @@ class DeviceUnavailableError(ValidationError):
         super().__init__(f"device {device!r} is unavailable: {reason}")
 
 
-# sentinel: provider probing is done once, not per get_namespace call
-_UNPROBED = object()
-_cuda_provider = _UNPROBED
 _NAMESPACES: Dict[tuple, ArrayNamespace] = {}
-
-
-def _probe_cuda_provider():
-    """'cupy' | 'torch' | None — which library can serve ``device="cuda"``."""
-    global _cuda_provider
-    if _cuda_provider is not _UNPROBED:
-        return _cuda_provider
-    provider = None
-    try:
-        import cupy
-
-        if cupy.cuda.runtime.getDeviceCount() > 0:
-            provider = "cupy"
-    except Exception:  # noqa: BLE001 - missing package or no driver/device
-        provider = None
-    if provider is None:
-        try:
-            import torch
-
-            if torch.cuda.is_available():
-                provider = "torch"
-        except Exception:  # noqa: BLE001
-            provider = None
-    _cuda_provider = provider
-    return provider
 
 
 def default_device() -> str:
@@ -119,21 +92,14 @@ def default_device() -> str:
     return device
 
 
-def device_available(device: str) -> bool:
-    """Whether ``get_namespace(device)`` would succeed on this machine."""
-    if device in ("cpu", "fake_gpu", "auto"):
-        return True
-    if device == "cuda":
-        return _probe_cuda_provider() is not None
-    return False
-
-
 def available_devices() -> tuple:
     """The concrete devices usable here (``auto`` excluded; it is an alias)."""
-    devices = ["cpu", "fake_gpu"]
-    if device_available("cuda"):
-        devices.append("cuda")
-    return tuple(devices)
+    return ("cpu", "fake_gpu")
+
+
+def device_available(device: str) -> bool:
+    """Whether ``get_namespace(device)`` would succeed on this machine."""
+    return device == "auto" or device in available_devices()
 
 
 def get_namespace(device: str | None = None, dtype=None) -> ArrayNamespace:
@@ -141,7 +107,7 @@ def get_namespace(device: str | None = None, dtype=None) -> ArrayNamespace:
 
     Raises :class:`~repro.utils.validation.ValidationError` for unknown device
     strings and :class:`DeviceUnavailableError` when the device is known but
-    cannot run on this machine (e.g. ``"cuda"`` without CuPy/torch).
+    cannot run here (``"cuda"``, which has no namespace in this package).
     """
     if device is None:
         device = default_device()
@@ -151,7 +117,7 @@ def get_namespace(device: str | None = None, dtype=None) -> ArrayNamespace:
             f"unknown device {device!r}; known: {', '.join(KNOWN_DEVICES)}"
         )
     if device == "auto":
-        device = "cuda" if device_available("cuda") else "cpu"
+        device = "cpu"
     dtype_key = _np.dtype(dtype or "complex128").str
     key = (device, dtype_key)
     cached = _NAMESPACES.get(key)
@@ -172,17 +138,10 @@ def _build_namespace(device: str, dtype: str) -> ArrayNamespace:
 
         return FakeGpuNamespace(dtype=dtype)
     # device == "cuda"
-    provider = _probe_cuda_provider()
-    if provider == "cupy":
-        from repro.xp.cupy_ns import CupyNamespace
-
-        return CupyNamespace(dtype=dtype)
-    if provider == "torch":
-        from repro.xp.torch_ns import TorchNamespace
-
-        return TorchNamespace(dtype=dtype)
     raise DeviceUnavailableError(
-        "cuda", "neither CuPy nor torch with a CUDA device is importable here"
+        "cuda",
+        "no CUDA namespace ships with this package; implement "
+        "repro.xp.ArrayNamespace and register it in repro.xp.registry",
     )
 
 

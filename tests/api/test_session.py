@@ -210,17 +210,17 @@ class TestProvenance:
             "trajectories", pooled
         )
 
-    def test_config_hash_distinguishes_rng_regime_and_backend_options(self):
-        # workers=None (legacy serial stream) computes a different estimate
-        # than the blocked mode for the same seed, so the hashes must differ;
-        # adapter construction options change the value too.
-        blocked = SimulationTask(num_samples=100, seed=1, workers=1)
-        serial = SimulationTask(num_samples=100, seed=1, workers=None)
-        assert task_config_hash("trajectories", blocked) != task_config_hash(
-            "trajectories", serial
+    def test_config_hash_ignores_workers_covers_backend_options(self):
+        # workers=None and workers=1 draw the same seeded RNG blocks, so they
+        # compute the same estimate and must hash equal; adapter construction
+        # options change the value, so they must not.
+        one = SimulationTask(num_samples=100, seed=1, workers=1)
+        unset = SimulationTask(num_samples=100, seed=1, workers=None)
+        assert task_config_hash("trajectories", one) == task_config_hash(
+            "trajectories", unset
         )
-        assert task_config_hash("mpdo", blocked) != task_config_hash(
-            "mpdo", blocked, {"truncation_threshold": 1e-2}
+        assert task_config_hash("mpdo", one) != task_config_hash(
+            "mpdo", one, {"truncation_threshold": 1e-2}
         )
 
     def test_to_dict_round_trips_through_json(self, noisy_circuit):

@@ -2,12 +2,12 @@
 
 Covers the two guarantees the engine makes:
 
-1. With ``workers=None`` it reproduces the historical per-sample Python loop
-   exactly (same seed ⇒ same Kraus draws ⇒ same values), for both the
-   statevector and the tensor-network path.  The reference loops below are
-   line-for-line ports of the pre-engine implementation.
-2. With ``workers=k`` the result depends only on the seed — never on the
-   worker count — thanks to fixed-size per-block RNG streams.
+1. It reproduces a plain per-sample Python loop drawing from the same seeded
+   RNG blocks exactly (same seed ⇒ same Kraus draws ⇒ same values), for both
+   the statevector and the tensor-network path
+   (:mod:`benchmarks.reference_loops`).
+2. The result depends only on the seed — never on ``workers`` (``None``,
+   ``1`` or a process pool) — thanks to fixed-size per-block RNG streams.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ from benchmarks.reference_loops import reference_statevector_loop, reference_tn_
 from repro.backends.engine import RNG_BLOCK, BatchedTrajectoryEngine, apply_matrix_batched
 from repro.circuits.library import ghz_circuit, random_circuit
 from repro.noise import NoiseModel, amplitude_damping_channel, depolarizing_channel
-from repro.simulators import DensityMatrixSimulator, TrajectorySimulator
+from repro.simulators import DensityMatrixSimulator
 from repro.simulators.statevector import apply_matrix
 from repro.utils import zero_state
 from repro.utils.validation import ValidationError
@@ -30,23 +30,33 @@ def noisy_circuit():
 
 
 class TestLegacyEquivalence:
+    # Both sample counts span two RNG blocks, so the block seeding is checked
+    # as well as the per-block stream order.
     def test_statevector_matches_per_sample_loop(self, noisy_circuit):
-        reference = reference_statevector_loop(noisy_circuit, 400, np.random.default_rng(0))
-        result = BatchedTrajectoryEngine("statevector").estimate_fidelity(
-            noisy_circuit, 400, rng=0, keep_samples=True
-        )
-        np.testing.assert_allclose(np.array(result.samples), reference, rtol=0, atol=1e-12)
-        assert result.estimate == pytest.approx(reference.mean(), abs=1e-13)
-        assert result.standard_error == pytest.approx(
-            reference.std(ddof=1) / np.sqrt(400), rel=1e-9
-        )
+        reference = reference_statevector_loop(noisy_circuit, 400, 0)
+        engine = BatchedTrajectoryEngine("statevector")
+        for workers in (None, 1, 2):
+            result = engine.estimate_fidelity(
+                noisy_circuit, 400, rng=0, keep_samples=True, workers=workers
+            )
+            np.testing.assert_allclose(
+                np.array(result.samples), reference, rtol=0, atol=1e-12
+            )
+            assert result.estimate == pytest.approx(reference.mean(), abs=1e-13)
+            assert result.standard_error == pytest.approx(
+                reference.std(ddof=1) / np.sqrt(400), rel=1e-9
+            )
 
     def test_tn_matches_per_sample_loop(self, noisy_circuit):
-        reference = reference_tn_loop(noisy_circuit, 200, np.random.default_rng(6))
-        result = BatchedTrajectoryEngine("tn").estimate_fidelity(
-            noisy_circuit, 200, rng=6, keep_samples=True
-        )
-        np.testing.assert_allclose(np.array(result.samples), reference, rtol=0, atol=1e-12)
+        reference = reference_tn_loop(noisy_circuit, 300, 6)
+        engine = BatchedTrajectoryEngine("tn")
+        for workers in (None, 1, 2):
+            result = engine.estimate_fidelity(
+                noisy_circuit, 300, rng=6, keep_samples=True, workers=workers
+            )
+            np.testing.assert_allclose(
+                np.array(result.samples), reference, rtol=0, atol=1e-12
+            )
 
     def test_backends_agree_with_each_other(self, noisy_circuit):
         sv = BatchedTrajectoryEngine("statevector").estimate_fidelity(noisy_circuit, 1500, rng=7)
@@ -69,10 +79,21 @@ class TestSeededReproducibility:
     def test_identical_across_worker_counts(self, noisy_circuit, backend):
         engine = BatchedTrajectoryEngine(backend)
         num_samples = RNG_BLOCK * 2 + 37  # spans three partial blocks
-        serial = engine.estimate_fidelity(noisy_circuit, num_samples, rng=42, workers=1)
-        pooled = engine.estimate_fidelity(noisy_circuit, num_samples, rng=42, workers=2)
-        assert serial.estimate == pooled.estimate
-        assert serial.standard_error == pooled.standard_error
+        unset, one, pooled = (
+            engine.estimate_fidelity(noisy_circuit, num_samples, rng=42, workers=workers)
+            for workers in (None, 1, 2)
+        )
+        assert unset.estimate == one.estimate == pooled.estimate
+        assert unset.standard_error == one.standard_error == pooled.standard_error
+
+    @pytest.mark.parametrize("seed", [0, 7, 11, 2**32 + 3, 2**62 + 5])
+    def test_block_zero_is_the_plain_seeded_stream(self, seed):
+        # Why runs of at most RNG_BLOCK samples kept their values when the
+        # engine's separate single-stream mode was folded into the blocks.
+        np.testing.assert_array_equal(
+            np.random.default_rng(seed).random(1000),
+            np.random.default_rng([seed, 0]).random(1000),
+        )
 
     def test_statevector_three_workers(self, noisy_circuit):
         engine = BatchedTrajectoryEngine("statevector")
@@ -149,22 +170,3 @@ class TestBatchedApply:
     def test_apply_matrix_batched_bad_shape(self):
         with pytest.raises(ValidationError):
             apply_matrix_batched(np.zeros((2, 4), complex), np.eye(4), (0,), 2)
-
-
-class TestTrajectorySimulatorFacade:
-    """The public TrajectorySimulator must transparently use the engine."""
-
-    def test_delegates_and_matches_engine(self, noisy_circuit):
-        sim = TrajectorySimulator("statevector").estimate_fidelity(noisy_circuit, 128, rng=5)
-        eng = BatchedTrajectoryEngine("statevector").estimate_fidelity(noisy_circuit, 128, rng=5)
-        assert sim.estimate == eng.estimate
-        assert sim.standard_error == eng.standard_error
-
-    def test_workers_exposed(self, noisy_circuit):
-        serial = TrajectorySimulator("statevector").estimate_fidelity(
-            noisy_circuit, 300, rng=4, workers=1
-        )
-        pooled = TrajectorySimulator("statevector").estimate_fidelity(
-            noisy_circuit, 300, rng=4, workers=2
-        )
-        assert serial.estimate == pooled.estimate

@@ -14,11 +14,16 @@ backends are automatically covered.
 import numpy as np
 import pytest
 
-from repro.backends import SimulationTask, available_backends, get_backend
+from repro.backends import (
+    BatchedTrajectoryEngine,
+    SimulationTask,
+    available_backends,
+    get_backend,
+)
 from repro.circuits.library import benchmark_circuit, random_circuit
 from repro.core import ApproximateNoisySimulator
 from repro.noise import NoiseModel, SYCAMORE_LIKE_SPEC, depolarizing_channel
-from repro.simulators import DensityMatrixSimulator, TrajectorySimulator
+from repro.simulators import DensityMatrixSimulator
 from repro.utils import zero_state
 
 
@@ -81,7 +86,7 @@ class TestApproximateMethodsAgree:
     def test_trajectories_converge_to_exact(self):
         noisy = _make_noisy("qaoa_4", 4, 7, p=0.05)
         exact = get_backend("density_matrix").run(noisy).value
-        result = TrajectorySimulator("statevector").estimate_fidelity(noisy, 3000, rng=7)
+        result = BatchedTrajectoryEngine("statevector").estimate_fidelity(noisy, 3000, rng=7)
         assert result.estimate == pytest.approx(exact, abs=6 * result.standard_error + 1e-3)
 
     def test_stochastic_backends_within_confidence(self):

@@ -1,11 +1,17 @@
-"""Tests for the quantum-trajectories baseline."""
+"""Tests for the quantum-trajectories baseline: estimator quality and sample budgeting.
 
-import numpy as np
+Engine mechanics (noiseless short-circuit, argument validation, amplitude
+damping, statevector-vs-TN agreement, seeding) live in
+``tests/backends/test_engine.py``.
+"""
+
 import pytest
 
-from repro.circuits.library import ghz_circuit, random_circuit
-from repro.noise import NoiseModel, amplitude_damping_channel, depolarizing_channel
-from repro.simulators import DensityMatrixSimulator, TrajectorySimulator
+from repro.api import Session
+from repro.backends.engine import BatchedTrajectoryEngine
+from repro.circuits.library import random_circuit
+from repro.noise import NoiseModel, depolarizing_channel
+from repro.simulators import DensityMatrixSimulator
 from repro.utils import zero_state
 from repro.utils.validation import ValidationError
 
@@ -23,23 +29,19 @@ def exact_value(noisy_circuit):
 
 class TestStatevectorBackend:
     def test_unbiased_estimate(self, noisy_circuit, exact_value):
-        result = TrajectorySimulator("statevector").estimate_fidelity(
+        result = BatchedTrajectoryEngine("statevector").estimate_fidelity(
             noisy_circuit, 4000, rng=0
         )
         assert result.estimate == pytest.approx(exact_value, abs=5 * result.standard_error + 1e-3)
 
-    def test_error_shrinks_with_samples(self, noisy_circuit, exact_value):
-        small = TrajectorySimulator("statevector").estimate_fidelity(noisy_circuit, 50, rng=1)
-        large = TrajectorySimulator("statevector").estimate_fidelity(noisy_circuit, 3000, rng=1)
+    def test_error_shrinks_with_samples(self, noisy_circuit):
+        engine = BatchedTrajectoryEngine("statevector")
+        small = engine.estimate_fidelity(noisy_circuit, 50, rng=1)
+        large = engine.estimate_fidelity(noisy_circuit, 3000, rng=1)
         assert large.standard_error < small.standard_error
 
-    def test_noiseless_circuit_zero_variance(self):
-        result = TrajectorySimulator("statevector").estimate_fidelity(ghz_circuit(3), 10, rng=2)
-        assert result.standard_error == pytest.approx(0.0, abs=1e-12)
-        assert result.estimate == pytest.approx(0.5)
-
     def test_result_metadata(self, noisy_circuit):
-        result = TrajectorySimulator("statevector").estimate_fidelity(
+        result = BatchedTrajectoryEngine("statevector").estimate_fidelity(
             noisy_circuit, 16, rng=3, keep_samples=True
         )
         assert result.num_samples == 16
@@ -48,44 +50,30 @@ class TestStatevectorBackend:
         assert low <= result.estimate <= high
 
     def test_samples_not_retained_by_default(self, noisy_circuit):
-        result = TrajectorySimulator("statevector").estimate_fidelity(noisy_circuit, 16, rng=3)
+        result = BatchedTrajectoryEngine("statevector").estimate_fidelity(
+            noisy_circuit, 16, rng=3
+        )
         assert result.samples is None
         assert result.num_samples == 16
-
-    def test_invalid_sample_count(self, noisy_circuit):
-        with pytest.raises(ValidationError):
-            TrajectorySimulator("statevector").estimate_fidelity(noisy_circuit, 0)
-
-    def test_amplitude_damping_trajectories(self):
-        ideal = ghz_circuit(2)
-        noisy = NoiseModel(amplitude_damping_channel(0.3), seed=5).insert_random(ideal, 2)
-        exact = DensityMatrixSimulator().fidelity(noisy, zero_state(2))
-        result = TrajectorySimulator("statevector").estimate_fidelity(noisy, 4000, rng=5)
-        assert result.estimate == pytest.approx(exact, abs=0.02)
 
 
 class TestTNBackend:
     def test_unbiased_estimate(self, noisy_circuit, exact_value):
-        result = TrajectorySimulator("tn").estimate_fidelity(noisy_circuit, 1500, rng=6)
+        result = BatchedTrajectoryEngine("tn").estimate_fidelity(noisy_circuit, 1500, rng=6)
         assert result.estimate == pytest.approx(exact_value, abs=5 * result.standard_error + 2e-3)
-
-    def test_agrees_with_statevector_backend(self, noisy_circuit):
-        sv = TrajectorySimulator("statevector").estimate_fidelity(noisy_circuit, 1500, rng=7)
-        tn = TrajectorySimulator("tn").estimate_fidelity(noisy_circuit, 1500, rng=7)
-        assert sv.estimate == pytest.approx(tn.estimate, abs=3 * (sv.standard_error + tn.standard_error))
 
     def test_unknown_backend(self):
         with pytest.raises(ValidationError):
-            TrajectorySimulator("magic")
+            BatchedTrajectoryEngine("magic")
 
 
 class TestSampleBudgeting:
     def test_samples_for_precision_scales_inversely(self, noisy_circuit):
-        sim = TrajectorySimulator("statevector")
-        loose = sim.samples_for_precision(noisy_circuit, 1e-2, rng=8)
-        tight = sim.samples_for_precision(noisy_circuit, 1e-3, rng=8)
+        with Session(passes=False) as session:
+            loose = session.samples_for_precision(noisy_circuit, 1e-2, seed=8)
+            tight = session.samples_for_precision(noisy_circuit, 1e-3, seed=8)
         assert tight > loose
 
     def test_samples_for_precision_invalid_target(self, noisy_circuit):
-        with pytest.raises(ValidationError):
-            TrajectorySimulator("statevector").samples_for_precision(noisy_circuit, 0.0)
+        with Session() as session, pytest.raises(ValidationError):
+            session.samples_for_precision(noisy_circuit, 0.0)

@@ -37,7 +37,6 @@ TOP_LEVEL = {
     "DensityMatrixSimulator",
     "TNSimulator",
     "TDDSimulator",
-    "TrajectorySimulator",
     "MPSSimulator",
     "__version__",
 }

@@ -1,9 +1,9 @@
 """Fixtures for the array-namespace conformance suite.
 
-The ``xp`` fixture parametrizes each test over *every* namespace available on
-this machine: ``numpy`` and ``fake_gpu`` always, the real ``cuda`` namespace
-(CuPy or torch) when one is importable.  A test written against the fixture is
-therefore a conformance contract — any future namespace must pass it as-is.
+The ``xp`` fixture parametrizes each test over *every* available namespace
+(``numpy`` and ``fake_gpu``; a future accelerator namespace joins through
+``available_devices()``).  A test written against the fixture is therefore a
+conformance contract — any future namespace must pass it as-is.
 """
 
 import pytest
