@@ -613,10 +613,10 @@ class Session:
         elif not cache_hit:
             # The backend's plan search runs outside the lock, so distinct
             # keys never block each other.  A circuit with free parameters is
-            # planned from a placeholder binding (all zeros): backend plans
-            # for parametric circuits are value-independent by construction
-            # (the bind slot re-reads tensor values from the executed
-            # circuit), so any binding records the same plan.
+            # planned from a placeholder binding (all zeros): every run of
+            # a parametric circuit re-prepares this plan as the template of
+            # its bound values (SimulationBackend.run), so any binding
+            # records an equally good plan.
             plan_circuit = circuit
             free = circuit_parameters(circuit)
             if free:

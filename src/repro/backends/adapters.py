@@ -15,6 +15,9 @@ engine's per-circuit context (template network, Kraus sampling
 distributions), the approximation adapter records the split-network
 schedules all substituted terms replay, and the statevector adapter resolves
 its dense boundary states.  The remaining adapters have no plan (``None``).
+Every ``_compile`` takes the ``template`` of a parametric plan, which
+:meth:`~repro.backends.base.SimulationBackend.run` passes when it
+re-prepares a compiled plan on another binding's values.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from repro.backends.base import (
 from repro.backends.engine import BatchedTrajectoryEngine
 from repro.backends.registry import register_backend
 from repro.circuits.circuit import Circuit
-from repro.circuits.parameters import is_parametric
 from repro.circuits.passes import PassProfile
 from repro.core import ApproximateNoisySimulator
 from repro.simulators import (
@@ -75,7 +77,10 @@ class StatevectorBackend(SimulationBackend):
     def max_qubits(self) -> int | None:
         return self._max_qubits if self._max_qubits is not None else self.capabilities.max_qubits
 
-    def _compile(self, circuit: Circuit, task: SimulationTask):
+    def _compile(self, circuit: Circuit, task: SimulationTask, template=None):
+        if template is not None:
+            # The plan is the boundary states alone: value-independent.
+            return template
         input_state, output_state = _default_states(circuit, task)
         n = circuit.num_qubits
         return (dense_product_state(input_state, n), dense_product_state(output_state, n))
@@ -146,17 +151,13 @@ class TNBackend(SimulationBackend):
             device=task.device,
         )
 
-    def _compile(self, circuit: Circuit, task: SimulationTask):
+    def _compile(self, circuit: Circuit, task: SimulationTask, template=None):
         input_state, output_state = _default_states(circuit, task)
-        return self._simulator(task).prepare(circuit, input_state, output_state)
+        return self._simulator(task).prepare(
+            circuit, input_state, output_state, template=template
+        )
 
     def _execute(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
-        if getattr(plan, "parametric", False):
-            # Bind-slot template: replay the recorded schedule on tensors
-            # rebuilt from the bound circuit actually being executed.
-            return BackendResult(
-                backend=self.name, value=plan.execute_bound(circuit), num_contractions=1
-            )
         return BackendResult(
             backend=self.name, value=plan.execute(), num_contractions=1
         )
@@ -313,23 +314,17 @@ class _TrajectoryBackendBase(SimulationBackend):
             device=device,
         )
 
-    def _compile(self, circuit: Circuit, task: SimulationTask):
+    def _compile(self, circuit: Circuit, task: SimulationTask, template=None):
         if task.workers is not None and task.workers > 1:
             # The multi-process path prepares a context inside each worker
             # process; a parent-side context would be dead weight (the plan
             # cache keys pooled and in-process regimes separately).
             return None
         input_state, output_state = _default_states(circuit, task)
-        return self.engine.prepare(circuit, input_state, output_state)
+        return self.engine.prepare(circuit, input_state, output_state, template=template)
 
     def _execute(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
         input_state, output_state = _default_states(circuit, task)
-        if plan is not None and getattr(plan, "parametric", False):
-            # The compiled context is a bind-slot template (prepared from a
-            # placeholder binding): swap in the bound circuit's gate values
-            # while reusing the recorded contraction plan and the Kraus
-            # sampling distributions, which are value-independent.
-            plan = plan.rebound(circuit)
         result = self._engine_for(task).estimate_fidelity(
             circuit,
             task.num_samples,
@@ -393,15 +388,11 @@ class ApproximationBackend(SimulationBackend):
             strategy=task.options.get("strategy", self.strategy),
         )
 
-    def _compile(self, circuit: Circuit, task: SimulationTask):
-        if is_parametric(circuit):
-            # The approximation plan bakes gate tensors into its specialized
-            # per-term schedules, which would freeze one binding's values;
-            # each run of a parametric executable prepares on the bound
-            # circuit instead.
-            return None
+    def _compile(self, circuit: Circuit, task: SimulationTask, template=None):
         input_state, output_state = _default_states(circuit, task)
-        return self._simulator(task).prepare(circuit, input_state, output_state)
+        return self._simulator(task).prepare(
+            circuit, input_state, output_state, template=template
+        )
 
     def _execute(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
         input_state, output_state = _default_states(circuit, task)

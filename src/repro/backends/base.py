@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, Mapping
 
 from repro.circuits.circuit import Circuit
-from repro.circuits.parameters import UnboundParameterError, circuit_parameters
+from repro.circuits.parameters import UnboundParameterError, circuit_parameters, is_parametric
 from repro.circuits.passes import PassProfile
 from repro.tensornetwork.circuit_to_tn import resolve_product_state
 from repro.utils.validation import ValidationError
@@ -195,12 +195,11 @@ class SimulationBackend(ABC):
 
         The session layer intersects this profile with the caller's
         :class:`~repro.circuits.passes.PassConfig` before running the
-        optimizing pipeline (see :mod:`repro.circuits.passes`).  The default
-        is the universally safe subset — in particular ``merge_channels``
-        stays off because composing adjacent noise channels changes the
-        noise count that Algorithm 1's level budget and the trajectory
-        sampler's RNG stream are indexed by; the exact superoperator
-        adapters override this to opt in.
+        optimizing pipeline (see :mod:`repro.circuits.passes`).  By default
+        ``merge_channels`` stays off because composing adjacent noise
+        channels changes the noise count that Algorithm 1's level budget and
+        the trajectory sampler's RNG stream are indexed by; the exact
+        superoperator adapters override this to opt in.
         """
         return PassProfile()
 
@@ -228,8 +227,14 @@ class SimulationBackend(ABC):
         self.check_supported(circuit, task)
         return self._compile(circuit, task)
 
-    def _compile(self, circuit: Circuit, task: SimulationTask) -> Any:
-        """Backend-specific plan construction (default: nothing to precompute)."""
+    def _compile(self, circuit: Circuit, task: SimulationTask, template: Any = None) -> Any:
+        """Backend-specific plan construction (default: nothing to precompute).
+
+        ``template`` is a plan compiled from another binding of the same
+        parametric structure: its value-independent parts (recorded
+        schedules, noise decompositions, sampling distributions) are reused
+        and only the tensors are rebuilt from ``circuit``.
+        """
         return None
 
     # ------------------------------------------------------------------
@@ -250,7 +255,9 @@ class SimulationBackend(ABC):
         optionally supplies the precompiled one-time work from
         :meth:`compile` (for the same circuit/task structure); without one,
         the plan is built here first, so a one-shot run and a compiled run
-        execute the same code.
+        execute the same code.  A parametric circuit's plan was compiled
+        from some binding of its structure, so it serves as the template of
+        a re-preparation on this circuit's bound values.
 
         Example — exact fidelity of a noiseless GHZ state with ``|00⟩``::
 
@@ -271,8 +278,8 @@ class SimulationBackend(ABC):
             )
         self.check_supported(circuit, task)
         start = time.perf_counter()
-        if plan is None:
-            plan = self._compile(circuit, task)
+        if plan is None or is_parametric(circuit):
+            plan = self._compile(circuit, task, template=plan)
         result = self._execute(circuit, task, plan)
         elapsed = time.perf_counter() - start
         if result.elapsed_seconds == 0.0:

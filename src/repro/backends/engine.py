@@ -40,13 +40,12 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.circuits.circuit import Circuit
-from repro.circuits.parameters import is_parametric
 from repro.simulators.statevector import apply_matrix
 from repro.tensornetwork.circuit_to_tn import (
     StateLike,
     dense_product_state,
+    noise_node_positions,
     operator_amplitude_network,
-    resolve_product_state,
 )
 from repro.tensornetwork.plan import ContractionPlan
 from repro.utils.validation import ValidationError
@@ -152,7 +151,16 @@ class _StreamStats:
 
 
 class _TrajectoryContext:
-    """Per-process prepared state: everything that is constant across samples."""
+    """Per-process prepared state: everything that is constant across samples.
+
+    ``template`` is a context prepared from another binding of the same
+    parametric structure.  Its value-independent parts are shared: the
+    boundary states, the recorded :class:`ContractionPlan` (the greedy
+    ordering inspects tensor sizes, never entries) and the Kraus sampling
+    distributions (noise channels carry no parameters).  The TN template
+    tensors, their specialization and the device tensor cache are rebuilt
+    from ``circuit``.
+    """
 
     def __init__(
         self,
@@ -160,79 +168,58 @@ class _TrajectoryContext:
         circuit: Circuit,
         input_state: StateLike,
         output_state: StateLike,
+        template: "_TrajectoryContext | None" = None,
     ) -> None:
         self.circuit = circuit
         self.num_qubits = circuit.num_qubits
         self.num_channels = circuit.noise_count()
-        #: True when the circuit carries parametric gates: the context is then
-        #: a bind-slot template whose tensor values belong to whichever
-        #: binding prepared it — :meth:`rebound` swaps in another binding's
-        #: values without repeating the plan recording.
-        self.parametric = is_parametric(circuit)
-        self._engine = engine
-        self._input_state = input_state
-        self._output_state = output_state
         #: Per-namespace cache of device-resident operator tensors (see
         #: :meth:`device_tensors`); contexts are reusable across devices.
         self._device_cache = {}
-        if engine.backend == "statevector":
+        if engine.backend != "statevector":
+            self._prepare_tn(engine, circuit, input_state, output_state, template)
+        elif template is None:
             self.psi0 = dense_product_state(input_state, self.num_qubits)
             self.v = dense_product_state(output_state, self.num_qubits)
         else:
-            self._prepare_tn(engine, circuit, input_state, output_state)
+            self.psi0, self.v = template.psi0, template.v
 
     # -- TN template -----------------------------------------------------
-    def _build_template(
-        self,
-        engine: "BatchedTrajectoryEngine",
-        circuit: Circuit,
-        input_state: StateLike,
-        output_state: StateLike,
-    ):
-        """Build the trajectory amplitude network for ``circuit``.
-
-        Returns ``(template, template_tensors, noise_positions)``.  Shared by
-        the initial preparation and :meth:`rebound`, which rebuilds only the
-        tensors (same topology, different gate values) for a new binding.
-        """
-        n = circuit.num_qubits
-        operations: List[Tuple[np.ndarray, Tuple[int, ...]]] = []
-        noise_meta: List[Tuple[int, object]] = []  # (op index, instruction)
-        for inst in circuit:
-            if inst.is_gate:
-                operations.append((inst.operation.matrix, inst.qubits))
-            else:
-                noise_meta.append((len(operations), inst))
-                operations.append((inst.operation.kraus_operators[0], inst.qubits))
-        template = operator_amplitude_network(
-            n,
-            operations,
-            input_state,
-            output_state,
-            name="trajectory_template",
-            max_intermediate_size=engine.max_intermediate_size,
-        )
-        # Boundary nodes precede the op nodes in insertion order: one node per
-        # qubit for product states, a single node for a dense state.
-        resolved_in = resolve_product_state(input_state, n)
-        input_nodes = n if isinstance(resolved_in, list) else 1
-        template_tensors = [node.tensor for node in template.nodes]
-        noise_positions = [
-            (input_nodes + op_index, inst) for op_index, inst in noise_meta
-        ]
-        return template, template_tensors, noise_positions
-
     def _prepare_tn(
         self,
         engine: "BatchedTrajectoryEngine",
         circuit: Circuit,
         input_state: StateLike,
         output_state: StateLike,
+        template: "_TrajectoryContext | None",
     ) -> None:
-        template, self.template_tensors, self.noise_positions = self._build_template(
-            engine, circuit, input_state, output_state
+        # Each noise enters the template as its first Kraus operator; samples
+        # swap in the drawn one at the same node.
+        operations = [
+            (
+                inst.operation.matrix if inst.is_gate else inst.operation.kraus_operators[0],
+                inst.qubits,
+            )
+            for inst in circuit
+        ]
+        network = operator_amplitude_network(
+            circuit.num_qubits,
+            operations,
+            input_state,
+            output_state,
+            name="trajectory_template",
+            max_intermediate_size=engine.max_intermediate_size,
         )
-        self.plan, _ = ContractionPlan.record(template)
+        self.template_tensors = [node.tensor for node in network.nodes]
+        self.noise_positions = list(
+            zip(noise_node_positions(circuit, input_state), circuit.noise_instructions)
+        )
+        if template is None:
+            self.plan, _ = ContractionPlan.record(network)
+            self._derive_kraus_distributions()
+        else:
+            self.plan = template.plan
+            self.q_dists, self.q_cdfs = template.q_dists, template.q_cdfs
         # Partial evaluation over the static tensors: per-sample replays touch
         # only the contractions downstream of a sampled Kraus tensor (values
         # are bit-identical to a full replay; the static prefix is paid once).
@@ -245,7 +232,6 @@ class _TrajectoryContext:
             if self.noise_positions
             else None
         )
-        self._derive_kraus_distributions()
 
     def _derive_kraus_distributions(self) -> None:
         # State-independent sampling distributions q_k = tr(E_k† E_k)/d and
@@ -261,54 +247,6 @@ class _TrajectoryContext:
             cdf = cdf / cdf[-1]
             self.q_dists.append(weights)
             self.q_cdfs.append(cdf)
-
-    # -- bind slot -------------------------------------------------------
-    def rebound(self, circuit: Circuit) -> "_TrajectoryContext":
-        """Return this context re-targeted at another binding of its structure.
-
-        ``circuit`` must be a binding of the parametric structure this
-        context was prepared from (same instruction sequence; only gate
-        *values* differ).  All value-independent products are shared with the
-        parent: the recorded :class:`ContractionPlan` (the greedy ordering
-        inspects tensor sizes, never entries), the Kraus sampling
-        distributions (noise channels carry no parameters) and the boundary
-        states.  Only the value-dependent pieces are rebuilt — the TN
-        template tensors plus their static-prefix specialization, or, for the
-        statevector path, the per-device gate-tensor cache (invalidated, and
-        repopulated lazily from the bound circuit's matrices).
-        """
-        if not self.parametric:
-            raise ValueError("rebound() requires a context prepared from a parametric circuit")
-        bound = object.__new__(_TrajectoryContext)
-        bound.circuit = circuit
-        bound.num_qubits = self.num_qubits
-        bound.num_channels = self.num_channels
-        # The rebound context serves exactly one binding; marking it
-        # non-parametric keeps a second rebind from chaining off stale values.
-        bound.parametric = False
-        bound._engine = self._engine
-        bound._input_state = self._input_state
-        bound._output_state = self._output_state
-        bound._device_cache = {}
-        if self._engine.backend == "statevector":
-            bound.psi0 = self.psi0
-            bound.v = self.v
-            return bound
-        _, bound.template_tensors, bound.noise_positions = self._build_template(
-            self._engine, circuit, self._input_state, self._output_state
-        )
-        bound.plan = self.plan
-        bound.specialized = (
-            self.plan.specialize(
-                bound.template_tensors,
-                [position for position, _ in bound.noise_positions],
-            )
-            if bound.noise_positions
-            else None
-        )
-        bound.q_dists = self.q_dists
-        bound.q_cdfs = self.q_cdfs
-        return bound
 
     # -- device residency (statevector path) -----------------------------
     def device_tensors(self, xp):
@@ -371,6 +309,7 @@ class BatchedTrajectoryEngine:
         circuit: Circuit,
         input_state: StateLike = None,
         output_state: StateLike = None,
+        template: "_TrajectoryContext | None" = None,
     ) -> "_TrajectoryContext":
         """Precompute the sample-independent state of a trajectory estimate.
 
@@ -380,12 +319,14 @@ class BatchedTrajectoryEngine:
         state-independent Kraus sampling distributions.  The returned context
         can be passed back to :meth:`estimate_fidelity` (``context=...``) any
         number of times — values are identical to an uncontexted call, the
-        one-time work is just not repeated.
+        one-time work is just not repeated.  ``template`` is a context
+        prepared from another binding of the same parametric structure,
+        whose plan and sampling distributions are reused.
         """
         n = circuit.num_qubits
         input_state = "0" * n if input_state is None else input_state
         output_state = "0" * n if output_state is None else output_state
-        return _TrajectoryContext(self, circuit, input_state, output_state)
+        return _TrajectoryContext(self, circuit, input_state, output_state, template)
 
     def estimate_fidelity(
         self,

@@ -7,11 +7,11 @@ Two small frozen dataclasses steer the optimizing pipeline that
   the ``passes=`` argument of the session layer, which accepts ``True`` /
   ``False``, a mapping of individual flags, or an existing config.
 * :class:`PassProfile` — the *backend's* safety contract, returned by
-  :meth:`repro.backends.SimulationBackend.pass_profile`.  A pass only runs
-  when both the caller's config and the backend's profile allow it; e.g.
-  channel merging is enabled only for the exact superoperator backends,
-  because it changes the noise count Algorithm 1's level semantics and the
-  trajectory sampler's RNG stream are defined over.
+  :meth:`repro.backends.SimulationBackend.pass_profile`.  Channel merging
+  runs only when both the caller's config and the backend's profile allow
+  it, which only the exact superoperator backends do, because it changes
+  the noise count Algorithm 1's level semantics and the trajectory
+  sampler's RNG stream are defined over.
 
 :class:`PassStats` is the pipeline's report card — what
 :meth:`repro.api.Executable.describe` surfaces under ``"passes"``.
@@ -89,20 +89,17 @@ class PassConfig:
 class PassProfile:
     """Backend-side contract: which transformations preserve *its* semantics.
 
-    The defaults are the universally safe subset: gate fusion, folding
-    unitary channels into gates, and boundary/lightcone pruning are exact for
-    every backend (all the library's figures of merit are insensitive to
-    global phase).  ``merge_channels`` composes adjacent same-support Kraus
-    channels into one channel; that is exact for the superoperator backends
-    but changes the noise count ``N`` that Algorithm 1's level budget and the
-    trajectory sampler's per-channel RNG stream are defined over, so it
-    defaults to off and is opted into per adapter.
+    Gate fusion, folding unitary channels into gates, and boundary/lightcone
+    pruning are exact for every backend (all the library's figures of merit
+    are insensitive to global phase), so they need no veto.
+    ``merge_channels`` composes adjacent same-support Kraus channels into one
+    channel; that is exact for the superoperator backends but changes the
+    noise count ``N`` that Algorithm 1's level budget and the trajectory
+    sampler's per-channel RNG stream are defined over, so it defaults to off
+    and is opted into per adapter.
     """
 
-    fuse_gates: bool = True
-    fold_unitary: bool = True
     merge_channels: bool = False
-    prune: bool = True
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,9 @@ Order of the passes:
    gate that fixes the input product state, which only then becomes
    removable.
 
-Each pass runs only when *both* the caller's :class:`PassConfig` and the
-backend's :class:`PassProfile` enable it; the profile is how a backend vetoes
-transformations that would change its semantics (see
+Each pass runs when the caller's :class:`PassConfig` enables it.  Channel
+merging additionally needs the backend's :class:`PassProfile`: it is the one
+transformation that changes some backends' semantics (see
 :mod:`repro.circuits.passes.config`).
 """
 
@@ -56,15 +56,15 @@ def run_passes(
     gates_fused = 0
     sites_pruned = 0
 
-    if config.fold_noise and profile.fold_unitary:
+    if config.fold_noise:
         current, folded = fold_unitary_channels(current)
         channels_folded += folded
     if config.fold_noise and profile.merge_channels:
         current, merged = merge_adjacent_channels(current)
         channels_folded += merged
-    if config.fuse_gates and profile.fuse_gates:
+    if config.fuse_gates:
         current, gates_fused = fuse_gates(current)
-    if config.prune_lightcone and profile.prune:
+    if config.prune_lightcone:
         current, sites_pruned = prune_boundaries(
             current, input_state=input_state, output_state=output_state
         )

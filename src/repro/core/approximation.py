@@ -42,7 +42,7 @@ from repro.core.error_bounds import contraction_count, theorem1_error_bound
 from repro.core.svd_decomposition import NoiseTermDecomposition, decompose_noise
 from repro.tensornetwork.circuit_to_tn import (
     StateLike,
-    resolve_product_state,
+    noise_node_positions,
     substituted_split_networks,
 )
 from repro.tensornetwork.plan import ContractionPlan
@@ -61,7 +61,9 @@ class PreparedApproximation:
     and their recorded contraction schedules can be computed once — by
     :meth:`ApproximateNoisySimulator.prepare` — and replayed per term with the
     noise tensors swapped in.  The plans are level-independent: one prepared
-    object serves ``fidelity(..., level=l)`` for every ``l``.
+    object serves ``fidelity(..., level=l)`` for every ``l``.  They are also
+    value-independent: another binding of a parametric structure re-prepares
+    with this object as its ``template`` and rebuilds only the tensors.
     """
 
     decompositions: Tuple[NoiseTermDecomposition, ...]
@@ -176,6 +178,7 @@ class ApproximateNoisySimulator:
         circuit: Circuit,
         input_state: StateLike = None,
         output_state: StateLike = None,
+        template: PreparedApproximation | None = None,
     ) -> PreparedApproximation:
         """Precompute the term-independent work of Algorithm 1 for ``circuit``.
 
@@ -185,11 +188,19 @@ class ApproximateNoisySimulator:
         tensor *shapes* only, which are the same for every term),
         :meth:`fidelity` replays the schedules with swapped noise tensors
         instead of building and greedy-ordering two fresh networks per term.
+
+        ``template`` is a plan prepared from another binding of the same
+        parametric structure.  Its noise decompositions and both schedules
+        are reused (noise channels carry no parameters); only the split
+        networks' tensors and their specializations are rebuilt.
         """
         n = circuit.num_qubits
         input_state = "0" * n if input_state is None else input_state
         output_state = "0" * n if output_state is None else output_state
-        decompositions = self.decompose_noises(circuit)
+        if template is None:
+            decompositions = tuple(self.decompose_noises(circuit))
+        else:
+            decompositions = template.decompositions
         dominant = {
             index: decomposition.terms[0]
             for index, decomposition in enumerate(decompositions)
@@ -204,20 +215,15 @@ class ApproximateNoisySimulator:
         # Recording consumes the networks, so snapshot the tensors first.
         upper_tensors = tuple(node.tensor for node in upper.nodes)
         lower_tensors = tuple(node.tensor for node in lower.nodes)
-        upper_plan, _ = ContractionPlan.record(upper, strategy=self.strategy)
-        lower_plan, _ = ContractionPlan.record(lower, strategy=self.strategy)
-        # Boundary input nodes precede the op nodes in insertion order (one
-        # node per qubit for product states, one for a dense state); operation
-        # i of the instruction list is therefore node input_nodes + i.
-        resolved_in = resolve_product_state(input_state, n)
-        input_nodes = n if isinstance(resolved_in, list) else 1
-        noise_positions = tuple(
-            input_nodes + index
-            for index, inst in enumerate(circuit)
-            if inst.is_noise
-        )
+        if template is None:
+            upper_plan, _ = ContractionPlan.record(upper, strategy=self.strategy)
+            lower_plan, _ = ContractionPlan.record(lower, strategy=self.strategy)
+            noise_positions = noise_node_positions(circuit, input_state)
+        else:
+            upper_plan, lower_plan = template.upper_plan, template.lower_plan
+            noise_positions = template.noise_positions
         return PreparedApproximation(
-            decompositions=tuple(decompositions),
+            decompositions=decompositions,
             upper_plan=upper_plan,
             lower_plan=lower_plan,
             upper_tensors=upper_tensors,

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import List
 
 from repro.circuits.circuit import Circuit
-from repro.circuits.parameters import is_parametric
 from repro.tensornetwork.circuit_to_tn import (
     StateLike,
     circuit_amplitude_network,
@@ -50,28 +49,9 @@ class PreparedFidelity:
     never change), so the first :meth:`execute` returns it directly instead
     of replaying — a one-shot compile-and-run pays exactly one contraction,
     like the unprepared path.
-
-    A plan prepared from a *parametric* circuit (``rebuild`` given) is a
-    value-free template shared by every binding of that structure: the
-    recorded schedule depends only on tensor shapes (the greedy ordering
-    inspects sizes, never entries), so :meth:`execute_bound` rebuilds the
-    network tensors from the actual bound circuit — construction cost only,
-    no ordering search — and replays the shared schedule.  Such a plan never
-    serves a recorded value (it would belong to whichever binding recorded
-    it) and its :meth:`execute` raises: callers must say which binding to
-    evaluate.
     """
 
-    __slots__ = (
-        "plan",
-        "tensors",
-        "noiseless",
-        "parametric",
-        "_rebuild",
-        "_recorded_value",
-        "_xp",
-        "_device_tensors",
-    )
+    __slots__ = ("plan", "tensors", "noiseless", "_recorded_value", "_xp", "_device_tensors")
 
     def __init__(
         self,
@@ -80,15 +60,11 @@ class PreparedFidelity:
         noiseless: bool,
         recorded_value: float | None = None,
         xp=None,
-        rebuild=None,
     ) -> None:
         self.plan = plan
         self.tensors = tensors
         self.noiseless = noiseless
-        #: True when this plan is a bind-slot template (see class docs).
-        self.parametric = rebuild is not None
-        self._rebuild = rebuild
-        self._recorded_value = None if self.parametric else recorded_value
+        self._recorded_value = recorded_value
         #: Replay namespace (None = host numpy); device copies are lazy.
         self._xp = xp
         self._device_tensors = None
@@ -103,11 +79,6 @@ class PreparedFidelity:
 
     def execute(self) -> float:
         """Return the fidelity (recorded value first, plan replay after)."""
-        if self.parametric:
-            raise ValueError(
-                "a parametric plan has no values of its own; use "
-                "execute_bound(circuit) with a bound circuit"
-            )
         recorded = self._recorded_value
         if recorded is not None:
             # Consumed once; a concurrent reader racing the clear would just
@@ -119,34 +90,9 @@ class PreparedFidelity:
             return float(abs(value) ** 2)
         return float(np.real(value))
 
-    def execute_bound(self, circuit: Circuit) -> float:
-        """Replay the recorded schedule on tensors rebuilt from ``circuit``.
-
-        ``circuit`` must be a binding of the structure this plan was prepared
-        from: the rebuilt network then has the same topology and node order
-        as the recording template, so the schedule replays exactly — only
-        the tensor *values* differ.  Pays network construction (O(nodes)),
-        never an ordering search.
-        """
-        if not self.parametric:
-            raise ValueError("execute_bound() requires a plan prepared from a parametric circuit")
-        tensors = self._rebuild(circuit)
-        if self._xp is not None and self._xp.device != "cpu":
-            # Per-binding transfer: the tensors change with every binding, so
-            # there is no stable device copy to cache.
-            tensors = [self._xp.asarray(tensor) for tensor in tensors]
-        value = self.plan.execute(list(tensors), xp=self._xp)
-        if self.noiseless:
-            return float(abs(value) ** 2)
-        return float(np.real(value))
-
     def describe(self) -> dict:
         """Plan-cost summary (node count, steps, peak intermediate size)."""
-        return {
-            "noiseless": self.noiseless,
-            "parametric": self.parametric,
-            **self.plan.describe(),
-        }
+        return {"noiseless": self.noiseless, **self.plan.describe()}
 
 
 class TNSimulator:
@@ -203,6 +149,7 @@ class TNSimulator:
         circuit: Circuit,
         input_state: StateLike = None,
         output_state: StateLike = None,
+        template: PreparedFidelity | None = None,
     ) -> PreparedFidelity:
         """Record a reusable contraction plan for this fidelity evaluation.
 
@@ -211,44 +158,29 @@ class TNSimulator:
         :class:`repro.tensornetwork.plan.ContractionPlan`), so repeated
         evaluations of the same circuit/boundary configuration skip the
         network construction and ordering search entirely.
+
+        ``template`` is a plan prepared from another binding of the same
+        parametric structure.  Its schedule is reused as is (the greedy
+        ordering inspects tensor sizes, never entries), so only the network
+        tensors are rebuilt from ``circuit`` and the first :meth:`execute`
+        replays — no ordering search.
         """
         n = circuit.num_qubits
         input_state = "0" * n if input_state is None else input_state
         output_state = "0" * n if output_state is None else output_state
         noiseless = circuit.is_noiseless()
-
-        def build_network(target: Circuit):
-            if noiseless:
-                return circuit_amplitude_network(
-                    target,
-                    input_state,
-                    output_state,
-                    max_intermediate_size=self.max_intermediate_size,
-                )
-            return noisy_doubled_network(
-                target,
-                input_state,
-                output_state,
-                max_intermediate_size=self.max_intermediate_size,
-            )
-
-        network = build_network(circuit)
+        build_network = circuit_amplitude_network if noiseless else noisy_doubled_network
+        network = build_network(
+            circuit,
+            input_state,
+            output_state,
+            max_intermediate_size=self.max_intermediate_size,
+        )
         # Recording consumes the network, so snapshot the tensors first.
         tensors = [node.tensor for node in network.nodes]
+        if template is not None:
+            return PreparedFidelity(template.plan, tensors, noiseless, xp=self._xp)
         plan, value = ContractionPlan.record(network, strategy=self.strategy)
-        if is_parametric(circuit):
-            # Bind-slot template: the schedule is shared by every binding of
-            # this structure, the values are not — execute_bound() rebuilds
-            # the tensors from the bound circuit actually being run.
-            return PreparedFidelity(
-                plan,
-                tensors,
-                noiseless,
-                xp=self._xp,
-                rebuild=lambda target: [
-                    node.tensor for node in build_network(target).nodes
-                ],
-            )
         recorded = float(abs(value) ** 2) if noiseless else float(np.real(value))
         return PreparedFidelity(plan, tensors, noiseless, recorded_value=recorded, xp=self._xp)
 

@@ -37,6 +37,7 @@ __all__ = [
     "resolve_product_state",
     "dense_product_state",
     "operator_amplitude_network",
+    "noise_node_positions",
     "circuit_amplitude_network",
     "noisy_doubled_network",
     "noisy_observable_network",
@@ -113,23 +114,13 @@ def _add_boundary(
     return edges
 
 
-def operator_amplitude_network(
-    num_qubits: int,
+def _add_operations(
+    network: TensorNetwork,
     operations: Sequence[Tuple[np.ndarray, Sequence[int]]],
-    input_state: StateLike,
-    output_state: StateLike,
-    name: str = "amplitude",
-    max_intermediate_size: int | None = None,
-) -> TensorNetwork:
-    """Build the network for ``⟨v| O_d … O_1 |ψ⟩`` with arbitrary matrices ``O_i``.
-
-    ``operations`` lists ``(matrix, qubits)`` pairs in application order; the
-    matrices need not be unitary (the approximation algorithm inserts the SVD
-    factors ``U_i``/``V_i`` here).
-    """
-    network = TensorNetwork(name=name, max_intermediate_size=max_intermediate_size)
-    open_edges = _add_boundary(network, input_state, num_qubits, conjugate=False, label="in")
-
+    open_edges: List,
+) -> None:
+    """Append one node per ``(matrix, qubits)`` operation, threading the open edges."""
+    num_qubits = len(open_edges)
     for op_index, (matrix, qubits) in enumerate(operations):
         qubits = [int(q) for q in qubits]
         k = len(qubits)
@@ -146,10 +137,42 @@ def operator_amplitude_network(
             network.connect(node.edges[k + j], open_edges[qubit])
             open_edges[qubit] = node.edges[j]
 
+
+def operator_amplitude_network(
+    num_qubits: int,
+    operations: Sequence[Tuple[np.ndarray, Sequence[int]]],
+    input_state: StateLike,
+    output_state: StateLike,
+    name: str = "amplitude",
+    max_intermediate_size: int | None = None,
+) -> TensorNetwork:
+    """Build the network for ``⟨v| O_d … O_1 |ψ⟩`` with arbitrary matrices ``O_i``.
+
+    ``operations`` lists ``(matrix, qubits)`` pairs in application order; the
+    matrices need not be unitary (the approximation algorithm inserts the SVD
+    factors ``U_i``/``V_i`` here).
+    """
+    network = TensorNetwork(name=name, max_intermediate_size=max_intermediate_size)
+    open_edges = _add_boundary(network, input_state, num_qubits, conjugate=False, label="in")
+    _add_operations(network, operations, open_edges)
     output_edges = _add_boundary(network, output_state, num_qubits, conjugate=True, label="out")
     for qubit in range(num_qubits):
         network.connect(output_edges[qubit], open_edges[qubit])
     return network
+
+
+def noise_node_positions(circuit: Circuit, input_state: StateLike) -> Tuple[int, ...]:
+    """Node indices of ``circuit``'s noise instructions in a one-op-per-instruction network.
+
+    :func:`operator_amplitude_network` adds the input boundary first (one
+    node per qubit for a product state, one node for a dense state) and then
+    one node per operation, so instruction ``i`` is node ``boundary + i``.
+    This holds for every network built with one operation per instruction:
+    Algorithm 1's split networks and the trajectory template.
+    """
+    resolved = resolve_product_state(input_state, circuit.num_qubits)
+    boundary = circuit.num_qubits if isinstance(resolved, list) else 1
+    return tuple(boundary + index for index, inst in enumerate(circuit) if inst.is_noise)
 
 
 def circuit_amplitude_network(
@@ -188,25 +211,11 @@ def noisy_doubled_network(
     ``M_E`` node straddling the corresponding upper/lower rails.
     """
     n = circuit.num_qubits
-    operations: List[Tuple[np.ndarray, List[int]]] = []
-    for inst in circuit:
-        qubits = list(inst.qubits)
-        mirrored = [q + n for q in qubits]
-        if inst.is_gate:
-            matrix = inst.operation.matrix
-            operations.append((matrix, qubits))
-            operations.append((matrix.conj(), mirrored))
-        else:
-            m_e = inst.operation.matrix_representation()
-            operations.append((m_e, qubits + mirrored))
-
-    doubled_input = _double_state(input_state, n)
-    doubled_output = _double_state(output_state, n)
     return operator_amplitude_network(
         2 * n,
-        operations,
-        doubled_input,
-        doubled_output,
+        _doubled_operations(circuit),
+        _double_state(input_state, n),
+        _double_state(output_state, n),
         name=f"{circuit.name}_doubled",
         max_intermediate_size=max_intermediate_size,
     )
@@ -240,38 +249,32 @@ def noisy_observable_network(
     network = TensorNetwork(
         name=f"{circuit.name}_observable", max_intermediate_size=max_intermediate_size
     )
-    resolved = resolve_product_state(input_state, n)
-    if isinstance(resolved, list):
-        doubled_input: StateLike = resolved + [factor.conj() for factor in resolved]
-    else:
-        doubled_input = np.kron(resolved, resolved.conj())
-
-    open_edges = _add_boundary(network, doubled_input, 2 * n, conjugate=False, label="in")
-
-    op_index = 0
-    for inst in circuit:
-        qubits = list(inst.qubits)
-        mirrored = [q + n for q in qubits]
-        if inst.is_gate:
-            matrices = [(inst.operation.matrix, qubits), (inst.operation.matrix.conj(), mirrored)]
-        else:
-            matrices = [(inst.operation.matrix_representation(), qubits + mirrored)]
-        for matrix, target_qubits in matrices:
-            k = len(target_qubits)
-            node = network.add_node(
-                np.asarray(matrix, dtype=complex).reshape([2] * (2 * k)), name=f"op{op_index}"
-            )
-            op_index += 1
-            for j, qubit in enumerate(target_qubits):
-                network.connect(node.edges[k + j], open_edges[qubit])
-                open_edges[qubit] = node.edges[j]
-
+    open_edges = _add_boundary(
+        network, _double_state(input_state, n), 2 * n, conjugate=False, label="in"
+    )
+    _add_operations(network, _doubled_operations(circuit), open_edges)
     for qubit in range(n):
         operator = np.asarray(observable_ops.get(qubit, np.eye(2)), dtype=complex)
         boundary = network.add_node(operator.T, name=f"obs{qubit}")
         network.connect(boundary.edges[0], open_edges[qubit])
         network.connect(boundary.edges[1], open_edges[qubit + n])
     return network
+
+
+def _doubled_operations(circuit: Circuit) -> List[Tuple[np.ndarray, List[int]]]:
+    """Operations of the doubled diagram: ``U`` up, ``U*`` mirrored, ``M_E`` straddling."""
+    n = circuit.num_qubits
+    operations: List[Tuple[np.ndarray, List[int]]] = []
+    for inst in circuit:
+        qubits = list(inst.qubits)
+        mirrored = [q + n for q in qubits]
+        if inst.is_gate:
+            matrix = inst.operation.matrix
+            operations.append((matrix, qubits))
+            operations.append((matrix.conj(), mirrored))
+        else:
+            operations.append((inst.operation.matrix_representation(), qubits + mirrored))
+    return operations
 
 
 def _double_state(state: StateLike, num_qubits: int) -> StateLike:

@@ -12,8 +12,10 @@ paths different defaults.
 import numpy as np
 import pytest
 
+import repro.core.approximation as approximation
 from repro.api import Session, apply_noise, plan_cache_key
 from repro.backends import SimulationTask, get_backend
+from repro.backends.engine import BatchedTrajectoryEngine
 from repro.backends.registry import backend_names
 from repro.circuits.circuit import Circuit
 from repro.circuits.library import hf_circuit, qaoa_circuit
@@ -24,6 +26,9 @@ from repro.circuits.parameters import (
     circuit_parameters,
     substitute,
 )
+from repro.core import ApproximateNoisySimulator
+from repro.simulators import TNSimulator
+from repro.tensornetwork.plan import ContractionPlan
 from repro.utils.validation import ValidationError
 from repro.verify import generate_workloads, parametrize_circuit
 from repro.verify.oracles import stable_seed
@@ -110,6 +115,83 @@ class TestBindEquivalence:
             ]
         assert values[0] == values[2]
         assert values[0] != values[1]
+
+
+class TestTemplateReuse:
+    """A bound run re-prepares from the compiled plan, reusing its one-time work."""
+
+    def test_approximation_bind_pays_no_svd_or_recording(
+        self, noisy_parametric_qaoa, monkeypatch
+    ):
+        binding = _binding_for(noisy_parametric_qaoa)
+        calls = {"decompose_noise": 0, "record": 0}
+        decompose, record = approximation.decompose_noise, ContractionPlan.record
+
+        def counting_decompose(*args, **kwargs):
+            calls["decompose_noise"] += 1
+            return decompose(*args, **kwargs)
+
+        def counting_record(*args, **kwargs):
+            calls["record"] += 1
+            return record(*args, **kwargs)
+
+        with Session(seed=5) as session:
+            executable = session.compile(noisy_parametric_qaoa, backend="approximation")
+            monkeypatch.setattr(approximation, "decompose_noise", counting_decompose)
+            monkeypatch.setattr(ContractionPlan, "record", staticmethod(counting_record))
+            executable.bind(binding).run()
+        assert calls == {"decompose_noise": 0, "record": 0}
+
+    @pytest.mark.parametrize(
+        "backend", ["tn", "trajectories_tn", "trajectories", "approximation"]
+    )
+    def test_run_of_substituted_circuit_hits_compiled_plan(
+        self, noisy_parametric_qaoa, backend
+    ):
+        bound = substitute(noisy_parametric_qaoa, _binding_for(noisy_parametric_qaoa))
+        options = dict(backend=backend, samples=SAMPLES, seed=SEED, workers=1)
+        with Session(seed=5) as session:
+            session.compile(noisy_parametric_qaoa, **options)
+            result = session.run(bound, **options)
+            stats = session.cache_stats()
+        assert (stats["misses"], stats["hits"]) == (1, 1)
+        with Session(plan_cache_size=0) as independent:
+            reference = independent.run(bound, **options)
+        assert result.value == reference.value
+        assert result.standard_error == reference.standard_error
+
+    def test_template_shares_value_independent_parts(self, noisy_parametric_qaoa):
+        first = substitute(noisy_parametric_qaoa, _binding_for(noisy_parametric_qaoa))
+        second = substitute(
+            noisy_parametric_qaoa, _binding_for(noisy_parametric_qaoa, offset=0.4)
+        )
+
+        simulator = TNSimulator()
+        template = simulator.prepare(first)
+        prepared = simulator.prepare(second, template=template)
+        assert prepared.plan is template.plan
+        assert prepared.execute() == simulator.fidelity(second)
+
+        algorithm = ApproximateNoisySimulator(level=1)
+        template = algorithm.prepare(first)
+        prepared = algorithm.prepare(second, template=template)
+        assert prepared.upper_plan is template.upper_plan
+        assert prepared.lower_plan is template.lower_plan
+        assert prepared.decompositions is template.decompositions
+        assert (
+            algorithm.fidelity(second, prepared=prepared).value
+            == algorithm.fidelity(second).value
+        )
+
+        engine = BatchedTrajectoryEngine("tn")
+        template = engine.prepare(first)
+        prepared = engine.prepare(second, template=template)
+        assert prepared.plan is template.plan
+        assert prepared.q_dists is template.q_dists
+        assert (
+            engine.estimate_fidelity(second, SAMPLES, rng=SEED, context=prepared).estimate
+            == engine.estimate_fidelity(second, SAMPLES, rng=SEED).estimate
+        )
 
 
 class TestPlanCacheFragmentation:

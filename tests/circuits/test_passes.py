@@ -20,7 +20,6 @@ from repro.backends import get_backend
 from repro.circuits import Circuit
 from repro.circuits.passes import (
     PassConfig,
-    PassProfile,
     fold_unitary_channels,
     fuse_gates,
     merge_adjacent_channels,
@@ -270,13 +269,6 @@ class TestConfigAndPipeline:
             np.array([1.0, 1.0]) / np.sqrt(2.0), np.array([1.0, 1.0]) / np.sqrt(2.0)
         )
         optimized, stats = run_passes(circuit, input_state=state, output_state=state)
-        assert optimized is circuit
-        assert not stats.changed()
-
-    def test_profile_vetoes_passes(self):
-        circuit = Circuit(1).h(0).h(0)
-        profile = PassProfile(fuse_gates=False, fold_unitary=False, prune=False)
-        optimized, stats = run_passes(circuit, profile=profile)
         assert optimized is circuit
         assert not stats.changed()
 
