@@ -10,9 +10,9 @@ two batched hot paths:
 * **tn** — the amplitude network of a trajectory has the same topology for
   every sample (only the sampled Kraus tensor *values* change), so the node /
   edge construction and the greedy contraction-ordering work are done once on
-  a template and replayed per trajectory via
-  :class:`repro.tensornetwork.plan.ContractionPlan` (state-independent Kraus
-  sampling with importance weights, as in the original implementation).
+  a template; each trajectory, an index row of drawn Kraus operators, replays
+  it through :meth:`repro.tensornetwork.plan.SpecializedPlan.execute_rows`
+  (state-independent Kraus sampling with importance weights).
 
 Samples are split into fixed-size blocks of :data:`RNG_BLOCK` trajectories
 and block ``b`` draws one uniform per (sample, channel), sample-major, from
@@ -174,7 +174,7 @@ class _TrajectoryContext:
         self.num_qubits = circuit.num_qubits
         self.num_channels = circuit.noise_count()
         #: Per-namespace cache of device-resident operator tensors (see
-        #: :meth:`device_tensors`); contexts are reusable across devices.
+        #: :meth:`device_tensors`, :meth:`kraus_factors`); reusable across devices.
         self._device_cache = {}
         if engine.backend != "statevector":
             self._prepare_tn(engine, circuit, input_state, output_state, template)
@@ -211,9 +211,6 @@ class _TrajectoryContext:
             max_intermediate_size=engine.max_intermediate_size,
         )
         self.template_tensors = [node.tensor for node in network.nodes]
-        self.noise_positions = list(
-            zip(noise_node_positions(circuit, input_state), circuit.noise_instructions)
-        )
         if template is None:
             self.plan, _ = ContractionPlan.record(network)
             self._derive_kraus_distributions()
@@ -225,11 +222,8 @@ class _TrajectoryContext:
         # are bit-identical to a full replay; the static prefix is paid once).
         # Noiseless circuits take the single-replay short circuit instead.
         self.specialized = (
-            self.plan.specialize(
-                self.template_tensors,
-                [position for position, _ in self.noise_positions],
-            )
-            if self.noise_positions
+            self.plan.specialize(self.template_tensors, noise_node_positions(circuit, input_state))
+            if self.num_channels
             else None
         )
 
@@ -238,7 +232,7 @@ class _TrajectoryContext:
         # their cdfs (normalised exactly as np.random.Generator.choice does).
         self.q_dists: List[np.ndarray] = []
         self.q_cdfs: List[np.ndarray] = []
-        for _, inst in self.noise_positions:
+        for inst in self.circuit.noise_instructions:
             weights = np.array(
                 [np.real(np.trace(op.conj().T @ op)) for op in inst.operation.kraus_operators]
             )
@@ -248,35 +242,49 @@ class _TrajectoryContext:
             self.q_dists.append(weights)
             self.q_cdfs.append(cdf)
 
-    # -- device residency (statevector path) -----------------------------
+    # -- device residency ------------------------------------------------
+    def kraus_factors(self, xp):
+        """Per channel, every Kraus operator as a node tensor on ``xp``'s device (host if None).
+
+        These are the candidates a sample's index row picks from; built once
+        per namespace and cached, like :meth:`device_tensors`.
+        """
+        key = ("kraus", None if xp is None else xp.name)
+        cached = self._device_cache.get(key)
+        if cached is None:
+            to_device = np.asarray if xp is None else xp.asarray
+            cached = tuple(
+                tuple(to_device(_node_tensor(op, inst.qubits)) for op in inst.operation.kraus_operators)
+                for inst in self.circuit.noise_instructions
+            )
+            self._device_cache[key] = cached
+        return cached
+
     def device_tensors(self, xp):
         """Return ``(psi0, v_conj, op_tensors)`` resident on ``xp``'s device.
 
         Transferred once per namespace and cached: per-slab replays then touch
         the host only for the small Born-weight vectors.  ``op_tensors`` holds
-        one reshaped gate tensor per gate instruction and a list of reshaped
-        Kraus tensors per noise instruction, in circuit order.
+        one reshaped gate tensor per gate instruction and the
+        :meth:`kraus_factors` tuple per noise instruction, in circuit order.
         """
         cached = self._device_cache.get(xp.name)
         if cached is None:
-            op_tensors = []
-            for inst in self.circuit:
-                k = len(inst.qubits)
-                if inst.is_gate:
-                    matrix = np.asarray(inst.operation.matrix, dtype=complex)
-                    op_tensors.append(xp.asarray(matrix.reshape([2] * (2 * k))))
-                else:
-                    op_tensors.append(
-                        [
-                            xp.asarray(
-                                np.asarray(op, dtype=complex).reshape([2] * (2 * k))
-                            )
-                            for op in inst.operation.kraus_operators
-                        ]
-                    )
+            kraus = iter(self.kraus_factors(xp))
+            op_tensors = [
+                xp.asarray(_node_tensor(inst.operation.matrix, inst.qubits))
+                if inst.is_gate
+                else next(kraus)
+                for inst in self.circuit
+            ]
             cached = (xp.asarray(self.psi0), xp.asarray(self.v.conj()), op_tensors)
             self._device_cache[xp.name] = cached
         return cached
+
+
+def _node_tensor(matrix, qubits) -> np.ndarray:
+    """A ``k``-qubit operator matrix as a ``[2] * 2k`` complex tensor."""
+    return np.asarray(matrix, dtype=complex).reshape([2] * (2 * len(qubits)))
 
 
 class BatchedTrajectoryEngine:
@@ -639,27 +647,15 @@ class BatchedTrajectoryEngine:
             np.clip(choices[:, channel], 0, len(cdf) - 1, out=choices[:, channel])
             weights /= context.q_dists[channel][choices[:, channel]]
 
-        # On a device, the small sampled Kraus tensors are the only per-sample
-        # host->device traffic: they are staged through per-position workspace
-        # buffers (reused across samples) and the specialized plan replays on
-        # the device against its cached baked tensors.
+        # A sample is an index row (its drawn Kraus operator per channel),
+        # replayed through the specialized plan; on a device the candidate
+        # Kraus tensors and the baked intermediates are resident once.
         dispatch = None if self._xp.device == "cpu" else self._xp
+        amplitudes = context.specialized.execute_rows(
+            context.kraus_factors(dispatch), choices, xp=dispatch
+        )
         values = np.empty(num_samples)
-        for sample in range(num_samples):
-            substitutions = {}
-            for channel, (position, inst) in enumerate(context.noise_positions):
-                operator = inst.operation.kraus_operators[choices[sample, channel]]
-                k = len(inst.qubits)
-                host_tensor = np.asarray(operator, dtype=complex).reshape([2] * (2 * k))
-                if dispatch is None:
-                    substitutions[position] = host_tensor
-                else:
-                    staged = dispatch.workspace(
-                        host_tensor.shape, host_tensor.dtype, tag=("kraus", position)
-                    )
-                    dispatch.copyto(staged, host_tensor)
-                    substitutions[position] = staged
-            amplitude = context.specialized.execute(substitutions, xp=dispatch)
+        for sample, amplitude in enumerate(amplitudes):
             values[sample] = float(abs(amplitude) ** 2) * weights[sample]
         return values
 

@@ -11,9 +11,10 @@ algorithm
    dominant term ``U_0 ⊗ V_0``;
 3. evaluates each substituted diagram as the product of two independent
    single-size tensor-network contractions (upper and lower half) and sums
-   the contributions.  Every term shares the same two network topologies, so
-   both contraction schedules are recorded once (:meth:`prepare`) and each
-   term replays them with its ``U_i``/``V_i`` factors swapped in.
+   the contributions.  A term fixes one SVD term per noise, so it is an
+   integer *index row* ``[i_1 … i_N]``; both halves share one schedule,
+   recorded once (:meth:`prepare`), and every row replays it through
+   :meth:`~repro.tensornetwork.plan.SpecializedPlan.execute_rows`.
 
 The result ``A(l)`` approximates the fidelity ``⟨v| E_N(|ψ⟩⟨ψ|) |v⟩`` with
 the Theorem-1 error bound; ``l = N`` recovers the exact value.
@@ -32,8 +33,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +46,7 @@ from repro.tensornetwork.circuit_to_tn import (
     noise_node_positions,
     substituted_split_networks,
 )
-from repro.tensornetwork.plan import ContractionPlan
+from repro.tensornetwork.plan import ContractionPlan, SpecializedPlan
 from repro.utils.validation import ValidationError
 
 __all__ = ["ApproximationResult", "ApproximateNoisySimulator", "PreparedApproximation"]
@@ -55,40 +56,56 @@ __all__ = ["ApproximationResult", "ApproximateNoisySimulator", "PreparedApproxim
 class PreparedApproximation:
     """One-time work of Algorithm 1, reusable across levels and repeat runs.
 
-    Every substituted term of the algorithm produces the *same* pair of
-    network topologies (only the inserted ``U_i``/``V_i`` tensor values
-    change), so the noise decompositions, the upper/lower template networks
-    and their recorded contraction schedules can be computed once — by
+    Every substituted term of the algorithm produces the *same* network
+    topology in both halves (only the inserted ``U_i``/``V_i`` tensor values
+    change), so the noise decompositions and one recorded contraction
+    schedule can be computed once — by
     :meth:`ApproximateNoisySimulator.prepare` — and replayed per term with the
-    noise tensors swapped in.  The plans are level-independent: one prepared
-    object serves ``fidelity(..., level=l)`` for every ``l``.  They are also
+    noise tensors swapped in.  The plan is level-independent: one prepared
+    object serves ``fidelity(..., level=l)`` for every ``l``.  It is also
     value-independent: another binding of a parametric structure re-prepares
     with this object as its ``template`` and rebuilds only the tensors.
     """
 
     decompositions: Tuple[NoiseTermDecomposition, ...]
-    upper_plan: ContractionPlan
-    lower_plan: ContractionPlan
-    upper_tensors: Tuple[np.ndarray, ...]
-    lower_tensors: Tuple[np.ndarray, ...]
-    #: Node positions of the noise operations in both template networks.
-    noise_positions: Tuple[int, ...]
-    #: Partially evaluated plans: contractions not downstream of any noise
-    #: tensor are baked in, so each term replays only the residual steps.
-    upper_specialized: Any = None
-    lower_specialized: Any = None
+    #: The split-network schedule, recorded once on the upper half.
+    plan: ContractionPlan
+    #: ``plan`` partially evaluated over each half's static tensors.
+    upper: SpecializedPlan
+    lower: SpecializedPlan
+    #: Per noise, every SVD term's ``U_i`` (resp. ``V_i``) as a node tensor.
+    upper_factors: Tuple[Tuple[np.ndarray, ...], ...]
+    lower_factors: Tuple[Tuple[np.ndarray, ...], ...]
+
+    def evaluate(self, rows) -> List[complex]:
+        """Value ``upper · lower`` of every term; row ``r`` picks SVD term ``rows[r, s]`` of noise ``s``."""
+        upper = self.upper.execute_rows(self.upper_factors, rows)
+        lower = self.lower.execute_rows(self.lower_factors, rows)
+        return [u * v for u, v in zip(upper, lower)]
 
     def describe(self) -> dict:
         """Plan-cost summary (what :meth:`repro.api.Executable.describe` reports)."""
-        info = {
+        return {
             "num_noises": len(self.decompositions),
-            "upper": self.upper_plan.describe(),
-            "lower": self.lower_plan.describe(),
+            "plan": self.plan.describe(),
+            "upper_residual_steps": self.upper.num_residual_steps,
+            "lower_residual_steps": self.lower.num_residual_steps,
         }
-        if self.upper_specialized is not None:
-            info["upper"]["residual_steps"] = self.upper_specialized.num_residual_steps
-            info["lower"]["residual_steps"] = self.lower_specialized.num_residual_steps
-        return info
+
+
+def level_rows(decompositions: Sequence[NoiseTermDecomposition], level: int) -> np.ndarray:
+    """Index rows of every term with at most ``level`` non-dominant noises, level by level."""
+    num_noises = len(decompositions)
+    rows = []
+    for k in range(level + 1):
+        for positions in itertools.combinations(range(num_noises), k):
+            choices = [range(1, decompositions[position].num_terms) for position in positions]
+            for assignment in itertools.product(*choices):
+                row = [0] * num_noises
+                for position, term_index in zip(positions, assignment):
+                    row[position] = term_index
+                rows.append(row)
+    return np.array(rows, dtype=int).reshape(len(rows), num_noises)
 
 
 @dataclass(frozen=True)
@@ -148,7 +165,6 @@ class ApproximateNoisySimulator:
         level: int = 1,
         max_intermediate_size: int | None = 2**26,
         strategy: str = "greedy",
-        drop_tolerance: float = 1e-14,
     ) -> None:
         if level < 0:
             raise ValidationError("level must be non-negative")
@@ -156,19 +172,13 @@ class ApproximateNoisySimulator:
         self.level = int(level)
         self.max_intermediate_size = max_intermediate_size
         self.strategy = strategy
-        self.drop_tolerance = drop_tolerance
 
     # ------------------------------------------------------------------
     # Decomposition of the circuit's noises
     # ------------------------------------------------------------------
     def decompose_noises(self, circuit: Circuit) -> List[NoiseTermDecomposition]:
         """SVD-decompose every noise channel of ``circuit`` (in occurrence order)."""
-        decompositions = []
-        for inst in circuit.noise_instructions:
-            decompositions.append(
-                decompose_noise(inst.operation, drop_tolerance=self.drop_tolerance)
-            )
-        return decompositions
+        return [decompose_noise(inst.operation) for inst in circuit.noise_instructions]
 
     # ------------------------------------------------------------------
     # One-time preparation (compile step of the service layer)
@@ -183,16 +193,18 @@ class ApproximateNoisySimulator:
         """Precompute the term-independent work of Algorithm 1 for ``circuit``.
 
         SVD-decomposes every noise channel and records the contraction
-        schedules of the dominant-term split networks; since every substituted
-        term shares those topologies (the greedy heuristic decides from
-        tensor *shapes* only, which are the same for every term),
-        :meth:`fidelity` replays the schedules with swapped noise tensors
-        instead of building and greedy-ordering two fresh networks per term.
+        schedule of the dominant-term upper split network.  Every substituted
+        term, in either half, shares that topology and its tensor shapes (the
+        greedy heuristic decides from shapes only), so the one schedule is
+        specialized over the upper and the lower tensors, and :meth:`fidelity`
+        replays it with swapped noise tensors instead of building and
+        greedy-ordering two fresh networks per term.
 
         ``template`` is a plan prepared from another binding of the same
-        parametric structure.  Its noise decompositions and both schedules
-        are reused (noise channels carry no parameters); only the split
-        networks' tensors and their specializations are rebuilt.
+        parametric structure.  Its noise decompositions and schedule are
+        reused with their U/V factor tensors (noise channels carry no
+        parameters); only the split networks' tensors and their
+        specializations are rebuilt.
         """
         n = circuit.num_qubits
         input_state = "0" * n if input_state is None else input_state
@@ -212,43 +224,33 @@ class ApproximateNoisySimulator:
             output_state,
             max_intermediate_size=self.max_intermediate_size,
         )
-        # Recording consumes the networks, so snapshot the tensors first.
-        upper_tensors = tuple(node.tensor for node in upper.nodes)
-        lower_tensors = tuple(node.tensor for node in lower.nodes)
+        # Recording consumes the network, so snapshot the tensors first.
+        upper_tensors = [node.tensor for node in upper.nodes]
+        lower_tensors = [node.tensor for node in lower.nodes]
+        noise_positions = noise_node_positions(circuit, input_state)
         if template is None:
-            upper_plan, _ = ContractionPlan.record(upper, strategy=self.strategy)
-            lower_plan, _ = ContractionPlan.record(lower, strategy=self.strategy)
-            noise_positions = noise_node_positions(circuit, input_state)
+            plan, _ = ContractionPlan.record(upper, strategy=self.strategy)
+            upper_factors, lower_factors = (
+                tuple(
+                    tuple(
+                        np.asarray(term[half], dtype=complex).reshape(upper_tensors[position].shape)
+                        for term in decomposition.terms
+                    )
+                    for decomposition, position in zip(decompositions, noise_positions)
+                )
+                for half in (0, 1)
+            )
         else:
-            upper_plan, lower_plan = template.upper_plan, template.lower_plan
-            noise_positions = template.noise_positions
+            plan = template.plan
+            upper_factors, lower_factors = template.upper_factors, template.lower_factors
         return PreparedApproximation(
             decompositions=decompositions,
-            upper_plan=upper_plan,
-            lower_plan=lower_plan,
-            upper_tensors=upper_tensors,
-            lower_tensors=lower_tensors,
-            noise_positions=noise_positions,
-            upper_specialized=upper_plan.specialize(list(upper_tensors), noise_positions),
-            lower_specialized=lower_plan.specialize(list(lower_tensors), noise_positions),
+            plan=plan,
+            upper=plan.specialize(upper_tensors, noise_positions),
+            lower=plan.specialize(lower_tensors, noise_positions),
+            upper_factors=upper_factors,
+            lower_factors=lower_factors,
         )
-
-    def _evaluate_term_prepared(
-        self,
-        prepared: PreparedApproximation,
-        substitution: Dict[int, Tuple[np.ndarray, np.ndarray]],
-    ) -> complex:
-        upper: Dict[int, np.ndarray] = {}
-        lower: Dict[int, np.ndarray] = {}
-        for noise_index, position in enumerate(prepared.noise_positions):
-            u_matrix, v_matrix = substitution[noise_index]
-            upper[position] = np.asarray(u_matrix, dtype=complex).reshape(
-                prepared.upper_tensors[position].shape
-            )
-            lower[position] = np.asarray(v_matrix, dtype=complex).reshape(
-                prepared.lower_tensors[position].shape
-            )
-        return prepared.upper_specialized.execute(upper) * prepared.lower_specialized.execute(lower)
 
     # ------------------------------------------------------------------
     # Algorithm 1
@@ -273,10 +275,6 @@ class ApproximateNoisySimulator:
         level = self.level if level is None else int(level)
         if level < 0:
             raise ValidationError("level must be non-negative")
-        n = circuit.num_qubits
-        input_state = "0" * n if input_state is None else input_state
-        output_state = "0" * n if output_state is None else output_state
-
         if prepared is None:
             prepared = self.prepare(circuit, input_state, output_state)
         elif len(prepared.decompositions) != circuit.noise_count():
@@ -289,29 +287,12 @@ class ApproximateNoisySimulator:
         num_noises = len(decompositions)
         level = min(level, num_noises)
 
+        rows = level_rows(decompositions, level)
+        contributions = [0.0 + 0.0j] * (level + 1)
+        for k, value in zip(np.count_nonzero(rows, axis=1).tolist(), prepared.evaluate(rows)):
+            contributions[k] += value
         total = 0.0 + 0.0j
-        level_contributions: List[float] = []
-        num_terms = 0
-
-        for k in range(level + 1):
-            contribution = 0.0 + 0.0j
-            for positions in itertools.combinations(range(num_noises), k):
-                # Each selected position can use any of its sub-dominant terms.
-                choices_per_position = []
-                for position in positions:
-                    available = range(1, decompositions[position].num_terms)
-                    choices_per_position.append(list(available))
-                if positions and any(not c for c in choices_per_position):
-                    continue
-                for assignment in itertools.product(*choices_per_position):
-                    substitution: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-                    for noise_index in range(num_noises):
-                        substitution[noise_index] = decompositions[noise_index].terms[0]
-                    for position, term_index in zip(positions, assignment):
-                        substitution[position] = decompositions[position].terms[term_index]
-                    contribution += self._evaluate_term_prepared(prepared, substitution)
-                    num_terms += 1
-            level_contributions.append(float(np.real(contribution)))
+        for contribution in contributions:
             total += contribution
 
         max_rate = max((d.noise_rate for d in decompositions), default=0.0)
@@ -320,9 +301,9 @@ class ApproximateNoisySimulator:
             value=float(np.real(total)),
             level=level,
             num_noises=num_noises,
-            num_terms=num_terms,
-            num_contractions=2 * num_terms,
-            level_contributions=tuple(level_contributions),
+            num_terms=len(rows),
+            num_contractions=2 * len(rows),
+            level_contributions=tuple(float(np.real(c)) for c in contributions),
             max_noise_rate=max_rate,
             elapsed_seconds=elapsed,
         )
@@ -340,16 +321,7 @@ class ApproximateNoisySimulator:
         before committing to an expensive run; combine with
         :func:`repro.core.error_bounds.contraction_count` to budget the cost.
         """
-        if target_error <= 0:
-            raise ValidationError("target_error must be positive")
-        decompositions = self.decompose_noises(circuit)
-        num_noises = len(decompositions)
-        max_rate = max((d.noise_rate for d in decompositions), default=0.0)
-        ceiling = num_noises if max_level is None else min(int(max_level), num_noises)
-        for level in range(ceiling + 1):
-            if theorem1_error_bound(num_noises, max_rate, level) <= target_error:
-                return level
-        return ceiling
+        return _cheapest_level(self.decompose_noises(circuit), target_error, max_level)
 
     def fidelity_to_error(
         self,
@@ -360,8 +332,11 @@ class ApproximateNoisySimulator:
         max_level: int | None = None,
     ) -> ApproximationResult:
         """Run Algorithm 1 at the cheapest level whose a-priori bound meets ``target_error``."""
-        level = self.level_for_error(circuit, target_error, max_level=max_level)
-        return self.fidelity(circuit, input_state, output_state, level=level)
+        prepared = self.prepare(circuit, input_state, output_state)
+        level = _cheapest_level(prepared.decompositions, target_error, max_level)
+        return self.fidelity(
+            circuit, input_state, output_state, level=level, prepared=prepared
+        )
 
     # ------------------------------------------------------------------
     def exact_fidelity(
@@ -379,3 +354,16 @@ class ApproximateNoisySimulator:
         """Number of contractions Algorithm 1 will perform (Theorem 1 count)."""
         level = self.level if level is None else int(level)
         return contraction_count(circuit.noise_count(), level)
+
+
+def _cheapest_level(decompositions, target_error: float, max_level: int | None) -> int:
+    """Smallest level whose Theorem-1 bound over ``decompositions`` meets ``target_error``."""
+    if target_error <= 0:
+        raise ValidationError("target_error must be positive")
+    num_noises = len(decompositions)
+    max_rate = max((d.noise_rate for d in decompositions), default=0.0)
+    ceiling = num_noises if max_level is None else min(int(max_level), num_noises)
+    for level in range(ceiling + 1):
+        if theorem1_error_bound(num_noises, max_rate, level) <= target_error:
+            return level
+    return ceiling

@@ -10,11 +10,12 @@ paths.  This gives an *anytime* algorithm: the budget is a path count rather
 than a level, and the partial sums improve monotonically in expectation as
 paths are added.
 
-The variant reuses the split-network evaluation of
-:class:`~repro.core.approximation.ApproximateNoisySimulator`; each path is
-again a product of two independent single-size contractions, replayed from
-the plans :meth:`~repro.core.approximation.ApproximateNoisySimulator.prepare`
-records once.  The level-``l`` approximation corresponds to the set of paths
+A path is the same index row as an Algorithm-1 term, so the heaviest ``K``
+paths replay the prepared split-network plan of
+:class:`~repro.core.approximation.ApproximateNoisySimulator` through
+:meth:`~repro.core.approximation.PreparedApproximation.evaluate` (one
+:meth:`~repro.tensornetwork.plan.SpecializedPlan.execute_rows` per half).
+The level-``l`` approximation corresponds to the set of paths
 with at most ``l`` non-dominant indices, so the two truncation schemes
 coincide when the singular-value gaps are uniform, and differ when some
 noises are much stronger than others — which is what the ablation benchmark
@@ -26,7 +27,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -113,7 +114,7 @@ class PathTruncatedSimulator:
         if max_paths < 1:
             raise ValidationError("max_paths must be at least 1")
         self.max_paths = int(max_paths)
-        #: Term evaluation is delegated to the level-based simulator's machinery.
+        #: Preparation (SVDs, the recorded plan) is the level-based simulator's.
         self._delegate = ApproximateNoisySimulator(
             level=0,
             max_intermediate_size=max_intermediate_size,
@@ -132,33 +133,26 @@ class PathTruncatedSimulator:
         max_paths = self.max_paths if max_paths is None else int(max_paths)
         if max_paths < 1:
             raise ValidationError("max_paths must be at least 1")
-        n = circuit.num_qubits
-        input_state = "0" * n if input_state is None else input_state
-        output_state = "0" * n if output_state is None else output_state
-
         prepared = self._delegate.prepare(circuit, input_state, output_state)
         decompositions = prepared.decompositions
         total_weight_available = float(
             np.prod([sum(d.singular_values) for d in decompositions])
         ) if decompositions else 1.0
 
+        weights, paths = zip(*enumerate_paths_by_weight(decompositions, max_paths=max_paths))
+        rows = np.array(paths, dtype=int).reshape(len(paths), len(decompositions))
         total = 0.0 + 0.0j
+        for value in prepared.evaluate(rows):
+            total += value
         evaluated_weight = 0.0
-        num_paths = 0
-        for weight, path in enumerate_paths_by_weight(decompositions, max_paths=max_paths):
-            substitution: Dict[int, Tuple[np.ndarray, np.ndarray]] = {
-                noise_index: decompositions[noise_index].terms[term_index]
-                for noise_index, term_index in enumerate(path)
-            }
-            total += self._delegate._evaluate_term_prepared(prepared, substitution)
+        for weight in weights:
             evaluated_weight += weight
-            num_paths += 1
 
         elapsed = time.perf_counter() - start
         return PathTruncationResult(
             value=float(np.real(total)),
-            num_paths=num_paths,
-            num_contractions=2 * num_paths,
+            num_paths=len(paths),
+            num_contractions=2 * len(paths),
             total_weight_evaluated=evaluated_weight,
             total_weight_available=total_weight_available,
             elapsed_seconds=elapsed,

@@ -26,6 +26,11 @@ variable-dependent steps.  Both plans run the one slot-replay loop
 the *same* order as a full replay, so the value is bit-identical — a full
 replay is simply a specialization with no baked steps.
 
+A replay picks one candidate tensor per variable position, so it is an
+integer *index row*: Algorithm 1's terms and path truncation's paths pick an
+SVD term per noise, a ``trajectories_tn`` sample its drawn Kraus operator.
+:meth:`SpecializedPlan.execute_rows` is the one evaluator for such rows.
+
 Plans are recorded over whatever circuit the session hands the backend —
 since the optimizing passes (:mod:`repro.circuits.passes`) run before plan
 construction, a recorded schedule covers the *optimized* network (fewer
@@ -35,7 +40,7 @@ that circuit's fingerprint.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.tensornetwork.network import TensorNetwork
 from repro.tensornetwork.node import Node
@@ -206,8 +211,8 @@ class SpecializedPlan:
         self.variable_positions = variable_positions
         self._result_slot = result_slot
         #: Per-namespace device copies of the baked tensors, transferred once
-        #: on the first device execute (only the small variable Kraus tensors
-        #: move per call; see BatchedTrajectoryEngine._run_tn).
+        #: on the first device execute (callers keep their variable candidates
+        #: device-resident too; see BatchedTrajectoryEngine._run_tn).
         self._device_baked: dict = {}
 
     def _baked_for(self, xp) -> List:
@@ -227,23 +232,34 @@ class SpecializedPlan:
         """Contractions actually replayed per call (the rest are baked)."""
         return len(self._residual)
 
-    def execute(self, substitutions: Mapping[int, np.ndarray], xp=None) -> complex:
+    def execute(self, variables: Sequence[np.ndarray], xp=None) -> complex:
         """Return the scalar for the given variable-input values.
 
-        ``substitutions`` maps every variable input position to its tensor
-        for this call (shapes must match the template's; device arrays of
-        ``xp`` when a namespace is given — the baked static intermediates are
-        transferred to that device once and cached).
+        ``variables[j]`` is the tensor for ``variable_positions[j]`` in this
+        call (shapes must match the template's; device arrays of ``xp`` when
+        a namespace is given — the baked static intermediates are transferred
+        to that device once and cached).
         """
+        if len(variables) != len(self.variable_positions):
+            raise ValidationError(
+                f"missing substitution: {len(self.variable_positions)} variables, got {len(variables)}"
+            )
         buffer = list(self._baked_for(xp))
-        for position in self.variable_positions:
-            tensor = substitutions.get(position)
-            if tensor is None:
-                raise ValidationError(
-                    f"missing substitution for variable input {position}"
-                )
+        for position, tensor in zip(self.variable_positions, variables):
             buffer[position] = tensor
         return _replay(buffer, self._residual, self._result_slot, xp)
+
+    def execute_rows(self, factors: Sequence[Sequence[np.ndarray]], rows, xp=None) -> List[complex]:
+        """Replay the plan once per index row; return one scalar per row.
+
+        ``factors[j]`` holds the candidate tensors of ``variable_positions[j]``
+        and ``rows`` is an integer array of shape ``[K, len(factors)]``: row
+        ``r`` substitutes ``factors[j][rows[r, j]]`` at every variable position.
+        """
+        return [
+            self.execute([candidates[index] for candidates, index in zip(factors, row)], xp)
+            for row in np.asarray(rows, dtype=int).tolist()
+        ]
 
 
 def _replay(buffer: List, steps: Sequence[_Step], result_slot: int, xp) -> complex:

@@ -142,6 +142,23 @@ class TestTemplateReuse:
             executable.bind(binding).run()
         assert calls == {"decompose_noise": 0, "record": 0}
 
+    def test_approximation_compile_records_one_plan(
+        self, noisy_parametric_qaoa, monkeypatch
+    ):
+        # Both split-network halves share one schedule, so compiling records it once.
+        calls = []
+        record = ContractionPlan.record
+
+        def counting_record(*args, **kwargs):
+            calls.append(args)
+            return record(*args, **kwargs)
+
+        monkeypatch.setattr(ContractionPlan, "record", staticmethod(counting_record))
+        with Session(seed=5) as session:
+            executable = session.compile(noisy_parametric_qaoa, backend="approximation")
+            assert executable.describe()["plan"]["plan"]["num_steps"] > 0
+        assert len(calls) == 1
+
     @pytest.mark.parametrize(
         "backend", ["tn", "trajectories_tn", "trajectories", "approximation"]
     )
@@ -175,9 +192,9 @@ class TestTemplateReuse:
         algorithm = ApproximateNoisySimulator(level=1)
         template = algorithm.prepare(first)
         prepared = algorithm.prepare(second, template=template)
-        assert prepared.upper_plan is template.upper_plan
-        assert prepared.lower_plan is template.lower_plan
+        assert prepared.plan is template.plan
         assert prepared.decompositions is template.decompositions
+        assert prepared.upper_factors is template.upper_factors
         assert (
             algorithm.fidelity(second, prepared=prepared).value
             == algorithm.fidelity(second).value

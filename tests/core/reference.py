@@ -1,8 +1,8 @@
 """Dense statevector reference for Algorithm 1's term evaluator (test oracle).
 
 :class:`StatevectorReference` runs the library's term enumeration but
-evaluates every substituted term by dense matrix application instead of
-replaying the recorded split-network plans: the upper half applies each gate
+evaluates every term's index row by dense matrix application instead of
+replaying the recorded split-network plan: the upper half applies each gate
 ``U`` and each noise's ``U_i`` to ``|ψ⟩``, the lower half applies ``U*`` and
 ``V_i`` to ``|ψ*⟩``, and the term is ``⟨v|upper⟩ · ⟨v*|lower⟩``.  No library
 option selects it; tests compare the tensor-network evaluator against it.
@@ -11,7 +11,7 @@ option selects it; tests compare the tensor-network evaluator against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import List
 
 import numpy as np
 
@@ -29,6 +29,26 @@ class _DenseTerms:
     decompositions: tuple
     psi: np.ndarray
     v: np.ndarray
+
+    def evaluate(self, rows) -> List[complex]:
+        """Dense value of every term; row ``r`` picks SVD term ``rows[r, s]`` of noise ``s``."""
+        return [self._term(row) for row in np.asarray(rows, dtype=int).tolist()]
+
+    def _term(self, row) -> complex:
+        n = self.circuit.num_qubits
+        upper = self.psi.copy()
+        lower = self.psi.conj().copy()
+        noise_index = 0
+        for inst in self.circuit:
+            if inst.is_gate:
+                upper = apply_matrix(upper, inst.operation.matrix, inst.qubits, n)
+                lower = apply_matrix(lower, inst.operation.matrix.conj(), inst.qubits, n)
+            else:
+                u_matrix, v_matrix = self.decompositions[noise_index].terms[row[noise_index]]
+                upper = apply_matrix(upper, u_matrix, inst.qubits, n)
+                lower = apply_matrix(lower, v_matrix, inst.qubits, n)
+                noise_index += 1
+        return complex(np.vdot(self.v, upper)) * complex(np.vdot(self.v.conj(), lower))
 
 
 class StatevectorReference(ApproximateNoisySimulator):
@@ -49,23 +69,3 @@ class StatevectorReference(ApproximateNoisySimulator):
             psi=dense_product_state("0" * n if input_state is None else input_state, n),
             v=dense_product_state("0" * n if output_state is None else output_state, n),
         )
-
-    def _evaluate_term_prepared(
-        self,
-        prepared: _DenseTerms,
-        substitution: Dict[int, Tuple[np.ndarray, np.ndarray]],
-    ) -> complex:
-        n = prepared.circuit.num_qubits
-        upper = prepared.psi.copy()
-        lower = prepared.psi.conj().copy()
-        noise_index = 0
-        for inst in prepared.circuit:
-            if inst.is_gate:
-                upper = apply_matrix(upper, inst.operation.matrix, inst.qubits, n)
-                lower = apply_matrix(lower, inst.operation.matrix.conj(), inst.qubits, n)
-            else:
-                u_matrix, v_matrix = substitution[noise_index]
-                upper = apply_matrix(upper, u_matrix, inst.qubits, n)
-                lower = apply_matrix(lower, v_matrix, inst.qubits, n)
-                noise_index += 1
-        return complex(np.vdot(prepared.v, upper)) * complex(np.vdot(prepared.v.conj(), lower))

@@ -1,0 +1,155 @@
+"""Algorithm 1's terms, path truncation's paths and traj_tn's samples as index rows.
+
+All three replay their rows through one ``SpecializedPlan.execute_rows``.
+Two invariants make that sound: the lower split network contracts by the
+same schedule as the upper one (so one recorded plan serves both halves),
+and the values are the ones the per-term substitution evaluator produced.
+The golden values below were computed by that evaluator and are compared
+with ``==``.
+"""
+
+import numpy as np
+import pytest
+
+import repro.core.approximation as approximation
+from repro.api import apply_noise
+from repro.backends.engine import BatchedTrajectoryEngine
+from repro.circuits.library import qaoa_circuit
+from repro.core import ApproximateNoisySimulator
+from repro.core.approximation import level_rows
+from repro.core.path_truncation import PathTruncatedSimulator
+from repro.noise import NoiseModel, depolarizing_channel
+from repro.tensornetwork.circuit_to_tn import substituted_split_networks
+from repro.tensornetwork.plan import ContractionPlan
+from repro.verify import generate_workloads
+from repro.verify.generators import FAMILIES
+
+
+def _dense_state(num_qubits, seed):
+    rng = np.random.default_rng(seed)
+    state = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
+    return state / np.linalg.norm(state)
+
+
+class TestOneScheduleForBothHalves:
+    @pytest.mark.parametrize("boundary", ["product", "dense"])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_lower_network_records_the_upper_steps(self, family, boundary):
+        for workload in generate_workloads(families=family, cases=2, seed=29):
+            circuit = workload.noisy_circuit()
+            if circuit.noise_count() == 0:
+                circuit = apply_noise(
+                    workload.circuit,
+                    {"channel": "amplitude_damping", "parameter": 0.02, "count": 3, "seed": 4},
+                )
+            n = circuit.num_qubits
+            if boundary == "product":
+                states = ("0" * n, "1" * n)
+            else:
+                states = (_dense_state(n, workload.seed), _dense_state(n, workload.seed + 1))
+            decompositions = ApproximateNoisySimulator().decompose_noises(circuit)
+            dominant = {index: d.terms[0] for index, d in enumerate(decompositions)}
+            upper, lower = substituted_split_networks(circuit, dominant, *states)
+            upper_plan, _ = ContractionPlan.record(upper)
+            lower_plan, _ = ContractionPlan.record(lower)
+            assert lower_plan.steps == upper_plan.steps, workload.describe()
+            assert lower_plan.num_inputs == upper_plan.num_inputs
+            assert lower_plan.peak_intermediate_entries == upper_plan.peak_intermediate_entries
+
+
+class TestLevelRows:
+    def test_rows_count_and_order(self):
+        circuit = NoiseModel(depolarizing_channel(0.01), seed=1).insert_random(
+            qaoa_circuit(4, seed=3, native_gates=False), 3
+        )
+        decompositions = ApproximateNoisySimulator().decompose_noises(circuit)
+        rows = level_rows(decompositions, 2)
+        assert rows.shape == (1 + 3 * 3 + 3 * 9, 3)
+        assert rows[:4].tolist() == [[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]]
+        assert rows[10].tolist() == [1, 1, 0]
+        levels = np.count_nonzero(rows, axis=1)
+        assert np.all(np.diff(levels) >= 0)
+
+    def test_noiseless_circuit_has_one_empty_row(self):
+        assert level_rows([], 3).shape == (1, 0)
+
+
+# (qaoa qubits, noise seed) -> A(1), A(1)'s level contributions, A(2), A(2)'s
+# level contributions, the K=16 path-truncated value, and the 600-sample
+# traj_tn estimate and standard error (rng = noise seed, workers=1).
+GOLDEN = {
+    (9, 1): (
+        0.00036158118068858056,
+        (0.00032232268076096273, 3.925849992761785e-05),
+        0.00036333074753402294,
+        (0.00032232268076096273, 3.925849992761785e-05, 1.749566845442397e-06),
+        0.0003478067515557866,
+        0.00035993921096339783,
+        3.914649946667523e-06,
+    ),
+    (9, 2): (
+        0.00037252073008149796,
+        (0.00032232268076096246, 5.019804932053549e-05),
+        0.0003754205748070114,
+        (0.00032232268076096246, 5.019804932053549e-05, 2.8998447255134643e-06),
+        0.00035211497307745373,
+        0.00036829358194180345,
+        5.096112072289331e-06,
+    ),
+    (6, 3): (
+        0.00928572220039343,
+        (0.008395891223942083, 0.000889830976451348),
+        0.009320622966892154,
+        (0.008395891223942083, 0.000889830976451348, 3.490076649872254e-05),
+        0.008955558863518308,
+        0.009348211891776854,
+        7.007646266620108e-05,
+    ),
+}
+
+
+@pytest.mark.parametrize("placement", sorted(GOLDEN), ids=lambda p: f"qaoa_{p[0]}-seed{p[1]}")
+class TestGoldenValues:
+    @pytest.fixture
+    def noisy(self, placement):
+        qubits, seed = placement
+        ideal = qaoa_circuit(qubits, seed=3, native_gates=False)
+        return NoiseModel(depolarizing_channel(0.01), seed=seed).insert_random(ideal, 8)
+
+    def test_algorithm1_levels(self, placement, noisy):
+        a1, a1_levels, a2, a2_levels, *_ = GOLDEN[placement]
+        simulator = ApproximateNoisySimulator()
+        one = simulator.fidelity(noisy, level=1)
+        two = simulator.fidelity(noisy, level=2)
+        assert (one.value, one.level_contributions) == (a1, a1_levels)
+        assert (two.value, two.level_contributions) == (a2, a2_levels)
+        assert two.num_terms == 1 + 8 * 3 + 28 * 9
+
+    def test_path_truncation(self, placement, noisy):
+        result = PathTruncatedSimulator(max_paths=16).fidelity(noisy)
+        assert result.value == GOLDEN[placement][4]
+        assert result.num_paths == 16
+
+    def test_traj_tn(self, placement, noisy):
+        estimate, stderr = GOLDEN[placement][5:]
+        result = BatchedTrajectoryEngine("tn").estimate_fidelity(
+            noisy, 600, rng=placement[1], workers=1
+        )
+        assert (result.estimate, result.standard_error) == (estimate, stderr)
+
+
+def test_fidelity_to_error_decomposes_each_noise_once(monkeypatch):
+    noisy = NoiseModel(depolarizing_channel(0.01), seed=2).insert_random(
+        qaoa_circuit(4, seed=3, native_gates=False), 5
+    )
+    calls = []
+    decompose = approximation.decompose_noise
+
+    def counting_decompose(*args, **kwargs):
+        calls.append(args)
+        return decompose(*args, **kwargs)
+
+    monkeypatch.setattr(approximation, "decompose_noise", counting_decompose)
+    result = ApproximateNoisySimulator().fidelity_to_error(noisy, 1e-4)
+    assert len(calls) == noisy.noise_count() == 5
+    assert result.error_bound <= 1e-4

@@ -104,7 +104,7 @@ class TestReplay:
         for subset in subsets:
             specialized = plan.specialize(tensors, subset)
             swapped = _perturbed(tensors, subset, rng)
-            value = specialized.execute({int(p): swapped[p] for p in subset})
+            value = specialized.execute([swapped[p] for p in subset])
             assert value == plan.execute(swapped), subset
 
     def test_residual_step_counts(self, name):
@@ -120,8 +120,27 @@ class TestReplay:
         subset = list(range(0, plan.num_inputs, 2))
         specialized = plan.specialize(tensors, subset)
         swapped = _perturbed(tensors, subset, rng)
-        on_device = specialized.execute({p: xp.asarray(swapped[p]) for p in subset}, xp=xp)
-        assert on_device == specialized.execute({p: swapped[p] for p in subset})
+        on_device = specialized.execute([xp.asarray(swapped[p]) for p in subset], xp=xp)
+        assert on_device == specialized.execute([swapped[p] for p in subset])
+
+    def test_execute_rows_equals_execute_per_row(self, name, rng):
+        plan, _, tensors = _record(name)
+        subset = list(range(0, plan.num_inputs, 3))
+        specialized = plan.specialize(tensors, subset)
+        factors = [
+            tuple(_perturbed(tensors, [position], rng)[position] for _ in range(3))
+            for position in subset
+        ]
+        rows = rng.integers(0, 3, size=(5, len(subset)))
+        expected = [
+            specialized.execute([candidates[i] for candidates, i in zip(factors, row)])
+            for row in rows
+        ]
+        assert specialized.execute_rows(factors, rows) == expected
+        assert specialized.execute_rows(factors, rows[:0]) == []
+        xp = get_namespace("fake_gpu")
+        on_device = [tuple(xp.asarray(t) for t in candidates) for candidates in factors]
+        assert specialized.execute_rows(on_device, rows, xp=xp) == expected
 
 
 class TestSingleNode:
@@ -132,7 +151,7 @@ class TestSingleNode:
         assert plan.num_steps == 0
         assert value == plan.execute([np.array(0.25 + 0.5j)]) == 0.25 + 0.5j
         specialized = plan.specialize([np.array(0.0)], [0])
-        assert specialized.execute({0: np.array(2.0 + 0j)}) == 2.0
+        assert specialized.execute([np.array(2.0 + 0j)]) == 2.0
 
 
 class TestErrors:
@@ -155,7 +174,7 @@ class TestErrors:
         specialized = plan.specialize(tensors, [0, 1])
         assert isinstance(specialized, SpecializedPlan)
         with pytest.raises(ValidationError, match="missing substitution"):
-            specialized.execute({0: tensors[0]})
+            specialized.execute([tensors[0]])
 
     @pytest.mark.parametrize("position", [-1, "num_inputs"])
     def test_out_of_range_position(self, recorded, position):
