@@ -3,7 +3,9 @@
 
 The matrix between the ``BEGIN``/``END`` markers in ``docs/backends.md`` is
 *generated*, never hand-edited: this script renders it from the live registry
-(:mod:`repro.backends`), so the documentation cannot drift from the code.
+(:mod:`repro.backends`), so the documentation cannot drift from the code.  The
+Options column lists each adapter's constructor options with their defaults,
+read from the constructor signature.
 
 Usage::
 
@@ -30,7 +32,7 @@ END = "<!-- END GENERATED BACKEND MATRIX -->"
 def render_matrix() -> str:
     """Render the registry's capability matrix as a GitHub-flavoured table."""
     from repro.backends import backend_aliases, backend_names
-    from repro.backends.registry import _REGISTRY
+    from repro.backends.registry import _REGISTRY, adapter_options
 
     aliases = backend_aliases()
     headers = [
@@ -42,6 +44,7 @@ def render_matrix() -> str:
         "Max qubits",
         "Product states only",
         "Device",
+        "Options",
         "Simulator",
     ]
     rows = []
@@ -61,6 +64,9 @@ def render_matrix() -> str:
                 str(caps.max_qubits) if caps.max_qubits is not None else "–",
                 "yes" if caps.needs_product_state else "no",
                 "cpu+device" if caps.supports_device else "cpu",
+                ", ".join(
+                    f"`{option}={default!r}`" for option, default in adapter_options(name).items()
+                ) or "–",
                 doc,
             ]
         )

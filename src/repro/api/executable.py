@@ -68,7 +68,7 @@ def plan_cache_key(
     Two configurations share a plan iff they agree on the backend (name and
     construction options), the exact circuit structure (gate and Kraus tensor
     bytes, see :meth:`repro.circuits.Circuit.fingerprint`), the boundary
-    states and the structural task options.  The session keys on the circuit
+    states and the bond-dimension ceiling.  The session keys on the circuit
     *after* the optimizing pass pipeline has run, so no separate pass-config
     token is needed: pass-on and pass-off compiles either produce the same
     optimized circuit (and correctly share a plan) or different fingerprints.  ``seed``, ``num_samples``,

@@ -45,8 +45,8 @@ def structural_config_payload(
     """The JSON-stable payload of a task's *structural* configuration.
 
     The fields every configuration identity shares: backend name and
-    construction options, boundary states, bond-dimension ceiling and the
-    per-run adapter options (minus the ``executor`` handle).  Both
+    construction options (the only way to configure an adapter), boundary
+    states and bond-dimension ceiling.  Both
     :func:`task_config_hash` (which adds the per-call fields) and
     :func:`repro.api.executable.plan_cache_key` (which adds the circuit
     fingerprint) extend this one builder, so a new task field cannot be
@@ -65,11 +65,6 @@ def structural_config_payload(
         "input_state": _state_token(task.input_state),
         "output_state": _state_token(task.output_state),
         "max_bond_dim": task.max_bond_dim,
-        "options": {
-            str(key): _state_token(value)
-            for key, value in task.options.items()
-            if key != "executor"
-        },
     }
     if task.device not in (None, "cpu"):
         payload["device"] = task.device

@@ -328,14 +328,13 @@ class Session:
         output_state: Any,
         keep_samples: bool,
         max_bond_dim: int | None,
-        options: Mapping[str, Any] | None,
         device: str | None,
     ) -> SimulationTask:
         if task is not None:
             overrides = {
                 "level": level, "samples": samples, "seed": seed,
                 "input_state": input_state, "max_bond_dim": max_bond_dim,
-                "options": options, "device": device,
+                "device": device,
             }
             conflicting = sorted(key for key, value in overrides.items() if value is not None)
             if conflicting or keep_samples:
@@ -362,7 +361,6 @@ class Session:
                 workers=workers,
                 keep_samples=keep_samples,
                 max_bond_dim=max_bond_dim,
-                options=dict(options or {}),
                 device=device,
             )
         if built.workers is not None and built.workers < 1:
@@ -514,7 +512,6 @@ class Session:
         output_state: Any = None,
         keep_samples: bool = False,
         max_bond_dim: int | None = None,
-        options: Mapping[str, Any] | None = None,
         passes: Any = None,
         device: str | None = None,
     ) -> Executable:
@@ -551,8 +548,7 @@ class Session:
         built = self._build_task(
             task=task, level=level, samples=samples, seed=seed, workers=workers,
             input_state=input_state, output_state=output_state,
-            keep_samples=keep_samples, max_bond_dim=max_bond_dim, options=options,
-            device=device,
+            keep_samples=keep_samples, max_bond_dim=max_bond_dim, device=device,
         )
         resolved, circuit, built, config_hash, pass_info = self._prepare(
             circuit, backend, noise, backend_options, built, passes
@@ -697,7 +693,6 @@ class Session:
         output_state: Any = None,
         keep_samples: bool = False,
         max_bond_dim: int | None = None,
-        options: Mapping[str, Any] | None = None,
         passes: Any = None,
         device: str | None = None,
     ) -> SimulationResult:
@@ -730,7 +725,6 @@ class Session:
                 output_state=output_state,
                 keep_samples=keep_samples,
                 max_bond_dim=max_bond_dim,
-                options=options,
                 passes=passes,
                 device=device,
             )
@@ -752,7 +746,6 @@ class Session:
         output_state: Any = None,
         keep_samples: bool = False,
         max_bond_dim: int | None = None,
-        options: Mapping[str, Any] | None = None,
         passes: Any = None,
         device: str | None = None,
     ) -> "Future[SimulationResult]":
@@ -771,8 +764,7 @@ class Session:
         built = self._build_task(
             task=task, level=level, samples=samples, seed=seed, workers=workers,
             input_state=input_state, output_state=output_state,
-            keep_samples=keep_samples, max_bond_dim=max_bond_dim, options=options,
-            device=device,
+            keep_samples=keep_samples, max_bond_dim=max_bond_dim, device=device,
         )
         resolved, circuit, built, config_hash, pass_info = self._prepare(
             circuit, backend, noise, backend_options, built, passes
@@ -848,7 +840,6 @@ def simulate(
     keep_samples: bool = False,
     max_bond_dim: int | None = None,
     backend_options: Mapping[str, Any] | None = None,
-    options: Mapping[str, Any] | None = None,
     passes: Any = True,
     device: str | None = None,
 ) -> SimulationResult:
@@ -872,7 +863,6 @@ def simulate(
             keep_samples=keep_samples,
             max_bond_dim=max_bond_dim,
             backend_options=backend_options,
-            options=options,
             passes=passes,
             device=device,
         )

@@ -5,6 +5,14 @@ vocabulary into the wrapped simulator's own calling convention and packs the
 outcome into a :class:`~repro.backends.base.BackendResult`.  Registration
 happens at import time via :func:`~repro.backends.registry.register_backend`.
 
+Constructor options are the one way to configure an adapter, and only the
+memory budgets behind Table II's "MO" cells are configurable:
+``density_matrix(max_qubits)``, ``tdd(max_nodes)``,
+``tn(max_intermediate_size)`` and ``approximation(max_intermediate_size)``.
+The other adapters take no arguments; per-run method knobs (samples, level,
+bond dimension, device) are :class:`~repro.backends.base.SimulationTask`
+fields.
+
 Every adapter has exactly one execution method, ``_execute(circuit, task,
 plan)``, which :meth:`~repro.backends.base.SimulationBackend.run` feeds
 either a caller-supplied plan or the one it builds via ``_compile`` — so a
@@ -71,12 +79,6 @@ def _default_states(circuit: Circuit, task: SimulationTask):
 class StatevectorBackend(SimulationBackend):
     """Dense noiseless simulation: ``|⟨v| C |ψ⟩|²``."""
 
-    def __init__(self, max_qubits: int | None = None) -> None:
-        self._max_qubits = max_qubits
-
-    def max_qubits(self) -> int | None:
-        return self._max_qubits if self._max_qubits is not None else self.capabilities.max_qubits
-
     def _compile(self, circuit: Circuit, task: SimulationTask, template=None):
         if template is not None:
             # The plan is the boundary states alone: value-independent.
@@ -87,10 +89,7 @@ class StatevectorBackend(SimulationBackend):
 
     def _execute(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
         psi, v = plan
-        simulator = StatevectorSimulator(
-            max_qubits=task.options.get("max_qubits", self.max_qubits()),
-            device=task.device,
-        )
+        simulator = StatevectorSimulator(max_qubits=self.max_qubits(), device=task.device)
         amplitude = simulator.amplitude(circuit, v, psi)
         return BackendResult(backend=self.name, value=float(abs(amplitude) ** 2))
 
@@ -105,9 +104,6 @@ class DensityMatrixBackend(SimulationBackend):
     def __init__(self, max_qubits: int | None = None) -> None:
         self._max_qubits = max_qubits
 
-    def max_qubits(self) -> int | None:
-        return self._max_qubits if self._max_qubits is not None else self.capabilities.max_qubits
-
     def pass_profile(self) -> PassProfile:
         # Exact superoperator evolution: composing adjacent channels is exact.
         return PassProfile(merge_channels=True)
@@ -115,10 +111,7 @@ class DensityMatrixBackend(SimulationBackend):
     def _execute(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
         input_state, output_state = _default_states(circuit, task)
         n = circuit.num_qubits
-        simulator = DensityMatrixSimulator(
-            max_qubits=task.options.get("max_qubits", self.max_qubits()),
-            device=task.device,
-        )
+        simulator = DensityMatrixSimulator(max_qubits=self.max_qubits(), device=task.device)
         value = simulator.fidelity(
             circuit,
             dense_product_state(output_state, n),
@@ -131,11 +124,8 @@ class DensityMatrixBackend(SimulationBackend):
 class TNBackend(SimulationBackend):
     """Exact contraction of the paper's doubled tensor-network diagram."""
 
-    def __init__(
-        self, max_intermediate_size: int | None = 2**26, strategy: str = "greedy"
-    ) -> None:
+    def __init__(self, max_intermediate_size: int | None = 2**26) -> None:
         self.max_intermediate_size = max_intermediate_size
-        self.strategy = strategy
 
     def pass_profile(self) -> PassProfile:
         # The doubled diagram inserts each channel's superoperator tensor
@@ -144,11 +134,7 @@ class TNBackend(SimulationBackend):
 
     def _simulator(self, task: SimulationTask) -> TNSimulator:
         return TNSimulator(
-            max_intermediate_size=task.options.get(
-                "max_intermediate_size", self.max_intermediate_size
-            ),
-            strategy=task.options.get("strategy", self.strategy),
-            device=task.device,
+            max_intermediate_size=self.max_intermediate_size, device=task.device
         )
 
     def _compile(self, circuit: Circuit, task: SimulationTask, template=None):
@@ -167,12 +153,8 @@ class TNBackend(SimulationBackend):
 class TDDBackend(SimulationBackend):
     """Decision-diagram exact noisy simulation."""
 
-    def __init__(self, max_qubits: int | None = None, max_nodes: int | None = 200_000) -> None:
-        self._max_qubits = max_qubits
+    def __init__(self, max_nodes: int | None = 200_000) -> None:
         self.max_nodes = max_nodes
-
-    def max_qubits(self) -> int | None:
-        return self._max_qubits if self._max_qubits is not None else self.capabilities.max_qubits
 
     def pass_profile(self) -> PassProfile:
         # Decision diagrams evolve the full superoperator exactly as well.
@@ -181,10 +163,7 @@ class TDDBackend(SimulationBackend):
     def _execute(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
         input_state, output_state = _default_states(circuit, task)
         n = circuit.num_qubits
-        simulator = TDDSimulator(
-            max_qubits=task.options.get("max_qubits", self.max_qubits()),
-            max_nodes=task.options.get("max_nodes", self.max_nodes),
-        )
+        simulator = TDDSimulator(max_qubits=self.max_qubits(), max_nodes=self.max_nodes)
         value = simulator.fidelity(
             circuit,
             dense_product_state(output_state, n),
@@ -199,12 +178,6 @@ class TDDBackend(SimulationBackend):
 class MPSBackend(SimulationBackend):
     """Matrix-product-state simulation of noiseless circuits (bond truncation)."""
 
-    def __init__(
-        self, max_bond_dim: int | None = None, truncation_threshold: float = 1e-12
-    ) -> None:
-        self.max_bond_dim = max_bond_dim
-        self.truncation_threshold = truncation_threshold
-
     def _extra_supports(self, circuit: Circuit) -> str | None:
         if any(len(inst.qubits) > 2 for inst in circuit):
             return "mps supports 1- and 2-qubit gates only"
@@ -218,13 +191,7 @@ class MPSBackend(SimulationBackend):
         factors = resolve_product_state(output_state, n)
         if not isinstance(factors, list):
             raise BackendUnsupportedError("mps backend needs a product output state")
-        max_bond = task.max_bond_dim if task.max_bond_dim is not None else self.max_bond_dim
-        simulator = MPSSimulator(
-            max_bond_dim=max_bond,
-            truncation_threshold=task.options.get(
-                "truncation_threshold", self.truncation_threshold
-            ),
-        )
+        simulator = MPSSimulator(max_bond_dim=task.max_bond_dim)
         mps = simulator.run(circuit)
         overlap = MatrixProductState.from_product_state(factors).overlap(mps)
         value = float(abs(overlap) ** 2)
@@ -241,12 +208,6 @@ class MPSBackend(SimulationBackend):
 @register_backend("mpdo", noisy=True, exact=False, needs_product_state=True)
 class MPDOBackend(SimulationBackend):
     """Matrix-product-density-operator noisy simulation (1-qubit channels)."""
-
-    def __init__(
-        self, max_bond_dim: int | None = None, truncation_threshold: float = 1e-12
-    ) -> None:
-        self.max_bond_dim = max_bond_dim
-        self.truncation_threshold = truncation_threshold
 
     def _extra_supports(self, circuit: Circuit) -> str | None:
         for inst in circuit:
@@ -267,13 +228,7 @@ class MPDOBackend(SimulationBackend):
         n = circuit.num_qubits
         if not (isinstance(input_state, str) and set(input_state) <= {"0"}):
             raise BackendUnsupportedError("mpdo backend starts from |0…0⟩ only")
-        max_bond = task.max_bond_dim if task.max_bond_dim is not None else self.max_bond_dim
-        simulator = MPDOSimulator(
-            max_bond_dim=max_bond,
-            truncation_threshold=task.options.get(
-                "truncation_threshold", self.truncation_threshold
-            ),
-        )
+        simulator = MPDOSimulator(max_bond_dim=task.max_bond_dim)
         value = simulator.fidelity(circuit, output_state)
         return BackendResult(
             backend=self.name,
@@ -287,32 +242,20 @@ class _TrajectoryBackendBase(SimulationBackend):
 
     _engine_backend = "statevector"
 
-    def __init__(
-        self, max_intermediate_size: int | None = 2**26, device: str | None = None
-    ) -> None:
-        self.max_intermediate_size = max_intermediate_size
-        self.engine = BatchedTrajectoryEngine(
-            backend=self._engine_backend,
-            max_intermediate_size=max_intermediate_size,
-            device=device,
-        )
+    def __init__(self) -> None:
+        self.engine = BatchedTrajectoryEngine(backend=self._engine_backend)
 
     def _engine_for(self, task: SimulationTask) -> BatchedTrajectoryEngine:
-        """The default engine, or a same-configuration one on ``task.device``.
+        """The default host engine, or a same-configuration one on ``task.device``.
 
         Engine construction is cheap (namespaces are cached by the registry)
         and the prepared context from :meth:`_compile` is engine-independent
         — it caches device tensors per namespace — so plans compiled on one
         device replay on another.
         """
-        device = task.device if task.device is not None else self.engine.device
-        if device == self.engine.device:
+        if task.device is None:
             return self.engine
-        return BatchedTrajectoryEngine(
-            backend=self._engine_backend,
-            max_intermediate_size=self.max_intermediate_size,
-            device=device,
-        )
+        return BatchedTrajectoryEngine(backend=self._engine_backend, device=task.device)
 
     def _compile(self, circuit: Circuit, task: SimulationTask, template=None):
         if task.workers is not None and task.workers > 1:
@@ -373,19 +316,12 @@ class TrajectoryTNBackend(_TrajectoryBackendBase):
 class ApproximationBackend(SimulationBackend):
     """The paper's approximation algorithm (Algorithm 1) at ``task.level``."""
 
-    def __init__(
-        self, max_intermediate_size: int | None = 2**26, strategy: str = "greedy"
-    ) -> None:
+    def __init__(self, max_intermediate_size: int | None = 2**26) -> None:
         self.max_intermediate_size = max_intermediate_size
-        self.strategy = strategy
 
     def _simulator(self, task: SimulationTask) -> ApproximateNoisySimulator:
         return ApproximateNoisySimulator(
-            level=task.level,
-            max_intermediate_size=task.options.get(
-                "max_intermediate_size", self.max_intermediate_size
-            ),
-            strategy=task.options.get("strategy", self.strategy),
+            level=task.level, max_intermediate_size=self.max_intermediate_size
         )
 
     def _compile(self, circuit: Circuit, task: SimulationTask, template=None):

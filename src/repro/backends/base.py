@@ -89,10 +89,9 @@ class SimulationTask:
     the stochastic backends an already-running
     :class:`~concurrent.futures.ProcessPoolExecutor` (owned by the caller —
     typically a :class:`repro.api.Session` — and never shut down by the
-    backend), so batches of tasks share one pool.  ``options`` carries per-run
-    overrides of adapter configuration (``max_qubits``, ``max_nodes``,
-    ``max_intermediate_size``, ``strategy``, ``truncation_threshold``); keys a
-    backend does not define are ignored.  ``device`` selects the
+    backend), so batches of tasks share one pool.  Adapter configuration
+    (memory budgets) is not a task field: it is fixed when the adapter is
+    constructed (``get_backend(name, **options)``).  ``device`` selects the
     :class:`repro.xp.ArrayNamespace` a device-capable backend executes its
     dense hot path on (``None`` = host cpu); backends without the
     ``supports_device`` capability reject non-cpu tasks.
@@ -107,7 +106,6 @@ class SimulationTask:
     keep_samples: bool = False
     max_bond_dim: int | None = None
     executor: Any = None
-    options: Mapping[str, Any] = field(default_factory=dict)
     device: str | None = None
 
 
@@ -148,24 +146,23 @@ class SimulationBackend(ABC):
     #: Capability flags; set by the decorator.
     capabilities: ClassVar[BackendCapabilities]
 
+    #: Qubit ceiling set by an adapter's ``max_qubits`` constructor option.
+    _max_qubits: int | None = None
+
     # ------------------------------------------------------------------
     def max_qubits(self) -> int | None:
-        """Effective qubit ceiling (instances may tighten the class default)."""
-        return self.capabilities.max_qubits
+        """Effective qubit ceiling: the constructor's, else the class default."""
+        return self._max_qubits if self._max_qubits is not None else self.capabilities.max_qubits
 
     def supports(self, circuit: Circuit, task: SimulationTask | None = None) -> str | None:
         """Return None when this backend can run ``circuit``, else the reason it cannot.
 
-        ``task.options["max_qubits"]`` (when given) overrides the backend's
-        qubit ceiling for this check, mirroring the override ``_execute`` passes
-        to the wrapped simulator, and a ``needs_product_state`` backend
-        rejects tasks whose boundary states are dense vectors.
+        A ``needs_product_state`` backend rejects tasks whose boundary states
+        are dense vectors.
         """
         if not self.capabilities.noisy and not circuit.is_noiseless():
             return f"{self.name} cannot simulate noise channels"
         ceiling = self.max_qubits()
-        if task is not None:
-            ceiling = task.options.get("max_qubits", ceiling)
         if ceiling is not None and circuit.num_qubits > ceiling:
             return f"{self.name} is limited to {ceiling} qubits (circuit has {circuit.num_qubits})"
         if (
@@ -218,7 +215,7 @@ class SimulationBackend(ABC):
         Returns an opaque plan handle to pass back through ``run(plan=...)``,
         or ``None`` when the backend has no per-circuit work worth caching.
         A plan depends only on the circuit's structure and the task's
-        *structural* fields (boundary states, adapter options) — never on
+        *structural* fields (boundary states, bond-dimension ceiling) — never on
         ``seed``, ``num_samples`` or ``workers`` — so the session layer may
         share one plan between runs that differ only in those per-call knobs
         (see :meth:`repro.api.Session.compile`).

@@ -17,7 +17,8 @@ Call sites resolve them by name or capability::
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Type
+import inspect
+from typing import Any, Dict, Iterable, List, Mapping, Type
 
 from repro.backends.base import BackendCapabilities, SimulationBackend
 from repro.circuits.circuit import Circuit
@@ -26,6 +27,8 @@ from repro.utils.validation import ValidationError
 __all__ = [
     "register_backend",
     "get_backend",
+    "adapter_options",
+    "check_adapter_options",
     "backend_aliases",
     "backend_names",
     "available_backends",
@@ -79,11 +82,58 @@ def _canonical(name: str) -> str:
     return _ALIASES.get(name, name)
 
 
+def _lookup(name: str) -> Type[SimulationBackend]:
+    key = _canonical(name)
+    if key not in _REGISTRY:
+        known = ", ".join(sorted(_REGISTRY))
+        raise ValidationError(f"unknown backend {name!r}; registered backends: {known}")
+    return _REGISTRY[key]
+
+
+def adapter_options(name: str) -> Dict[str, Any]:
+    """The constructor options of backend ``name``, mapped to their defaults.
+
+    Constructor options are the only way to configure an adapter; they are
+    read from the adapter's ``__init__`` signature, so they cannot drift from
+    the code.
+
+    >>> from repro.backends.registry import adapter_options
+    >>> adapter_options("dm")
+    {'max_qubits': None}
+    >>> adapter_options("statevector")
+    {}
+    """
+    parameters = inspect.signature(_lookup(name)).parameters
+    return {option: parameter.default for option, parameter in parameters.items()}
+
+
+def check_adapter_options(name: str, options: Mapping[str, Any]) -> None:
+    """Raise :class:`ValidationError` when ``options`` names an unknown adapter option.
+
+    >>> from repro.backends.registry import check_adapter_options
+    >>> check_adapter_options("tn", {"max_intermediate": 5})
+    Traceback (most recent call last):
+    ...
+    repro.utils.validation.ValidationError: unknown tn option(s) 'max_intermediate'; \
+the tn backend accepts: max_intermediate_size
+    """
+    accepted = adapter_options(name)
+    unknown = sorted(set(options) - set(accepted))
+    if unknown:
+        canonical = _canonical(name)
+        raise ValidationError(
+            f"unknown {canonical} option(s) {', '.join(map(repr, unknown))}; "
+            f"the {canonical} backend accepts: {', '.join(accepted) or 'no options'}"
+        )
+
+
 def get_backend(name: str, **options) -> SimulationBackend:
     """Instantiate the backend registered under ``name`` (aliases allowed).
 
     ``options`` are forwarded to the adapter constructor (e.g. ``max_qubits``
-    for the density-matrix backend, ``max_nodes`` for TDD).
+    for the density-matrix backend, ``max_nodes`` for TDD); a name the
+    constructor does not accept raises :class:`ValidationError` (see
+    :func:`adapter_options`).
 
     >>> from repro.backends import get_backend
     >>> get_backend("mm").name                # aliases resolve to canonical names
@@ -91,11 +141,10 @@ def get_backend(name: str, **options) -> SimulationBackend:
     >>> get_backend("tdd", max_nodes=1000).max_nodes
     1000
     """
-    key = _canonical(name)
-    if key not in _REGISTRY:
-        known = ", ".join(sorted(_REGISTRY))
-        raise ValidationError(f"unknown backend {name!r}; registered backends: {known}")
-    return _REGISTRY[key](**options)
+    backend_class = _lookup(name)
+    if options:
+        check_adapter_options(name, options)
+    return backend_class(**options)
 
 
 def backend_names() -> List[str]:
@@ -151,10 +200,7 @@ def resolve_backends(spec: str | Iterable[str], circuit: Circuit | None = None) 
         parts = list(spec)
     resolved = []
     for part in parts:
-        key = _canonical(part)
-        if key not in _REGISTRY:
-            known = ", ".join(sorted(_REGISTRY))
-            raise ValidationError(f"unknown backend {part!r}; registered backends: {known}")
+        key = _lookup(part).name
         if key not in resolved:
             resolved.append(key)
     return resolved

@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro.backends import SimulationTask, resolve_backends
+from repro.backends.registry import check_adapter_options
 from repro.circuits.circuit import Circuit
 from repro.circuits.library import benchmark_circuit
 from repro.circuits.qasm import from_qasm
@@ -243,9 +244,10 @@ class BackendSpec:
         if "name" not in entry:
             raise ValidationError("a backend entry needs a 'name'")
         # Canonicalise through the registry so aliases resolve and unknown
-        # names fail at parse time, not mid-sweep.
+        # names or options fail at parse time, not mid-sweep.
         canonical = resolve_backends(str(entry["name"]))[0]
         options = dict(_require_mapping(entry.get("options", {}), "backend options"))
+        check_adapter_options(canonical, options)
         return cls(name=canonical, label=str(entry.get("label") or canonical), options=options)
 
 
@@ -298,9 +300,9 @@ class SweepCell:
         ``workers``/``executor`` configure the batched trajectory engine
         through the task's typed fields, so one process pool is shared across
         all cells of a sweep (the session layer injects its own pool when
-        ``executor`` is left unset).  The backend's adapter options are *not*
-        copied into ``task.options``: they are applied exactly once, through
-        the adapter constructor (``backend_options`` at the dispatch site).
+        ``executor`` is left unset).  The backend's adapter options are not
+        task fields: they reach the adapter constructor (``backend_options``
+        at the dispatch site).
         """
         return SimulationTask(
             level=self.level,

@@ -238,7 +238,7 @@ class TestPlanCache:
             "tn", noisy_circuit, SimulationTask(seed=1, max_bond_dim=8)
         )
         assert base != plan_cache_key(
-            "tn", noisy_circuit, SimulationTask(seed=1), {"strategy": "sequential"}
+            "tn", noisy_circuit, SimulationTask(seed=1), {"max_intermediate_size": 2**20}
         )
 
     def test_plan_cache_key_splits_pooled_regime_but_not_worker_count(self, noisy_circuit):

@@ -1,12 +1,14 @@
 """Session-layer happy paths: dispatch, batching, seeds, provenance."""
 
 import dataclasses
+import inspect
 
 import pytest
 
 from repro.api import Session, SimulationResult, apply_noise, simulate, task_config_hash
 from repro.backends import SimulationTask, get_backend
 from repro.circuits.library import ghz_circuit, qaoa_circuit
+from repro.utils.validation import ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +195,13 @@ class TestSessionBatch:
         assert via_task.value == via_kwargs.value
         assert via_task.config_hash == via_kwargs.config_hash
 
+    def test_backend_options_are_the_only_configuration_channel(self):
+        for entry in (Session.compile, Session.run, Session.submit, simulate):
+            assert "options" not in inspect.signature(entry).parameters, entry
+        with Session() as session:
+            with pytest.raises(ValidationError, match="accepts: max_intermediate_size"):
+                session.run(ghz_circuit(2), "tn", backend_options={"bogus": 1})
+
 
 class TestProvenance:
     def test_config_hash_covers_semantic_fields(self):
@@ -219,8 +228,8 @@ class TestProvenance:
         assert task_config_hash("trajectories", one) == task_config_hash(
             "trajectories", unset
         )
-        assert task_config_hash("mpdo", one) != task_config_hash(
-            "mpdo", one, {"truncation_threshold": 1e-2}
+        assert task_config_hash("tdd", one) != task_config_hash(
+            "tdd", one, {"max_nodes": 1000}
         )
 
     def test_to_dict_round_trips_through_json(self, noisy_circuit):

@@ -1,5 +1,7 @@
 """Tests for the unified backend registry and its adapters."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from repro.backends import (
     register_backend,
     resolve_backends,
 )
-from repro.backends.registry import _REGISTRY
+from repro.backends.registry import _REGISTRY, adapter_options
 from repro.circuits.circuit import Circuit
 from repro.circuits.library import benchmark_circuit, ghz_circuit
 from repro.noise import NoiseModel, depolarizing_channel, two_qubit_depolarizing_channel
@@ -47,6 +49,32 @@ class TestRegistry:
     def test_get_backend_unknown_name(self):
         with pytest.raises(ValidationError, match="unknown backend"):
             get_backend("does_not_exist")
+
+    def test_get_backend_unknown_option_names_accepted_options(self):
+        with pytest.raises(ValidationError, match="accepts: max_intermediate_size"):
+            get_backend("tn", max_intermediate=5)
+        with pytest.raises(ValidationError, match="accepts: no options"):
+            get_backend("sv", max_qubits=4)
+
+    def test_only_memory_budgets_are_adapter_options(self):
+        # Constructor options are the one configuration channel; exactly the
+        # Table II memory budgets are settable.
+        configurable = {
+            name: sorted(adapter_options(name))
+            for name in backend_names()
+            if adapter_options(name)
+        }
+        assert configurable == {
+            "approximation": ["max_intermediate_size"],
+            "density_matrix": ["max_qubits"],
+            "tdd": ["max_nodes"],
+            "tn": ["max_intermediate_size"],
+        }
+        assert "options" not in {field.name for field in dataclasses.fields(SimulationTask)}
+
+    def test_one_max_qubits_implementation(self):
+        for name in backend_names():
+            assert _REGISTRY[name].max_qubits is SimulationBackend.max_qubits, name
 
     def test_aliases_resolve(self):
         assert get_backend("mm").name == "density_matrix"
@@ -101,11 +129,15 @@ class TestAvailability:
         with pytest.raises(BackendUnsupportedError):
             get_backend("statevector").run(noisy_circuit)
 
-    def test_task_options_can_raise_ceiling(self, noisy_circuit):
-        backend = get_backend("density_matrix", max_qubits=2)
-        task = SimulationTask(options={"max_qubits": 12})
-        assert backend.supports(noisy_circuit, task) is None
-        assert backend.run(noisy_circuit, task).value > 0
+    def test_constructor_ceiling_applies_to_density_matrix(self, noisy_circuit):
+        task = SimulationTask()
+        tight = get_backend("density_matrix", max_qubits=2)
+        assert "limited to 2 qubits" in tight.supports(noisy_circuit, task)
+        with pytest.raises(BackendUnsupportedError):
+            tight.run(noisy_circuit, task)
+        default = get_backend("density_matrix")
+        assert default.supports(noisy_circuit, task) is None
+        assert default.run(noisy_circuit, task).value > 0
 
     def test_product_state_capability_enforced(self, noisy_circuit):
         dense = np.zeros(2**noisy_circuit.num_qubits, dtype=complex)
@@ -186,12 +218,14 @@ class TestResultMetadata:
     def test_tn_counts_single_contraction(self, noisy_circuit):
         assert get_backend("tn").run(noisy_circuit).num_contractions == 1
 
-    def test_task_options_override_budgets(self, noisy_circuit):
-        # Per-run overrides reach the wrapped simulator: a tiny TDD node
-        # budget must trip the memory-out guard that the default would not.
+    def test_constructor_budgets_reach_the_simulator(self, noisy_circuit):
+        # A tiny constructor budget must trip the memory-out guard that the
+        # default would not.
         with pytest.raises(MemoryError):
-            get_backend("tdd").run(noisy_circuit, SimulationTask(options={"max_nodes": 8}))
+            get_backend("tdd", max_nodes=8).run(noisy_circuit)
         with pytest.raises(MemoryError):
-            get_backend("tn").run(
-                noisy_circuit, SimulationTask(options={"max_intermediate_size": 2})
-            )
+            get_backend("tn", max_intermediate_size=2).run(noisy_circuit)
+        with pytest.raises(MemoryError):
+            get_backend("approximation", max_intermediate_size=2).run(noisy_circuit)
+        result = get_backend("tdd", max_nodes=100_000).run(noisy_circuit)
+        assert result.metadata["max_nodes"] == 100_000

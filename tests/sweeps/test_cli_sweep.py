@@ -75,6 +75,18 @@ def test_sweep_run_unknown_backend_exits_2(tmp_path, capsys):
     assert "unknown backend" in capsys.readouterr().err
 
 
+def test_sweep_unknown_backend_option_rejected_before_any_cell(tmp_path, capsys):
+    data = json.loads(json.dumps(GOOD_SPEC))
+    data["grid"]["backend"] = [{"name": "tn", "options": {"max_intermediate": 5}}]
+    spec = _write_spec(tmp_path, data)
+    out = tmp_path / "records.jsonl"
+    assert main(["sweep", "run", str(spec), "--out", str(out)]) == 2
+    assert "max_intermediate_size" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["sweep", "list", str(spec)]) == 1
+    assert "invalid" in capsys.readouterr().out
+
+
 def test_sweep_run_unknown_key_exits_2(tmp_path, capsys):
     data = json.loads(json.dumps(GOOD_SPEC))
     data["grdi"] = data.pop("grid")

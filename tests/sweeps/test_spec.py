@@ -72,6 +72,16 @@ def test_backend_aliases_canonicalise_and_unknown_backend_rejected():
         load_spec(_minimal(grid={"circuit": "ghz_2", "backend": "nope"}))
 
 
+def test_unknown_backend_option_rejected_at_load():
+    # A typo in an adapter option must fail the spec, not every cell.
+    backend = {"name": "tn", "options": {"max_intermediate": 5}}
+    with pytest.raises(ValidationError, match="accepts: max_intermediate_size"):
+        load_spec(_minimal(grid={"circuit": "ghz_2", "backend": backend}))
+    backend = {"name": "mm", "options": {"max_qubits": 8}}
+    spec = load_spec(_minimal(grid={"circuit": "ghz_2", "backend": backend}))
+    assert dict(spec.backends[0].options) == {"max_qubits": 8}
+
+
 @pytest.mark.parametrize(
     "mutate,match",
     [
