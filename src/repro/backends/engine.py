@@ -10,8 +10,9 @@ two batched hot paths:
 * **tn** — the amplitude network of a trajectory has the same topology for
   every sample (only the sampled Kraus tensor *values* change), so the node /
   edge construction and the greedy contraction-ordering work are done once on
-  a template; each trajectory, an index row of drawn Kraus operators, replays
-  it through :meth:`repro.tensornetwork.plan.SpecializedPlan.execute_rows`
+  a template; every trajectory of a block is an index row of drawn Kraus
+  operators, and all rows replay it in one batched pass through
+  :meth:`repro.tensornetwork.plan.SpecializedPlan.execute_rows`
   (state-independent Kraus sampling with importance weights).
 
 Samples are split into fixed-size blocks of :data:`RNG_BLOCK` trajectories
@@ -217,9 +218,10 @@ class _TrajectoryContext:
         else:
             self.plan = template.plan
             self.q_dists, self.q_cdfs = template.q_dists, template.q_cdfs
-        # Partial evaluation over the static tensors: per-sample replays touch
-        # only the contractions downstream of a sampled Kraus tensor (values
-        # are bit-identical to a full replay; the static prefix is paid once).
+        # Partial evaluation over the static tensors: the batched sample
+        # replay touches only the contractions downstream of a sampled Kraus
+        # tensor (the static prefix is paid once; values agree with a
+        # per-sample replay to within a few ulps, not bit for bit).
         # Noiseless circuits take the single-replay short circuit instead.
         self.specialized = (
             self.plan.specialize(self.template_tensors, noise_node_positions(circuit, input_state))
@@ -647,17 +649,17 @@ class BatchedTrajectoryEngine:
             np.clip(choices[:, channel], 0, len(cdf) - 1, out=choices[:, channel])
             weights /= context.q_dists[channel][choices[:, channel]]
 
-        # A sample is an index row (its drawn Kraus operator per channel),
-        # replayed through the specialized plan; on a device the candidate
-        # Kraus tensors and the baked intermediates are resident once.
+        # A sample is an index row (its drawn Kraus operator per channel); all
+        # rows replay the specialized plan in one batched pass.  On a device
+        # the candidate Kraus tensors and the baked intermediates are resident.
         dispatch = None if self._xp.device == "cpu" else self._xp
         amplitudes = context.specialized.execute_rows(
             context.kraus_factors(dispatch), choices, xp=dispatch
         )
-        values = np.empty(num_samples)
-        for sample, amplitude in enumerate(amplitudes):
-            values[sample] = float(abs(amplitude) ** 2) * weights[sample]
-        return values
+        # hypot then pow are the libm calls of Python's abs(amplitude) ** 2
+        # (numpy's SIMD abs and square round differently in the last ulp), so
+        # the weighting adds no rounding change to the batched replay's.
+        return np.float_power(np.hypot(amplitudes.real, amplitudes.imag), 2) * weights
 
 
 def _pool_worker(payload) -> List[np.ndarray]:

@@ -77,11 +77,16 @@ class PreparedApproximation:
     upper_factors: Tuple[Tuple[np.ndarray, ...], ...]
     lower_factors: Tuple[Tuple[np.ndarray, ...], ...]
 
-    def evaluate(self, rows) -> List[complex]:
+    def evaluate(self, rows) -> np.ndarray:
         """Value ``upper · lower`` of every term; row ``r`` picks SVD term ``rows[r, s]`` of noise ``s``."""
         upper = self.upper.execute_rows(self.upper_factors, rows)
         lower = self.lower.execute_rows(self.lower_factors, rows)
-        return [u * v for u, v in zip(upper, lower)]
+        # The textbook product with one rounding per operation, as Python's
+        # complex multiply does (numpy's complex multiply may fuse them).
+        values = np.empty(len(upper), dtype=complex)
+        values.real = upper.real * lower.real - upper.imag * lower.imag
+        values.imag = upper.real * lower.imag + upper.imag * lower.real
+        return values
 
     def describe(self) -> dict:
         """Plan-cost summary (what :meth:`repro.api.Executable.describe` reports)."""
@@ -289,7 +294,7 @@ class ApproximateNoisySimulator:
 
         rows = level_rows(decompositions, level)
         contributions = [0.0 + 0.0j] * (level + 1)
-        for k, value in zip(np.count_nonzero(rows, axis=1).tolist(), prepared.evaluate(rows)):
+        for k, value in zip(np.count_nonzero(rows, axis=1).tolist(), prepared.evaluate(rows).tolist()):
             contributions[k] += value
         total = 0.0 + 0.0j
         for contribution in contributions:

@@ -142,7 +142,7 @@ class PathTruncatedSimulator:
         weights, paths = zip(*enumerate_paths_by_weight(decompositions, max_paths=max_paths))
         rows = np.array(paths, dtype=int).reshape(len(paths), len(decompositions))
         total = 0.0 + 0.0j
-        for value in prepared.evaluate(rows):
+        for value in prepared.evaluate(rows).tolist():
             total += value
         evaluated_weight = 0.0
         for weight in weights:

@@ -1,17 +1,22 @@
-"""Dense statevector reference for Algorithm 1's term evaluator (test oracle).
+"""Reference evaluators for Algorithm 1's index rows (test oracles).
 
 :class:`StatevectorReference` runs the library's term enumeration but
 evaluates every term's index row by dense matrix application instead of
 replaying the recorded split-network plan: the upper half applies each gate
 ``U`` and each noise's ``U_i`` to ``|ψ⟩``, the lower half applies ``U*`` and
-``V_i`` to ``|ψ*⟩``, and the term is ``⟨v|upper⟩ · ⟨v*|lower⟩``.  No library
-option selects it; tests compare the tensor-network evaluator against it.
+``V_i`` to ``|ψ*⟩``, and the term is ``⟨v|upper⟩ · ⟨v*|lower⟩``.
+
+:func:`sequential_execute_rows` replays a specialized plan once per row
+through :meth:`SpecializedPlan.execute` — the per-row loop the batched
+:meth:`SpecializedPlan.execute_rows` replaced, and the reference the
+golden values were computed with.
+
+No library option selects either; tests compare the library against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -19,8 +24,32 @@ from repro.circuits.circuit import Circuit
 from repro.core import ApproximateNoisySimulator
 from repro.simulators.statevector import apply_matrix
 from repro.tensornetwork.circuit_to_tn import StateLike, dense_product_state
+from repro.tensornetwork.plan import SpecializedPlan
 
-__all__ = ["StatevectorReference"]
+__all__ = ["StatevectorReference", "rows_close", "sequential_execute_rows"]
+
+#: Batched vs sequential row replay: only the summation order differs.
+BATCHED_RTOL = 1e-12
+
+
+def sequential_execute_rows(plan: SpecializedPlan, factors, rows, xp=None) -> np.ndarray:
+    """One :meth:`SpecializedPlan.execute` per index row (signature of ``execute_rows``)."""
+    return np.array(
+        [
+            plan.execute([candidates[index] for candidates, index in zip(factors, row)], xp)
+            for row in np.asarray(rows, dtype=int).tolist()
+        ],
+        dtype=complex,
+    )
+
+
+def rows_close(actual, expected, rtol: float = BATCHED_RTOL) -> bool:
+    """``actual`` equals ``expected`` to ``rtol`` relative to the largest ``|expected|``."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    if actual.shape != expected.shape:
+        return False
+    scale = np.max(np.abs(expected), initial=0.0)
+    return bool(np.max(np.abs(actual - expected), initial=0.0) <= rtol * scale)
 
 
 @dataclass(frozen=True)
@@ -30,9 +59,9 @@ class _DenseTerms:
     psi: np.ndarray
     v: np.ndarray
 
-    def evaluate(self, rows) -> List[complex]:
+    def evaluate(self, rows) -> np.ndarray:
         """Dense value of every term; row ``r`` picks SVD term ``rows[r, s]`` of noise ``s``."""
-        return [self._term(row) for row in np.asarray(rows, dtype=int).tolist()]
+        return np.array([self._term(row) for row in np.asarray(rows, dtype=int).tolist()], dtype=complex)
 
     def _term(self, row) -> complex:
         n = self.circuit.num_qubits

@@ -4,8 +4,11 @@ All three replay their rows through one ``SpecializedPlan.execute_rows``.
 Two invariants make that sound: the lower split network contracts by the
 same schedule as the upper one (so one recorded plan serves both halves),
 and the values are the ones the per-term substitution evaluator produced.
-The golden values below were computed by that evaluator and are compared
-with ``==``.
+The golden values below were computed by that evaluator.  They are compared
+with ``==`` against the sequential per-row replay
+(:func:`tests.core.reference.sequential_execute_rows`) and within 1e-12
+relative against the library's batched replay, which sums in a different
+order.
 """
 
 import numpy as np
@@ -20,9 +23,11 @@ from repro.core.approximation import level_rows
 from repro.core.path_truncation import PathTruncatedSimulator
 from repro.noise import NoiseModel, depolarizing_channel
 from repro.tensornetwork.circuit_to_tn import substituted_split_networks
-from repro.tensornetwork.plan import ContractionPlan
+from repro.tensornetwork.plan import ContractionPlan, SpecializedPlan
 from repro.verify import generate_workloads
 from repro.verify.generators import FAMILIES
+from repro.utils.validation import ValidationError
+from tests.core.reference import BATCHED_RTOL, rows_close, sequential_execute_rows
 
 
 def _dense_state(num_qubits, seed):
@@ -31,22 +36,28 @@ def _dense_state(num_qubits, seed):
     return state / np.linalg.norm(state)
 
 
+def _family_cases(family, boundary):
+    """``(workload, noisy circuit, boundary states)`` for two seeded workloads of ``family``."""
+    for workload in generate_workloads(families=family, cases=2, seed=29):
+        circuit = workload.noisy_circuit()
+        if circuit.noise_count() == 0:
+            circuit = apply_noise(
+                workload.circuit,
+                {"channel": "amplitude_damping", "parameter": 0.02, "count": 3, "seed": 4},
+            )
+        n = circuit.num_qubits
+        if boundary == "product":
+            states = ("0" * n, "1" * n)
+        else:
+            states = (_dense_state(n, workload.seed), _dense_state(n, workload.seed + 1))
+        yield workload, circuit, states
+
+
+@pytest.mark.parametrize("boundary", ["product", "dense"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
 class TestOneScheduleForBothHalves:
-    @pytest.mark.parametrize("boundary", ["product", "dense"])
-    @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_lower_network_records_the_upper_steps(self, family, boundary):
-        for workload in generate_workloads(families=family, cases=2, seed=29):
-            circuit = workload.noisy_circuit()
-            if circuit.noise_count() == 0:
-                circuit = apply_noise(
-                    workload.circuit,
-                    {"channel": "amplitude_damping", "parameter": 0.02, "count": 3, "seed": 4},
-                )
-            n = circuit.num_qubits
-            if boundary == "product":
-                states = ("0" * n, "1" * n)
-            else:
-                states = (_dense_state(n, workload.seed), _dense_state(n, workload.seed + 1))
+        for workload, circuit, states in _family_cases(family, boundary):
             decompositions = ApproximateNoisySimulator().decompose_noises(circuit)
             dominant = {index: d.terms[0] for index, d in enumerate(decompositions)}
             upper, lower = substituted_split_networks(circuit, dominant, *states)
@@ -55,6 +66,18 @@ class TestOneScheduleForBothHalves:
             assert lower_plan.steps == upper_plan.steps, workload.describe()
             assert lower_plan.num_inputs == upper_plan.num_inputs
             assert lower_plan.peak_intermediate_entries == upper_plan.peak_intermediate_entries
+
+    def test_batched_rows_equal_sequential_rows(self, family, boundary):
+        for workload, circuit, states in _family_cases(family, boundary):
+            prepared = ApproximateNoisySimulator().prepare(circuit, *states)
+            rows = level_rows(prepared.decompositions, 2)
+            for half, factors in (
+                (prepared.upper, prepared.upper_factors),
+                (prepared.lower, prepared.lower_factors),
+            ):
+                batched = half.execute_rows(factors, rows)
+                sequential = sequential_execute_rows(half, factors, rows)
+                assert rows_close(batched, sequential), workload.describe()
 
 
 class TestLevelRows:
@@ -108,6 +131,14 @@ GOLDEN = {
 }
 
 
+def _assert_golden(compute, golden, monkeypatch):
+    """``compute()`` is ``golden`` exactly on the sequential reference, and within 1e-12 batched."""
+    np.testing.assert_allclose(compute(), golden, rtol=BATCHED_RTOL, atol=0.0)
+    with monkeypatch.context() as patched:
+        patched.setattr(SpecializedPlan, "execute_rows", sequential_execute_rows)
+        assert compute() == golden
+
+
 @pytest.mark.parametrize("placement", sorted(GOLDEN), ids=lambda p: f"qaoa_{p[0]}-seed{p[1]}")
 class TestGoldenValues:
     @pytest.fixture
@@ -116,26 +147,64 @@ class TestGoldenValues:
         ideal = qaoa_circuit(qubits, seed=3, native_gates=False)
         return NoiseModel(depolarizing_channel(0.01), seed=seed).insert_random(ideal, 8)
 
-    def test_algorithm1_levels(self, placement, noisy):
+    def test_algorithm1_levels(self, placement, noisy, monkeypatch):
         a1, a1_levels, a2, a2_levels, *_ = GOLDEN[placement]
         simulator = ApproximateNoisySimulator()
-        one = simulator.fidelity(noisy, level=1)
-        two = simulator.fidelity(noisy, level=2)
-        assert (one.value, one.level_contributions) == (a1, a1_levels)
-        assert (two.value, two.level_contributions) == (a2, a2_levels)
-        assert two.num_terms == 1 + 8 * 3 + 28 * 9
 
-    def test_path_truncation(self, placement, noisy):
-        result = PathTruncatedSimulator(max_paths=16).fidelity(noisy)
-        assert result.value == GOLDEN[placement][4]
-        assert result.num_paths == 16
+        def levels():
+            one = simulator.fidelity(noisy, level=1)
+            two = simulator.fidelity(noisy, level=2)
+            assert two.num_terms == 1 + 8 * 3 + 28 * 9
+            return (one.value, *one.level_contributions, two.value, *two.level_contributions)
 
-    def test_traj_tn(self, placement, noisy):
-        estimate, stderr = GOLDEN[placement][5:]
-        result = BatchedTrajectoryEngine("tn").estimate_fidelity(
-            noisy, 600, rng=placement[1], workers=1
+        _assert_golden(levels, (a1, *a1_levels, a2, *a2_levels), monkeypatch)
+
+    def test_path_truncation(self, placement, noisy, monkeypatch):
+        def truncated():
+            result = PathTruncatedSimulator(max_paths=16).fidelity(noisy)
+            assert result.num_paths == 16
+            return (result.value,)
+
+        _assert_golden(truncated, GOLDEN[placement][4:5], monkeypatch)
+
+    def test_traj_tn(self, placement, noisy, monkeypatch):
+        def estimate():
+            result = BatchedTrajectoryEngine("tn").estimate_fidelity(
+                noisy, 600, rng=placement[1], workers=1
+            )
+            return (result.estimate, result.standard_error)
+
+        _assert_golden(estimate, GOLDEN[placement][5:], monkeypatch)
+
+
+class TestMalformedRows:
+    """Rows are validated once per call: 2-D integers, each index in range."""
+
+    @pytest.fixture(scope="class")
+    def prepared(self):
+        noisy = NoiseModel(depolarizing_channel(0.01), seed=1).insert_random(
+            qaoa_circuit(4, seed=3, native_gates=False), 3
         )
-        assert (result.estimate, result.standard_error) == (estimate, stderr)
+        return ApproximateNoisySimulator().prepare(noisy)
+
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            ([[-1, 0, 0]], "picks candidate -1"),
+            ([[0, 0, 4]], "picks candidate 4 of variable 2"),
+            ([0, 0, 0], "shape"),
+            ([[0, 0]], "shape"),
+            ([[0.0, 1.0, 0.0]], "integers"),
+        ],
+        ids=["negative", "past_the_end", "one_dimensional", "too_narrow", "float"],
+    )
+    def test_rejected(self, prepared, rows, match):
+        with pytest.raises(ValidationError, match=match):
+            prepared.evaluate(np.array(rows))
+
+    def test_empty_rows_evaluate_to_nothing(self, prepared):
+        values = prepared.evaluate(np.zeros((0, 3), dtype=int))
+        assert values.shape == (0,) and values.dtype == complex
 
 
 def test_fidelity_to_error_decomposes_each_noise_once(monkeypatch):

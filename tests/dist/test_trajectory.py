@@ -141,6 +141,7 @@ def test_rule_floors_apply_to_named_benches():
     rule = rule_for("bind_amortization", "aggregate_speedup")
     assert rule.floor == 5.0
     assert rule_for("compile_amortization", "aggregate_speedup").floor == 1.5
+    assert rule_for("term_replay", "aggregate_speedup").floor == 5.0
     assert rule_for("other_bench", "aggregate_speedup").floor is None
     assert rule_for("serving_throughput", "req_per_s_c4").ratio == 0.2
     assert rule_for("unknown", "unknown_metric") == MetricRule()
@@ -161,4 +162,4 @@ def test_checked_in_trajectory_parses_and_covers_all_benches():
 
     rows = load_trajectory(Path(__file__).resolve().parents[2] / "benchmarks" / "trajectory.jsonl")
     benches = {row["bench"] for row in rows}
-    assert {"compile_amortization", "bind_amortization", "serving_throughput"} <= benches
+    assert {"compile_amortization", "bind_amortization", "serving_throughput", "term_replay"} <= benches

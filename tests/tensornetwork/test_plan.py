@@ -1,8 +1,11 @@
 """Tests for recorded contraction plans and their partial evaluation.
 
 A :class:`ContractionPlan` must replay exactly the ``tensordot`` sequence of
-the live contraction it recorded, and a :class:`SpecializedPlan` exactly the
-residual of that sequence — so every comparison here is bit-for-bit.
+the live contraction it recorded, and :meth:`SpecializedPlan.execute` exactly
+the residual of that sequence — so those comparisons are bit-for-bit.  The
+batched :meth:`SpecializedPlan.execute_rows` sums in a different order; it is
+compared with the per-row replay within 1e-12 relative, and bit-for-bit
+across devices.
 """
 
 import numpy as np
@@ -17,9 +20,11 @@ from repro.tensornetwork import (
     circuit_amplitude_network,
     noisy_doubled_network,
 )
+import repro.tensornetwork.plan as plan_module
 from repro.tensornetwork.plan import SpecializedPlan
 from repro.utils.validation import ValidationError
 from repro.xp import get_namespace
+from tests.core.reference import rows_close, sequential_execute_rows
 
 
 def _noisy(seed, channel):
@@ -125,22 +130,39 @@ class TestReplay:
 
     def test_execute_rows_equals_execute_per_row(self, name, rng):
         plan, _, tensors = _record(name)
-        subset = list(range(0, plan.num_inputs, 3))
-        specialized = plan.specialize(tensors, subset)
-        factors = [
-            tuple(_perturbed(tensors, [position], rng)[position] for _ in range(3))
-            for position in subset
-        ]
-        rows = rng.integers(0, 3, size=(5, len(subset)))
-        expected = [
-            specialized.execute([candidates[i] for candidates, i in zip(factors, row)])
-            for row in rows
-        ]
-        assert specialized.execute_rows(factors, rows) == expected
-        assert specialized.execute_rows(factors, rows[:0]) == []
-        xp = get_namespace("fake_gpu")
-        on_device = [tuple(xp.asarray(t) for t in candidates) for candidates in factors]
-        assert specialized.execute_rows(on_device, rows, xp=xp) == expected
+        # Every third input varies; then none (a noiseless plan, rows [K, 0]).
+        for subset in (list(range(0, plan.num_inputs, 3)), []):
+            specialized, factors = _row_candidates(plan, tensors, subset, rng)
+            rows = rng.integers(0, 3, size=(5, len(subset)))
+            batched = specialized.execute_rows(factors, rows)
+            assert batched.shape == (5,) and batched.dtype == complex
+            assert rows_close(batched, sequential_execute_rows(specialized, factors, rows)), subset
+            assert specialized.execute_rows(factors, rows[:0]).shape == (0,)
+            # fake_gpu runs the same numpy kernels in the same order: == cpu.
+            xp = get_namespace("fake_gpu")
+            on_device = [tuple(xp.asarray(t) for t in candidates) for candidates in factors]
+            assert np.array_equal(specialized.execute_rows(on_device, rows, xp=xp), batched)
+
+    def test_execute_rows_in_uneven_chunks(self, name, rng, monkeypatch):
+        plan, _, tensors = _record(name)
+        specialized, factors = _row_candidates(plan, tensors, range(0, plan.num_inputs, 2), rng)
+        rows = rng.integers(0, 3, size=(11, len(factors)))
+        whole = specialized.execute_rows(factors, rows)
+        # Three rows per chunk: 11 rows replay as 3 + 3 + 3 + 2.
+        monkeypatch.setattr(plan_module, "ROW_BATCH_ENTRIES", 3 * plan.peak_intermediate_entries)
+        chunked = specialized.execute_rows(factors, rows)
+        assert rows_close(chunked, sequential_execute_rows(specialized, factors, rows))
+        assert rows_close(chunked, whole)
+
+
+def _row_candidates(plan, tensors, positions, rng):
+    """``plan`` specialized over ``positions``, with three random candidates per position."""
+    positions = list(positions)
+    factors = [
+        tuple(_perturbed(tensors, [position], rng)[position] for _ in range(3))
+        for position in positions
+    ]
+    return plan.specialize(tensors, positions), factors
 
 
 class TestSingleNode:
@@ -152,6 +174,20 @@ class TestSingleNode:
         assert value == plan.execute([np.array(0.25 + 0.5j)]) == 0.25 + 0.5j
         specialized = plan.specialize([np.array(0.0)], [0])
         assert specialized.execute([np.array(2.0 + 0j)]) == 2.0
+
+    @pytest.mark.parametrize("device", ["cpu", "fake_gpu"])
+    def test_execute_rows_without_steps_returns_the_picked_inputs(self, device):
+        network = TensorNetwork()
+        network.add_node(np.array(0.25 + 0.5j))
+        plan, _ = ContractionPlan.record(network)
+        xp = get_namespace(device)
+        candidates = [(xp.asarray(np.array(0.5 + 0j)), xp.asarray(np.array(2.0 - 1j)))]
+        rows = np.array([[1], [0], [1]])
+        assert plan.specialize([np.array(0.0)], [0]).execute_rows(
+            candidates, rows, xp=xp
+        ).tolist() == [2.0 - 1j, 0.5, 2.0 - 1j]
+        static = plan.specialize([np.array(0.25 + 0.5j)], [])
+        assert static.execute_rows([], np.zeros((2, 0), dtype=int), xp=xp).tolist() == [0.25 + 0.5j] * 2
 
 
 class TestErrors:
