@@ -223,10 +223,11 @@ class Executable:
 
     @property
     def compile_seconds(self) -> float:
-        """Wall-clock cost of the plan search (0.0 on a cache hit).
+        """Wall-clock cost of the plan search; on a cache hit, of the lookup.
 
-        For a coalesced compile this is the time spent waiting on the
-        concurrent owner's plan search, not a second search.
+        A hit reports what finding the cached plan cost (the session's front
+        and plan lookups).  For a coalesced compile this is the time spent
+        waiting on the concurrent owner's plan search, not a second search.
         """
         return self._compile_seconds
 
@@ -251,7 +252,8 @@ class Executable:
         ``channels_folded``, ``sites_pruned`` and the before/after gate and
         noise counts) and is ``None`` when every pass was disabled.  The
         pipeline's wall-clock cost is reported here, *not* in
-        ``compile_seconds``, which stays the backend plan search alone.
+        ``compile_seconds``; it is ``0.0`` when the session's front memo
+        served the optimized circuit and the pipeline did not run.
         """
         plan_info = None
         describe = getattr(self._plan, "describe", None)

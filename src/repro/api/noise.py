@@ -21,13 +21,15 @@ identically for identical seeds.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+import math
+import numbers
+from typing import Any, Mapping, NamedTuple
 
 from repro.circuits.circuit import Circuit
 from repro.noise import CHANNEL_FACTORIES, NoiseModel, SYCAMORE_LIKE_SPEC
 from repro.utils.validation import ValidationError
 
-__all__ = ["NOISE_CHANNELS", "apply_noise", "noise_model"]
+__all__ = ["NOISE_CHANNELS", "NoiseSpec", "apply_noise", "canonical_noise", "noise_model"]
 
 #: Channel names ``noise`` mappings may use: every single-parameter factory in
 #: :data:`repro.noise.CHANNEL_FACTORIES` plus the superconducting model.
@@ -54,21 +56,44 @@ def noise_model(channel: str, parameter: float = 0.001, seed: int | None = None)
     return NoiseModel(CHANNEL_FACTORIES[channel](parameter), seed=seed)
 
 
-def apply_noise(circuit: Circuit, noise: Any, seed: int | None = None) -> Circuit:
-    """Return the noisy circuit ``noise`` describes (or ``circuit`` unchanged).
+class NoiseSpec(NamedTuple):
+    """A validated noise mapping: what :func:`apply_noise` will inject."""
 
-    ``seed`` is the fallback injection seed used when the noise mapping does
-    not carry its own ``seed`` entry; the input circuit is never mutated.
+    channel: str
+    parameter: float
+    count: int
+    #: The injection seed: the mapping's own ``"seed"``, else the caller's
+    #: fallback (``None`` when neither is set).
+    seed: int | None
+
+
+def canonical_noise(noise: Any, seed: int | None = None) -> NoiseSpec | None:
+    """Validate a ``noise=`` argument; ``None`` when it injects nothing.
+
+    The one place a noise mapping is checked and defaulted: every malformed
+    value raises :class:`~repro.utils.validation.ValidationError` (a count
+    or seed that is not a whole number, a parameter that is not a finite
+    real, an unknown channel or key), never a bare ``ValueError`` or a
+    silent truncation.  ``seed`` is the fallback injection seed used when
+    the mapping carries no ``"seed"`` of its own.
+
+    >>> from repro.api.noise import canonical_noise
+    >>> canonical_noise({"count": 2, "seed": 4})
+    NoiseSpec(channel='depolarizing', parameter=0.001, count=2, seed=4)
+    >>> canonical_noise({"count": 2}, seed=9).seed
+    9
+    >>> canonical_noise({"count": 0}) is None
+    True
     """
     if noise is None:
-        return circuit
+        return None
     if isinstance(noise, NoiseModel):
         raise ValidationError(
             "a bare NoiseModel does not say how many noises to inject; call "
             "model.insert_random(circuit, count) and pass the noisy circuit, "
             "or pass a mapping with 'channel' and 'count'"
         )
-    noise = dict(_require_mapping(noise))
+    noise = _require_mapping(noise)
     unknown = sorted(set(noise) - set(_NOISE_KEYS))
     if unknown:
         raise ValidationError(
@@ -78,20 +103,49 @@ def apply_noise(circuit: Circuit, noise: Any, seed: int | None = None) -> Circui
     if "count" not in noise:
         # Defaulting to 0 would silently simulate the noiseless circuit.
         raise ValidationError("a noise mapping needs an explicit 'count'")
-    count = int(noise["count"])
-    if count < 0:
-        raise ValidationError("noise count must be non-negative")
-    if count == 0:
-        return circuit
-    channel = str(noise.get("channel", "depolarizing"))
-    parameter = float(noise.get("parameter", 0.001))
+    count = _whole(noise["count"], "count")
+    channel = noise.get("channel", "depolarizing")
+    if not isinstance(channel, str) or channel not in NOISE_CHANNELS:
+        raise ValidationError(
+            f"unknown noise channel {channel!r}; known: {', '.join(NOISE_CHANNELS)}"
+        )
+    parameter = noise.get("parameter", 0.001)
+    if (
+        isinstance(parameter, bool)
+        or not isinstance(parameter, numbers.Real)
+        or not math.isfinite(parameter)
+    ):
+        raise ValidationError(f"noise 'parameter' must be a finite number, got {parameter!r}")
     # An explicit "seed": None means "unseeded" was *not* decided — fall back,
     # exactly as if the key were absent, so the session's resolved seed wins.
     injection_seed = noise.get("seed")
-    if injection_seed is None:
-        injection_seed = seed
-    model = noise_model(channel, parameter, seed=injection_seed)
-    return model.insert_random(circuit, count)
+    injection_seed = seed if injection_seed is None else _whole(injection_seed, "seed")
+    if count == 0:
+        return None
+    return NoiseSpec(channel, float(parameter), count, injection_seed)
+
+
+def apply_noise(circuit: Circuit, noise: Any, seed: int | None = None) -> Circuit:
+    """Return the noisy circuit ``noise`` describes (or ``circuit`` unchanged).
+
+    ``seed`` is the fallback injection seed used when the noise mapping does
+    not carry its own ``seed`` entry; the input circuit is never mutated.
+    Malformed mappings raise as :func:`canonical_noise` documents.
+    """
+    spec = canonical_noise(noise, seed)
+    if spec is None:
+        return circuit
+    model = noise_model(spec.channel, spec.parameter, seed=spec.seed)
+    return model.insert_random(circuit, spec.count)
+
+
+def _whole(value: Any, key: str) -> int:
+    """A non-negative whole number from a noise mapping entry."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValidationError(f"noise {key!r} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 def _require_mapping(value: Any) -> Mapping:

@@ -19,6 +19,11 @@ benchmark harness and the examples all share.  It
   :meth:`Session.run` and non-blocking :meth:`Session.submit` wrappers hit
   compiled plans transparently on repeated configurations
   (:meth:`Session.cache_stats` exposes the hit/miss/eviction counters);
+* memoizes the *front half* of compile (noise binding, ``output_state``
+  resolution, the pass pipeline) beside the plan it resolved to, so a
+  repeated configuration with pinned noise goes straight to its cached plan
+  and a :meth:`Session.run` hit costs little more than
+  :meth:`Executable.run <repro.api.Executable.run>`;
 * returns one unified :class:`~repro.api.SimulationResult` from every path.
 
 Example — one blocking call and a two-backend async batch::
@@ -54,13 +59,18 @@ import os
 import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Dict, Mapping
+from typing import Any, Dict, Mapping, NamedTuple
 
 import numpy as np
 
 from repro.api.executable import Executable, one_shot_result, plan_cache_key
-from repro.api.noise import apply_noise
-from repro.api.result import SimulationResult, task_config_hash
+from repro.api.noise import NoiseSpec, apply_noise, canonical_noise
+from repro.api.result import (
+    SimulationResult,
+    hash_payload,
+    structural_config_payload,
+    task_config_hash,
+)
 from repro.backends.base import SimulationBackend, SimulationTask
 from repro.backends.registry import get_backend
 from repro.circuits.circuit import Circuit
@@ -94,13 +104,26 @@ def _derive_seed(*parts: object) -> int:
     return int.from_bytes(digest[:8], "big") % (2**63)
 
 
-def _noise_needs_seed(noise: Any) -> bool:
-    """True when a noise mapping would consume the task seed for injection."""
-    return (
-        isinstance(noise, Mapping)
-        and noise.get("seed") is None
-        and int(noise.get("count", 0) or 0) > 0
-    )
+class _Front(NamedTuple):
+    """The memoized front half of one compile: all a repeat needs from it."""
+
+    #: The optimized circuit (the memo's own copy; executables get copies).
+    circuit: Circuit
+    pass_info: Mapping[str, Any]
+    output_state: Any
+    #: The resolved backend name (what ``"auto"`` picked).
+    backend: str
+    plan_key: str
+
+
+class _PlanEntry:
+    """One plan-cache slot: a compiled plan and the fronts that resolved to it."""
+
+    __slots__ = ("plan", "fronts")
+
+    def __init__(self, plan: Any) -> None:
+        self.plan = plan
+        self.fronts: Dict[str, _Front] = {}
 
 
 class _PoolHandle:
@@ -207,9 +230,13 @@ class Session:
         # LRU-bounded so a long-lived service session streaming distinct
         # circuits cannot accumulate 2**n-sized states without limit.
         self._ideal_outputs: "collections.OrderedDict" = collections.OrderedDict()
-        # Compiled backend plans keyed by plan_cache_key (LRU, bounded).
+        # Compiled backend plans keyed by plan_cache_key (LRU, bounded).  Each
+        # entry also holds the memoized fronts (noise binding, ideal output,
+        # passes) that resolved to its plan; _fronts maps a front key to that
+        # plan key, and a front leaves the index when its plan is evicted.
         self._plan_capacity = int(plan_cache_size)
-        self._plans: "collections.OrderedDict[str, Any]" = collections.OrderedDict()
+        self._plans: "collections.OrderedDict[str, _PlanEntry]" = collections.OrderedDict()
+        self._fronts: Dict[str, str] = {}
         self._plan_hits = 0
         self._plan_misses = 0
         self._plan_evictions = 0
@@ -242,6 +269,7 @@ class Session:
             pool, self._pool = self._pool, None
             dispatcher, self._dispatcher = self._dispatcher, None
             self._plans.clear()
+            self._fronts.clear()
             self._ideal_outputs.clear()
         if dispatcher is not None:
             dispatcher.shutdown(wait=True)
@@ -376,7 +404,17 @@ class Session:
         task: SimulationTask,
         passes: Any = None,
     ):
-        """Resolve everything up front so submit() fails fast and runs pure."""
+        """Resolve everything up front so submit() fails fast and runs pure.
+
+        Returns ``(backend, circuit, task, config_hash, pass_info, lookup)``;
+        ``lookup`` holds the keyword arguments :meth:`_finish_compile` needs
+        to find (or record) this configuration's front.  The front half —
+        noise binding, ``output_state="ideal"`` and the pass pipeline — is
+        memoized beside the plan it resolved to (see :meth:`_front_key`), so
+        a repeated configuration skips straight to its cached plan.  Backend,
+        device, workers and seed are still resolved per call, and capability
+        checking and the config hash still run.
+        """
         self._check_open()
         with self._lock:
             index = self._submissions
@@ -390,19 +428,53 @@ class Session:
 
         # Noise injection consumes the task seed as its fallback; resolve it
         # *before* applying noise so the recorded seed is the one that placed
-        # the noises and a replay with result.seed reproduces the run.
-        if task.seed is None and _noise_needs_seed(noise):
-            task = dataclasses.replace(task, seed=submission_seed())
-        circuit = apply_noise(circuit, noise, seed=task.seed)
-        if isinstance(task.output_state, str) and task.output_state == "ideal":
-            if circuit_parameters(circuit):
-                raise ValidationError(
-                    "output_state='ideal' depends on the parameter values; "
-                    "substitute() the binding into the circuit first (or pass "
-                    "an explicit output state) instead of compiling unbound"
-                )
-            task = dataclasses.replace(task, output_state=self._ideal_output(circuit))
-        backend = self.backend(backend_name, circuit, **dict(backend_options or {}))
+        # the noises and a replay with result.seed reproduces the run.  A seed
+        # drawn here differs on every call, so that compile bypasses the memo
+        # (it could never repeat, and would only flush entries that can).
+        spec = canonical_noise(noise)
+        memoize = self._plan_capacity > 0
+        if spec is not None and spec.seed is None:
+            if task.seed is None:
+                task = dataclasses.replace(task, seed=submission_seed())
+                memoize = False
+            spec = spec._replace(seed=task.seed)
+        pass_config = self.passes if passes is None else PassConfig.resolve(passes)
+        options = dict(backend_options or {})
+        front = front_key = None
+        if memoize:
+            start = time.perf_counter()
+            front_key = self._front_key(
+                circuit, backend_name, spec, backend_options, task, pass_config
+            )
+            with self._lock:
+                entry = self._plans.get(self._fronts.get(front_key))
+                if entry is not None:
+                    front = entry.fronts.get(front_key)
+            lookup_seconds = time.perf_counter() - start
+        if front is None:
+            circuit = apply_noise(circuit, noise, seed=task.seed)
+            if isinstance(task.output_state, str) and task.output_state == "ideal":
+                if circuit_parameters(circuit):
+                    raise ValidationError(
+                        "output_state='ideal' depends on the parameter values; "
+                        "substitute() the binding into the circuit first (or pass "
+                        "an explicit output state) instead of compiling unbound"
+                    )
+                task = dataclasses.replace(task, output_state=self._ideal_output(circuit))
+            backend = self.backend(backend_name, circuit, **options)
+            # The optimizing passes run on the fully resolved circuit (noise
+            # bound, boundaries known) and before capability checking, so the
+            # backend validates what it will actually execute.
+            circuit, pass_info = self._optimize(circuit, pass_config, backend, task)
+            lookup = {"front_key": front_key}
+        else:
+            circuit = front.circuit
+            task = dataclasses.replace(task, output_state=front.output_state)
+            backend = get_backend(front.backend, **options)
+            # The pipeline did not run for this call: its report is the
+            # memoized one, at zero cost.
+            pass_info = {**front.pass_info, "seconds": 0.0}
+            lookup = {"plan_key": front.plan_key, "lookup_seconds": lookup_seconds}
         # Device resolution.  An explicit task device is *hard*: it must name
         # an available device (structured DeviceUnavailableError otherwise)
         # and cpu-only backends reject it below in check_supported().  The
@@ -431,14 +503,39 @@ class Session:
                     # The indirect handle, not the raw pool: reset_pool() then
                     # transparently re-routes every compiled executable.
                     task = dataclasses.replace(task, executor=self._pool_handle)
-        # The optimizing passes run on the fully resolved circuit (noise
-        # bound, boundaries known) and before capability checking, so the
-        # backend validates what it will actually execute.
-        pass_config = self.passes if passes is None else PassConfig.resolve(passes)
-        circuit, pass_info = self._optimize(circuit, pass_config, backend, task)
         backend.check_supported(circuit, task)
         config_hash = task_config_hash(backend.name, task, backend_options)
-        return backend, circuit, task, config_hash, pass_info
+        return backend, circuit, task, config_hash, pass_info, lookup
+
+    def _front_key(
+        self,
+        circuit: Circuit,
+        backend_name: str,
+        spec: NoiseSpec | None,
+        backend_options: Mapping[str, Any] | None,
+        task: SimulationTask,
+        pass_config: PassConfig,
+    ) -> str:
+        """Identity of a compile's front half, from its *unresolved* inputs.
+
+        Covers everything the front half and the resolutions after it read:
+        the input circuit's fingerprint, the canonical noise spec with its
+        resolved injection seed, the requested backend (``"auto"`` stays
+        ``"auto"``) and its options, the boundary states as passed
+        (``"ideal"`` is the string), the bond ceiling, the pass config, the
+        task and session devices and the pooled bit.  Built on the payload
+        :func:`~repro.api.result.task_config_hash` and
+        :func:`~repro.api.executable.plan_cache_key` share.
+        """
+        payload = structural_config_payload(backend_name, task, backend_options)
+        payload.update(
+            circuit=circuit.fingerprint(),
+            noise=spec,
+            passes=pass_config.to_dict(),
+            session_device=self.device,
+            pooled=task.workers is not None and task.workers > 1,
+        )
+        return hash_payload(payload)
 
     def _optimize(self, circuit: Circuit, config: PassConfig, backend, task):
         """Run the optimizing pass pipeline; returns (circuit, pass report).
@@ -534,27 +631,38 @@ class Session:
         *optimized* circuit, so pass-on and pass-off compiles of one circuit
         never collide).
 
+        A repeat of the same inputs (circuit, pinned noise, backend and
+        options, boundary states, passes, device, pooled regime) skips the
+        noise binding, ``"ideal"`` resolution and pass pipeline too: the
+        memoized front maps them straight to the optimized circuit and its
+        cached plan, bit-identical to compiling from cold.  The returned
+        ``compile_seconds`` is the plan search on a miss and the measured
+        lookup cost on a hit.
+
         The returned handle executes any number of times at pure execution
         cost::
 
             executable = session.compile(circuit, backend="tn")
             results = [executable.run() for _ in range(1000)]   # no re-planning
 
-        One caveat: a noise mapping without a pinned ``"seed"`` draws a fresh
-        injection seed per call, which is a *genuinely different* noisy
-        structure every time — pin the noise seed (or pre-bind the noise into
-        the circuit) when the same structure should be served repeatedly.
+        One caveat: a noise mapping without a pinned ``"seed"`` (and no task
+        ``seed`` to fall back on) draws a fresh injection seed per call,
+        which is a *genuinely different* noisy structure every time, so such
+        a compile bypasses the front memo — pin the noise seed (or pre-bind
+        the noise into the circuit) when the same structure should be served
+        repeatedly.  A malformed noise mapping raises
+        :class:`~repro.utils.validation.ValidationError`.
         """
         built = self._build_task(
             task=task, level=level, samples=samples, seed=seed, workers=workers,
             input_state=input_state, output_state=output_state,
             keep_samples=keep_samples, max_bond_dim=max_bond_dim, device=device,
         )
-        resolved, circuit, built, config_hash, pass_info = self._prepare(
+        resolved, circuit, built, config_hash, pass_info, lookup = self._prepare(
             circuit, backend, noise, backend_options, built, passes
         )
         return self._finish_compile(
-            resolved, circuit, built, backend_options, config_hash, pass_info
+            resolved, circuit, built, backend_options, config_hash, pass_info, **lookup
         )
 
     def _finish_compile(
@@ -565,8 +673,17 @@ class Session:
         backend_options: Mapping[str, Any] | None,
         config_hash: str,
         pass_info: Mapping[str, Any] | None = None,
+        *,
+        plan_key: str | None = None,
+        front_key: str | None = None,
+        lookup_seconds: float = 0.0,
     ) -> Executable:
         """Plan-cache lookup, in-flight deduplication, backend plan search.
+
+        ``plan_key`` comes from a memoized front (the optimized circuit is
+        then not fingerprinted again) and ``lookup_seconds`` is what finding
+        that front cost; ``front_key`` names a front computed for this call,
+        which is recorded on the plan entry the call resolves to.
 
         Concurrent compiles of one ``plan_cache_key`` deduplicate: the first
         caller (the *owner*) performs the backend's plan search outside the
@@ -576,7 +693,8 @@ class Session:
         the in-flight entry, so a failed compile never poisons the key: the
         next caller simply compiles again.
         """
-        key = plan_cache_key(resolved.name, circuit, built, backend_options)
+        start = time.perf_counter()
+        key = plan_key or plan_cache_key(resolved.name, circuit, built, backend_options)
         owner_future: Future | None = None
         wait_future: Future | None = None
         cache_hit = False
@@ -585,7 +703,7 @@ class Session:
         with self._lock:
             if key in self._plans:
                 self._plans.move_to_end(key)
-                plan = self._plans[key]
+                plan = self._plans[key].plan
                 self._plan_hits += 1
                 cache_hit = True
             elif self._plan_capacity > 0 and key in self._inflight:
@@ -597,7 +715,8 @@ class Session:
                 if self._plan_capacity > 0:
                     owner_future = Future()
                     self._inflight[key] = owner_future
-        compile_seconds = 0.0
+        # A hit reports what finding the plan cost (front and plan lookups).
+        compile_seconds = lookup_seconds + time.perf_counter() - start
         if wait_future is not None:
             # Coalesced: block until the owner's plan search resolves.  The
             # wait is this caller's compile share; an owner failure re-raises
@@ -630,18 +749,25 @@ class Session:
             if self._plan_capacity > 0:
                 with self._lock:
                     if not self._closed:
-                        self._plans[key] = plan
-                        self._plans.move_to_end(key)
+                        self._plans[key] = _PlanEntry(plan)
                         while len(self._plans) > self._plan_capacity:
-                            self._plans.popitem(last=False)
+                            _, evicted = self._plans.popitem(last=False)
+                            for evicted_front in evicted.fronts:
+                                self._fronts.pop(evicted_front, None)
                             self._plan_evictions += 1
                     self._inflight.pop(key, None)
                 if owner_future is not None:
                     owner_future.set_result(plan)
+        if front_key is not None:
+            self._remember_front(front_key, key, _Front(
+                circuit.copy(), pass_info, built.output_state, resolved.name, key
+            ))
         return Executable(
             session=self,
             backend=resolved,
-            circuit=circuit,
+            # Every executable owns its circuit: mutating one never reaches
+            # the memo or another executable.
+            circuit=circuit.copy(),
             task=built,
             backend_options=backend_options,
             config_hash=config_hash,
@@ -652,6 +778,23 @@ class Session:
             pass_info=pass_info,
             coalesced=coalesced,
         )
+
+    #: Fronts one plan entry keeps (distinct front keys rarely share a plan;
+    #: the bound stops a pathological stream of them from growing one entry).
+    _FRONTS_PER_PLAN = 8
+
+    def _remember_front(self, front_key: str, plan_key: str, front: _Front) -> None:
+        """Record ``front`` beside its plan entry (dropped if the plan is gone)."""
+        with self._lock:
+            entry = self._plans.get(plan_key)
+            if entry is None:
+                return
+            entry.fronts[front_key] = front
+            self._fronts[front_key] = plan_key
+            while len(entry.fronts) > self._FRONTS_PER_PLAN:
+                oldest = next(iter(entry.fronts))
+                del entry.fronts[oldest]
+                self._fronts.pop(oldest, None)
 
     def cache_stats(self) -> Dict[str, int]:
         """Plan-cache counters: hits, misses, coalesced, evictions, size, capacity.
@@ -766,14 +909,15 @@ class Session:
             input_state=input_state, output_state=output_state,
             keep_samples=keep_samples, max_bond_dim=max_bond_dim, device=device,
         )
-        resolved, circuit, built, config_hash, pass_info = self._prepare(
+        resolved, circuit, built, config_hash, pass_info, lookup = self._prepare(
             circuit, backend, noise, backend_options, built, passes
         )
 
         def execute() -> SimulationResult:
             return one_shot_result(
                 self._finish_compile(
-                    resolved, circuit, built, backend_options, config_hash, pass_info
+                    resolved, circuit, built, backend_options, config_hash, pass_info,
+                    **lookup,
                 )
             )
 

@@ -279,7 +279,8 @@ class TestOneShotBilling:
             billed = one_shot_result(executable)
             assert billed.elapsed_seconds >= executable.compile_seconds
             hit = session.compile(noisy_circuit, backend="tn")
-            assert hit.compile_seconds == 0.0
+            # a hit reports its measured lookup cost, far below the plan search
+            assert 0.0 < hit.compile_seconds < executable.compile_seconds
             served = one_shot_result(hit)
             assert served.cache_hit and served.value == billed.value
 

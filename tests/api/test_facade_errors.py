@@ -82,6 +82,26 @@ class TestFacadeErrors:
         with pytest.raises(ValidationError, match="unknown noise channel"):
             simulate(ghz_circuit(2), noise={"channel": "cosmic_rays", "count": 1})
 
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            {"count": "x"},
+            {"count": 2.7},
+            {"count": 1, "parameter": "p"},
+            {"count": 1, "parameter": float("nan")},
+            {"count": 1, "seed": "abc"},
+            {"count": 1, "seed": 1.5},
+            {"count": 1, "seed": -1},
+        ],
+        ids=["count-str", "count-fraction", "parameter-str", "parameter-nan",
+             "seed-str", "seed-fraction", "seed-negative"],
+    )
+    def test_malformed_noise_mapping_is_a_validation_error(self, noise):
+        # never a bare ValueError/TypeError, and never a silent truncation
+        with Session() as session:
+            with pytest.raises(ValidationError, match="noise '(count|parameter|seed)'"):
+                session.compile(ghz_circuit(2), "tn", noise=noise)
+
     def test_samples_for_precision_rejects_deterministic_backend(self, noisy_circuit):
         with Session() as session:
             with pytest.raises(ValidationError, match="not stochastic"):

@@ -142,6 +142,7 @@ def test_rule_floors_apply_to_named_benches():
     assert rule.floor == 5.0
     assert rule_for("compile_amortization", "aggregate_speedup").floor == 1.5
     assert rule_for("term_replay", "aggregate_speedup").floor == 5.0
+    assert rule_for("hit_path", "aggregate_speedup").floor == 0.67
     assert rule_for("other_bench", "aggregate_speedup").floor is None
     assert rule_for("serving_throughput", "req_per_s_c4").ratio == 0.2
     assert rule_for("unknown", "unknown_metric") == MetricRule()

@@ -90,6 +90,25 @@ class TestErrorsOnTheWire:
         assert status == 400
         assert payload["error"]["kind"] == "validation_error"
 
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            {"count": "x"},
+            {"count": 2.7},
+            {"count": 1, "parameter": "p"},
+            {"count": 1, "seed": "abc"},
+            {"count": 1, "seed": 1.5},
+        ],
+        ids=["count-str", "count-fraction", "parameter-str", "seed-str", "seed-fraction"],
+    )
+    def test_malformed_noise_400(self, bg_server, noise):
+        status, payload = bg_server.request(
+            {"circuit": "ghz_8", "backend": "tn", "noise": noise}
+        )
+        assert status == 400
+        assert payload["status"] == "invalid"
+        assert payload["error"]["kind"] == "validation_error"
+
     def test_timeout_504(self, bg_server):
         status, payload = bg_server.request(
             {"circuit": "qft_10", "backend": "tn", "timeout": 1e-6}
