@@ -3,17 +3,27 @@
 Replaces the per-sample Python loop of the quantum-trajectories method with
 two batched hot paths:
 
-* **statevector** — a whole ``(batch, 2**n)`` array of trajectory states is
-  evolved at once; gates are applied with one einsum-style ``tensordot`` per
-  gate over the entire batch, and Kraus operators are drawn with their exact
-  Born probabilities for all trajectories simultaneously.
+* **statevector** — a slab of trajectories is evolved as one ``(G, 2**n)``
+  array holding a single state per *distinct Kraus history* so far (at the
+  paper's noise rates almost all trajectories share a history, so G stays
+  far below the slab size), plus a sample → group index.  Gates are applied
+  with one einsum-style ``tensordot`` per gate over the G states; at a
+  channel the exact Born probabilities are computed once per group, every
+  trajectory draws from its group's cdf with its own uniform, and the groups
+  split by (group, branch).  The final overlaps are gathered back to the
+  samples.
 * **tn** — the amplitude network of a trajectory has the same topology for
   every sample (only the sampled Kraus tensor *values* change), so the node /
   edge construction and the greedy contraction-ordering work are done once on
-  a template; every trajectory of a block is an index row of drawn Kraus
-  operators, and all rows replay it in one batched pass through
+  a template; every distinct trajectory of a block is an index row of drawn
+  Kraus operators, all of them replay it in one batched pass through
   :meth:`repro.tensornetwork.plan.SpecializedPlan.execute_rows`
-  (state-independent Kraus sampling with importance weights).
+  (state-independent Kraus sampling with importance weights), and samples
+  gather their row's amplitude.
+
+Grouping never changes which Kraus operators a sample draws: the per-sample
+values (to fp rounding), the estimator and its standard error are those of a
+one-state-per-sample evolution, and only the wall time falls.
 
 Samples are split into fixed-size blocks of :data:`RNG_BLOCK` trajectories
 and block ``b`` draws one uniform per (sample, channel), sample-major, from
@@ -27,10 +37,10 @@ is the plain seeded stream.)
 Both hot paths dispatch their dense math through an
 :class:`repro.xp.ArrayNamespace` (``device=`` on the constructor).  Gate and
 Kraus tensors are transferred once per prepared context and cached per
-namespace; the per-slab result buffer comes from the namespace ``workspace``
-cache; sampling decisions (Born probabilities, cdfs, choices) run on the host
-from small transferred weight vectors, so the same uniforms produce the same
-trajectories on every device.
+namespace; the slab-sized group-state buffer comes from the namespace
+``workspace`` cache; sampling decisions (Born probabilities, cdfs, choices)
+run on the host from small transferred weight vectors, so the same uniforms
+produce the same trajectories on every device.
 """
 
 from __future__ import annotations
@@ -114,6 +124,18 @@ def _searchsorted_rows(cdf_rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray
     return np.minimum(
         (cdf_rows <= uniforms[:, None]).sum(axis=1), cdf_rows.shape[1] - 1
     )
+
+
+def _regroup(group: np.ndarray, choice: np.ndarray, num_branches: int):
+    """Split sample groups by their drawn branch; returns ``(keys, group)``.
+
+    Samples share a group while their Kraus histories agree.  Each new group
+    is keyed ``parent * num_branches + branch`` (``keys`` is sorted) and the
+    returned ``group`` maps every sample to its new group's position.  The
+    1-D key keeps this a cheap 1-D ``np.unique`` per channel, where grouping
+    whole history rows (``np.unique(..., axis=0)``) costs ~20x more.
+    """
+    return np.unique(group * num_branches + choice, return_inverse=True)
 
 
 @dataclass
@@ -267,8 +289,9 @@ class _TrajectoryContext:
 
         Transferred once per namespace and cached: per-slab replays then touch
         the host only for the small Born-weight vectors.  ``op_tensors`` holds
-        one reshaped gate tensor per gate instruction and the
-        :meth:`kraus_factors` tuple per noise instruction, in circuit order.
+        one reshaped gate tensor per gate instruction and the stacked
+        :meth:`kraus_factors` (one leading branch axis) per noise
+        instruction, in circuit order.
         """
         cached = self._device_cache.get(xp.name)
         if cached is None:
@@ -276,7 +299,7 @@ class _TrajectoryContext:
             op_tensors = [
                 xp.asarray(_node_tensor(inst.operation.matrix, inst.qubits))
                 if inst.is_gate
-                else next(kraus)
+                else xp.stack(next(kraus))
                 for inst in self.circuit
             ]
             cached = (xp.asarray(self.psi0), xp.asarray(self.v.conj()), op_tensors)
@@ -307,10 +330,11 @@ class BatchedTrajectoryEngine:
         self.device = device
         self._xp = get_namespace(device or "cpu")
         self.max_intermediate_size = max_intermediate_size
-        #: Cap on ``batch × 2**n`` entries evolved at once (statevector path).
-        #: The default keeps each batched array around 1 MB, which measures
-        #: faster than huge slabs (cache locality) while still amortising the
-        #: per-op numpy overhead over ≥128 trajectories at 9 qubits.
+        #: Cap on ``slab × 2**n`` entries (statevector path), where a slab of
+        #: trajectories holds at most one group state per trajectory.  The
+        #: default keeps each batched array around 1 MB, which measures faster
+        #: than huge slabs (cache locality) while still amortising the per-op
+        #: numpy overhead over ≤128 distinct histories at 9 qubits.
         self.max_batch_entries = int(max_batch_entries)
 
     # ------------------------------------------------------------------
@@ -425,10 +449,12 @@ class BatchedTrajectoryEngine:
     # Scheduling helpers
     # ------------------------------------------------------------------
     def _slab_size(self, num_qubits: int) -> int:
-        # A floor of 4 keeps some batching for wide circuits, but Kraus
-        # sampling holds all K branches of a slab at once, so above 2**20
-        # amplitudes per state the floor drops to 1 to keep the peak memory
-        # profile of the per-sample loop (~6 state-sized arrays, not 6×slab).
+        # Samples per statevector pass; the pass holds at most one group
+        # state per sample.  A floor of 4 keeps some batching for wide
+        # circuits, but Kraus sampling holds all K branches of up to a slab of
+        # group states at once, so above 2**20 amplitudes per state the floor
+        # drops to 1 to keep the peak memory profile of the per-sample loop
+        # (~6 state-sized arrays, not 6×slab).
         dim = 2**num_qubits
         floor = 4 if dim <= 2**20 else 1
         return max(floor, self.max_batch_entries // dim)
@@ -553,14 +579,14 @@ class BatchedTrajectoryEngine:
         slab = self._slab_size(n)
         for start in range(0, num_samples, slab):
             stop = min(start + slab, num_samples)
-            batch = stop - start
-            # Between gates the state lives as a (batch, 2, …, 2) tensor whose
+            # One state per distinct Kraus history so far (a single psi0 row
+            # before the first channel); ``group`` maps each sample to its row.
+            # Between gates the states live as a (groups, 2, …, 2) tensor whose
             # axes may be a lazy transpose view: the next tensordot reorders
             # internally anyway, so forcing contiguity per gate would only add
             # a full copy.  Contiguity is restored at sampling points.
-            tensor = xp.reshape(
-                xp.repeat(xp.reshape(psi0, (1, -1)), batch, axis=0), [batch] + [2] * n
-            )
+            tensor = xp.reshape(psi0, [1] + [2] * n)
+            group = np.zeros(stop - start, dtype=np.intp)
             channel = 0
             for position, inst in enumerate(context.circuit):
                 if inst.is_gate:
@@ -568,67 +594,61 @@ class BatchedTrajectoryEngine:
                         tensor, op_tensors[position], inst.qubits, n, xp
                     )
                 else:
-                    tensor = self._sample_kraus_batched(
-                        tensor, op_tensors[position], inst, n,
-                        uniforms[start:stop, channel], xp,
+                    tensor, group = self._sample_kraus(
+                        tensor, group, op_tensors[position], inst, n,
+                        uniforms[start:stop, channel], slab, xp,
                     )
                     channel += 1
-            states = xp.reshape(xp.ascontiguousarray(tensor), (batch, -1))
-            values[start:stop] = np.abs(xp.to_host(xp.matmul(states, v_conj))) ** 2
+            states = xp.reshape(xp.ascontiguousarray(tensor), (tensor.shape[0], -1))
+            values[start:stop] = (np.abs(xp.to_host(xp.matmul(states, v_conj))) ** 2)[group]
         return values
 
     @staticmethod
-    def _sample_kraus_batched(tensor, kraus_tensors, inst, num_qubits, uniforms, xp):
+    def _sample_kraus(tensor, group, kraus_tensors, inst, num_qubits, uniforms, slab, xp):
         """Draw one Kraus operator per trajectory with exact Born probabilities.
 
-        Works directly on the batched state tensor: each Kraus branch is one
-        ``tensordot`` whose raw (un-transposed) output is contiguous, so the
-        per-branch Born weights ``‖E_k|ψ⟩‖²`` come from a single float-view
-        einsum pass with no conjugate temporaries, and only the *chosen*
-        branch of each trajectory is ever copied back into standard axis
-        order.  Only the (batch,)-sized weight vectors cross back to the host
-        for the sampling decision; state tensors stay on the device.
+        ``tensor`` holds one state per group of trajectories that share their
+        Kraus history so far, and ``group`` maps each trajectory to its row.
+        All K branches come from one ``tensordot`` of the stacked Kraus
+        operators over the groups, whose raw (un-transposed) output is
+        contiguous, so the (groups, K) Born weights ``‖E_k|ψ_g⟩‖²`` come from
+        a single float-view einsum pass with no conjugate temporaries.  Every
+        trajectory then draws from its group's cdf row with its own uniform,
+        the groups split by (group, branch), and only each new group's branch
+        is copied back into standard axis order.  Only the small weight
+        vectors cross back to the host for the sampling decision; state
+        tensors stay on the device.  Returns the new ``(tensor, group)``.
         """
         qubits = [int(q) for q in inst.qubits]
         k = len(qubits)
         axes = [q + 1 for q in qubits]
-        batch = tensor.shape[0]
-        weights = []
-        raws = []
-        for gate_tensor in kraus_tensors:
-            # Raw axes: k gate-output axes, then batch, then the spectators.
-            raw = xp.tensordot(gate_tensor, tensor, axes=(list(range(k, 2 * k)), axes))
-            floats = xp.view_real(xp.reshape(raw, (2**k, batch, -1)))
-            weights.append(xp.to_host(xp.einsum("asd,asd->s", floats, floats)))
-            raws.append(raw)
-        order = list(axes) + [ax for ax in range(num_qubits + 1) if ax not in axes]
-        inverse = np.argsort(order)
-        # Selection gathers only each trajectory's chosen branch through a
-        # lazy transpose view — no branch is materialised in full.
-        flats = [xp.transpose(raw, inverse) for raw in raws]
-
-        probabilities = np.stack(weights, axis=1)
+        num_branches, rows = kraus_tensors.shape[0], tensor.shape[0]
+        # Raw axes: branch, k gate-output axes, then groups, then spectators.
+        raw = xp.tensordot(kraus_tensors, tensor, axes=(list(range(k + 1, 2 * k + 1)), axes))
+        floats = xp.view_real(xp.reshape(raw, (num_branches, 2**k, rows, -1)))
+        probabilities = xp.to_host(xp.einsum("basd,basd->sb", floats, floats))
         totals = probabilities.sum(axis=1)
         if np.any(totals <= 0):
             raise ValidationError("trajectory collapsed to zero norm (invalid channel?)")
         probabilities = probabilities / totals[:, None]
         cdf = np.cumsum(probabilities, axis=1)
         cdf = cdf / cdf[:, -1:]
-        chosen_index = _searchsorted_rows(cdf, uniforms)
-        # The result buffer comes from the namespace workspace cache, so every
-        # channel and slab of a run reuses one allocation per batch size.
-        # Overwriting it here is safe: all reads of the previous state tensor
-        # happened in the tensordots above, and the masks partition the batch,
-        # so the buffer is fully overwritten before anything reads it.
-        chosen = xp.workspace((batch, 2**num_qubits), tag="kraus_chosen")
-        for index, flat in enumerate(flats):
-            mask = chosen_index == index
-            if mask.any():
-                chosen[mask] = flat[mask].reshape(-1, 2**num_qubits)
+        keys, group = _regroup(group, _searchsorted_rows(cdf[group], uniforms), num_branches)
+        parents, branches = np.divmod(keys, num_branches)
+        # Selection gathers only each new group's branch through a lazy
+        # transpose view — no branch is materialised in full.
+        order = list(axes) + [ax for ax in range(num_qubits + 1) if ax not in axes]
+        flat = xp.transpose(raw, [0] + [1 + ax for ax in np.argsort(order)])
+        # The result rows come from one slab-sized workspace buffer (keyed by
+        # the slab, never by the group count, so every channel and slab of a
+        # run reuses one allocation).  Overwriting it here is safe: all reads
+        # of the previous state tensor happened in the tensordot above.
+        chosen = xp.workspace((slab, 2**num_qubits), tag="kraus_chosen")[: keys.size]
+        chosen[:] = flat[branches, parents].reshape(keys.size, -1)
         floats = xp.view_real(chosen)
         norms = xp.sqrt(xp.einsum("bd,bd->b", floats, floats))
-        chosen = xp.idivide(chosen, xp.reshape(norms, (batch, 1)))
-        return xp.reshape(chosen, (batch,) + (2,) * num_qubits)
+        chosen = xp.idivide(chosen, xp.reshape(norms, (keys.size, 1)))
+        return xp.reshape(chosen, (keys.size,) + (2,) * num_qubits), group
 
     def _run_tn(self, context: _TrajectoryContext, uniforms: np.ndarray) -> np.ndarray:
         num_samples = uniforms.shape[0]
@@ -640,22 +660,28 @@ class BatchedTrajectoryEngine:
             return np.full(num_samples, value)
 
         # Draw all Kraus choices channel-by-channel (same uniforms as the
-        # per-sample loop would consume) and accumulate importance weights in
-        # channel order, matching the loop's sequential division exactly.
+        # per-sample loop would consume), accumulate importance weights in
+        # channel order, matching the loop's sequential division exactly, and
+        # group the samples by their Kraus history as it grows.
         choices = np.empty((num_samples, context.num_channels), dtype=int)
         weights = np.ones(num_samples)
+        group = np.zeros(num_samples, dtype=np.intp)
         for channel, cdf in enumerate(context.q_cdfs):
             choices[:, channel] = np.searchsorted(cdf, uniforms[:, channel], side="right")
             np.clip(choices[:, channel], 0, len(cdf) - 1, out=choices[:, channel])
             weights /= context.q_dists[channel][choices[:, channel]]
-
-        # A sample is an index row (its drawn Kraus operator per channel); all
-        # rows replay the specialized plan in one batched pass.  On a device
-        # the candidate Kraus tensors and the baked intermediates are resident.
+            keys, group = _regroup(group, choices[:, channel], len(cdf))
+        # An index row (a drawn Kraus operator per channel) per distinct
+        # history replays the specialized plan in one batched pass; samples
+        # gather their group's amplitude (a group's samples all hold its row,
+        # so the scatter below is order-free).  On a device the candidate
+        # Kraus tensors and the baked intermediates are resident.
+        rows = np.empty((keys.size, context.num_channels), dtype=int)
+        rows[group] = choices
         dispatch = None if self._xp.device == "cpu" else self._xp
         amplitudes = context.specialized.execute_rows(
-            context.kraus_factors(dispatch), choices, xp=dispatch
-        )
+            context.kraus_factors(dispatch), rows, xp=dispatch
+        )[group]
         # hypot then pow are the libm calls of Python's abs(amplitude) ** 2
         # (numpy's SIMD abs and square round differently in the last ulp), so
         # the weighting adds no rounding change to the batched replay's.

@@ -20,8 +20,8 @@ Two backends are provided, matching the paper's Table III:
 Both run in the batched engine
 (:class:`repro.backends.engine.BatchedTrajectoryEngine`, or
 ``Session.run(circuit, "trajectories" | "trajectories_tn", ...)``), which
-evolves whole batches of trajectories at once and draws them from fixed-size
-seeded RNG blocks, so estimates are identical for every worker count and
+simulates each distinct Kraus history of a batch of trajectories once and
+draws them from fixed-size seeded RNG blocks, so estimates are identical for every worker count and
 device.  This module holds what the engine and the session layer share: the
 :class:`TrajectoryResult` record and the :func:`required_samples` pilot math.
 """

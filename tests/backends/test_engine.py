@@ -8,19 +8,32 @@ Covers the two guarantees the engine makes:
    (:mod:`benchmarks.reference_loops`).
 2. The result depends only on the seed — never on ``workers`` (``None``,
    ``1`` or a process pool) — thanks to fixed-size per-block RNG streams.
+
+Both paths evolve (statevector) or replay (tn) each distinct Kraus history of
+a slab once and copy its value to every sample sharing it; the oracle tests
+at the end pin that grouping on a many-duplicates and a two-qubit-Kraus case.
 """
 
 import numpy as np
 import pytest
 
 from benchmarks.reference_loops import reference_statevector_loop, reference_tn_loop
+from repro.backends import engine as engine_module
 from repro.backends.engine import RNG_BLOCK, BatchedTrajectoryEngine, apply_matrix_batched
-from repro.circuits.library import ghz_circuit, random_circuit
-from repro.noise import NoiseModel, amplitude_damping_channel, depolarizing_channel
+from repro.circuits.circuit import Circuit
+from repro.circuits.library import ghz_circuit, qaoa_circuit, random_circuit
+from repro.noise import (
+    KrausChannel,
+    NoiseModel,
+    amplitude_damping_channel,
+    depolarizing_channel,
+    two_qubit_depolarizing_channel,
+)
 from repro.simulators import DensityMatrixSimulator
 from repro.simulators.statevector import apply_matrix
 from repro.utils import zero_state
 from repro.utils.validation import ValidationError
+from repro.xp import get_namespace
 
 
 @pytest.fixture(scope="module")
@@ -170,3 +183,105 @@ class TestBatchedApply:
     def test_apply_matrix_batched_bad_shape(self):
         with pytest.raises(ValidationError):
             apply_matrix_batched(np.zeros((2, 4), complex), np.eye(4), (0,), 2)
+
+
+# -- Distinct Kraus histories --------------------------------------------------
+
+
+def _qaoa9(probability):
+    ideal = qaoa_circuit(9, seed=3, native_gates=False)
+    return NoiseModel(depolarizing_channel(probability), seed=5).insert_random(ideal, 8)
+
+
+def _two_qubit_kraus_circuit():
+    # A state-dependent two-qubit channel (amplitude damping on both qubits)
+    # on a non-adjacent, reversed pair, plus a two-qubit depolarizing channel.
+    damping = amplitude_damping_channel(0.3).kraus_operators
+    damping2 = KrausChannel([np.kron(a, b) for a in damping for b in damping], name="damping2")
+    noisy = Circuit(4, name="two_qubit_kraus")
+    for position, inst in enumerate(random_circuit(4, 12, rng=2)):
+        noisy.append(inst.operation, inst.qubits)
+        if position % 5 == 1:
+            noisy.append(damping2, (3, 1))
+        elif position % 5 == 3:
+            noisy.append(two_qubit_depolarizing_channel(0.2), (0, 2))
+    return noisy
+
+
+# (circuit factory, statevector samples, tn samples): the low-noise qaoa_9
+# case spans 8 RNG blocks on the statevector path (the per-sample tn loop is
+# ~15 ms a sample, so its oracle run stays at two blocks).
+ORACLE_CASES = {
+    "qaoa9_p0.001": (lambda: _qaoa9(0.001), 2000, RNG_BLOCK + 44),
+    "two_qubit_kraus": (_two_qubit_kraus_circuit, 600, 600),
+}
+REFERENCE_LOOPS = {"statevector": reference_statevector_loop, "tn": reference_tn_loop}
+
+
+@pytest.fixture(scope="module")
+def oracle_case(request):
+    build, sv_samples, tn_samples = ORACLE_CASES[request.param]
+    return build(), {"statevector": sv_samples, "tn": tn_samples}
+
+
+@pytest.mark.parametrize("oracle_case", sorted(ORACLE_CASES), indirect=True)
+@pytest.mark.parametrize("backend", ["statevector", "tn"])
+def test_grouped_histories_match_per_sample_loop(oracle_case, backend):
+    circuit, samples = oracle_case
+    reference = REFERENCE_LOOPS[backend](circuit, samples[backend], 1)
+    engine = BatchedTrajectoryEngine(backend)
+    for workers in (None, 1, 2):
+        result = engine.estimate_fidelity(
+            circuit, samples[backend], rng=1, keep_samples=True, workers=workers
+        )
+        np.testing.assert_allclose(np.array(result.samples), reference, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("oracle_case", sorted(ORACLE_CASES), indirect=True)
+@pytest.mark.parametrize("backend", ["statevector", "tn"])
+def test_grouped_histories_fake_gpu_equals_cpu(oracle_case, backend):
+    circuit, samples = oracle_case
+    kept = [
+        BatchedTrajectoryEngine(backend, device=device).estimate_fidelity(
+            circuit, samples[backend], rng=4, keep_samples=True
+        ).samples
+        for device in ("cpu", "fake_gpu")
+    ]
+    assert kept[0] == kept[1]
+
+
+def _gate_batches(monkeypatch, circuit):
+    batches = []
+    apply = engine_module._apply_gate_tensor
+
+    def spy(tensor, *args):
+        batches.append(tensor.shape[0])
+        return apply(tensor, *args)
+
+    monkeypatch.setattr(engine_module, "_apply_gate_tensor", spy)
+    engine = BatchedTrajectoryEngine("statevector")
+    engine.estimate_fidelity(circuit, 2000, rng=1, workers=1)
+    return batches, engine._slab_size(circuit.num_qubits)
+
+
+def test_gates_act_on_fewer_states_than_the_slab_at_low_noise(monkeypatch):
+    batches, slab = _gate_batches(monkeypatch, _qaoa9(0.001))
+    assert batches and max(batches) < slab
+
+
+def test_gates_never_act_on_more_states_than_the_slab_at_high_noise(monkeypatch):
+    batches, slab = _gate_batches(monkeypatch, _qaoa9(0.1))
+    assert batches and max(batches) <= slab
+
+
+def test_group_states_reuse_one_slab_buffer():
+    # The group-state buffer is keyed by the slab, not by the group count,
+    # so a high-noise run (many group counts) evicts nothing from the
+    # per-thread workspace LRU it shares with plan replay.
+    xp = get_namespace("cpu")
+    xp.workspace_clear()
+    engine = BatchedTrajectoryEngine("statevector")
+    circuit = _qaoa9(0.1)
+    for seed in range(3):
+        engine.estimate_fidelity(circuit, 2000, rng=seed, workers=1)
+    assert xp.workspace_stats()["evictions"] == 0

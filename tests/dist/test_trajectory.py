@@ -143,6 +143,7 @@ def test_rule_floors_apply_to_named_benches():
     assert rule_for("compile_amortization", "aggregate_speedup").floor == 1.5
     assert rule_for("term_replay", "aggregate_speedup").floor == 5.0
     assert rule_for("hit_path", "aggregate_speedup").floor == 0.67
+    assert rule_for("engine_speedup", "aggregate_speedup").floor == 25.0
     assert rule_for("other_bench", "aggregate_speedup").floor is None
     assert rule_for("serving_throughput", "req_per_s_c4").ratio == 0.2
     assert rule_for("unknown", "unknown_metric") == MetricRule()
@@ -163,4 +164,14 @@ def test_checked_in_trajectory_parses_and_covers_all_benches():
 
     rows = load_trajectory(Path(__file__).resolve().parents[2] / "benchmarks" / "trajectory.jsonl")
     benches = {row["bench"] for row in rows}
-    assert {"compile_amortization", "bind_amortization", "serving_throughput", "term_replay"} <= benches
+    assert {
+        "compile_amortization",
+        "bind_amortization",
+        "serving_throughput",
+        "term_replay",
+        "engine_speedup",
+    } <= benches
+    # Every floored claim held when its baseline was recorded.
+    for (bench, metric), row in latest(rows).items():
+        floor = rule_for(bench, metric).floor
+        assert floor is None or row["value"] >= floor, (bench, metric)
