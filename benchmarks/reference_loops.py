@@ -1,25 +1,33 @@
-"""Per-sample trajectory loops, kept as a test/benchmark oracle.
+"""Straightforward reference loops, kept as test/benchmark oracles.
 
-These are straightforward one-trajectory-at-a-time implementations of the two
-trajectory estimators.  They draw their Kraus choices from the engine's RNG
-schedule — block ``b`` of :data:`~repro.backends.engine.RNG_BLOCK` samples
-uses ``default_rng([seed, b])``, one uniform per (sample, channel) in
-sample-major order — so the batched engine must reproduce their values for
-the same integer seed.  Both the equivalence tests
-(``tests/backends/test_engine.py``) and the speedup benchmark
-(``benchmarks/bench_engine_speedup.py``) measure against this single shared
-reference rather than maintaining separate copies.
+The per-sample trajectory loops are one-trajectory-at-a-time
+implementations of the two trajectory estimators.  They draw their Kraus
+choices from the engine's RNG schedule — block ``b`` of
+:data:`~repro.backends.engine.RNG_BLOCK` samples uses ``default_rng([seed,
+b])``, one uniform per (sample, channel) in sample-major order — so the
+batched engine must reproduce their values for the same integer seed.  Both
+the equivalence tests (``tests/backends/test_engine.py``) and the speedup
+benchmark (``benchmarks/bench_engine_speedup.py``) measure against this
+single shared reference rather than maintaining separate copies.
+
+The parameter-shift loop is the two-runs-per-gate-occurrence gradient that
+``benchmarks/bench_gradient.py`` times against the ``tn`` environment sweep
+of :meth:`repro.api.Executable.gradient`.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.backends.engine import RNG_BLOCK
+from repro.circuits.circuit import Circuit
+from repro.circuits.parameters import circuit_parameters, substitute
 from repro.simulators.statevector import apply_matrix
 from repro.tensornetwork.circuit_to_tn import dense_product_state, operator_amplitude_network
 
-__all__ = ["reference_statevector_loop", "reference_tn_loop"]
+__all__ = ["reference_shift_gradient", "reference_statevector_loop", "reference_tn_loop"]
 
 
 def _block_streams(num_samples, seed):
@@ -82,3 +90,32 @@ def reference_tn_loop(circuit, num_samples, seed):
         )
         values.append(float(abs(network.contract_to_scalar()) ** 2) * weight)
     return np.array(values)
+
+
+def reference_shift_gradient(backend, circuit, task, plan, params):
+    """Two-term parameter-shift gradient of ``backend.run(bound circuit).value``.
+
+    ``circuit`` is a noise-bound parametric circuit and ``plan`` what
+    ``backend.compile`` built for its structure.  Every gate occurrence whose
+    angle holds a free parameter is evaluated at ``θ ± π/2`` (its
+    post-evaluation offset, so both runs replay ``plan``), and
+    ``coeff · [f(θ+π/2) − f(θ−π/2)] / 2`` accumulates into each parameter.
+    """
+    free = circuit_parameters(circuit)
+    bound = substitute(circuit, params)
+    grad = dict.fromkeys(sorted(free), 0.0)
+    for index, inst in enumerate(circuit):
+        operation = inst.operation
+        if not getattr(operation, "is_parametric_gate", False) or not operation.free_parameters:
+            continue
+        values = []
+        for delta in (math.pi / 2, -math.pi / 2):
+            shifted = Circuit(bound.num_qubits, name=bound.name)
+            for position, other in enumerate(bound):
+                gate = other.operation.shifted(0, delta) if position == index else other.operation
+                shifted.append(gate, other.qubits)
+            values.append(backend.run(shifted, task, plan=plan).value)
+        partial = (values[0] - values[1]) / 2.0
+        for name, coeff in operation.expressions[0].terms:
+            grad[name] += coeff * partial
+    return grad

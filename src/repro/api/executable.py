@@ -37,6 +37,7 @@ from repro.backends.base import SimulationBackend, SimulationTask
 from repro.backends.engine import WorkerPoolError
 from repro.circuits.circuit import Circuit
 from repro.circuits.parameters import (
+    GATE_GENERATORS,
     UnboundParameterError,
     circuit_parameters,
     normalize_binding,
@@ -46,15 +47,16 @@ from repro.utils.validation import ValidationError
 
 __all__ = ["BoundExecutable", "Executable", "PARAMETER_SHIFT_GATES", "plan_cache_key"]
 
-#: Gates the two-term parameter-shift rule is exact for: their generator has
-#: two eigenvalues with gap 1 (in the ``exp(-i θ G / 2)`` convention), so
-#: ``∂θ f = [f(θ+π/2) − f(θ−π/2)] / 2``.  ``p``/``cp`` differ from ``rz``/a
-#: controlled ``rz`` only by a global phase, which every figure of merit the
-#: backends report is insensitive to.  ``givens``/``crz``/``fsim``/``u3``
-#: have three or more distinct generator eigenvalues (or several angles with
-#: coupled generators) and are excluded — shifting them needs a multi-term
-#: rule this helper does not implement.
-PARAMETER_SHIFT_GATES = frozenset({"rx", "ry", "rz", "p", "cp", "zzphase", "xxphase"})
+#: Gates :meth:`Executable.gradient` differentiates: the keys of
+#: :data:`~repro.circuits.parameters.GATE_GENERATORS`, whose matrices are
+#: exactly ``exp(−iθG)``.  On ``tn`` the generator gives ``dU/dθ = −i·G·U``
+#: for the environment sweep; elsewhere each ``G`` has two eigenvalues a gap
+#: of 1 apart, so the two-term rule ``∂θ f = [f(θ+π/2) − f(θ−π/2)] / 2`` is
+#: exact.  ``givens``/``crz``/``fsim``/``u3`` have three or more distinct
+#: generator eigenvalues (or several angles with coupled generators) and are
+#: excluded — shifting them needs a multi-term rule this helper does not
+#: implement.
+PARAMETER_SHIFT_GATES = frozenset(GATE_GENERATORS)
 
 
 def plan_cache_key(
@@ -372,7 +374,7 @@ parameters.Parameter` objects) to floats and must cover the free parameters
         return self._rebind(bound_circuit, normalized)
 
     # ------------------------------------------------------------------
-    # Parameter-shift gradients
+    # Gradients
     # ------------------------------------------------------------------
     def _shift_occurrences(self):
         """Every (instruction index, slot, expression) a gradient must shift.
@@ -411,25 +413,29 @@ parameters.Parameter` objects) to floats and must cover the free parameters
     def gradient(
         self, params: Mapping, observable: Any = None
     ) -> Dict[str, float]:
-        """Parameter-shift gradient of the figure of merit at ``params``.
+        """Gradient of the figure of merit at ``params``.
 
-        For every gate occurrence whose angle depends on a free parameter,
-        the exact two-term rule ``∂θ f = [f(θ+π/2) − f(θ−π/2)] / 2`` is
-        applied through the occurrence's post-evaluation angle offset
-        (:meth:`~repro.circuits.parameters.ParametricGate.shifted`), and the
-        chain rule over the linear angle expression accumulates
-        ``coeff · ∂θ f`` into each parameter's entry.  Offsets are excluded
-        from the structural fingerprint, so all ``2K`` shifted evaluations
-        replay the one compiled plan (cache hits, no plan searches).
+        Every gate occurrence whose angle depends on a free parameter gets a
+        partial derivative ``∂θ f``, and the chain rule over the linear angle
+        expression accumulates ``coeff · ∂θ f`` into each parameter's entry.
 
         With ``observable=None`` the differentiated objective is the
-        compiled task's own figure of merit — ``bind(p).run().value`` with
-        the compiled seed, evaluated concurrently via :meth:`submit`
-        batching.  With an observable (anything
-        :meth:`repro.simulators.TNSimulator.expectation` accepts) the
-        objective is that operator's expectation on the bound circuit's
-        output state; this path contracts per evaluation rather than
-        replaying the compiled plan.
+        compiled task's own figure of merit, ``bind(p).run().value`` with the
+        compiled seed.  A backend that differentiates its compiled plan
+        (:meth:`~repro.backends.base.SimulationBackend.angle_derivatives`;
+        ``tn`` does, from one forward and one reverse replay) supplies exact
+        derivatives, which agree with parameter shift to rounding (≤1e-10),
+        not bit for bit.  Every other backend applies the exact two-term rule
+        ``∂θ f = [f(θ+π/2) − f(θ−π/2)] / 2`` through each occurrence's
+        post-evaluation angle offset
+        (:meth:`~repro.circuits.parameters.ParametricGate.shifted`).  Offsets
+        are excluded from the structural fingerprint, so all ``2K`` shifted
+        evaluations replay the one compiled plan (cache hits, no plan
+        searches), submitted concurrently via :meth:`submit`.  With an
+        observable (anything :meth:`repro.simulators.TNSimulator.expectation`
+        accepts) the objective is that operator's expectation on the bound
+        circuit's output state, differentiated by parameter shift; this path
+        contracts per evaluation rather than replaying the compiled plan.
 
         Returns ``{parameter name: partial derivative}`` over the free
         parameters.
@@ -439,43 +445,42 @@ parameters.Parameter` objects) to floats and must cover the free parameters
         occurrences = self._shift_occurrences()
         bound_circuit = substitute(self._circuit, normalized)
 
-        evaluations: list = []
+        partials = None
         if observable is None:
-            futures = []
-            for index, slot, _ in occurrences:
-                for sign in (1.0, -1.0):
-                    shifted = self._shifted_circuit(
-                        bound_circuit, index, slot, sign * math.pi / 2.0
-                    )
-                    futures.append(self._rebind(shifted, normalized).submit())
-            evaluations = [future.result().value for future in futures]
-        else:
-            from repro.simulators import TNSimulator
-
-            simulator = TNSimulator()
-            for index, slot, _ in occurrences:
-                for sign in (1.0, -1.0):
-                    shifted = self._shifted_circuit(
-                        bound_circuit, index, slot, sign * math.pi / 2.0
-                    )
-                    evaluations.append(
-                        float(
-                            simulator.expectation(
-                                shifted,
-                                observable,
-                                input_state=self._task.input_state,
-                            )
-                        )
-                    )
+            partials = self._backend.angle_derivatives(
+                bound_circuit, self._task, self._plan, [index for index, _, _ in occurrences]
+            )
+        if partials is None:
+            evaluations = self._shifted_evaluations(bound_circuit, normalized, occurrences, observable)
+            partials = [
+                (evaluations[2 * k] - evaluations[2 * k + 1]) / 2.0
+                for k in range(len(occurrences))
+            ]
 
         grad = {name: 0.0 for name in sorted(circuit_parameters(self._circuit))}
-        for k, (index, slot, expr) in enumerate(occurrences):
-            plus, minus = evaluations[2 * k], evaluations[2 * k + 1]
-            partial = (plus - minus) / 2.0
+        for (_, _, expr), partial in zip(occurrences, partials):
             for name, coeff in expr.terms:
                 if name in grad:
                     grad[name] += coeff * partial
         return grad
+
+    def _shifted_evaluations(self, bound_circuit, normalized, occurrences, observable) -> list:
+        """``[f(θ+π/2), f(θ−π/2)]`` per occurrence, flattened in occurrence order."""
+        shifted = [
+            self._shifted_circuit(bound_circuit, index, slot, sign * math.pi / 2.0)
+            for index, slot, _ in occurrences
+            for sign in (1.0, -1.0)
+        ]
+        if observable is None:
+            futures = [self._rebind(circuit, normalized).submit() for circuit in shifted]
+            return [future.result().value for future in futures]
+        from repro.simulators import TNSimulator
+
+        simulator = TNSimulator()
+        return [
+            float(simulator.expectation(circuit, observable, input_state=self._task.input_state))
+            for circuit in shifted
+        ]
 
     # ------------------------------------------------------------------
     # Execution
@@ -635,7 +640,7 @@ class BoundExecutable(Executable):
         return self._parent.bind(params)
 
     def gradient(self, params: Mapping, observable: Any = None) -> Dict[str, float]:
-        """Parameter-shift gradient via the parent (see :meth:`Executable.gradient`)."""
+        """Gradient via the parent (see :meth:`Executable.gradient`)."""
         return self._parent.gradient(params, observable)
 
     def expectation(self, observable: Any) -> float:

@@ -25,7 +25,10 @@ schedule all substituted terms replay in both halves, and the statevector adapte
 its dense boundary states.  The remaining adapters have no plan (``None``).
 Every ``_compile`` takes the ``template`` of a parametric plan, which
 :meth:`~repro.backends.base.SimulationBackend.run` passes when it
-re-prepares a compiled plan on another binding's values.
+re-prepares a compiled plan on another binding's values.  The TN adapter
+also differentiates its plan
+(:meth:`~repro.backends.base.SimulationBackend.angle_derivatives`), so
+:meth:`repro.api.Executable.gradient` needs no shifted runs there.
 """
 
 from __future__ import annotations
@@ -147,6 +150,12 @@ class TNBackend(SimulationBackend):
         return BackendResult(
             backend=self.name, value=plan.execute(), num_contractions=1
         )
+
+    def angle_derivatives(self, circuit: Circuit, task: SimulationTask, plan, indices):
+        # One forward and one reverse replay of the compiled plan (environments
+        # of the gate nodes) instead of two shifted runs per occurrence.
+        prepared = self._compile(circuit, task, template=plan)
+        return prepared.angle_derivatives(circuit, indices)
 
 
 @register_backend("tdd", noisy=True, exact=True, max_qubits=16)

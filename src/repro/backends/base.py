@@ -18,7 +18,7 @@ import dataclasses
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, Mapping
+from typing import Any, ClassVar, Dict, List, Mapping, Sequence
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.parameters import UnboundParameterError, circuit_parameters, is_parametric
@@ -247,12 +247,15 @@ class SimulationBackend(ABC):
     ) -> BackendResult:
         """Simulate ``circuit`` under ``task`` and return a :class:`BackendResult`.
 
-        Validates the circuit against the backend's capabilities, times the
-        execution, and stamps the backend name onto the result.  ``plan``
-        optionally supplies the precompiled one-time work from
+        Times the execution and stamps the backend name onto the result.
+        ``plan`` optionally supplies the precompiled one-time work from
         :meth:`compile` (for the same circuit/task structure); without one,
-        the plan is built here first, so a one-shot run and a compiled run
-        execute the same code.  A parametric circuit's plan was compiled
+        the circuit is validated against the backend's capabilities and the
+        plan is built here first, so a one-shot run and a compiled run
+        execute the same code.  A passed plan skips the validation:
+        :meth:`compile` already checked the same structure, and
+        :meth:`supports` reads only the structure and the task's fixed
+        fields.  A parametric circuit's plan was compiled
         from some binding of its structure, so it serves as the template of
         a re-preparation on this circuit's bound values.
 
@@ -273,7 +276,8 @@ class SimulationBackend(ABC):
                 f"circuit has unbound parameters {free}; bind them "
                 "(Executable.bind / substitute) before execution"
             )
-        self.check_supported(circuit, task)
+        if plan is None:
+            self.check_supported(circuit, task)
         start = time.perf_counter()
         if plan is None or is_parametric(circuit):
             plan = self._compile(circuit, task, template=plan)
@@ -282,6 +286,19 @@ class SimulationBackend(ABC):
         if result.elapsed_seconds == 0.0:
             result = dataclasses.replace(result, elapsed_seconds=elapsed)
         return result
+
+    def angle_derivatives(
+        self, circuit: Circuit, task: SimulationTask, plan: Any, indices: Sequence[int]
+    ) -> List[float] | None:
+        """Exact ``∂value/∂θ`` of the single-angle gate at each instruction index, or None.
+
+        ``circuit`` is a bound parametric circuit and ``plan`` the one
+        :meth:`compile` built for its structure.  A backend that can
+        differentiate its compiled plan directly overrides this; the default
+        ``None`` makes :meth:`repro.api.Executable.gradient` fall back to
+        parameter-shift evaluations.
+        """
+        return None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} name={self.name!r}>"

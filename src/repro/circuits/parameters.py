@@ -49,11 +49,13 @@ from repro.circuits import gates as glib
 from repro.utils.validation import ValidationError
 
 __all__ = [
+    "GATE_GENERATORS",
     "Parameter",
     "ParameterExpression",
     "ParametricGate",
     "UnboundParameterError",
     "circuit_parameters",
+    "gate_derivative",
     "is_parametric",
     "substitute",
 ]
@@ -61,6 +63,41 @@ __all__ = [
 
 class UnboundParameterError(ValidationError):
     """A concrete value (matrix, inverse, …) was requested from an unbound symbol."""
+
+
+_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_PAULI_Z = np.diag([1, -1]).astype(complex)
+
+#: Generator ``G`` of every single-angle gate whose matrix is exactly
+#: ``U(θ) = exp(−iθG)``, so ``dU/dθ = −i·G·U(θ)`` with no global-phase term.
+#: Each ``G`` has two eigenvalues a gap of 1 apart, which also makes the
+#: two-term parameter-shift rule exact; the key set is
+#: :data:`repro.api.executable.PARAMETER_SHIFT_GATES`.
+GATE_GENERATORS: Mapping[str, np.ndarray] = {
+    "rx": _PAULI_X / 2,
+    "ry": _PAULI_Y / 2,
+    "rz": _PAULI_Z / 2,
+    "p": np.diag([0, -1]).astype(complex),
+    "cp": np.diag([0, 0, 0, -1]).astype(complex),
+    "zzphase": np.kron(_PAULI_Z, _PAULI_Z) / 2,
+    "xxphase": np.kron(_PAULI_X, _PAULI_X) / 2,
+}
+
+
+def gate_derivative(gate) -> np.ndarray:
+    """``dU/dθ = −i·G·U`` of a bound single-angle gate listed in :data:`GATE_GENERATORS`.
+
+    >>> from repro.circuits.gates import Rz
+    >>> bool(np.allclose(gate_derivative(Rz(0.0)), np.diag([-0.5j, 0.5j])))
+    True
+    """
+    generator = GATE_GENERATORS.get(gate.name)
+    if generator is None:
+        raise ValidationError(
+            f"gate {gate.name!r} has no generator (supported: {sorted(GATE_GENERATORS)})"
+        )
+    return -1j * (generator @ gate.matrix)
 
 
 #: Anything accepted in a parametric gate's parameter slot.

@@ -88,7 +88,8 @@ METRIC_RULES: Tuple[Tuple[str, MetricRule], ...] = (
 #: >= 5x", "batched row replay beats one replay per row >= 5x", "a
 #: Session.run cache hit costs at most 1.5x the execution it serves", "the
 #: trajectory engine, evolving each distinct Kraus history once, beats the
-#: per-sample loop >= 25x") must hold outright, not merely relative to
+#: per-sample loop >= 25x", "the tn environment-sweep gradient beats the
+#: parameter-shift loop >= 4x") must hold outright, not merely relative to
 #: history.
 METRIC_FLOORS: Mapping[Tuple[str, str], float] = {
     ("compile_amortization", "aggregate_speedup"): 1.5,
@@ -96,6 +97,7 @@ METRIC_FLOORS: Mapping[Tuple[str, str], float] = {
     ("term_replay", "aggregate_speedup"): 5.0,
     ("hit_path", "aggregate_speedup"): 0.67,
     ("engine_speedup", "aggregate_speedup"): 25.0,
+    ("gradient", "aggregate_speedup"): 4.0,
 }
 
 

@@ -19,16 +19,19 @@ the device.  Network *construction* and ordering search stay on the host.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Sequence, Tuple
 
 from repro.circuits.circuit import Circuit
+from repro.circuits.parameters import gate_derivative
 from repro.tensornetwork.circuit_to_tn import (
     StateLike,
     circuit_amplitude_network,
+    instruction_node_positions,
     noisy_doubled_network,
     noisy_observable_network,
 )
 from repro.tensornetwork.plan import ContractionPlan
+from repro.utils.validation import ValidationError
 from repro.xp import declare_seam, get_namespace
 from repro.xp import host as np
 
@@ -49,9 +52,16 @@ class PreparedFidelity:
     never change), so the first :meth:`execute` returns it directly instead
     of replaying — a one-shot compile-and-run pays exactly one contraction,
     like the unprepared path.
+
+    ``gate_nodes`` maps the instruction index of every parametric gate to its
+    node positions (``U``, then ``U*`` in the doubled diagram; see
+    :func:`~repro.tensornetwork.circuit_to_tn.instruction_node_positions`):
+    the only tensors another binding of the structure changes.
     """
 
-    __slots__ = ("plan", "tensors", "noiseless", "_recorded_value", "_xp", "_device_tensors")
+    __slots__ = (
+        "plan", "tensors", "noiseless", "gate_nodes", "_recorded_value", "_xp", "_device_tensors",
+    )
 
     def __init__(
         self,
@@ -60,10 +70,12 @@ class PreparedFidelity:
         noiseless: bool,
         recorded_value: float | None = None,
         xp=None,
+        gate_nodes: Dict[int, Tuple[int, ...]] | None = None,
     ) -> None:
         self.plan = plan
         self.tensors = tensors
         self.noiseless = noiseless
+        self.gate_nodes = {} if gate_nodes is None else gate_nodes
         self._recorded_value = recorded_value
         #: Replay namespace (None = host numpy); device copies are lazy.
         self._xp = xp
@@ -89,6 +101,59 @@ class PreparedFidelity:
         if self.noiseless:
             return float(abs(value) ** 2)
         return float(np.real(value))
+
+    def rebind(self, circuit: Circuit, xp=None) -> "PreparedFidelity":
+        """This plan over another binding of its structure: only the gate tensors change.
+
+        Copies the tensor list and overwrites the nodes of every parametric
+        gate with ``circuit``'s bound matrix (and its conjugate on the lower
+        rails), exactly the tensors the network builder would produce — no
+        network is built, and every other tensor (boundaries, fixed gates,
+        noise superoperators) is shared with this plan.  The copy replays on
+        ``xp`` (None = host numpy).
+        """
+        tensors = list(self.tensors)
+        for index, nodes in self.gate_nodes.items():
+            operation = circuit[index].operation
+            matrix = np.asarray(operation.matrix, dtype=complex)
+            shape = [2] * (2 * operation.num_qubits)
+            tensors[nodes[0]] = matrix.reshape(shape)
+            if len(nodes) > 1:
+                tensors[nodes[1]] = matrix.conj().reshape(shape)
+        return PreparedFidelity(
+            self.plan, tensors, self.noiseless, xp=xp, gate_nodes=self.gate_nodes
+        )
+
+    def angle_derivatives(self, circuit: Circuit, indices: Sequence[int]) -> List[float]:
+        """Exact ``∂F/∂θ`` of the single-angle gate at each instruction index.
+
+        ``circuit`` is the circuit these tensors were built from, and each
+        indexed gate must be parametric with a generator in
+        :data:`~repro.circuits.parameters.GATE_GENERATORS`.  One forward and
+        one reverse replay (:meth:`ContractionPlan.environments`) give the
+        environment ``E`` of every gate node.  With ``U′ = dU/dθ``, the
+        doubled diagram's fidelity ``F = Re(value)`` has
+        ``∂F/∂θ = Re(⟨E_U, U′⟩ + ⟨E_U*, conj U′⟩)``; the noiseless amplitude
+        ``A`` has ``∂|A|²/∂θ = 2·Re(conj(A)·⟨E_U, U′⟩)``.
+        """
+        missing = sorted(index for index in indices if index not in self.gate_nodes)
+        if missing:
+            raise ValidationError(f"instructions {missing} are not parametric gates of this plan")
+        positions = [position for index in indices for position in self.gate_nodes[index]]
+        value, envs = self.plan.environments(self._replay_tensors(), positions, xp=self._xp)
+        ops = get_namespace("cpu") if self._xp is None else self._xp
+        derivatives = []
+        for index in indices:
+            operation = circuit[index].operation
+            tensor = gate_derivative(operation).reshape([2] * (2 * operation.num_qubits))
+            nodes = self.gate_nodes[index]
+            upper = np.tensordot(ops.to_host(envs[nodes[0]]), tensor, axes=tensor.ndim)
+            if self.noiseless:
+                derivatives.append(float(2.0 * np.real(np.conj(value) * upper)))
+            else:
+                lower = np.tensordot(ops.to_host(envs[nodes[1]]), tensor.conj(), axes=tensor.ndim)
+                derivatives.append(float(np.real(upper + lower)))
+        return derivatives
 
     def describe(self) -> dict:
         """Plan-cost summary (node count, steps, peak intermediate size)."""
@@ -160,11 +225,15 @@ class TNSimulator:
         network construction and ordering search entirely.
 
         ``template`` is a plan prepared from another binding of the same
-        parametric structure.  Its schedule is reused as is (the greedy
-        ordering inspects tensor sizes, never entries), so only the network
-        tensors are rebuilt from ``circuit`` and the first :meth:`execute`
+        parametric structure.  No network is built: the template's schedule
+        is reused as is (the greedy ordering inspects tensor sizes, never
+        entries) and so are its static tensors; only the parametric gate
+        nodes are overwritten with ``circuit``'s values
+        (:meth:`PreparedFidelity.rebind`), and the first :meth:`execute`
         replays — no ordering search.
         """
+        if template is not None:
+            return template.rebind(circuit, xp=self._xp)
         n = circuit.num_qubits
         input_state = "0" * n if input_state is None else input_state
         output_state = "0" * n if output_state is None else output_state
@@ -176,13 +245,19 @@ class TNSimulator:
             output_state,
             max_intermediate_size=self.max_intermediate_size,
         )
+        positions = instruction_node_positions(circuit, input_state, doubled=not noiseless)
+        gate_nodes = {
+            index: positions[index]
+            for index, inst in enumerate(circuit)
+            if getattr(inst.operation, "is_parametric_gate", False)
+        }
         # Recording consumes the network, so snapshot the tensors first.
         tensors = [node.tensor for node in network.nodes]
-        if template is not None:
-            return PreparedFidelity(template.plan, tensors, noiseless, xp=self._xp)
         plan, value = ContractionPlan.record(network, strategy=self.strategy)
         recorded = float(abs(value) ** 2) if noiseless else float(np.real(value))
-        return PreparedFidelity(plan, tensors, noiseless, recorded_value=recorded, xp=self._xp)
+        return PreparedFidelity(
+            plan, tensors, noiseless, recorded_value=recorded, xp=self._xp, gate_nodes=gate_nodes
+        )
 
     def expectation(
         self,

@@ -37,6 +37,7 @@ __all__ = [
     "resolve_product_state",
     "dense_product_state",
     "operator_amplitude_network",
+    "instruction_node_positions",
     "noise_node_positions",
     "circuit_amplitude_network",
     "noisy_doubled_network",
@@ -161,18 +162,47 @@ def operator_amplitude_network(
     return network
 
 
+def instruction_node_positions(
+    circuit: Circuit, input_state: StateLike, doubled: bool = False
+) -> Tuple[Tuple[int, ...], ...]:
+    """Node indices of every instruction of ``circuit`` in the network built from it.
+
+    The node-order rule of :func:`operator_amplitude_network`: the input
+    boundary comes first (one node per rail for a product state, one node
+    for a dense state), then one node per operation in application order,
+    then the output boundary.  In a one-op-per-instruction network
+    (:func:`circuit_amplitude_network`, Algorithm 1's split networks, the
+    trajectory template) instruction ``i`` is node ``boundary + i``.  In the
+    ``doubled`` diagram (:func:`noisy_doubled_network`, ``2n`` rails) a gate
+    is two consecutive nodes, ``U`` then ``U*``, and a noise is one ``M_E``
+    node.  Entry ``i`` of the result holds instruction ``i``'s nodes.
+
+    >>> from repro.circuits.circuit import Circuit
+    >>> from repro.noise import depolarizing_channel
+    >>> circuit = Circuit(2).h(0).cx(0, 1).append(depolarizing_channel(0.1), (1,))
+    >>> instruction_node_positions(circuit, "00")
+    ((2,), (3,), (4,))
+    >>> instruction_node_positions(circuit, "00", doubled=True)
+    ((4, 5), (6, 7), (8,))
+    """
+    resolved = resolve_product_state(input_state, circuit.num_qubits)
+    rails = 2 * circuit.num_qubits if doubled else circuit.num_qubits
+    node = rails if isinstance(resolved, list) else 1
+    positions = []
+    for inst in circuit:
+        width = 2 if doubled and inst.is_gate else 1
+        positions.append(tuple(range(node, node + width)))
+        node += width
+    return tuple(positions)
+
+
 def noise_node_positions(circuit: Circuit, input_state: StateLike) -> Tuple[int, ...]:
     """Node indices of ``circuit``'s noise instructions in a one-op-per-instruction network.
 
-    :func:`operator_amplitude_network` adds the input boundary first (one
-    node per qubit for a product state, one node for a dense state) and then
-    one node per operation, so instruction ``i`` is node ``boundary + i``.
-    This holds for every network built with one operation per instruction:
-    Algorithm 1's split networks and the trajectory template.
+    See :func:`instruction_node_positions` for the node-order rule.
     """
-    resolved = resolve_product_state(input_state, circuit.num_qubits)
-    boundary = circuit.num_qubits if isinstance(resolved, list) else 1
-    return tuple(boundary + index for index, inst in enumerate(circuit) if inst.is_noise)
+    positions = instruction_node_positions(circuit, input_state)
+    return tuple(nodes[0] for nodes, inst in zip(positions, circuit) if inst.is_noise)
 
 
 def circuit_amplitude_network(

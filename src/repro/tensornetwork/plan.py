@@ -37,6 +37,13 @@ contractions sum in a different order than per-row ``tensordot`` calls, so
 row values agree with :meth:`SpecializedPlan.execute` to within a few ulps
 (≤1e-15 relative on the tracked workloads), not bit for bit.
 
+:meth:`ContractionPlan.environments` differentiates a plan: the same
+forward loop keeps the operands a reverse sweep needs, and the sweep returns
+the environment of each requested input — the tensor whose full
+contraction with that input gives the value, i.e. the value's derivative
+with respect to it.  The ``tn`` backend's gradients read the environments of
+the parametric gate nodes.
+
 Plans are recorded over whatever circuit the session hands the backend —
 since the optimizing passes (:mod:`repro.circuits.passes`) run before plan
 construction, a recorded schedule covers the *optimized* network (fewer
@@ -46,7 +53,7 @@ that circuit's fingerprint.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Sequence, Tuple
 
 from repro.tensornetwork.network import TensorNetwork
 from repro.tensornetwork.node import Node
@@ -163,6 +170,56 @@ class ContractionPlan:
         self._check_inputs(tensors)
         buffer = list(tensors) + [None] * len(self.steps)
         return _replay(buffer, self.steps, self._result_slot(), xp)
+
+    def environments(
+        self, tensors: List[np.ndarray], positions: Sequence[int], xp=None
+    ) -> Tuple[complex, Dict[int, np.ndarray]]:
+        """Replay once; return the value and the environment of each input in ``positions``.
+
+        The value is linear in every input tensor, so it equals the full
+        contraction of input ``i`` with its environment ``E_i``, axis for axis:
+        ``value == Σ E_i ⊙ tensors[i]`` (Liao et al., "Differentiable
+        Programming Tensor Networks", arXiv:1903.09650).  ``E_i`` is therefore
+        the derivative of the value with respect to input ``i``.
+
+        One forward replay keeps the off-path operand of every step whose
+        subtree holds a requested input.  One reverse sweep then pushes the
+        root's unit environment down to the leaves: the environment of a
+        step's operand is the step's environment contracted with the other
+        operand over that operand's free axes, transposed back to the
+        operand's axis order.  Each environment has its input's shape (a
+        device array of ``xp`` when a namespace is given).
+        """
+        self._check_inputs(tensors)
+        wanted = {int(position) for position in positions}
+        unknown = sorted(position for position in wanted if not 0 <= position < self.num_inputs)
+        if unknown:
+            raise ValidationError(f"environment positions {unknown} out of range")
+        on_path = set(wanted)
+        keep = set()
+        for slot_a, slot_b, _, _, out in self.steps:
+            if slot_a in on_path or slot_b in on_path:
+                on_path.add(out)
+                if slot_a in on_path:
+                    keep.add(slot_b)
+                if slot_b in on_path:
+                    keep.add(slot_a)
+        buffer = list(tensors) + [None] * len(self.steps)
+        result_slot = self._result_slot()
+        value = _replay(buffer, self.steps, result_slot, xp, keep)
+        ops = get_namespace("cpu") if xp is None else xp
+        result = buffer[result_slot]
+        envs = {result_slot: ops.full(result.shape, 1.0, dtype=ops.complex_dtype)}
+        for slot_a, slot_b, axes_a, axes_b, out in reversed(self.steps):
+            if out not in on_path:
+                continue
+            env = envs.pop(out)
+            if slot_a in on_path:
+                envs[slot_a] = _operand_environment(env, buffer[slot_b], axes_a, axes_b, True, xp)
+            if slot_b in on_path:
+                envs[slot_b] = _operand_environment(env, buffer[slot_a], axes_b, axes_a, False, xp)
+            buffer[slot_a] = buffer[slot_b] = None
+        return value, {position: envs[position] for position in sorted(wanted)}
 
     def specialize(
         self,
@@ -358,21 +415,58 @@ class SpecializedPlan:
         return values if is_batched else np.full(len(rows), values[0])
 
 
-def _replay(buffer: List, steps: Sequence[_Step], result_slot: int, xp) -> complex:
+def _replay(
+    buffer: List, steps: Sequence[_Step], result_slot: int, xp, keep: AbstractSet[int] = frozenset()
+) -> complex:
     """Run ``steps`` over the slot ``buffer`` and return the scalar in ``result_slot``.
 
     Every slot is read by exactly one step, so operands are released as soon
     as they are consumed (the live set matches a destructive contraction's).
+    Slots in ``keep`` stay in ``buffer`` for a later reverse sweep
+    (:meth:`ContractionPlan.environments`).
     """
     for slot_a, slot_b, axes_a, axes_b, out in steps:
         buffer[out] = _contract_step(buffer[slot_a], buffer[slot_b], axes_a, axes_b, xp)
-        buffer[slot_a] = buffer[slot_b] = None
+        if slot_a not in keep:
+            buffer[slot_a] = None
+        if slot_b not in keep:
+            buffer[slot_b] = None
     result = buffer[result_slot]
     if result is None or result.size != 1:
         raise ValidationError("plan did not reduce the network to a scalar")
     if xp is None:
         return complex(result.reshape(()))
     return complex(xp.to_scalar(result))
+
+
+def _operand_environment(env, other, axes_self, axes_other, first: bool, xp):
+    """Environment of one operand of ``out = tensordot(a, b, (axes_a, axes_b))``.
+
+    ``env`` is the environment of ``out``, whose axes are ``a``'s free axes
+    then ``b``'s.  ``other`` is the operand not differentiated, ``axes_self``
+    / ``axes_other`` the paired contracted axes of the operand and of
+    ``other``; ``first`` says whether the operand is ``a``.  Contracting
+    ``env`` with ``other`` over ``other``'s free axes leaves the operand's
+    free axes, then its contracted axes in ``other``'s ascending order; the
+    transpose restores the operand's own axis order.
+    """
+    contracted = set(axes_other)
+    free_other = tuple(axis for axis in range(other.ndim) if axis not in contracted)
+    num_free_self = env.ndim - len(free_other)
+    if first:
+        env_axes = tuple(range(num_free_self, env.ndim))
+    else:
+        env_axes = tuple(range(len(free_other)))
+    grad = _contract_step(env, other, env_axes, free_other, xp)
+    paired = dict(zip(axes_other, axes_self))
+    contracted_self = set(axes_self)
+    labels = [axis for axis in range(num_free_self + len(axes_self)) if axis not in contracted_self]
+    labels += [paired[axis] for axis in sorted(axes_other)]
+    order = [labels.index(axis) for axis in range(len(labels))]
+    if order == list(range(len(order))):
+        return grad
+    ops = get_namespace("cpu") if xp is None else xp
+    return ops.transpose(grad, order)
 
 
 def _batched_pair(tensor_a, tensor_b, axes_a: Tuple[int, ...], axes_b: Tuple[int, ...], ops):

@@ -14,7 +14,9 @@ against metamorphic oracles —
 * seed determinism of the stochastic backends across worker counts;
 * Pauli-observable agreement between the dense and tensor-network engines;
 * bind equivalence: ``compile(c).bind(p)`` is bit-identical to compiling the
-  substituted circuit in an independent session with no plan cache.
+  substituted circuit in an independent session with no plan cache;
+* gradient agreement: the ``tn`` environment-sweep gradient equals parameter
+  shift on the density-matrix reference within 1e-10.
 
 Any failing case is shrunk to a minimal reproducing circuit
 (:mod:`repro.verify.shrink`) and written out as a replayable JSON artifact
@@ -42,6 +44,7 @@ from repro.verify.oracles import (
     DEFAULT_ORACLES,
     BindEquivalence,
     CrossBackendAgreement,
+    GradientAgreement,
     NoiseMonotonicity,
     ObservableAgreement,
     Oracle,
@@ -67,6 +70,7 @@ __all__ = [
     "Oracle",
     "Violation",
     "CrossBackendAgreement",
+    "GradientAgreement",
     "TranspileInvariance",
     "NoiseMonotonicity",
     "SeedDeterminism",

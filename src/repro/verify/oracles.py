@@ -29,6 +29,7 @@ from repro.circuits import gates as glib
 from repro.circuits.circuit import Circuit
 from repro.circuits.observables import PauliObservable
 from repro.circuits.parameters import (
+    GATE_GENERATORS,
     Parameter,
     ParametricGate,
     circuit_parameters,
@@ -44,6 +45,7 @@ __all__ = [
     "DEFAULT_ORACLES",
     "BindEquivalence",
     "CrossBackendAgreement",
+    "GradientAgreement",
     "NoiseMonotonicity",
     "ObservableAgreement",
     "Oracle",
@@ -687,6 +689,64 @@ class BindEquivalence(Oracle):
         return deviation > 0.0
 
 
+class GradientAgreement(Oracle):
+    """The ``tn`` environment-sweep gradient equals parameter shift on ``density_matrix``.
+
+    ``tn`` differentiates its compiled plan from one forward and one reverse
+    replay; the density-matrix reference applies the exact two-term shift
+    rule.  Both are exact derivatives of the same fidelity, so they agree to
+    rounding: the tolerance is 1e-10 per parameter.  Cases are the
+    parametrized workload circuits whose free gates all have a generator
+    (:data:`~repro.circuits.parameters.GATE_GENERATORS`).
+    """
+
+    name = "gradient_agreement"
+    tolerance = 1e-10
+
+    @staticmethod
+    def _eligible(circuit: Circuit) -> bool:
+        free = [
+            inst.operation
+            for inst in circuit
+            if getattr(inst.operation, "is_parametric_gate", False) and inst.operation.free_parameters
+        ]
+        bound = substitute(circuit, dict.fromkeys(circuit_parameters(circuit), 0.0))
+        return (
+            bool(free)
+            and all(operation.name in GATE_GENERATORS for operation in free)
+            and _supported("tn", bound)
+            and _supported("density_matrix", bound)
+        )
+
+    def _parametrized(self, workload: Workload):
+        rng = np.random.default_rng(stable_seed(workload.seed, "gradient"))
+        return parametrize_circuit(workload.noisy_circuit(), rng)
+
+    def applies(self, workload: Workload) -> bool:
+        parametric, _ = self._parametrized(workload)
+        return parametric is not None and self._eligible(parametric)
+
+    def _deviation(self, parametric: Circuit, binding: Dict[str, float], session: Session) -> float:
+        swept = session.compile(parametric, backend="tn").gradient(binding)
+        shifted = session.compile(parametric, backend="density_matrix").gradient(binding)
+        return max(abs(swept[name] - shifted[name]) for name in shifted)
+
+    def check(self, workload: Workload, session: Session) -> List[Violation]:
+        parametric, binding = self._parametrized(workload)
+        deviation = self._deviation(parametric, binding, session)
+        if deviation <= self.tolerance:
+            return []
+        return [
+            self._violation(workload, parametric, deviation, self.tolerance, binding=binding)
+        ]
+
+    def violates(self, circuit: Circuit, details: Dict[str, Any], session: Session) -> bool:
+        binding = {str(key): float(value) for key, value in details["binding"].items()}
+        if not circuit_parameters(circuit) <= set(binding) or not self._eligible(circuit):
+            return False
+        return self._deviation(circuit, binding, session) > self.tolerance
+
+
 def _observable_to_list(observable: PauliObservable) -> List[Any]:
     """JSON form: ``[[coefficient, {qubit: label}], ...]``."""
     return [
@@ -712,4 +772,5 @@ def DEFAULT_ORACLES() -> List[Oracle]:
         SeedDeterminism(),
         ObservableAgreement(),
         BindEquivalence(),
+        GradientAgreement(),
     ]

@@ -207,9 +207,6 @@ class FakeGpuNamespace(ArrayNamespace):
     def ascontiguousarray(self, array):
         return FakeDeviceArray(np.ascontiguousarray(_unwrap(array, "ascontiguousarray")))
 
-    def repeat(self, array, repeats, axis=None):
-        return FakeDeviceArray(np.repeat(_unwrap(array, "repeat"), repeats, axis=axis))
-
     def stack(self, arrays, axis=0):
         parts = [_unwrap(array, "stack") for array in arrays]
         return FakeDeviceArray(np.stack(parts, axis=axis))

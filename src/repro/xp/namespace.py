@@ -197,9 +197,6 @@ class ArrayNamespace:
     def ascontiguousarray(self, array):
         self._unimplemented("ascontiguousarray")
 
-    def repeat(self, array, repeats, axis=None):
-        self._unimplemented("repeat")
-
     def stack(self, arrays, axis=0):
         self._unimplemented("stack")
 

@@ -57,9 +57,6 @@ class NumpyNamespace(ArrayNamespace):
     def ascontiguousarray(self, array):
         return np.ascontiguousarray(array)
 
-    def repeat(self, array, repeats, axis=None):
-        return np.repeat(array, repeats, axis=axis)
-
     def stack(self, arrays, axis=0):
         return np.stack(arrays, axis=axis)
 

@@ -335,6 +335,7 @@ class TestOptimizerLoop:
         # Exact gradients on a smooth objective with a small step: fidelity
         # must improve over the loop (monotonically-ish: final > initial).
         assert trace[-1] > trace[0]
-        hit_rate = stats["hits"] / (stats["hits"] + stats["misses"])
+        # One plan search; each of the four bind() calls is a hit (tn
+        # gradients replay the compiled plan without a lookup).
         assert stats["misses"] == 1
-        assert hit_rate > 0.9
+        assert stats["hits"] == 4

@@ -1,16 +1,20 @@
-"""Parameter-shift gradients: analytic closed forms, finite differences,
-worker-count determinism, and eligibility validation."""
+"""Gradients: analytic closed forms, finite differences, the tn environment
+sweep against parameter shift on the density-matrix backend, worker-count
+determinism, and eligibility validation."""
 
 import math
 
+import numpy as np
 import pytest
 
-from repro.api import Session
-from repro.api.executable import PARAMETER_SHIFT_GATES
+import repro.simulators.tn_simulator as tn_module
+from repro.api import Session, apply_noise
+from repro.api.executable import PARAMETER_SHIFT_GATES, Executable
 from repro.circuits.circuit import Circuit
 from repro.circuits.library import qaoa_circuit
 from repro.circuits.observables import PauliObservable
 from repro.circuits.parameters import (
+    GATE_GENERATORS,
     Parameter,
     ParametricGate,
     UnboundParameterError,
@@ -120,16 +124,20 @@ class TestDeterminism:
             assert executable.gradient(params) == executable.gradient(params)
 
     def test_shifted_evaluations_replay_the_compiled_plan(self):
+        # tn differentiates its plan directly, so the shifted path is pinned
+        # on a plan backend that keeps parameter shift.
         parametric = qaoa_circuit(4, seed=7, native_gates=False, parametric=True)
         params = _binding_for(parametric)
         with Session(seed=3) as session:
-            executable = session.compile(parametric, backend="tn", seed=11)
+            executable = session.compile(parametric, backend="approximation", seed=11)
             executable.gradient(params)
             stats = session.cache_stats()
+            occurrences = len(executable._shift_occurrences())
         # One compile-time miss; every ±π/2 evaluation is a cache hit because
         # shift offsets are excluded from the structural fingerprint.
+        assert occurrences > 0
         assert stats["misses"] == 1
-        assert stats["hits"] > 0
+        assert stats["hits"] == 2 * occurrences
 
 
 class TestValidation:
@@ -170,3 +178,108 @@ class TestValidation:
             grad = executable.gradient({"theta": 0.4})
         # The gate-level binding removed phi from the free set entirely.
         assert set(grad) == {"theta"}
+
+
+# ----------------------------------------------------------------------
+# The tn environment sweep vs parameter shift
+# ----------------------------------------------------------------------
+_NOISE = {"channel": "depolarizing", "parameter": 0.02, "count": 3, "seed": 5}
+
+
+def _every_table_gate():
+    """Each generator-table gate once, on entangled qubits, with shared scaled parameters."""
+    theta, phi = Parameter("theta"), Parameter("phi")
+    circuit = Circuit(3).h(0).h(1).cx(0, 2)
+    expressions = [2.0 * theta, theta - phi / 2, -1.5 * phi + 0.3, theta, 0.5 * phi, theta + phi]
+    for index, name in enumerate(sorted(GATE_GENERATORS)):
+        expression = expressions[index % len(expressions)]
+        gate = ParametricGate(name, (expression,))
+        qubits = (index % 3,) if gate.num_qubits == 1 else (index % 3, (index + 1) % 3)
+        circuit.append(gate, qubits)
+        circuit.cx((index + 1) % 3, index % 3)
+    return circuit
+
+
+def _dense_state(num_qubits, seed):
+    rng = np.random.default_rng(seed)
+    vector = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
+    return vector / np.linalg.norm(vector)
+
+
+def _qaoa():
+    return qaoa_circuit(4, seed=7, native_gates=False, parametric=True)
+
+
+CASES = {
+    "qaoa_noiseless": (_qaoa, {}),
+    "qaoa_noisy": (lambda: apply_noise(_qaoa(), _NOISE), {}),
+    "qaoa_noisy_dense_states": (
+        lambda: apply_noise(_qaoa(), _NOISE),
+        {"input_state": _dense_state(4, 1), "output_state": _dense_state(4, 2)},
+    ),
+    "table_gates_noiseless": (_every_table_gate, {"output_state": "+01"}),
+    "table_gates_noisy": (lambda: apply_noise(_every_table_gate(), _NOISE), {"input_state": "0+1"}),
+    "table_gates_dense_input": (
+        lambda: apply_noise(_every_table_gate(), _NOISE),
+        {"input_state": _dense_state(3, 3)},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+class TestEnvironmentGradient:
+    def test_tn_sweep_matches_density_matrix_parameter_shift(self, case):
+        build, states = CASES[case]
+        circuit = build()
+        params = _binding_for(circuit)
+        with Session(seed=3) as session:
+            swept = session.compile(circuit, backend="tn", **states).gradient(params)
+            shifted = session.compile(circuit, backend="density_matrix", **states).gradient(params)
+        assert set(swept) == set(shifted) == set(params)
+        for name in params:
+            assert swept[name] == pytest.approx(shifted[name], abs=1e-10), name
+
+    def test_tn_gradient_makes_no_shifted_submits(self, case, monkeypatch):
+        build, states = CASES[case]
+        circuit = build()
+        params = _binding_for(circuit)
+        submits = []
+        original = Executable.submit
+
+        def spy(self, **kwargs):
+            submits.append(self.backend)
+            return original(self, **kwargs)
+
+        monkeypatch.setattr(Executable, "submit", spy)
+        with Session(seed=3) as session:
+            session.compile(circuit, backend="tn", **states).gradient(params)
+            assert submits == []
+            executable = session.compile(circuit, backend="density_matrix", **states)
+            executable.gradient(params)
+        assert submits == ["density_matrix"] * (2 * len(executable._shift_occurrences()))
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+class TestBindReusesStaticTensors:
+    def test_bound_runs_build_no_network(self, noisy, monkeypatch):
+        circuit = apply_noise(_qaoa(), _NOISE) if noisy else _qaoa()
+        builds = []
+        for name in ("noisy_doubled_network", "circuit_amplitude_network"):
+            original = getattr(tn_module, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                builds.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(tn_module, name, counted)
+        bindings = [_binding_for(circuit, offset) for offset in (0.0, 0.4, -1.1)]
+        with Session(seed=3) as session:
+            executable = session.compile(circuit, backend="tn")
+            assert len(builds) == 1
+            values = [executable.bind(binding).run().value for binding in bindings]
+            executable.gradient(bindings[0])
+        assert len(builds) == 1
+        for binding, value in zip(bindings, values):
+            with Session(plan_cache_size=0) as independent:
+                reference = independent.run(substitute(circuit, binding), backend="tn").value
+            assert value == reference

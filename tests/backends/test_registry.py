@@ -229,3 +229,54 @@ class TestResultMetadata:
             get_backend("approximation", max_intermediate_size=2).run(noisy_circuit)
         result = get_backend("tdd", max_nodes=100_000).run(noisy_circuit)
         assert result.metadata["max_nodes"] == 100_000
+
+
+class TestSupportCheck:
+    """``check_supported`` runs at compile and on a one-shot run, never on a compiled run."""
+
+    @pytest.fixture
+    def check_calls(self, monkeypatch):
+        calls = []
+        original = SimulationBackend.check_supported
+
+        def spy(self, circuit, task=None):
+            calls.append(self.name)
+            return original(self, circuit, task)
+
+        monkeypatch.setattr(SimulationBackend, "check_supported", spy)
+        return calls
+
+    def test_compiled_run_skips_the_check(self, check_calls, noisy_circuit):
+        backend, task = get_backend("tn"), SimulationTask()
+        plan = backend.compile(noisy_circuit, task)
+        assert check_calls == ["tn"]
+        backend.run(noisy_circuit, task, plan=plan)
+        assert check_calls == ["tn"]
+        backend.run(noisy_circuit, task)
+        assert check_calls == ["tn", "tn"]
+
+    def test_executable_runs_make_no_check(self, check_calls, noisy_circuit):
+        from repro.api import Session
+
+        with Session() as session:
+            executable = session.compile(noisy_circuit, backend="tn")
+            checks_at_compile = len(check_calls)
+            for _ in range(3):
+                executable.run()
+        assert checks_at_compile >= 1
+        assert len(check_calls) == checks_at_compile
+
+    def test_unsupported_circuit_raises_at_compile_and_one_shot_run(
+        self, check_calls, noisy_circuit
+    ):
+        from repro.api import Session
+
+        backend = get_backend("statevector")
+        with pytest.raises(BackendUnsupportedError, match="cannot simulate noise"):
+            backend.compile(noisy_circuit)
+        with pytest.raises(BackendUnsupportedError, match="cannot simulate noise"):
+            backend.run(noisy_circuit)
+        with Session() as session:
+            with pytest.raises(BackendUnsupportedError, match="cannot simulate noise"):
+                session.compile(noisy_circuit, backend="statevector")
+        assert check_calls.count("statevector") == 3

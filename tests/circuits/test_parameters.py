@@ -13,12 +13,15 @@ import pytest
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.library import benchmark_circuit, hf_circuit, qaoa_circuit
+from repro.circuits.gates import GATE_FACTORIES
 from repro.circuits.parameters import (
+    GATE_GENERATORS,
     Parameter,
     ParameterExpression,
     ParametricGate,
     UnboundParameterError,
     circuit_parameters,
+    gate_derivative,
     is_parametric,
     normalize_binding,
     substitute,
@@ -189,3 +192,30 @@ class TestLibraryAnsatze:
         assert is_parametric(parametric)
         with pytest.raises(ValidationError, match="no parametric form"):
             benchmark_circuit("ghz_4", parametric=True)
+
+
+class TestGateGenerators:
+    @pytest.mark.parametrize("name", sorted(GATE_GENERATORS))
+    @pytest.mark.parametrize("theta", [-2.3, 0.0, 0.7, 3.1])
+    def test_derivative_matches_central_differences(self, name, theta):
+        eps = 1e-6
+        factory = GATE_FACTORIES[name]
+        central = (factory(theta + eps).matrix - factory(theta - eps).matrix) / (2 * eps)
+        np.testing.assert_allclose(gate_derivative(factory(theta)), central, atol=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(GATE_GENERATORS))
+    def test_generator_is_hermitian_with_unit_gap(self, name):
+        generator = GATE_GENERATORS[name]
+        np.testing.assert_allclose(generator, generator.conj().T)
+        eigenvalues = np.unique(np.round(np.linalg.eigvalsh(generator), 12))
+        assert len(eigenvalues) == 2 and eigenvalues[1] - eigenvalues[0] == pytest.approx(1.0)
+
+    def test_derivative_of_a_bound_parametric_gate_includes_its_offset(self):
+        gate = ParametricGate("rx", (2.0 * Parameter("theta"),)).bind({"theta": 0.4})
+        shifted = gate.shifted(0, 0.1)
+        expected = gate_derivative(GATE_FACTORIES["rx"](0.9))
+        np.testing.assert_allclose(gate_derivative(shifted), expected, atol=1e-15)
+
+    def test_gate_without_generator_is_rejected(self):
+        with pytest.raises(ValidationError, match="no generator"):
+            gate_derivative(GATE_FACTORIES["givens"](0.3))

@@ -165,7 +165,77 @@ def _row_candidates(plan, tensors, positions, rng):
     return plan.specialize(tensors, positions), factors
 
 
+def _pair(environment, tensor):
+    """``⟨E, T⟩``: the full contraction of an environment with its input."""
+    return complex(np.tensordot(environment, tensor, axes=tensor.ndim))
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+class TestEnvironments:
+    """One forward and one reverse replay give every input's environment."""
+
+    def test_every_environment_reproduces_the_value(self, name):
+        plan, value, tensors = _record(name)
+        replayed, environments = plan.environments(tensors, range(plan.num_inputs))
+        assert replayed == value
+        assert sorted(environments) == list(range(plan.num_inputs))
+        for position, tensor in enumerate(tensors):
+            assert environments[position].shape == tensor.shape
+            assert abs(_pair(environments[position], tensor) - value) <= 1e-12 * max(1.0, abs(value))
+
+    def test_environment_is_the_derivative(self, name):
+        # The value is linear in each input: perturbing one input by D moves
+        # it by exactly <E, D>.
+        plan, value, tensors = _record(name)
+        rng = np.random.default_rng(11)
+        positions = sorted(rng.choice(plan.num_inputs, size=3, replace=False).tolist())
+        _, environments = plan.environments(tensors, positions)
+        for position in positions:
+            swapped = _perturbed(tensors, [position], rng)
+            delta = swapped[position] - tensors[position]
+            moved = plan.execute(swapped)
+            assert abs(moved - value - _pair(environments[position], delta)) <= 1e-12 * max(
+                1.0, abs(moved)
+            )
+
+    def test_fake_gpu_environments_equal_cpu(self, name):
+        plan, _, tensors = _record(name)
+        xp = get_namespace("fake_gpu")
+        positions = list(range(0, plan.num_inputs, 2))
+        value, environments = plan.environments(tensors, positions)
+        device_value, device_environments = plan.environments(
+            [xp.asarray(tensor) for tensor in tensors], positions, xp=xp
+        )
+        assert device_value == value
+        for position in positions:
+            assert np.array_equal(xp.to_host(device_environments[position]), environments[position])
+
+
+def test_environments_of_crossed_contraction_axes():
+    # b's contracted axes in descending order and distinct dimensions, so a
+    # wrong transpose back to an operand's axis order changes its shape.
+    rng = np.random.default_rng(3)
+    shapes = [(2, 3, 4), (3, 2, 5), (4,), (5,)]
+    tensors = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for shape in shapes]
+    steps = [(0, 1, (0, 1), (1, 0), 4), (4, 2, (0,), (0,), 5), (5, 3, (0,), (0,), 6)]
+    plan = ContractionPlan(steps, num_inputs=4)
+    value, environments = plan.environments(tensors, range(4))
+    expected = np.einsum("ijk,jil,k,l->", *tensors)
+    assert abs(value - expected) <= 1e-12 * abs(expected)
+    for position, tensor in enumerate(tensors):
+        assert environments[position].shape == tensor.shape
+        assert abs(_pair(environments[position], tensor) - value) <= 1e-12 * abs(value)
+
+
 class TestSingleNode:
+    def test_environment_of_the_only_input_is_one(self):
+        network = TensorNetwork()
+        network.add_node(np.array(0.25 + 0.5j))
+        plan, _ = ContractionPlan.record(network)
+        value, environments = plan.environments([np.array(0.25 + 0.5j)], [0])
+        assert value == 0.25 + 0.5j and environments[0] == 1.0
+
+
     def test_plan_without_steps_returns_the_input(self):
         network = TensorNetwork()
         network.add_node(np.array(0.25 + 0.5j))
@@ -204,6 +274,11 @@ class TestErrors:
         plan, _, tensors = recorded
         with pytest.raises(ValidationError, match="expects"):
             plan.specialize(tensors + [tensors[0]], [0])
+
+    def test_environments_reject_out_of_range_positions(self, recorded):
+        plan, _, tensors = recorded
+        with pytest.raises(ValidationError, match="out of range"):
+            plan.environments(tensors, [plan.num_inputs])
 
     def test_missing_substitution(self, recorded):
         plan, _, tensors = recorded

@@ -1,4 +1,4 @@
-"""BindEquivalence oracle + parametric-gate artifact serialisation."""
+"""BindEquivalence and GradientAgreement oracles + parametric-gate artifact serialisation."""
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from repro.sweeps.spec import stable_seed
 from repro.verify import (
     DEFAULT_ORACLES,
     BindEquivalence,
+    GradientAgreement,
     Violation,
     circuit_from_dict,
     circuit_to_dict,
@@ -107,6 +108,41 @@ class TestBindEquivalenceOracle:
             rogue = Circuit(2)
             rogue.append(ParametricGate("rx", (Parameter("rogue"),)), (0,))
             assert not oracle.violates(rogue, details, session)
+
+
+class TestGradientAgreementOracle:
+    def test_registered_in_default_oracles(self):
+        assert any(o.name == "gradient_agreement" for o in DEFAULT_ORACLES())
+
+    def test_clean_on_healthy_backends(self, workload):
+        oracle = GradientAgreement()
+        assert oracle.applies(workload)
+        with Session(seed=11) as session:
+            assert oracle.check(workload, session) == []
+
+    def test_catches_a_wrong_environment_gradient(self, workload, monkeypatch):
+        from repro.backends.adapters import TNBackend
+
+        original = TNBackend.angle_derivatives
+
+        def halved(self, *args):
+            return [value / 2 for value in original(self, *args)]
+
+        monkeypatch.setattr(TNBackend, "angle_derivatives", halved)
+        oracle = GradientAgreement()
+        with Session(seed=11) as session:
+            violations = oracle.check(workload, session)
+            assert len(violations) == 1 and violations[0].deviation > oracle.tolerance
+            assert oracle.violates(violations[0].circuit, violations[0].details, session)
+
+    def test_gates_without_a_generator_do_not_apply(self):
+        circuit = Circuit(2)
+        circuit.append(ParametricGate("givens", (Parameter("phi"),)), (0, 1))
+        circuit.append(ParametricGate("rx", (Parameter("theta"),)), (0,))
+        with Session() as session:
+            assert not GradientAgreement().violates(
+                circuit, {"binding": {"phi": 0.1, "theta": 0.2}}, session
+            )
 
 
 class TestParametricArtifacts:
