@@ -13,6 +13,14 @@ single shared reference rather than maintaining separate copies.
 The parameter-shift loop is the two-runs-per-gate-occurrence gradient that
 ``benchmarks/bench_gradient.py`` times against the ``tn`` environment sweep
 of :meth:`repro.api.Executable.gradient`.
+
+The tensordot slot replays run a recorded
+:class:`~repro.tensornetwork.plan.ContractionPlan`'s steps with one
+``np.tensordot`` per step, and its environments with one more per operand
+of the reverse sweep: the plan replay as it was before kernel tables.  A
+kernel-table replay must equal them bit for bit
+(``tests/tensornetwork/test_plan.py``), and
+``benchmarks/bench_plan_replay.py`` times it against them.
 """
 
 from __future__ import annotations
@@ -27,7 +35,14 @@ from repro.circuits.parameters import circuit_parameters, substitute
 from repro.simulators.statevector import apply_matrix
 from repro.tensornetwork.circuit_to_tn import dense_product_state, operator_amplitude_network
 
-__all__ = ["reference_shift_gradient", "reference_statevector_loop", "reference_tn_loop"]
+__all__ = [
+    "reference_shift_gradient",
+    "reference_statevector_loop",
+    "reference_tn_loop",
+    "tensordot_environments",
+    "tensordot_execute",
+    "tensordot_step",
+]
 
 
 def _block_streams(num_samples, seed):
@@ -119,3 +134,60 @@ def reference_shift_gradient(backend, circuit, task, plan, params):
         for name, coeff in operation.expressions[0].terms:
             grad[name] += coeff * partial
     return grad
+
+
+def tensordot_step(tensor_a, tensor_b, axes_a, axes_b):
+    """One recorded step as a live contraction computes it (empty axes = outer product)."""
+    return np.tensordot(tensor_a, tensor_b, axes=(list(axes_a), list(axes_b)) if axes_a else 0)
+
+
+def _tensordot_forward(plan, tensors):
+    """The slot buffer after replaying every step of ``plan`` (nothing released)."""
+    buffer = list(tensors) + [None] * plan.num_steps
+    for slot_a, slot_b, axes_a, axes_b, out in plan.steps:
+        buffer[out] = tensordot_step(buffer[slot_a], buffer[slot_b], axes_a, axes_b)
+    return buffer
+
+
+def tensordot_execute(plan, tensors) -> complex:
+    """``plan``'s value over host ``tensors``, one ``np.tensordot`` per step."""
+    return complex(_tensordot_forward(plan, tensors)[-1].reshape(()))
+
+
+def tensordot_environments(plan, tensors, positions):
+    """``(value, {position: environment})`` by a tensordot forward replay and reverse sweep.
+
+    Only steps on a path from a requested input to the root are swept.  The
+    environment of such a step's operand is the step's environment
+    contracted with the other operand over that operand's free axes (its
+    free axes, then its contracted axes in the other operand's ascending
+    order), transposed back to the operand's own axis order.
+    """
+    on_path = set(positions)
+    for slot_a, slot_b, _, _, out in plan.steps:
+        if slot_a in on_path or slot_b in on_path:
+            on_path.add(out)
+    buffer = _tensordot_forward(plan, tensors)
+    envs = {len(buffer) - 1: np.ones(buffer[-1].shape, dtype=complex)}
+    for slot_a, slot_b, axes_a, axes_b, out in reversed(plan.steps):
+        if out not in on_path:
+            continue
+        env = envs.pop(out)
+        for slot, other, axes_self, axes_other, first in (
+            (slot_a, buffer[slot_b], axes_a, axes_b, True),
+            (slot_b, buffer[slot_a], axes_b, axes_a, False),
+        ):
+            if slot not in on_path:
+                continue
+            free_other = [axis for axis in range(other.ndim) if axis not in axes_other]
+            num_free_self = env.ndim - len(free_other)
+            if first:
+                env_axes = list(range(num_free_self, env.ndim))
+            else:
+                env_axes = list(range(len(free_other)))
+            grad = tensordot_step(env, other, env_axes, free_other)
+            paired = dict(zip(axes_other, axes_self))
+            labels = [axis for axis in range(grad.ndim) if axis not in axes_self]
+            labels += [paired[axis] for axis in sorted(axes_other)]
+            envs[slot] = np.transpose(grad, [labels.index(axis) for axis in range(grad.ndim)])
+    return complex(buffer[-1].reshape(())), {position: envs[position] for position in positions}

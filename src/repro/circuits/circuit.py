@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -109,6 +109,10 @@ class Circuit:
         self.num_qubits = int(num_qubits)
         self.name = str(name)
         self._instructions: List[Instruction] = []
+        #: Memoized :meth:`_digest` results, keyed by ``structural``.  Only
+        #: append/insert/compose change a circuit's instructions in place,
+        #: and each of them drops the memo; copies and slices start empty.
+        self._digests: Dict[bool, str] = {}
 
     # ------------------------------------------------------------------
     # Container protocol
@@ -142,6 +146,7 @@ class Circuit:
         for q in qubits:
             check_qubit_index(q, self.num_qubits)
         self._instructions.append(Instruction(operation, qubits))
+        self._digests = {}
         return self
 
     def extend(self, instructions: Iterable[Instruction]) -> "Circuit":
@@ -158,6 +163,7 @@ class Circuit:
         for q in qubits:
             check_qubit_index(q, self.num_qubits)
         self._instructions.insert(index, Instruction(operation, qubits))
+        self._digests = {}
         return self
 
     # Convenience single-gate builders -----------------------------------
@@ -280,7 +286,7 @@ class Circuit:
         return moments
 
     def _digest(self, structural: bool) -> str:
-        """Shared fingerprint machinery (see :meth:`fingerprint`).
+        """Shared fingerprint machinery (see :meth:`fingerprint`), memoized per mode.
 
         Literal gate and noise instructions contribute identical bytes in
         both modes, so for circuits without parametric gates the structural
@@ -289,6 +295,13 @@ class Circuit:
         (gate name + expression shape) in both modes, plus its bound values
         and parameter-shift offsets in exact mode only.
         """
+        memo = self._digests
+        cached = memo.get(structural)
+        if cached is None:
+            cached = memo[structural] = self._hash(structural)
+        return cached
+
+    def _hash(self, structural: bool) -> str:
         digest = hashlib.sha256()
         digest.update(str(self.num_qubits).encode())
         for inst in self._instructions:
@@ -363,6 +376,7 @@ class Circuit:
             )
         new = self.copy(name=f"{self.name}+{other.name}")
         new._instructions.extend(other._instructions)
+        new._digests = {}
         return new
 
     def inverse(self) -> "Circuit":

@@ -89,7 +89,8 @@ METRIC_RULES: Tuple[Tuple[str, MetricRule], ...] = (
 #: Session.run cache hit costs at most 1.5x the execution it serves", "the
 #: trajectory engine, evolving each distinct Kraus history once, beats the
 #: per-sample loop >= 25x", "the tn environment-sweep gradient beats the
-#: parameter-shift loop >= 4x") must hold outright, not merely relative to
+#: parameter-shift loop >= 4x", "kernel-table plan replay beats a per-step
+#: tensordot replay >= 2x") must hold outright, not merely relative to
 #: history.
 METRIC_FLOORS: Mapping[Tuple[str, str], float] = {
     ("compile_amortization", "aggregate_speedup"): 1.5,
@@ -98,6 +99,7 @@ METRIC_FLOORS: Mapping[Tuple[str, str], float] = {
     ("hit_path", "aggregate_speedup"): 0.67,
     ("engine_speedup", "aggregate_speedup"): 25.0,
     ("gradient", "aggregate_speedup"): 4.0,
+    ("plan_replay", "aggregate_speedup"): 2.0,
 }
 
 

@@ -45,13 +45,15 @@ class PreparedFidelity:
 
     Produced by :meth:`TNSimulator.prepare`: the network construction and the
     greedy contraction-ordering search are paid once; :meth:`execute` replays
-    the recorded schedule (the same pairwise ``tensordot`` sequence the live
-    contraction performed, so the value is bit-identical to
-    :meth:`TNSimulator.fidelity`).  Recording the plan contracts the template
-    once, and that value *is* this configuration's fidelity (the tensors
-    never change), so the first :meth:`execute` returns it directly instead
-    of replaying — a one-shot compile-and-run pays exactly one contraction,
-    like the unprepared path.
+    the recorded schedule (the live contraction's pairwise ``tensordot``
+    steps as precompiled ``dot`` kernels that compute the same bits, so the
+    value is bit-identical to :meth:`TNSimulator.fidelity`; the kernel table
+    lives on the plan, which every :meth:`rebind` shares).  Recording the
+    plan contracts the template once, and that value *is* this
+    configuration's fidelity (the tensors never change), so the first
+    :meth:`execute` returns it directly instead of replaying — a one-shot
+    compile-and-run pays exactly one contraction, like the unprepared path,
+    and never derives a kernel table.
 
     ``gate_nodes`` maps the instruction index of every parametric gate to its
     node positions (``U``, then ``U*`` in the doubled diagram; see
@@ -147,17 +149,28 @@ class PreparedFidelity:
             operation = circuit[index].operation
             tensor = gate_derivative(operation).reshape([2] * (2 * operation.num_qubits))
             nodes = self.gate_nodes[index]
-            upper = np.tensordot(ops.to_host(envs[nodes[0]]), tensor, axes=tensor.ndim)
+            upper = _pair(ops.to_host(envs[nodes[0]]), tensor)
             if self.noiseless:
                 derivatives.append(float(2.0 * np.real(np.conj(value) * upper)))
             else:
-                lower = np.tensordot(ops.to_host(envs[nodes[1]]), tensor.conj(), axes=tensor.ndim)
+                lower = _pair(ops.to_host(envs[nodes[1]]), tensor.conj())
                 derivatives.append(float(np.real(upper + lower)))
         return derivatives
 
     def describe(self) -> dict:
         """Plan-cost summary (node count, steps, peak intermediate size)."""
         return {"noiseless": self.noiseless, **self.plan.describe()}
+
+
+def _pair(environment: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    """``⟨E, T⟩``: the full contraction of an environment with its input, as one ``dot``.
+
+    ``np.tensordot(E, T, axes=T.ndim)`` computes exactly this row-times-column
+    product (its decomposition of a full contraction) and returns it as a
+    0-d array too, so the value — and the arithmetic done with it — is the
+    same to the bit, without ``tensordot``'s per-call shape arithmetic.
+    """
+    return np.dot(environment.reshape(1, -1), tensor.reshape(-1, 1)).reshape(())
 
 
 class TNSimulator:

@@ -6,7 +6,8 @@ shapes contract in the same order regardless of the tensor values.  The
 batched trajectory engine exploits this: every trajectory of a fixed circuit
 produces the same network topology (only the sampled Kraus tensor values
 change), so the ordering work and all node/edge bookkeeping can be paid once
-and replayed per trajectory as a flat sequence of ``np.tensordot`` calls.
+and replayed per trajectory as a flat sequence of precompiled ``dot``
+kernels.
 
 :meth:`ContractionPlan.record` contracts a template network while recording
 each pairwise step (via the :attr:`TensorNetwork.observer` hook) as a *slot
@@ -15,6 +16,17 @@ result to slot ``num_inputs + i``, and each step names the two slots it
 reads.  :meth:`ContractionPlan.execute` replays that program over a plain
 list of tensors.
 
+A replay runs from the plan's *kernel table*, derived once from its input
+shapes on the first replay and cached on the plan.  A step's kernel is
+numpy's own ``tensordot`` decomposition, precomputed:
+``dot(a.transpose(perm_a).reshape(shape_a), b.transpose(perm_b).reshape(shape_b)).reshape(shape_out)``
+is what ``np.tensordot(a, b, (axes_a, axes_b))`` computes, so a replay is
+bit-identical to the live contraction while skipping ``tensordot``'s
+per-call axis validation and shape arithmetic (the whole cost of a step on
+small tensors).  The same table carries the row-batched variants of the
+residual steps and the reverse sweep's environment kernels, and one loop
+(:func:`_run`) executes every one of them.
+
 When only a known subset of inputs varies between replays (the sampled Kraus
 tensors of a trajectory, the substituted SVD factors of an approximation
 term), :meth:`ContractionPlan.specialize` partially evaluates the plan over
@@ -22,10 +34,9 @@ the static inputs once — every contraction whose operands are (transitively)
 independent of the variable positions is computed at specialisation time —
 leaving a :class:`SpecializedPlan` that replays only the residual,
 variable-dependent steps.  :meth:`SpecializedPlan.execute` and
-:meth:`ContractionPlan.execute` run the one slot-replay loop
-(:func:`_replay`); the residual performs the *same* ``tensordot`` calls in
-the *same* order as a full replay, so its value is bit-identical — a full
-replay is simply a specialization with no baked steps.
+:meth:`ContractionPlan.execute` run the same kernels in the same order, so
+the residual's value is bit-identical to a full replay — a full replay is
+simply a specialization with no baked steps.
 
 A replay picks one candidate tensor per variable position, so it is an
 integer *index row*: Algorithm 1's terms and path truncation's paths pick an
@@ -33,7 +44,7 @@ SVD term per noise, a ``trajectories_tn`` sample its drawn Kraus operator.
 :meth:`SpecializedPlan.execute_rows` is the one evaluator for such rows: it
 gathers every row's candidates into inputs with a leading row axis and walks
 the residual steps once per chunk of rows.  Batched
-contractions sum in a different order than per-row ``tensordot`` calls, so
+contractions sum in a different order than per-row replays, so
 row values agree with :meth:`SpecializedPlan.execute` to within a few ulps
 (≤1e-15 relative on the tracked workloads), not bit for bit.
 
@@ -53,6 +64,7 @@ that circuit's fingerprint.
 
 from __future__ import annotations
 
+import math
 from typing import AbstractSet, Dict, List, Sequence, Tuple
 
 from repro.tensornetwork.network import TensorNetwork
@@ -74,6 +86,14 @@ ROW_BATCH_ENTRIES = 2**20
 #: (empty axes = outer product), and the output slot the result lands in.
 _Step = Tuple[int, int, Tuple[int, ...], Tuple[int, ...], int]
 
+#: One dot kernel (see :func:`_kernel`):
+#: ``(perm_a, shape_a, perm_b, shape_b, shape_out, stacked, order)``.
+_Kernel = tuple
+
+#: A host replay calls ndarray's own methods: the kernels behind
+#: ``np.transpose``/``np.reshape`` without numpy's function-dispatch layer.
+_HOST = (np.ndarray.transpose, np.ndarray.reshape, np.dot, np.matmul)
+
 
 class ContractionPlan:
     """A recorded pairwise contraction schedule, replayable on fresh tensors."""
@@ -90,6 +110,8 @@ class ContractionPlan:
         #: Entry count of the largest intermediate the schedule produces
         #: (recorded at planning time; the replay cost estimate).
         self.peak_intermediate_entries = peak_intermediate_entries
+        #: The kernel table, derived on the first replay (see _kernel_table).
+        self._table: _KernelTable | None = None
 
     @property
     def num_steps(self) -> int:
@@ -161,6 +183,20 @@ class ContractionPlan:
     def _result_slot(self) -> int:
         return self.num_inputs + len(self.steps) - 1 if self.steps else 0
 
+    def _kernel_table(self, tensors: Sequence) -> "_KernelTable":
+        """The plan's kernel table, derived from ``tensors``' shapes on first use.
+
+        Every replay passes tensors of the template's shapes, so the table is
+        built once per plan (a plan-cache hit or another binding sharing the
+        plan reuses it).  It is built whole before the one assignment, so two
+        threads racing on a first replay both get a complete, equal table.
+        """
+        table = self._table
+        if table is None:
+            table = _KernelTable(self.steps, [tensor.shape for tensor in tensors])
+            self._table = table
+        return table
+
     def execute(self, tensors: List[np.ndarray], xp=None) -> complex:
         """Replay the schedule over ``tensors`` and return the scalar result.
 
@@ -168,8 +204,9 @@ class ContractionPlan:
         values may differ (device arrays of ``xp`` when a namespace is given).
         """
         self._check_inputs(tensors)
+        table = self._kernel_table(tensors)
         buffer = list(tensors) + [None] * len(self.steps)
-        return _replay(buffer, self.steps, self._result_slot(), xp)
+        return _replay(buffer, table.forward, self._result_slot(), xp)
 
     def environments(
         self, tensors: List[np.ndarray], positions: Sequence[int], xp=None
@@ -187,14 +224,16 @@ class ContractionPlan:
         root's unit environment down to the leaves: the environment of a
         step's operand is the step's environment contracted with the other
         operand over that operand's free axes, transposed back to the
-        operand's axis order.  Each environment has its input's shape (a
-        device array of ``xp`` when a namespace is given).
+        operand's axis order (one precomputed kernel per operand, see
+        :func:`_environment_kernel`).  Each environment has its input's shape
+        (a device array of ``xp`` when a namespace is given).
         """
         self._check_inputs(tensors)
         wanted = {int(position) for position in positions}
         unknown = sorted(position for position in wanted if not 0 <= position < self.num_inputs)
         if unknown:
             raise ValidationError(f"environment positions {unknown} out of range")
+        table = self._kernel_table(tensors)
         on_path = set(wanted)
         keep = set()
         for slot_a, slot_b, _, _, out in self.steps:
@@ -206,18 +245,21 @@ class ContractionPlan:
                     keep.add(slot_a)
         buffer = list(tensors) + [None] * len(self.steps)
         result_slot = self._result_slot()
-        value = _replay(buffer, self.steps, result_slot, xp, keep)
+        value = _replay(buffer, table.forward, result_slot, xp, keep)
         ops = get_namespace("cpu") if xp is None else xp
+        primitives = _primitives(xp)
         result = buffer[result_slot]
         envs = {result_slot: ops.full(result.shape, 1.0, dtype=ops.complex_dtype)}
-        for slot_a, slot_b, axes_a, axes_b, out in reversed(self.steps):
+        for (slot_a, slot_b, _, _, out), (kernel_a, kernel_b) in zip(
+            reversed(self.steps), reversed(table.reverse())
+        ):
             if out not in on_path:
                 continue
             env = envs.pop(out)
             if slot_a in on_path:
-                envs[slot_a] = _operand_environment(env, buffer[slot_b], axes_a, axes_b, True, xp)
+                envs[slot_a] = _apply(kernel_a, env, buffer[slot_b], primitives)
             if slot_b in on_path:
-                envs[slot_b] = _operand_environment(env, buffer[slot_a], axes_b, axes_a, False, xp)
+                envs[slot_b] = _apply(kernel_b, env, buffer[slot_a], primitives)
             buffer[slot_a] = buffer[slot_b] = None
         return value, {position: envs[position] for position in sorted(wanted)}
 
@@ -229,33 +271,47 @@ class ContractionPlan:
         """Partially evaluate the plan over every input *not* in ``variable_positions``.
 
         ``tensors`` supplies the static input values (entries at variable
-        positions are ignored); the returned :class:`SpecializedPlan` accepts
-        fresh values for the variable positions per call and replays only the
-        steps that depend on them.
+        positions are ignored, but their shapes are read); the returned
+        :class:`SpecializedPlan` accepts fresh values for the variable
+        positions per call and replays only the steps that depend on them.
+        Only the static intermediates a residual step reads stay baked.
         """
         self._check_inputs(tensors)
         variable = {int(position) for position in variable_positions}
         unknown = sorted(position for position in variable if not 0 <= position < self.num_inputs)
         if unknown:
             raise ValidationError(f"variable positions {unknown} out of range")
-        total = self.num_inputs + len(self.steps)
-        baked: List[np.ndarray | None] = [None] * total
-        static = [True] * total
-        for position in range(self.num_inputs):
-            if position in variable:
-                static[position] = False
-            else:
-                baked[position] = tensors[position]
-        residual: List[_Step] = []
-        for slot_a, slot_b, axes_a, axes_b, out in self.steps:
+        table = self._kernel_table(tensors)
+        static = [position not in variable for position in range(self.num_inputs)]
+        static += [True] * len(self.steps)
+        baked_steps, residual, rows = [], [], []
+        for step, kernel in zip(self.steps, table.forward):
+            slot_a, slot_b, axes_a, axes_b, out = step
             if static[slot_a] and static[slot_b]:
-                baked[out] = _contract_step(baked[slot_a], baked[slot_b], axes_a, axes_b, None)
-            else:
-                static[out] = False
-                residual.append((slot_a, slot_b, axes_a, axes_b, out))
+                baked_steps.append(kernel)
+                continue
+            static[out] = False
+            residual.append(kernel)
+            rows.append(
+                (slot_a, slot_b, out)
+                + _kernel(
+                    table.shapes[slot_a],
+                    table.shapes[slot_b],
+                    axes_a,
+                    axes_b,
+                    rows_a=not static[slot_a],
+                    rows_b=not static[slot_b],
+                )
+            )
+        baked: List[np.ndarray | None] = [
+            tensor if static[position] else None for position, tensor in enumerate(tensors)
+        ]
+        baked += [None] * len(self.steps)
+        _run(baked, baked_steps, _HOST)
         return SpecializedPlan(
             baked,
             residual,
+            rows,
             sorted(variable),
             self._result_slot(),
             self.peak_intermediate_entries,
@@ -275,6 +331,7 @@ class SpecializedPlan:
     __slots__ = (
         "_baked",
         "_residual",
+        "_rows",
         "variable_positions",
         "_result_slot",
         "peak_intermediate_entries",
@@ -284,13 +341,17 @@ class SpecializedPlan:
     def __init__(
         self,
         baked: List[np.ndarray | None],
-        residual: List[_Step],
+        residual: List[tuple],
+        rows: List[tuple],
         variable_positions: List[int],
         result_slot: int,
         peak_intermediate_entries: int,
     ) -> None:
         self._baked = baked
+        #: The residual steps' kernels (one row per replay) ...
         self._residual = residual
+        #: ... and their row-batched variants (execute_rows).
+        self._rows = rows
         self.variable_positions = variable_positions
         self._result_slot = result_slot
         #: The recorded plan's largest intermediate (sizes row chunks).
@@ -354,7 +415,7 @@ class SpecializedPlan:
         chunk = max(1, ROW_BATCH_ENTRIES // max(1, self.peak_intermediate_entries))
         for start in range(0, len(rows), chunk):
             block = rows[start : start + chunk]
-            values[start : start + len(block)] = self._replay_block(baked, stacks, block, ops)
+            values[start : start + len(block)] = self._replay_block(baked, stacks, block, ops, xp)
         return values
 
     def _check_rows(self, factors: Sequence[Sequence], rows) -> np.ndarray:
@@ -379,126 +440,221 @@ class SpecializedPlan:
             )
         return rows.astype(np.intp, copy=False)
 
-    def _replay_block(self, baked: List, stacks: List, rows: np.ndarray, ops) -> np.ndarray:
+    def _replay_block(self, baked: List, stacks: List, rows: np.ndarray, ops, xp) -> np.ndarray:
         """Run the residual steps for every row of ``rows`` at once; return the host values ``[K]``.
 
-        A slot is either static (a baked tensor) or batched (a leading row axis
-        ``K`` in front of the sequential step's axes), so every recorded
-        ``axes_a``/``axes_b`` stays valid once shifted past the row axis.
+        A slot is either static (a baked tensor) or batched (a leading row
+        axis ``K`` in front of the sequential step's axes); every residual
+        step has a batched operand, and its row kernel (see :func:`_kernel`)
+        leaves the row axis first.  Without variables nothing is batched and
+        the baked result is every row's value.
         """
         buffer = list(baked)
-        batched = [False] * len(buffer)
         for column, position in enumerate(self.variable_positions):
             buffer[position] = stacks[column][rows[:, column]]
-            batched[position] = True
-        for slot_a, slot_b, axes_a, axes_b, out in self._residual:
-            tensor_a, tensor_b = buffer[slot_a], buffer[slot_b]
-            if batched[slot_a] and batched[slot_b]:
-                result = _batched_pair(tensor_a, tensor_b, axes_a, axes_b, ops)
-            elif batched[slot_a]:
-                shifted = [axis + 1 for axis in axes_a]
-                result = ops.tensordot(tensor_a, tensor_b, axes=(shifted, list(axes_b)))
-            else:
-                shifted = [axis + 1 for axis in axes_b]
-                result = ops.tensordot(tensor_a, tensor_b, axes=(list(axes_a), shifted))
-                # tensordot leaves the row axis behind a's free axes; move it first.
-                free_a = tensor_a.ndim - len(axes_a)
-                order = [free_a] + list(range(free_a)) + list(range(free_a + 1, result.ndim))
-                result = ops.transpose(result, order)
-            buffer[out], batched[out] = result, True
-            buffer[slot_a] = buffer[slot_b] = None
+        _run(buffer, self._rows, _primitives(xp))
         result = buffer[self._result_slot]
-        is_batched = batched[self._result_slot]
-        if result is None or result.size != (len(rows) if is_batched else 1):
+        batched = bool(self.variable_positions)
+        if result is None or result.size != (len(rows) if batched else 1):
             raise ValidationError("plan did not reduce the network to a scalar")
         values = ops.to_host(result).reshape(-1)
-        return values if is_batched else np.full(len(rows), values[0])
+        return values if batched else np.full(len(rows), values[0])
 
 
-def _replay(
-    buffer: List, steps: Sequence[_Step], result_slot: int, xp, keep: AbstractSet[int] = frozenset()
-) -> complex:
-    """Run ``steps`` over the slot ``buffer`` and return the scalar in ``result_slot``.
+class _KernelTable:
+    """Every step's dot kernels, derived once from a plan's input shapes.
 
-    Every slot is read by exactly one step, so operands are released as soon
-    as they are consumed (the live set matches a destructive contraction's).
-    Slots in ``keep`` stay in ``buffer`` for a later reverse sweep
-    (:meth:`ContractionPlan.environments`).
+    ``shapes[slot]`` is the shape of every slot of the slot program and
+    ``forward[i]`` is step ``i`` as ``(slot_a, slot_b, out) + kernel``, the
+    form :func:`_run` executes.  The reverse sweep's environment kernels are
+    derived on the first :meth:`ContractionPlan.environments` call (plans
+    that are only replayed never pay for them).
     """
-    for slot_a, slot_b, axes_a, axes_b, out in steps:
-        buffer[out] = _contract_step(buffer[slot_a], buffer[slot_b], axes_a, axes_b, xp)
+
+    __slots__ = ("steps", "shapes", "forward", "_reverse")
+
+    def __init__(self, steps: Sequence[_Step], input_shapes: Sequence[Tuple[int, ...]]) -> None:
+        shapes: List[Tuple[int, ...]] = [tuple(shape) for shape in input_shapes]
+        forward = []
+        for slot_a, slot_b, axes_a, axes_b, out in steps:
+            kernel = _kernel(shapes[slot_a], shapes[slot_b], axes_a, axes_b)
+            shapes.append(kernel[4])
+            forward.append((slot_a, slot_b, out) + kernel)
+        self.steps = steps
+        self.shapes = shapes
+        self.forward = forward
+        self._reverse: List[Tuple[_Kernel, _Kernel]] | None = None
+
+    def reverse(self) -> List[Tuple[_Kernel, _Kernel]]:
+        """Per step, the environment kernels of its operands ``a`` and ``b``."""
+        reverse = self._reverse
+        if reverse is None:
+            shapes = self.shapes
+            reverse = [
+                (
+                    _environment_kernel(shapes[out], shapes[slot_b], axes_a, axes_b, first=True),
+                    _environment_kernel(shapes[out], shapes[slot_a], axes_b, axes_a, first=False),
+                )
+                for slot_a, slot_b, axes_a, axes_b, out in self.steps
+            ]
+            self._reverse = reverse
+        return reverse
+
+
+def _primitives(xp) -> tuple:
+    """``(transpose, reshape, dot, matmul)`` for a replay on ``xp`` (None = host)."""
+    if xp is None or xp.device == "cpu":
+        return _HOST
+    return xp.transpose, xp.reshape, xp.dot, xp.matmul
+
+
+def _perm(axes) -> Tuple[int, ...] | None:
+    """``axes`` as a transpose order, or None for the identity (the same view)."""
+    axes = tuple(axes)
+    return None if axes == tuple(range(len(axes))) else axes
+
+
+def _kernel(
+    shape_a: Tuple[int, ...],
+    shape_b: Tuple[int, ...],
+    axes_a: Sequence[int],
+    axes_b: Sequence[int],
+    rows_a: bool = False,
+    rows_b: bool = False,
+) -> _Kernel:
+    """numpy's ``tensordot`` decomposition of one step, as data.
+
+    Returns ``(perm_a, shape_a, perm_b, shape_b, shape_out, stacked,
+    order)``: :func:`_run` computes ``(matmul if stacked else
+    dot)(a.transpose(perm_a).reshape(shape_a),
+    b.transpose(perm_b).reshape(shape_b)).reshape(shape_out)``, then
+    transposes by ``order``.  A ``None`` permutation skips its transpose
+    (the identity transpose is the same view, so nothing changes).
+
+    ``shape_a``/``shape_b`` are the sequential operand shapes.  ``rows_a`` /
+    ``rows_b`` mark operands that carry a leading row axis (the batched
+    replay of :meth:`SpecializedPlan.execute_rows`); the row count is left as
+    ``-1`` so one kernel serves every chunk size.  With neither, the kernel
+    is exactly ``np.tensordot(a, b, (axes_a, axes_b))``; with one, it is
+    ``tensordot`` over the row-shifted axes (then, for a batched ``b``, the
+    row axis moved first); with both, one stacked ``matmul`` row by row.
+    """
+    free_a = [axis for axis in range(len(shape_a)) if axis not in axes_a]
+    free_b = [axis for axis in range(len(shape_b)) if axis not in axes_b]
+    kept_a = tuple(shape_a[axis] for axis in free_a)
+    kept_b = tuple(shape_b[axis] for axis in free_b)
+    size_a, size_b = math.prod(kept_a), math.prod(kept_b)
+    shared = math.prod(shape_a[axis] for axis in axes_a)
+    left, right = free_a + list(axes_a), list(axes_b) + free_b
+    if rows_a and rows_b:
+        return (
+            _perm([0] + _shifted(left)), (-1, size_a, shared),
+            _perm([0] + _shifted(right)), (-1, shared, size_b),
+            (-1,) + kept_a + kept_b, True, None,
+        )
+    if rows_a:
+        # The row axis leads a's free axes, so it leads the result too.
+        return (
+            _perm([0] + _shifted(left)), (-1, shared),
+            _perm(right), (shared, size_b),
+            (-1,) + kept_a + kept_b, False, None,
+        )
+    if rows_b:
+        # tensordot leaves the row axis behind a's free axes; move it first.
+        width = len(kept_a)
+        order = [width] + list(range(width)) + list(range(width + 1, width + 1 + len(kept_b)))
+        return (
+            _perm(left), (size_a, shared),
+            _perm(_shifted(axes_b) + [0] + _shifted(free_b)), (shared, -1),
+            kept_a + (-1,) + kept_b, False, _perm(order),
+        )
+    return (
+        _perm(left), (size_a, shared),
+        _perm(right), (shared, size_b),
+        kept_a + kept_b, False, None,
+    )
+
+
+def _shifted(axes: Sequence[int]) -> List[int]:
+    """``axes`` past a leading row axis."""
+    return [axis + 1 for axis in axes]
+
+
+def _environment_kernel(
+    shape_out: Tuple[int, ...],
+    shape_other: Tuple[int, ...],
+    axes_self: Sequence[int],
+    axes_other: Sequence[int],
+    first: bool,
+) -> _Kernel:
+    """Kernel of one operand's environment for ``out = tensordot(a, b, (axes_a, axes_b))``.
+
+    The environment ``env`` of ``out`` (shape ``shape_out``: ``a``'s free
+    axes then ``b``'s) is contracted with ``other``, the operand not
+    differentiated, over ``other``'s free axes; ``axes_self`` /
+    ``axes_other`` are the paired contracted axes of the operand and of
+    ``other``, and ``first`` says whether the operand is ``a``.  The
+    contraction leaves the operand's free axes, then its contracted axes in
+    ``other``'s ascending order; the kernel's ``order`` transposes them back
+    to the operand's own axis order.
+    """
+    free_other = [axis for axis in range(len(shape_other)) if axis not in axes_other]
+    num_free_self = len(shape_out) - len(free_other)
+    if first:
+        env_axes = range(num_free_self, len(shape_out))
+    else:
+        env_axes = range(len(free_other))
+    kernel = _kernel(shape_out, shape_other, tuple(env_axes), free_other)
+    paired = dict(zip(axes_other, axes_self))
+    labels = [axis for axis in range(num_free_self + len(axes_self)) if axis not in axes_self]
+    labels += [paired[axis] for axis in sorted(axes_other)]
+    return kernel[:6] + (_perm(labels.index(axis) for axis in range(len(labels))),)
+
+
+def _apply(kernel: _Kernel, left, right, primitives: tuple):
+    """One kernel on two operands (the reverse sweep's step; :func:`_run` inlines it)."""
+    transpose, reshape, dot, matmul = primitives
+    perm_a, shape_a, perm_b, shape_b, shape_out, stacked, order = kernel
+    if perm_a is not None:
+        left = transpose(left, perm_a)
+    if perm_b is not None:
+        right = transpose(right, perm_b)
+    result = reshape((matmul if stacked else dot)(reshape(left, shape_a), reshape(right, shape_b)), shape_out)
+    return result if order is None else transpose(result, order)
+
+
+def _run(buffer: List, kernels: Sequence[tuple], primitives: tuple, keep: AbstractSet[int] = frozenset()) -> None:
+    """Execute ``(slot_a, slot_b, out) + kernel`` steps over the slot ``buffer``.
+
+    The one replay loop: full and residual replays, the row-batched replay
+    and specialisation all run through it.  Every slot is read by exactly
+    one step, so operands are released as soon as they are consumed (the
+    live set matches a destructive contraction's); slots in ``keep`` stay in
+    ``buffer`` for a later reverse sweep (:meth:`ContractionPlan.environments`).
+    """
+    transpose, reshape, dot, matmul = primitives
+    for slot_a, slot_b, out, perm_a, shape_a, perm_b, shape_b, shape_out, stacked, order in kernels:
+        left, right = buffer[slot_a], buffer[slot_b]
+        if perm_a is not None:
+            left = transpose(left, perm_a)
+        if perm_b is not None:
+            right = transpose(right, perm_b)
+        result = reshape((matmul if stacked else dot)(reshape(left, shape_a), reshape(right, shape_b)), shape_out)
+        buffer[out] = result if order is None else transpose(result, order)
         if slot_a not in keep:
             buffer[slot_a] = None
         if slot_b not in keep:
             buffer[slot_b] = None
+
+
+def _replay(
+    buffer: List, kernels: Sequence[tuple], result_slot: int, xp, keep: AbstractSet[int] = frozenset()
+) -> complex:
+    """:func:`_run` ``kernels`` over ``buffer`` and return the scalar in ``result_slot``."""
+    _run(buffer, kernels, _primitives(xp), keep)
     result = buffer[result_slot]
     if result is None or result.size != 1:
         raise ValidationError("plan did not reduce the network to a scalar")
     if xp is None:
         return complex(result.reshape(()))
     return complex(xp.to_scalar(result))
-
-
-def _operand_environment(env, other, axes_self, axes_other, first: bool, xp):
-    """Environment of one operand of ``out = tensordot(a, b, (axes_a, axes_b))``.
-
-    ``env`` is the environment of ``out``, whose axes are ``a``'s free axes
-    then ``b``'s.  ``other`` is the operand not differentiated, ``axes_self``
-    / ``axes_other`` the paired contracted axes of the operand and of
-    ``other``; ``first`` says whether the operand is ``a``.  Contracting
-    ``env`` with ``other`` over ``other``'s free axes leaves the operand's
-    free axes, then its contracted axes in ``other``'s ascending order; the
-    transpose restores the operand's own axis order.
-    """
-    contracted = set(axes_other)
-    free_other = tuple(axis for axis in range(other.ndim) if axis not in contracted)
-    num_free_self = env.ndim - len(free_other)
-    if first:
-        env_axes = tuple(range(num_free_self, env.ndim))
-    else:
-        env_axes = tuple(range(len(free_other)))
-    grad = _contract_step(env, other, env_axes, free_other, xp)
-    paired = dict(zip(axes_other, axes_self))
-    contracted_self = set(axes_self)
-    labels = [axis for axis in range(num_free_self + len(axes_self)) if axis not in contracted_self]
-    labels += [paired[axis] for axis in sorted(axes_other)]
-    order = [labels.index(axis) for axis in range(len(labels))]
-    if order == list(range(len(order))):
-        return grad
-    ops = get_namespace("cpu") if xp is None else xp
-    return ops.transpose(grad, order)
-
-
-def _batched_pair(tensor_a, tensor_b, axes_a: Tuple[int, ...], axes_b: Tuple[int, ...], ops):
-    """Contract two row-batched tensors row by row: one stacked ``matmul``.
-
-    The result has the row axis, then ``a``'s free axes, then ``b``'s — the
-    axis order of the sequential ``tensordot``.
-    """
-    num_rows = tensor_a.shape[0]
-    free_a = [axis for axis in range(tensor_a.ndim - 1) if axis not in axes_a]
-    free_b = [axis for axis in range(tensor_b.ndim - 1) if axis not in axes_b]
-    shape_a = [tensor_a.shape[axis + 1] for axis in free_a]
-    shape_b = [tensor_b.shape[axis + 1] for axis in free_b]
-    shared = 1
-    for axis in axes_a:
-        shared *= tensor_a.shape[axis + 1]
-    left = ops.transpose(tensor_a, [0] + [axis + 1 for axis in free_a + list(axes_a)])
-    right = ops.transpose(tensor_b, [0] + [axis + 1 for axis in list(axes_b) + free_b])
-    product = ops.matmul(
-        ops.reshape(left, (num_rows, -1, shared)), ops.reshape(right, (num_rows, shared, -1))
-    )
-    return ops.reshape(product, [num_rows] + shape_a + shape_b)
-
-
-def _contract_step(
-    tensor_a: np.ndarray,
-    tensor_b: np.ndarray,
-    axes_a: Tuple[int, ...],
-    axes_b: Tuple[int, ...],
-    xp=None,
-) -> np.ndarray:
-    axes = (list(axes_a), list(axes_b)) if axes_a else 0
-    if xp is None:
-        return np.tensordot(tensor_a, tensor_b, axes=axes)
-    return xp.tensordot(tensor_a, tensor_b, axes=axes)

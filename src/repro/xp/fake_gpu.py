@@ -224,6 +224,9 @@ class FakeGpuNamespace(ArrayNamespace):
     def matmul(self, a, b):
         return FakeDeviceArray(_unwrap(a, "matmul") @ _unwrap(b, "matmul"))
 
+    def dot(self, a, b):
+        return FakeDeviceArray(np.dot(_unwrap(a, "dot"), _unwrap(b, "dot")))
+
     def kron(self, a, b):
         return FakeDeviceArray(np.kron(_unwrap(a, "kron"), _unwrap(b, "kron")))
 

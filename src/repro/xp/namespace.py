@@ -210,6 +210,10 @@ class ArrayNamespace:
     def matmul(self, a, b):
         self._unimplemented("matmul")
 
+    def dot(self, a, b):
+        """``numpy.dot``: the 2-D product behind ``tensordot`` (plan replay's kernel)."""
+        self._unimplemented("dot")
+
     def kron(self, a, b):
         self._unimplemented("kron")
 

@@ -70,6 +70,9 @@ class NumpyNamespace(ArrayNamespace):
     def matmul(self, a, b):
         return a @ b
 
+    def dot(self, a, b):
+        return np.dot(a, b)
+
     def kron(self, a, b):
         return np.kron(a, b)
 

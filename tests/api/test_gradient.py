@@ -19,9 +19,11 @@ from repro.circuits.parameters import (
     ParametricGate,
     UnboundParameterError,
     circuit_parameters,
+    gate_derivative,
     substitute,
 )
 from repro.utils.validation import ValidationError
+from tests.core.reference import tensordot_environments
 
 
 def _single_gate_circuit(gate_name, expression):
@@ -257,6 +259,31 @@ class TestEnvironmentGradient:
             executable = session.compile(circuit, backend="density_matrix", **states)
             executable.gradient(params)
         assert submits == ["density_matrix"] * (2 * len(executable._shift_occurrences()))
+
+    def test_angle_derivatives_equal_a_tensordot_sweep(self, case):
+        # Bit for bit: a per-step np.tensordot forward and reverse sweep, and
+        # np.tensordot for every <E, U'> pairing.
+        build, states = CASES[case]
+        circuit = build()
+        bound = substitute(circuit, _binding_for(circuit))
+        prepared = tn_module.TNSimulator().prepare(
+            bound, states.get("input_state"), states.get("output_state")
+        )
+        indices = sorted(prepared.gate_nodes)
+        positions = [node for index in indices for node in prepared.gate_nodes[index]]
+        value, envs = tensordot_environments(prepared.plan, list(prepared.tensors), positions)
+        expected = []
+        for index in indices:
+            operation = bound[index].operation
+            tensor = gate_derivative(operation).reshape([2] * (2 * operation.num_qubits))
+            nodes = prepared.gate_nodes[index]
+            upper = np.tensordot(envs[nodes[0]], tensor, axes=tensor.ndim)
+            if prepared.noiseless:
+                expected.append(float(2.0 * np.real(np.conj(value) * upper)))
+            else:
+                lower = np.tensordot(envs[nodes[1]], tensor.conj(), axes=tensor.ndim)
+                expected.append(float(np.real(upper + lower)))
+        assert prepared.angle_derivatives(bound, indices) == expected
 
 
 @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])

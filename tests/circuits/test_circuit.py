@@ -148,3 +148,54 @@ class TestCircuitTransforms:
     def test_unitary_qubit_limit(self):
         with pytest.raises(ValidationError):
             Circuit(13).unitary()
+
+
+def _fresh(circuit):
+    """Both fingerprints of an instruction-for-instruction rebuild (no memo to reuse)."""
+    rebuilt = Circuit(circuit.num_qubits).extend(circuit)
+    return rebuilt.fingerprint(), rebuilt.structural_fingerprint()
+
+
+class TestFingerprintMemo:
+    """Fingerprints are memoized; every in-place mutation drops the memo."""
+
+    @staticmethod
+    def _parametric():
+        from repro.circuits.parameters import Parameter, ParametricGate
+
+        return Circuit(2).h(0).append(ParametricGate("rz", (Parameter("g"),)), 1).cx(0, 1)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda c: c.append(glib.H(), 1),
+            lambda c: c.h(0),
+            lambda c: c.extend([Instruction(glib.X(), (1,))]),
+            lambda c: c.insert(0, glib.X(), 1),
+            lambda c: c.append(depolarizing_channel(0.1), 0),
+        ],
+        ids=["append", "gate_helper", "extend", "insert", "noise"],
+    )
+    def test_every_mutator_changes_the_fingerprint(self, mutate):
+        circuit = self._parametric()
+        before = (circuit.fingerprint(), circuit.structural_fingerprint())
+        assert before == _fresh(circuit)
+        mutate(circuit)
+        after = (circuit.fingerprint(), circuit.structural_fingerprint())
+        assert after == _fresh(circuit)
+        assert after[0] != before[0] and after[1] != before[1]
+
+    def test_memo_never_survives_into_a_copy_slice_or_compose(self):
+        circuit = self._parametric()
+        memoized = (circuit.fingerprint(), circuit.structural_fingerprint())
+        clone = circuit.copy()
+        clone.x(1)
+        assert (clone.fingerprint(), clone.structural_fingerprint()) == _fresh(clone)
+        assert (circuit.fingerprint(), circuit.structural_fingerprint()) == memoized
+        head = circuit[0:1]
+        assert (head.fingerprint(), head.structural_fingerprint()) == _fresh(head) != memoized
+        composed = circuit.compose(Circuit(2).x(0))
+        assert (composed.fingerprint(), composed.structural_fingerprint()) == _fresh(composed)
+        assert composed.fingerprint() != memoized[0]
+        # An unchanged copy shares the value, not the memo.
+        assert circuit.copy().fingerprint() == memoized[0]

@@ -11,7 +11,15 @@ through :meth:`SpecializedPlan.execute` — the per-row loop the batched
 :meth:`SpecializedPlan.execute_rows` replaced, and the reference the
 golden values were computed with.
 
-No library option selects either; tests compare the library against them.
+The tensordot slot replays are the plan replay written plainly, one
+``np.tensordot`` (or stacked ``matmul``) per step: a kernel-table replay
+must equal them bit for bit.  :func:`tensordot_execute` and
+:func:`tensordot_environments` (from ``benchmarks/reference_loops.py``,
+which times them) cover :meth:`ContractionPlan.execute`,
+:meth:`ContractionPlan.environments` and :meth:`SpecializedPlan.execute`;
+:func:`tensordot_execute_rows` covers :meth:`SpecializedPlan.execute_rows`.
+
+No library option selects any of them; tests compare the library against them.
 """
 
 from __future__ import annotations
@@ -20,13 +28,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import repro.tensornetwork.plan as plan_module
+from benchmarks.reference_loops import tensordot_environments, tensordot_execute, tensordot_step
 from repro.circuits.circuit import Circuit
 from repro.core import ApproximateNoisySimulator
 from repro.simulators.statevector import apply_matrix
 from repro.tensornetwork.circuit_to_tn import StateLike, dense_product_state
 from repro.tensornetwork.plan import SpecializedPlan
 
-__all__ = ["StatevectorReference", "rows_close", "sequential_execute_rows"]
+__all__ = [
+    "StatevectorReference",
+    "rows_close",
+    "sequential_execute_rows",
+    "tensordot_environments",
+    "tensordot_execute",
+    "tensordot_execute_rows",
+]
 
 #: Batched vs sequential row replay: only the summation order differs.
 BATCHED_RTOL = 1e-12
@@ -41,6 +58,64 @@ def sequential_execute_rows(plan: SpecializedPlan, factors, rows, xp=None) -> np
         ],
         dtype=complex,
     )
+
+
+def tensordot_execute_rows(plan, tensors, variable_positions, factors, rows) -> np.ndarray:
+    """``plan.specialize(tensors, variable_positions).execute_rows(factors, rows)``, step by step.
+
+    Static steps are ``np.tensordot`` calls over the static inputs.  In each
+    chunk of rows (the library's chunk size), a step with one batched operand
+    is a ``tensordot`` over the row-shifted axes (a batched ``b``'s row axis
+    then moved first), and two batched operands contract row by row in one
+    stacked ``matmul``.
+    """
+    variable = list(variable_positions)
+    static = [position not in variable for position in range(plan.num_inputs)]
+    static += [True] * plan.num_steps
+    baked = list(tensors) + [None] * plan.num_steps
+    for slot_a, slot_b, axes_a, axes_b, out in plan.steps:
+        if static[slot_a] and static[slot_b]:
+            baked[out] = tensordot_step(baked[slot_a], baked[slot_b], axes_a, axes_b)
+        else:
+            static[out] = False
+    rows = np.asarray(rows, dtype=np.intp)
+    stacks = [np.stack(list(candidates)) for candidates in factors]
+    chunk = max(1, plan_module.ROW_BATCH_ENTRIES // max(1, plan.peak_intermediate_entries))
+    values = []
+    for start in range(0, len(rows), chunk):
+        block = rows[start : start + chunk]
+        buffer = list(baked)
+        for column, position in enumerate(variable):
+            buffer[position] = stacks[column][block[:, column]]
+        for slot_a, slot_b, axes_a, axes_b, out in plan.steps:
+            if static[out]:
+                continue
+            tensor_a, tensor_b = buffer[slot_a], buffer[slot_b]
+            if not static[slot_a] and not static[slot_b]:
+                free_a = [axis for axis in range(tensor_a.ndim - 1) if axis not in axes_a]
+                free_b = [axis for axis in range(tensor_b.ndim - 1) if axis not in axes_b]
+                shared = int(np.prod([tensor_a.shape[axis + 1] for axis in axes_a]))
+                left = np.transpose(tensor_a, [0] + [axis + 1 for axis in free_a + list(axes_a)])
+                right = np.transpose(tensor_b, [0] + [axis + 1 for axis in list(axes_b) + free_b])
+                product = left.reshape(len(block), -1, shared) @ right.reshape(len(block), shared, -1)
+                buffer[out] = product.reshape(
+                    [len(block)]
+                    + [tensor_a.shape[axis + 1] for axis in free_a]
+                    + [tensor_b.shape[axis + 1] for axis in free_b]
+                )
+            elif not static[slot_a]:
+                shifted = [axis + 1 for axis in axes_a]
+                buffer[out] = np.tensordot(tensor_a, tensor_b, axes=(shifted, list(axes_b)))
+            else:
+                shifted = [axis + 1 for axis in axes_b]
+                result = np.tensordot(tensor_a, tensor_b, axes=(list(axes_a), shifted))
+                free = tensor_a.ndim - len(axes_a)
+                buffer[out] = np.transpose(
+                    result, [free] + list(range(free)) + list(range(free + 1, result.ndim))
+                )
+        result = buffer[-1]
+        values.extend(result.reshape(-1) if variable else [result.reshape(())] * len(block))
+    return np.array(values, dtype=complex)
 
 
 def rows_close(actual, expected, rtol: float = BATCHED_RTOL) -> bool:

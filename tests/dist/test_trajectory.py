@@ -145,6 +145,7 @@ def test_rule_floors_apply_to_named_benches():
     assert rule_for("hit_path", "aggregate_speedup").floor == 0.67
     assert rule_for("engine_speedup", "aggregate_speedup").floor == 25.0
     assert rule_for("gradient", "aggregate_speedup").floor == 4.0
+    assert rule_for("plan_replay", "aggregate_speedup").floor == 2.0
     assert rule_for("other_bench", "aggregate_speedup").floor is None
     assert rule_for("serving_throughput", "req_per_s_c4").ratio == 0.2
     assert rule_for("unknown", "unknown_metric") == MetricRule()
@@ -172,6 +173,7 @@ def test_checked_in_trajectory_parses_and_covers_all_benches():
         "term_replay",
         "engine_speedup",
         "gradient",
+        "plan_replay",
     } <= benches
     # Every floored claim held when its baseline was recorded.
     for (bench, metric), row in latest(rows).items():

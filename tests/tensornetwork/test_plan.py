@@ -5,14 +5,18 @@ the live contraction it recorded, and :meth:`SpecializedPlan.execute` exactly
 the residual of that sequence — so those comparisons are bit-for-bit.  The
 batched :meth:`SpecializedPlan.execute_rows` sums in a different order; it is
 compared with the per-row replay within 1e-12 relative, and bit-for-bit
-across devices.
+across devices.  Every replay runs from the plan's kernel table, and
+:class:`TestTensordotOracle` pins each one bit for bit to a plain
+per-step ``np.tensordot`` replay (``tests/core/reference.py``).
 """
 
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.circuits.circuit import Circuit
-from repro.circuits.library import ghz_circuit, qft_circuit, random_circuit
+from repro.circuits.library import benchmark_circuit, ghz_circuit, qft_circuit, random_circuit
+from repro.circuits.parameters import circuit_parameters
 from repro.noise import NoiseModel, amplitude_damping_channel, depolarizing_channel
 from repro.tensornetwork import (
     ContractionPlan,
@@ -24,7 +28,13 @@ import repro.tensornetwork.plan as plan_module
 from repro.tensornetwork.plan import SpecializedPlan
 from repro.utils.validation import ValidationError
 from repro.xp import get_namespace
-from tests.core.reference import rows_close, sequential_execute_rows
+from tests.core.reference import (
+    rows_close,
+    sequential_execute_rows,
+    tensordot_environments,
+    tensordot_execute,
+    tensordot_execute_rows,
+)
 
 
 def _noisy(seed, channel):
@@ -209,6 +219,111 @@ class TestEnvironments:
         assert device_value == value
         for position in positions:
             assert np.array_equal(xp.to_host(device_environments[position]), environments[position])
+
+
+@pytest.mark.parametrize("device", ["cpu", "fake_gpu"])
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+class TestTensordotOracle:
+    """Kernel-table replays equal a per-step ``np.tensordot`` replay bit for bit.
+
+    The device replay runs on ``fake_gpu`` and is compared with the host
+    reference, so fake_gpu == cpu == tensordot.
+    """
+
+    @staticmethod
+    def _on(device, tensors):
+        xp = None if device == "cpu" else get_namespace(device)
+        return xp, tensors if xp is None else [xp.asarray(tensor) for tensor in tensors]
+
+    def test_execute(self, name, device, rng):
+        plan, _, tensors = _record(name)
+        for values in (tensors, _perturbed(tensors, range(plan.num_inputs), rng)):
+            xp, inputs = self._on(device, values)
+            expected = tensordot_execute(plan, values)
+            assert [plan.execute(inputs, xp=xp) for _ in range(2)] == [expected] * 2
+
+    def test_environments(self, name, device, rng):
+        plan, _, tensors = _record(name)
+        values = _perturbed(tensors, range(0, plan.num_inputs, 2), rng)
+        xp, inputs = self._on(device, values)
+        for positions in (list(range(plan.num_inputs)), list(range(1, plan.num_inputs, 3))):
+            value, environments = plan.environments(inputs, positions, xp=xp)
+            expected, expected_environments = tensordot_environments(plan, values, positions)
+            assert value == expected
+            assert sorted(environments) == sorted(positions)
+            for position in positions:
+                actual = environments[position] if xp is None else xp.to_host(environments[position])
+                assert np.array_equal(actual, expected_environments[position]), position
+
+    def test_specialized_execute(self, name, device, rng):
+        plan, _, tensors = _record(name)
+        for subset in (list(range(0, plan.num_inputs, 3)), list(range(plan.num_inputs))):
+            specialized = plan.specialize(tensors, subset)
+            swapped = _perturbed(tensors, subset, rng)
+            xp, inputs = self._on(device, [swapped[position] for position in subset])
+            assert specialized.execute(inputs, xp=xp) == tensordot_execute(plan, swapped), subset
+
+    def test_execute_rows(self, name, device, rng, monkeypatch):
+        plan, _, tensors = _record(name)
+        subset = list(range(0, plan.num_inputs, 2))
+        specialized, factors = _row_candidates(plan, tensors, subset, rng)
+        rows = rng.integers(0, 3, size=(7, len(subset)))
+        xp, _ = self._on(device, [])
+        candidates = factors if xp is None else [
+            tuple(xp.asarray(tensor) for tensor in options) for options in factors
+        ]
+        expected = tensordot_execute_rows(plan, tensors, subset, factors, rows)
+        assert np.array_equal(specialized.execute_rows(candidates, rows, xp=xp), expected)
+        # Uneven chunks (3 + 3 + 1 rows): every chunk size shares one kernel.
+        monkeypatch.setattr(plan_module, "ROW_BATCH_ENTRIES", 3 * plan.peak_intermediate_entries)
+        expected = tensordot_execute_rows(plan, tensors, subset, factors, rows)
+        assert np.array_equal(specialized.execute_rows(candidates, rows, xp=xp), expected)
+
+
+class TestKernelTable:
+    """The kernel table is derived once per plan and never for a one-shot run."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        original = plan_module._KernelTable
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(plan_module, "_KernelTable", counting)
+        return calls
+
+    def test_once_per_plan_across_replays(self, builds, rng):
+        plan, value, tensors = _record("noisy_depolarizing")
+        assert [plan.execute(tensors) for _ in range(3)] == [value] * 3
+        plan.environments(tensors, range(plan.num_inputs))
+        plan.environments(tensors, [0])
+        specialized, factors = _row_candidates(plan, tensors, [0, 2], rng)
+        specialized.execute_rows(factors, rng.integers(0, 3, size=(4, 2)))
+        specialized.execute([factors[0][0], factors[1][1]])
+        assert len(builds) == 1
+
+    def test_once_per_plan_across_bindings(self, builds):
+        circuit = benchmark_circuit("qaoa_4", seed=3, native_gates=False, parametric=True)
+        noise = {"channel": "depolarizing", "parameter": 0.01, "count": 3, "seed": 5}
+        with Session(seed=1, plan_cache_size=4) as session:
+            executable = session.compile(circuit, "tn", noise=noise)
+            names = sorted(circuit_parameters(executable.circuit))
+            for angle in (0.1, 0.2, 0.3):
+                params = dict.fromkeys(names, angle)
+                bound = executable.bind(params)
+                bound.run()
+                bound.run()
+                executable.gradient(params)
+        assert len(builds) == 1
+
+    def test_one_shot_run_derives_no_table(self, builds):
+        circuit = benchmark_circuit("qaoa_4", seed=3, native_gates=False)
+        with Session(seed=1) as session:
+            session.run(circuit, "tn", noise={"channel": "depolarizing", "parameter": 0.01, "count": 3})
+        assert builds == []
 
 
 def test_environments_of_crossed_contraction_axes():

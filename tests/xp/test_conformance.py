@@ -74,6 +74,16 @@ class TestGoldenVectors:
             host(xp, xp.matmul(a, b)), np.array([[19.0, 22.0], [43.0, 50.0]])
         )
 
+    def test_dot_golden(self, xp):
+        # Plan replay's kernel: a (rows, shared) by (shared, cols) product,
+        # here a complex row vector against a column.
+        a = xp.asarray(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        b = xp.asarray(np.array([[5.0, 6.0], [7.0, 8.0]]))
+        assert np.array_equal(host(xp, xp.dot(a, b)), np.array([[19.0, 22.0], [43.0, 50.0]]))
+        row = xp.asarray(np.array([[1.0 + 1j, 2.0, -1j]]))
+        column = xp.asarray(np.array([[2.0], [1.0j], [3.0]]))
+        assert np.array_equal(host(xp, xp.dot(row, column)), np.array([[2.0 + 1j]]))
+
     def test_einsum_trace_golden(self, xp):
         a = xp.asarray(np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert host(xp, xp.einsum("ii->", a)) == pytest.approx(5.0)

@@ -27,6 +27,8 @@ class TestDisciplineViolations:
             xp.einsum("ij->i", np.ones((2, 2)))
         with pytest.raises(TypeError, match="host numpy array"):
             xp.tensordot(np.ones((2, 2)), device, axes=([1], [0]))
+        with pytest.raises(TypeError, match="host numpy array"):
+            xp.dot(device, np.ones((2, 2)))
 
     def test_implicit_host_coercion_raises(self, xp):
         device = xp.asarray(np.ones(3))
