@@ -5,10 +5,13 @@ samples are integer index rows replayed through one specialized plan by
 :meth:`~repro.tensornetwork.plan.SpecializedPlan.execute_rows`, which walks
 the residual contraction steps once for a whole batch of rows.  This
 microbench times that batched pass against the per-row loop it replaced
-(one :meth:`~repro.tensornetwork.plan.SpecializedPlan.execute` per row,
-``tests/core/reference.py``'s ``sequential_execute_rows``) on ``qaoa_9``
-built as ``benchmarks/specs/table3.yaml`` builds it, with 8 depolarizing
-noises at p=0.001:
+(``benchmarks/reference_loops.py``'s ``tensordot_row_loop``: one replay
+per row, one ``np.tensordot`` per residual step, as the per-row
+:meth:`~repro.tensornetwork.plan.SpecializedPlan.execute` ran when the
+baseline was recorded; it calls no library replay, so library speedups of
+the per-row path do not move the ratio) on ``qaoa_9`` built as
+``benchmarks/specs/table3.yaml`` builds it, with 8 depolarizing noises at
+p=0.001:
 
 * **ours_l1** — the 1 + 3·8 level-1 rows, both split-network halves;
 * **ours_l2** — the 1 + 3·8 + 9·28 level-2 rows, both halves;
@@ -30,13 +33,15 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import run_once, write_report
+from benchmarks.reference_loops import tensordot_row_loop, tensordot_specialize
 from repro.analysis import format_table
 from repro.api import apply_noise
 from repro.backends.engine import RNG_BLOCK, BatchedTrajectoryEngine
 from repro.circuits.library import benchmark_circuit
 from repro.core import ApproximateNoisySimulator
 from repro.core.approximation import level_rows
-from tests.core.reference import rows_close, sequential_execute_rows
+from repro.tensornetwork import substituted_split_networks
+from tests.core.reference import rows_close
 
 _CIRCUIT = apply_noise(
     benchmark_circuit("qaoa_9", seed=3, native_gates=False),
@@ -52,24 +57,44 @@ TRAJ_SAMPLES = 2000
 _results: dict = {}
 
 
+# A case is ``(specialized plan, stacked candidates, rows, reference residual)``;
+# the reference residual is the same plan specialized by tensordot_specialize.
+
+
 def _algorithm1_cases(level: int):
     prepared = ApproximateNoisySimulator().prepare(_CIRCUIT)
     rows = level_rows(prepared.decompositions, level)
+    zeros = "0" * _CIRCUIT.num_qubits
+    dominant = {index: d.terms[0] for index, d in enumerate(prepared.decompositions)}
+    networks = substituted_split_networks(_CIRCUIT, dominant, zeros, zeros)
+    halves = ((prepared.upper, prepared.upper_factors), (prepared.lower, prepared.lower_factors))
     return [
-        (prepared.upper, prepared.upper_factors, rows),
-        (prepared.lower, prepared.lower_factors, rows),
+        (
+            specialized,
+            factors,
+            rows,
+            tensordot_specialize(
+                prepared.plan,
+                [node.tensor for node in network.nodes],
+                specialized.variable_positions,
+            ),
+        )
+        for (specialized, factors), network in zip(halves, networks)
     ]
 
 
 def _traj_cases():
     context = BatchedTrajectoryEngine("tn").prepare(_CIRCUIT)
     factors = context.kraus_factors(None)
+    reference = tensordot_specialize(
+        context.plan, context.template_tensors, context.specialized.variable_positions
+    )
     rng = np.random.default_rng(11)
     rows = np.stack(
         [rng.integers(0, len(candidates), size=TRAJ_SAMPLES) for candidates in factors], axis=1
     )
     return [
-        (context.specialized, factors, rows[start : start + RNG_BLOCK])
+        (context.specialized, factors, rows[start : start + RNG_BLOCK], reference)
         for start in range(0, TRAJ_SAMPLES, RNG_BLOCK)
     ]
 
@@ -81,23 +106,29 @@ METHODS = (
 )
 
 
+def _batched(plan, factors, rows, reference):
+    return plan.execute_rows(factors, rows)
+
+
+def _per_row(plan, factors, rows, reference):
+    return tensordot_row_loop(reference, plan.variable_positions, factors, rows)
+
+
 def _fastest(evaluate, cases) -> tuple:
     best, values = float("inf"), None
     for _ in range(REPEAT):
         start = time.perf_counter()
-        values = [evaluate(plan, factors, rows) for plan, factors, rows in cases]
+        values = [evaluate(*case) for case in cases]
         best = min(best, time.perf_counter() - start)
     return best, values
 
 
 def _measure(build) -> dict:
     cases = build()
-    batched_seconds, batched = _fastest(
-        lambda plan, factors, rows: plan.execute_rows(factors, rows), cases
-    )
-    sequential_seconds, sequential = _fastest(sequential_execute_rows, cases)
+    batched_seconds, batched = _fastest(_batched, cases)
+    sequential_seconds, sequential = _fastest(_per_row, cases)
     return {
-        "rows": sum(len(rows) for _, _, rows in cases),
+        "rows": sum(len(case[2]) for case in cases),
         "sequential_seconds": sequential_seconds,
         "batched_seconds": batched_seconds,
         "speedup": sequential_seconds / batched_seconds,
@@ -148,7 +179,7 @@ def test_term_replay_report(benchmark):
         rows,
         title=(
             f"Index-row replay ({_CIRCUIT.name}, 8 depolarizing noises at p=0.001): "
-            f"batched execute_rows vs one execute per row, fastest of {REPEAT}"
+            f"batched execute_rows vs one tensordot replay per row, fastest of {REPEAT}"
         ),
     )
     run_once(benchmark, write_report, "term_replay", table, data=records)

@@ -20,7 +20,13 @@ The tensordot slot replays run a recorded
 of the reverse sweep: the plan replay as it was before kernel tables.  A
 kernel-table replay must equal them bit for bit
 (``tests/tensornetwork/test_plan.py``), and
-``benchmarks/bench_plan_replay.py`` times it against them.
+``benchmarks/bench_plan_replay.py`` times it against them.  The tensordot
+row loop replays index rows one at a time over a
+:func:`tensordot_specialize` residual, as
+:meth:`~repro.tensornetwork.plan.SpecializedPlan.execute` did before kernel
+tables; ``benchmarks/bench_term_replay.py`` times the batched
+``execute_rows`` against it.  None of them calls the library's replay, so
+their cost does not move with it.
 """
 
 from __future__ import annotations
@@ -41,6 +47,8 @@ __all__ = [
     "reference_tn_loop",
     "tensordot_environments",
     "tensordot_execute",
+    "tensordot_row_loop",
+    "tensordot_specialize",
     "tensordot_step",
 ]
 
@@ -137,7 +145,7 @@ def reference_shift_gradient(backend, circuit, task, plan, params):
 
 
 def tensordot_step(tensor_a, tensor_b, axes_a, axes_b):
-    """One recorded step as a live contraction computes it (empty axes = outer product)."""
+    """One plan step as ``np.tensordot`` computes it (empty axes = outer product)."""
     return np.tensordot(tensor_a, tensor_b, axes=(list(axes_a), list(axes_b)) if axes_a else 0)
 
 
@@ -152,6 +160,47 @@ def _tensordot_forward(plan, tensors):
 def tensordot_execute(plan, tensors) -> complex:
     """``plan``'s value over host ``tensors``, one ``np.tensordot`` per step."""
     return complex(_tensordot_forward(plan, tensors)[-1].reshape(()))
+
+
+def tensordot_specialize(plan, tensors, variable_positions):
+    """``plan`` partially evaluated over its static inputs, one ``np.tensordot`` per step.
+
+    Returns ``(baked, residual)``: the slot buffer with the result of every
+    step whose operands are all static filled in, and the steps that read a
+    variable input (transitively), in plan order.
+    """
+    variable = set(variable_positions)
+    static = [position not in variable for position in range(plan.num_inputs)]
+    static += [True] * plan.num_steps
+    baked = list(tensors) + [None] * plan.num_steps
+    residual = []
+    for step in plan.steps:
+        slot_a, slot_b, axes_a, axes_b, out = step
+        if static[slot_a] and static[slot_b]:
+            baked[out] = tensordot_step(baked[slot_a], baked[slot_b], axes_a, axes_b)
+        else:
+            static[out] = False
+            residual.append(step)
+    return baked, residual
+
+
+def tensordot_row_loop(specialized, variable_positions, factors, rows) -> np.ndarray:
+    """One replay per index row over a :func:`tensordot_specialize` residual.
+
+    Row ``r`` substitutes ``factors[j][rows[r, j]]`` at ``variable_positions[j]``
+    and runs every residual step as one ``np.tensordot``; returns the complex
+    values ``[K]``.
+    """
+    baked, residual = specialized
+    values = np.empty(len(rows), dtype=complex)
+    for index, row in enumerate(np.asarray(rows).tolist()):
+        buffer = list(baked)
+        for position, candidates, pick in zip(variable_positions, factors, row):
+            buffer[position] = candidates[pick]
+        for slot_a, slot_b, axes_a, axes_b, out in residual:
+            buffer[out] = tensordot_step(buffer[slot_a], buffer[slot_b], axes_a, axes_b)
+        values[index] = complex(buffer[-1].reshape(()))
+    return values
 
 
 def tensordot_environments(plan, tensors, positions):

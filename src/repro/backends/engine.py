@@ -235,7 +235,7 @@ class _TrajectoryContext:
         )
         self.template_tensors = [node.tensor for node in network.nodes]
         if template is None:
-            self.plan, _ = ContractionPlan.record(network)
+            self.plan = ContractionPlan.record(network)
             self._derive_kraus_distributions()
         else:
             self.plan = template.plan
@@ -268,17 +268,20 @@ class _TrajectoryContext:
 
     # -- device residency ------------------------------------------------
     def kraus_factors(self, xp):
-        """Per channel, every Kraus operator as a node tensor on ``xp``'s device (host if None).
+        """Per channel, its Kraus operators as node tensors stacked on a leading axis.
 
-        These are the candidates a sample's index row picks from; built once
-        per namespace and cached, like :meth:`device_tensors`.
+        These are the candidates a sample's index row picks from, on ``xp``'s
+        device (host if None); built once per namespace and cached, like
+        :meth:`device_tensors`.
         """
         key = ("kraus", None if xp is None else xp.name)
         cached = self._device_cache.get(key)
         if cached is None:
             to_device = np.asarray if xp is None else xp.asarray
             cached = tuple(
-                tuple(to_device(_node_tensor(op, inst.qubits)) for op in inst.operation.kraus_operators)
+                to_device(
+                    np.stack([_node_tensor(op, inst.qubits) for op in inst.operation.kraus_operators])
+                )
                 for inst in self.circuit.noise_instructions
             )
             self._device_cache[key] = cached
@@ -289,8 +292,8 @@ class _TrajectoryContext:
 
         Transferred once per namespace and cached: per-slab replays then touch
         the host only for the small Born-weight vectors.  ``op_tensors`` holds
-        one reshaped gate tensor per gate instruction and the stacked
-        :meth:`kraus_factors` (one leading branch axis) per noise
+        one reshaped gate tensor per gate instruction and the
+        :meth:`kraus_factors` stack (one leading branch axis) per noise
         instruction, in circuit order.
         """
         cached = self._device_cache.get(xp.name)
@@ -299,7 +302,7 @@ class _TrajectoryContext:
             op_tensors = [
                 xp.asarray(_node_tensor(inst.operation.matrix, inst.qubits))
                 if inst.is_gate
-                else xp.stack(next(kraus))
+                else next(kraus)
                 for inst in self.circuit
             ]
             cached = (xp.asarray(self.psi0), xp.asarray(self.v.conj()), op_tensors)
@@ -653,9 +656,8 @@ class BatchedTrajectoryEngine:
     def _run_tn(self, context: _TrajectoryContext, uniforms: np.ndarray) -> np.ndarray:
         num_samples = uniforms.shape[0]
         if context.num_channels == 0:
-            # Only reached via the noiseless short-circuit in estimate_fidelity.
-            # The template's own contraction was consumed by plan recording,
-            # so one replay gives the deterministic amplitude.
+            # Only reached via the noiseless short-circuit in estimate_fidelity:
+            # one replay gives the deterministic amplitude.
             value = float(abs(context.plan.execute(list(context.template_tensors))) ** 2)
             return np.full(num_samples, value)
 

@@ -73,9 +73,10 @@ class PreparedApproximation:
     #: ``plan`` partially evaluated over each half's static tensors.
     upper: SpecializedPlan
     lower: SpecializedPlan
-    #: Per noise, every SVD term's ``U_i`` (resp. ``V_i``) as a node tensor.
-    upper_factors: Tuple[Tuple[np.ndarray, ...], ...]
-    lower_factors: Tuple[Tuple[np.ndarray, ...], ...]
+    #: Per noise, every SVD term's ``U_i`` (resp. ``V_i``) node tensor,
+    #: stacked along a leading term axis.
+    upper_factors: Tuple[np.ndarray, ...]
+    lower_factors: Tuple[np.ndarray, ...]
 
     def evaluate(self, rows) -> np.ndarray:
         """Value ``upper · lower`` of every term; row ``r`` picks SVD term ``rows[r, s]`` of noise ``s``."""
@@ -229,17 +230,18 @@ class ApproximateNoisySimulator:
             output_state,
             max_intermediate_size=self.max_intermediate_size,
         )
-        # Recording consumes the network, so snapshot the tensors first.
         upper_tensors = [node.tensor for node in upper.nodes]
         lower_tensors = [node.tensor for node in lower.nodes]
         noise_positions = noise_node_positions(circuit, input_state)
         if template is None:
-            plan, _ = ContractionPlan.record(upper, strategy=self.strategy)
+            plan = ContractionPlan.record(upper, strategy=self.strategy)
             upper_factors, lower_factors = (
                 tuple(
-                    tuple(
-                        np.asarray(term[half], dtype=complex).reshape(upper_tensors[position].shape)
-                        for term in decomposition.terms
+                    np.stack(
+                        [
+                            np.asarray(term[half], dtype=complex).reshape(upper_tensors[position].shape)
+                            for term in decomposition.terms
+                        ]
                     )
                     for decomposition, position in zip(decompositions, noise_positions)
                 )

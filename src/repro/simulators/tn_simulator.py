@@ -6,9 +6,13 @@ gate appears as ``U`` and ``U*`` and every noise as its matrix representation
 ``M_E``, then contract the whole network to obtain
 ``⟨v| E_N(|ψ⟩⟨ψ|) |v⟩`` exactly.
 
-The contraction respects an optional intermediate-size budget; exceeding it
-raises :class:`~repro.tensornetwork.network.ContractionMemoryError`, which the
-benchmark harness reports as "MO" exactly like the paper's Table II.
+Every value is computed the same way: the contraction order is planned from
+the network's shapes (:class:`~repro.tensornetwork.plan.ContractionPlan`),
+then replayed over its tensors.  The plan respects an optional
+intermediate-size budget; an order exceeding it raises
+:class:`~repro.tensornetwork.network.ContractionMemoryError` at plan time,
+before any tensor is allocated, which the benchmark harness reports as "MO"
+exactly like the paper's Table II.
 
 The replay hot path (:class:`PreparedFidelity`) dispatches its contractions
 through an :class:`repro.xp.ArrayNamespace` when the simulator is constructed
@@ -41,19 +45,14 @@ __all__ = ["PreparedFidelity", "TNSimulator"]
 
 
 class PreparedFidelity:
-    """A recorded fidelity contraction, replayable without re-planning.
+    """A planned fidelity contraction, replayable without re-planning.
 
     Produced by :meth:`TNSimulator.prepare`: the network construction and the
-    greedy contraction-ordering search are paid once; :meth:`execute` replays
-    the recorded schedule (the live contraction's pairwise ``tensordot``
-    steps as precompiled ``dot`` kernels that compute the same bits, so the
-    value is bit-identical to :meth:`TNSimulator.fidelity`; the kernel table
-    lives on the plan, which every :meth:`rebind` shares).  Recording the
-    plan contracts the template once, and that value *is* this
-    configuration's fidelity (the tensors never change), so the first
-    :meth:`execute` returns it directly instead of replaying — a one-shot
-    compile-and-run pays exactly one contraction, like the unprepared path,
-    and never derives a kernel table.
+    greedy contraction-ordering search are paid once; every :meth:`execute`
+    replays the plan (its pairwise ``tensordot`` steps as precompiled ``dot``
+    kernels that compute the same bits, so the value is bit-identical to
+    :meth:`TNSimulator.fidelity`; the kernel table lives on the plan, which
+    every :meth:`rebind` shares).
 
     ``gate_nodes`` maps the instruction index of every parametric gate to its
     node positions (``U``, then ``U*`` in the doubled diagram; see
@@ -61,16 +60,13 @@ class PreparedFidelity:
     the only tensors another binding of the structure changes.
     """
 
-    __slots__ = (
-        "plan", "tensors", "noiseless", "gate_nodes", "_recorded_value", "_xp", "_device_tensors",
-    )
+    __slots__ = ("plan", "tensors", "noiseless", "gate_nodes", "_xp", "_device_tensors")
 
     def __init__(
         self,
         plan: ContractionPlan,
         tensors: List[np.ndarray],
         noiseless: bool,
-        recorded_value: float | None = None,
         xp=None,
         gate_nodes: Dict[int, Tuple[int, ...]] | None = None,
     ) -> None:
@@ -78,7 +74,6 @@ class PreparedFidelity:
         self.tensors = tensors
         self.noiseless = noiseless
         self.gate_nodes = {} if gate_nodes is None else gate_nodes
-        self._recorded_value = recorded_value
         #: Replay namespace (None = host numpy); device copies are lazy.
         self._xp = xp
         self._device_tensors = None
@@ -92,13 +87,7 @@ class PreparedFidelity:
         return list(self._device_tensors)
 
     def execute(self) -> float:
-        """Return the fidelity (recorded value first, plan replay after)."""
-        recorded = self._recorded_value
-        if recorded is not None:
-            # Consumed once; a concurrent reader racing the clear would just
-            # return the identical value, so no lock is needed.
-            self._recorded_value = None
-            return recorded
+        """Return the fidelity by one replay of the plan."""
         value = self.plan.execute(self._replay_tensors(), xp=self._xp)
         if self.noiseless:
             return float(abs(value) ** 2)
@@ -217,8 +206,7 @@ class TNSimulator:
 
         ``input_state`` and ``output_state`` default to ``|0…0⟩``.  Both may
         be bitstrings, per-qubit product factors or dense vectors.  A
-        one-shot evaluation is :meth:`prepare` followed by one execute, whose
-        recorded value is the single contraction paid.
+        one-shot evaluation is :meth:`prepare` followed by one replay.
         """
         return self.prepare(circuit, input_state, output_state).execute()
 
@@ -229,10 +217,10 @@ class TNSimulator:
         output_state: StateLike = None,
         template: PreparedFidelity | None = None,
     ) -> PreparedFidelity:
-        """Record a reusable contraction plan for this fidelity evaluation.
+        """Plan a reusable contraction for this fidelity evaluation.
 
-        Builds the same network :meth:`fidelity` would and contracts it once
-        while recording the schedule (see
+        Builds the same network :meth:`fidelity` would and plans its
+        contraction order from the shapes alone (see
         :class:`repro.tensornetwork.plan.ContractionPlan`), so repeated
         evaluations of the same circuit/boundary configuration skip the
         network construction and ordering search entirely.
@@ -242,8 +230,7 @@ class TNSimulator:
         is reused as is (the greedy ordering inspects tensor sizes, never
         entries) and so are its static tensors; only the parametric gate
         nodes are overwritten with ``circuit``'s values
-        (:meth:`PreparedFidelity.rebind`), and the first :meth:`execute`
-        replays — no ordering search.
+        (:meth:`PreparedFidelity.rebind`) — no ordering search.
         """
         if template is not None:
             return template.rebind(circuit, xp=self._xp)
@@ -264,12 +251,12 @@ class TNSimulator:
             for index, inst in enumerate(circuit)
             if getattr(inst.operation, "is_parametric_gate", False)
         }
-        # Recording consumes the network, so snapshot the tensors first.
-        tensors = [node.tensor for node in network.nodes]
-        plan, value = ContractionPlan.record(network, strategy=self.strategy)
-        recorded = float(abs(value) ** 2) if noiseless else float(np.real(value))
         return PreparedFidelity(
-            plan, tensors, noiseless, recorded_value=recorded, xp=self._xp, gate_nodes=gate_nodes
+            ContractionPlan.record(network, strategy=self.strategy),
+            [node.tensor for node in network.nodes],
+            noiseless,
+            xp=self._xp,
+            gate_nodes=gate_nodes,
         )
 
     def expectation(

@@ -40,9 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Tuple
 
-import numpy as np
-
-from repro.api import Session, apply_noise, ideal_output_state
+from repro.api import Session, apply_noise
 from repro.api.executable import one_shot_result
 from repro.backends import BackendUnsupportedError, get_backend
 from repro.circuits.circuit import Circuit
@@ -59,7 +57,7 @@ CRASH_EXIT_CODE = 32
 
 
 class CircuitCache:
-    """Caches ideal circuits, noisy circuits and ideal output states per spec.
+    """Caches ideal and noisy circuits per spec.
 
     Keys are the stable axis labels, so all cells of a (circuit, noise) row —
     every backend, level and sample count — share one constructed instance.
@@ -69,17 +67,16 @@ class CircuitCache:
 
     The runner itself now routes noise binding and ideal output states
     through :meth:`repro.api.Session.compile` (whose plan cache shares that
-    work by content, not by label) and uses only :meth:`ideal`; the noisy /
-    output-state helpers remain for callers that build the same instances
-    outside a session, e.g. the Table II/III benchmark harnesses comparing
-    against externally computed references.
+    work by content, not by label) and uses only :meth:`ideal`; :meth:`circuit`
+    remains for callers that build the same noisy instances outside a
+    session, e.g. the benchmark harnesses comparing against externally
+    computed references.
     """
 
     def __init__(self, spec: SweepSpec):
         self.spec = spec
         self._ideal: Dict[str, Circuit] = {}
         self._noisy: Dict[Tuple[str, str], Circuit] = {}
-        self._outputs: Dict[str, np.ndarray] = {}
 
     def ideal(self, cell: SweepCell) -> Circuit:
         label = cell.circuit.label
@@ -108,15 +105,6 @@ class CircuitCache:
                     },
                 )
         return self._noisy[key]
-
-    def output_state(self, cell: SweepCell):
-        """Dense ideal output state when the spec asks for ``output_state: ideal``."""
-        if self.spec.output_state != "ideal":
-            return None
-        label = cell.circuit.label
-        if label not in self._outputs:
-            self._outputs[label] = ideal_output_state(self.ideal(cell))
-        return self._outputs[label]
 
 
 @dataclass

@@ -1,10 +1,11 @@
 """A small from-scratch tensor-network engine.
 
 Replaces the Google TensorNetwork dependency used by the paper's reference
-implementation: nodes wrapping dense numpy tensors, edges, pairwise
-contraction with a configurable intermediate-size budget, greedy contraction
-ordering, and builders that turn circuits into the diagrams of Sections III
-and IV of the paper.
+implementation: nodes wrapping dense numpy tensors, edges, builders that turn
+circuits into the diagrams of Sections III and IV of the paper, and one
+contraction path — a symbolic planner (greedy or sequential ordering, with a
+configurable intermediate-size budget checked at plan time) whose
+:class:`ContractionPlan` computes every value by replay.
 """
 
 from repro.tensornetwork.circuit_to_tn import (
@@ -15,28 +16,17 @@ from repro.tensornetwork.circuit_to_tn import (
     resolve_product_state,
     substituted_split_networks,
 )
-from repro.tensornetwork.network import ContractionMemoryError, TensorNetwork, contract_nodes
+from repro.tensornetwork.network import ContractionMemoryError, TensorNetwork
 from repro.tensornetwork.node import Edge, Node, connect
 from repro.tensornetwork.plan import ContractionPlan
-from repro.tensornetwork.ordering import (
-    contract_greedy,
-    contract_sequential,
-    estimate_contraction_cost,
-    plan_greedy,
-)
 
 __all__ = [
     "TensorNetwork",
     "ContractionMemoryError",
     "ContractionPlan",
-    "contract_nodes",
     "Node",
     "Edge",
     "connect",
-    "contract_greedy",
-    "contract_sequential",
-    "plan_greedy",
-    "estimate_contraction_cost",
     "circuit_amplitude_network",
     "noisy_doubled_network",
     "noisy_observable_network",

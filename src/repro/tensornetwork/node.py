@@ -56,24 +56,6 @@ class Edge:
         """Dimension of the index the edge labels."""
         return self.node1.tensor.shape[self.axis1]
 
-    def other(self, node: "Node") -> Optional["Node"]:
-        """Return the endpoint that is not ``node`` (or None for dangling edges)."""
-        if node is self.node1:
-            return self.node2
-        if node is self.node2:
-            return self.node1
-        raise ValidationError("edge does not touch the given node")
-
-    def axis_of(self, node: "Node") -> int:
-        """Return the axis index of ``node`` this edge labels."""
-        if node is self.node1:
-            return self.axis1
-        if node is self.node2:
-            if self.axis2 is None:
-                raise ValidationError("dangling edge has no second axis")
-            return self.axis2
-        raise ValidationError("edge does not touch the given node")
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         right = "∅" if self.is_dangling else f"{self.node2.name}[{self.axis2}]"
         return f"<Edge {self.name}: {self.node1.name}[{self.axis1}] -- {right}>"
@@ -105,23 +87,6 @@ class Node:
     def shape(self) -> Tuple[int, ...]:
         """Tensor shape."""
         return tuple(self.tensor.shape)
-
-    def dangling_edges(self) -> List[Edge]:
-        """Edges of this node that are not connected to another node."""
-        return [edge for edge in self.edges if edge.is_dangling]
-
-    def connected_edges(self) -> List[Edge]:
-        """Edges of this node that connect to another node."""
-        return [edge for edge in self.edges if not edge.is_dangling]
-
-    def neighbours(self) -> List["Node"]:
-        """Distinct nodes connected to this one."""
-        seen: List[Node] = []
-        for edge in self.connected_edges():
-            other = edge.other(self)
-            if other is not None and all(other is not n for n in seen):
-                seen.append(other)
-        return seen
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Node {self.name} shape={self.shape}>"

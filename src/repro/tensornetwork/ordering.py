@@ -1,148 +1,142 @@
-"""Contraction-order heuristics.
+"""Contraction ordering: the one planner every network is contracted by.
 
 The efficiency of tensor-network simulation is dominated by the order in
 which nodes are contracted (the paper notes this for its TN-based baseline).
-Three strategies are provided:
+:func:`plan_contraction` decides that order from the network's tensor
+*shapes* and edge adjacency alone — it never reads a tensor entry and never
+allocates one — and emits it as the slot program
+:class:`~repro.tensornetwork.plan.ContractionPlan` replays.  Two heuristics
+pick the next pair:
 
-* ``contract_greedy`` — repeatedly contract the connected pair whose result
-  tensor is smallest (ties broken by the largest immediate size reduction).
-  This is the default everywhere and is the same flavour of heuristic the
-  Google TensorNetwork / opt_einsum "greedy" path uses.
-* ``contract_sequential`` — contract nodes in insertion order; cheap to plan
-  but can build huge intermediates.  Used as the ablation baseline.
-* ``plan_greedy`` — return the greedy plan (list of node pairs) without
-  executing it, for inspection and cost estimation.
+* ``"greedy"`` — the connected pair whose result tensor is smallest (ties
+  broken by the largest immediate size reduction, then by enumeration
+  order).  This is the default everywhere and is the same flavour of
+  heuristic the Google TensorNetwork / opt_einsum "greedy" path uses.
+* ``"sequential"`` — the first node (in network order) that has a
+  neighbour, with its first neighbour; cheap to plan but can build huge
+  intermediates.  Used as the ablation baseline.
+
+Either way, disconnected components are then joined by outer products,
+oldest first.  A step's result lands after every live node, its axes are
+``a``'s remaining axes followed by ``b``'s, and a step over the entry budget
+(``network.max_intermediate_size``) raises
+:class:`~repro.tensornetwork.network.ContractionMemoryError` before anything
+is contracted.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
-from repro.tensornetwork.network import TensorNetwork
-from repro.tensornetwork.node import Node
+from repro.tensornetwork.network import ContractionMemoryError, TensorNetwork
+from repro.tensornetwork.node import Edge
+from repro.utils.validation import ValidationError
 
 from repro.xp import declare_seam
-from repro.xp import host as np
 
 declare_seam(__name__, mode="host")
 
-__all__ = [
-    "contract_greedy",
-    "contract_sequential",
-    "plan_greedy",
-    "estimate_contraction_cost",
-]
+__all__ = ["plan_contraction"]
 
 
-def _pair_result_size(node_a: Node, node_b: Node) -> int:
-    """Size (entry count) of the tensor produced by contracting the pair."""
-    shared_dim = 1
-    for edge in node_a.edges:
-        if not edge.is_dangling and edge.other(node_a) is node_b:
-            shared_dim *= edge.dimension
-    return (node_a.size // shared_dim) * (node_b.size // shared_dim)
+def plan_contraction(network: TensorNetwork, strategy: str = "greedy") -> Tuple[List[tuple], int]:
+    """Order the pairwise contractions of ``network`` down to a scalar.
 
-
-def _connected_pairs(network: TensorNetwork) -> List[Tuple[Node, Node]]:
-    pairs: List[Tuple[Node, Node]] = []
-    seen: set[tuple[int, int]] = set()
-    for node in network.nodes:
-        for neighbour in node.neighbours():
-            key = (min(node.id, neighbour.id), max(node.id, neighbour.id))
-            if key not in seen:
-                seen.add(key)
-                pairs.append((node, neighbour))
-    return pairs
-
-
-def contract_greedy(network: TensorNetwork) -> None:
-    """Contract all connected pairs using the greedy smallest-result heuristic."""
-    while True:
-        pairs = _connected_pairs(network)
-        if not pairs:
-            return
-        best = None
-        best_key = None
-        for node_a, node_b in pairs:
-            result_size = _pair_result_size(node_a, node_b)
-            reduction = node_a.size + node_b.size - result_size
-            key = (result_size, -reduction)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (node_a, node_b)
-        network.contract_pair(*best)
-
-
-def contract_sequential(network: TensorNetwork) -> None:
-    """Contract nodes in insertion order (ablation baseline)."""
-    while True:
-        target = None
-        for node in network.nodes:
-            neighbours = node.neighbours()
-            if neighbours:
-                target = (node, neighbours[0])
-                break
-        if target is None:
-            return
-        network.contract_pair(*target)
-
-
-def plan_greedy(network: TensorNetwork) -> List[Tuple[str, str, int]]:
-    """Return the greedy contraction plan as (name_a, name_b, result_size) triples.
-
-    The plan is computed on a simulated copy of the node sizes; the network is
-    left untouched.
+    Returns ``(steps, peak)``: ``steps`` is the slot program (inputs occupy
+    slots ``0..num_nodes-1`` in node order, step ``i`` reads slots ``a`` and
+    ``b``, contracts ``axes_a`` with ``axes_b`` and writes slot
+    ``num_nodes + i``) and ``peak`` the entry count of its largest
+    intermediate.  The network is left untouched.
     """
-    # Simulate with lightweight records: (id, name, size, {neighbour_id: shared_dim}).
-    sizes = {node.id: node.size for node in network.nodes}
-    names = {node.id: node.name for node in network.nodes}
-    adjacency: dict[int, dict[int, int]] = {node.id: {} for node in network.nodes}
-    for node in network.nodes:
-        for edge in node.connected_edges():
-            other = edge.other(node)
-            adjacency[node.id][other.id] = adjacency[node.id].get(other.id, 1) * edge.dimension
+    if not network.nodes:
+        raise ValidationError("cannot contract an empty network")
+    if strategy not in ("greedy", "sequential"):
+        raise ValidationError(f"unknown contraction strategy {strategy!r}")
+    slot_of = {node: slot for slot, node in enumerate(network.nodes)}
+    #: Per live slot (ascending: a result takes the next slot), the edge of
+    #: every axis; a self-loop appears twice.
+    legs: Dict[int, List[Edge]] = {}
+    sizes: Dict[int, int] = {}
+    #: Per edge, its dimension and its endpoint slots (one for a dangling edge).
+    dims: Dict[Edge, int] = {}
+    ends: Dict[Edge, List[int]] = {}
+    for slot, node in enumerate(network.nodes):
+        legs[slot] = list(node.edges)
+        sizes[slot] = node.size
+        for edge, dim in zip(node.edges, node.shape):
+            dims[edge] = dim
+            ends[edge] = [slot_of[end] for end in (edge.node1, edge.node2) if end in slot_of]
 
-    plan: List[Tuple[str, str, int]] = []
-    while True:
+    def neighbours(slot: int) -> Dict[int, int]:
+        """Distinct neighbour slots in axis order, each with its shared dimension."""
+        shared: Dict[int, int] = {}
+        for edge in legs[slot]:
+            pair = ends[edge]
+            if len(pair) == 2:
+                other = pair[1] if pair[0] == slot else pair[0]
+                shared[other] = shared.get(other, 1) * dims[edge]
+        return shared
+
+    def greedy_candidate(slot: int):
+        """``(key, slot, other)``: ``slot``'s first smallest-result pair with a later (or the same) slot."""
         best = None
-        best_key = None
-        for a, neighbours in adjacency.items():
-            for b, shared in neighbours.items():
-                if a >= b:
-                    continue
-                result_size = (sizes[a] // shared) * (sizes[b] // shared)
-                reduction = sizes[a] + sizes[b] - result_size
-                key = (result_size, -reduction)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (a, b, result_size)
-        if best is None:
-            return plan
-        a, b, result_size = best
-        plan.append((names[a], names[b], result_size))
-        # Merge b into a.
-        merged_name = f"({names[a]}*{names[b]})"
-        new_neighbours: dict[int, int] = {}
-        for nid, dim in adjacency[a].items():
-            if nid != b:
-                new_neighbours[nid] = new_neighbours.get(nid, 1) * dim
-        for nid, dim in adjacency[b].items():
-            if nid != a:
-                new_neighbours[nid] = new_neighbours.get(nid, 1) * dim
-        for nid in list(adjacency):
-            adjacency[nid].pop(a, None)
-            adjacency[nid].pop(b, None)
-        del adjacency[b], sizes[b], names[b]
-        adjacency[a] = new_neighbours
-        for nid, dim in new_neighbours.items():
-            adjacency[nid][a] = dim
-        sizes[a] = result_size
-        names[a] = merged_name
+        for other, shared in adjacency[slot].items():
+            if other < slot:
+                continue  # enumerated from ``other``, which comes first
+            size = (sizes[slot] // shared) * (sizes[other] // shared)
+            key = (size, size - sizes[slot] - sizes[other])  # smallest, then largest reduction
+            if best is None or key < best[0]:
+                best = (key, slot, other)
+        return best
 
+    def next_pair():
+        """The connected pair the strategy contracts next (None when none is left)."""
+        if strategy == "sequential":
+            return next(((slot, next(iter(adjacency[slot]))) for slot in legs if adjacency[slot]), None)
+        # Ties on the key go to the lower slot: the pair enumerated first.
+        best = min(filter(None, candidates.values()), default=None)
+        return None if best is None else best[1:]
 
-def estimate_contraction_cost(network: TensorNetwork) -> int:
-    """Estimate the peak intermediate tensor size of the greedy plan."""
-    plan = plan_greedy(network)
-    if not plan:
-        return max((node.size for node in network.nodes), default=0)
-    return max(size for _, _, size in plan)
+    adjacency = {slot: neighbours(slot) for slot in legs}
+    candidates = {slot: greedy_candidate(slot) for slot in legs}
+    budget = network.max_intermediate_size
+    steps: List[tuple] = []
+    peak = 0
+    while True:
+        pair = next_pair()
+        if pair is None:
+            if len(legs) == 1:
+                break
+            # With no connected pair left, join the two oldest components.
+            pair = tuple(legs)[:2]
+        a, b = pair
+        if a == b:
+            raise ValidationError("self-contraction (trace) is not supported")
+        shared = adjacency[a].get(b, 1)
+        size = (sizes[a] // shared) * (sizes[b] // shared)
+        if budget is not None and size > budget:
+            raise ContractionMemoryError(
+                f"intermediate tensor with {size} entries exceeds the budget of {budget} entries"
+            )
+        peak = max(peak, size)
+        out = len(network.nodes) + len(steps)
+        contracted = [edge for edge in legs[a] if ends[edge] in ([a, b], [b, a])]
+        axes_a = tuple(legs[a].index(edge) for edge in contracted)
+        axes_b = tuple(legs[b].index(edge) for edge in contracted)
+        steps.append((a, b, axes_a, axes_b, out))
+        # The result's axes: a's remaining axes, then b's.
+        legs[out] = [edge for edge in legs.pop(a) + legs.pop(b) if edge not in contracted]
+        for edge in legs[out]:
+            ends[edge] = [out if end in (a, b) else end for end in ends[edge]]
+        sizes[out] = size
+        touched = (set(adjacency.pop(a)) | set(adjacency.pop(b)) | {out}) - {a, b}
+        del candidates[a], candidates[b]
+        for slot in touched:
+            adjacency[slot] = neighbours(slot)
+        for slot in touched:
+            candidates[slot] = greedy_candidate(slot)
+    (result,) = legs
+    if sizes[result] != 1:
+        shape = tuple(dims[edge] for edge in legs[result])
+        raise ValidationError(f"network does not contract to a scalar (residual shape {shape})")
+    return steps, peak

@@ -1,31 +1,36 @@
-"""Reusable contraction plans.
+"""Reusable contraction plans: the one way a network is contracted.
 
-The greedy ordering heuristic decides which node pair to contract from tensor
-*sizes* only, so two networks with the same topology and the same tensor
-shapes contract in the same order regardless of the tensor values.  The
-batched trajectory engine exploits this: every trajectory of a fixed circuit
-produces the same network topology (only the sampled Kraus tensor values
-change), so the ordering work and all node/edge bookkeeping can be paid once
-and replayed per trajectory as a flat sequence of precompiled ``dot``
-kernels.
+The ordering heuristics (:mod:`repro.tensornetwork.ordering`) decide which
+node pair to contract from tensor *shapes* and edge adjacency only, so two
+networks with the same topology and the same tensor shapes contract in the
+same order regardless of the tensor values.  Every evaluation in the library
+exploits this: the ordering work and all node/edge bookkeeping are paid
+once, and the order is replayed on tensor values as a flat sequence of
+precompiled ``dot`` kernels — for a one-off value
+(:meth:`TensorNetwork.contract_to_scalar
+<repro.tensornetwork.network.TensorNetwork.contract_to_scalar>`) as much as
+for every trajectory of a fixed circuit (only the sampled Kraus tensor
+values change).
 
-:meth:`ContractionPlan.record` contracts a template network while recording
-each pairwise step (via the :attr:`TensorNetwork.observer` hook) as a *slot
-program*: inputs occupy slots ``0..num_inputs-1``, step ``i`` writes its
-result to slot ``num_inputs + i``, and each step names the two slots it
-reads.  :meth:`ContractionPlan.execute` replays that program over a plain
-list of tensors.
+:meth:`ContractionPlan.record` plans a network's contraction symbolically
+and records it as a *slot program*: inputs occupy slots
+``0..num_inputs-1``, step ``i`` writes its result to slot
+``num_inputs + i``, and each step names the two slots it reads.  It
+contracts nothing (an order over the entry budget raises
+:class:`~repro.tensornetwork.network.ContractionMemoryError` before any
+tensor is allocated).  :meth:`ContractionPlan.execute` replays the program
+over a plain list of tensors.
 
 A replay runs from the plan's *kernel table*, derived once from its input
 shapes on the first replay and cached on the plan.  A step's kernel is
 numpy's own ``tensordot`` decomposition, precomputed:
 ``dot(a.transpose(perm_a).reshape(shape_a), b.transpose(perm_b).reshape(shape_b)).reshape(shape_out)``
 is what ``np.tensordot(a, b, (axes_a, axes_b))`` computes, so a replay is
-bit-identical to the live contraction while skipping ``tensordot``'s
-per-call axis validation and shape arithmetic (the whole cost of a step on
-small tensors).  The same table carries the row-batched variants of the
-residual steps and the reverse sweep's environment kernels, and one loop
-(:func:`_run`) executes every one of them.
+bit-identical to a per-step ``tensordot`` replay while skipping
+``tensordot``'s per-call axis validation and shape arithmetic (the whole
+cost of a step on small tensors).  The same table carries the row-batched
+variants of the residual steps and the reverse sweep's environment kernels,
+and one loop (:func:`_run`) executes every one of them.
 
 When only a known subset of inputs varies between replays (the sampled Kraus
 tensors of a trajectory, the substituted SVD factors of an approximation
@@ -42,8 +47,8 @@ A replay picks one candidate tensor per variable position, so it is an
 integer *index row*: Algorithm 1's terms and path truncation's paths pick an
 SVD term per noise, a ``trajectories_tn`` sample its drawn Kraus operator.
 :meth:`SpecializedPlan.execute_rows` is the one evaluator for such rows: it
-gathers every row's candidates into inputs with a leading row axis and walks
-the residual steps once per chunk of rows.  Batched
+gathers every row's candidates from their stacks into inputs with a leading
+row axis and walks the residual steps once per chunk of rows.  Batched
 contractions sum in a different order than per-row replays, so
 row values agree with :meth:`SpecializedPlan.execute` to within a few ulps
 (≤1e-15 relative on the tracked workloads), not bit for bit.
@@ -68,7 +73,7 @@ import math
 from typing import AbstractSet, Dict, List, Sequence, Tuple
 
 from repro.tensornetwork.network import TensorNetwork
-from repro.tensornetwork.node import Node
+from repro.tensornetwork.ordering import plan_contraction
 from repro.utils.validation import ValidationError
 from repro.xp import declare_seam, get_namespace
 from repro.xp import host as np
@@ -128,50 +133,18 @@ class ContractionPlan:
 
     # ------------------------------------------------------------------
     @classmethod
-    def record(cls, network: TensorNetwork, strategy: str = "greedy") -> Tuple["ContractionPlan", complex]:
-        """Contract ``network`` to a scalar, recording the schedule.
+    def record(cls, network: TensorNetwork, strategy: str = "greedy") -> "ContractionPlan":
+        """Plan the contraction of ``network`` to a scalar by ``strategy`` (greedy or sequential).
 
-        Returns ``(plan, value)`` where ``value`` is the template's own
-        contraction result.  The network is consumed (contraction is
-        destructive), so callers must snapshot node tensors beforehand if they
-        want to replay with partially swapped values.
+        The order comes from the network's shapes and edges alone
+        (:func:`~repro.tensornetwork.ordering.plan_contraction`): nothing is
+        contracted and the network is left untouched.  A caller that needs
+        the value replays the plan over the node tensors.  Raises
+        :class:`~repro.tensornetwork.network.ContractionMemoryError` when a
+        step would exceed ``network.max_intermediate_size``.
         """
-        num_inputs = network.num_nodes
-        steps: List[_Step] = []
-        peak = [0]
-        slots: Dict[Node, int] = {node: slot for slot, node in enumerate(network.nodes)}
-
-        def observer(net: TensorNetwork, node_a, node_b) -> None:
-            if steps:
-                # contract_pair appends every result last, so the previous
-                # step's output is the newest node of the network.
-                slots[net.nodes[-1]] = steps[-1][4]
-            shared = []
-            for edge in node_a.edges:
-                if not edge.is_dangling and edge.other(node_a) is node_b and edge not in shared:
-                    shared.append(edge)
-            shared_dim = 1
-            for edge in shared:
-                shared_dim *= edge.dimension
-            peak[0] = max(
-                peak[0], (node_a.size // shared_dim) * (node_b.size // shared_dim)
-            )
-            steps.append(
-                (
-                    slots.pop(node_a),
-                    slots.pop(node_b),
-                    tuple(edge.axis_of(node_a) for edge in shared),
-                    tuple(edge.axis_of(node_b) for edge in shared),
-                    num_inputs + len(steps),
-                )
-            )
-
-        network.observer = observer
-        try:
-            value = network.contract_to_scalar(strategy=strategy)
-        finally:
-            network.observer = None
-        return cls(steps, num_inputs, peak_intermediate_entries=peak[0]), value
+        steps, peak = plan_contraction(network, strategy)
+        return cls(steps, network.num_nodes, peak_intermediate_entries=peak)
 
     # ------------------------------------------------------------------
     def _check_inputs(self, tensors: Sequence) -> None:
@@ -395,30 +368,30 @@ class SpecializedPlan:
             buffer[position] = tensor
         return _replay(buffer, self._residual, self._result_slot, xp)
 
-    def execute_rows(self, factors: Sequence[Sequence[np.ndarray]], rows, xp=None) -> np.ndarray:
+    def execute_rows(self, factors: Sequence[np.ndarray], rows, xp=None) -> np.ndarray:
         """Replay the plan for every index row at once; return a complex array ``[K]``.
 
-        ``factors[j]`` holds the candidate tensors of ``variable_positions[j]``
-        and ``rows`` is an integer array of shape ``[K, len(factors)]``: row
-        ``r`` substitutes ``factors[j][rows[r, j]]`` at every variable position.
-        Rows are replayed in chunks of ``ROW_BATCH_ENTRIES //
-        peak_intermediate_entries``; values agree with a per-row
-        :meth:`execute` to within a few ulps.
+        ``factors[j]`` stacks the candidate tensors of ``variable_positions[j]``
+        along a leading axis (stacked once by the caller, an array of ``xp``
+        when a namespace is given) and ``rows`` is an integer array of shape
+        ``[K, len(factors)]``: row ``r`` substitutes ``factors[j][rows[r, j]]``
+        at every variable position.  Rows are replayed in chunks of
+        ``ROW_BATCH_ENTRIES // peak_intermediate_entries``; values agree with
+        a per-row :meth:`execute` to within a few ulps.
         """
         rows = self._check_rows(factors, rows)
         values = np.empty(len(rows), dtype=complex)
         if not len(rows):
             return values
         ops = get_namespace("cpu") if xp is None else xp
-        stacks = [ops.stack(list(candidates)) for candidates in factors]
         baked = self._baked_for(xp)
         chunk = max(1, ROW_BATCH_ENTRIES // max(1, self.peak_intermediate_entries))
         for start in range(0, len(rows), chunk):
             block = rows[start : start + chunk]
-            values[start : start + len(block)] = self._replay_block(baked, stacks, block, ops, xp)
+            values[start : start + len(block)] = self._replay_block(baked, factors, block, ops, xp)
         return values
 
-    def _check_rows(self, factors: Sequence[Sequence], rows) -> np.ndarray:
+    def _check_rows(self, factors: Sequence[np.ndarray], rows) -> np.ndarray:
         """``rows`` as an integer ``[K, len(variable_positions)]`` array of valid indices."""
         width = len(self.variable_positions)
         if len(factors) != width:
@@ -628,8 +601,8 @@ def _run(buffer: List, kernels: Sequence[tuple], primitives: tuple, keep: Abstra
 
     The one replay loop: full and residual replays, the row-batched replay
     and specialisation all run through it.  Every slot is read by exactly
-    one step, so operands are released as soon as they are consumed (the
-    live set matches a destructive contraction's); slots in ``keep`` stay in
+    one step, so operands are released as soon as they are consumed (only
+    the live intermediates stay in memory); slots in ``keep`` stay in
     ``buffer`` for a later reverse sweep (:meth:`ContractionPlan.environments`).
     """
     transpose, reshape, dot, matmul = primitives

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import repro.tensornetwork.plan as plan_module
-from benchmarks.reference_loops import tensordot_environments, tensordot_execute, tensordot_step
+from benchmarks.reference_loops import tensordot_environments, tensordot_execute, tensordot_specialize
 from repro.circuits.circuit import Circuit
 from repro.core import ApproximateNoisySimulator
 from repro.simulators.statevector import apply_matrix
@@ -70,28 +70,19 @@ def tensordot_execute_rows(plan, tensors, variable_positions, factors, rows) -> 
     stacked ``matmul``.
     """
     variable = list(variable_positions)
-    static = [position not in variable for position in range(plan.num_inputs)]
-    static += [True] * plan.num_steps
-    baked = list(tensors) + [None] * plan.num_steps
-    for slot_a, slot_b, axes_a, axes_b, out in plan.steps:
-        if static[slot_a] and static[slot_b]:
-            baked[out] = tensordot_step(baked[slot_a], baked[slot_b], axes_a, axes_b)
-        else:
-            static[out] = False
+    baked, residual = tensordot_specialize(plan, tensors, variable)
+    batched = set(variable) | {step[4] for step in residual}
     rows = np.asarray(rows, dtype=np.intp)
-    stacks = [np.stack(list(candidates)) for candidates in factors]
     chunk = max(1, plan_module.ROW_BATCH_ENTRIES // max(1, plan.peak_intermediate_entries))
     values = []
     for start in range(0, len(rows), chunk):
         block = rows[start : start + chunk]
         buffer = list(baked)
         for column, position in enumerate(variable):
-            buffer[position] = stacks[column][block[:, column]]
-        for slot_a, slot_b, axes_a, axes_b, out in plan.steps:
-            if static[out]:
-                continue
+            buffer[position] = factors[column][block[:, column]]
+        for slot_a, slot_b, axes_a, axes_b, out in residual:
             tensor_a, tensor_b = buffer[slot_a], buffer[slot_b]
-            if not static[slot_a] and not static[slot_b]:
+            if slot_a in batched and slot_b in batched:
                 free_a = [axis for axis in range(tensor_a.ndim - 1) if axis not in axes_a]
                 free_b = [axis for axis in range(tensor_b.ndim - 1) if axis not in axes_b]
                 shared = int(np.prod([tensor_a.shape[axis + 1] for axis in axes_a]))
@@ -103,7 +94,7 @@ def tensordot_execute_rows(plan, tensors, variable_positions, factors, rows) -> 
                     + [tensor_a.shape[axis + 1] for axis in free_a]
                     + [tensor_b.shape[axis + 1] for axis in free_b]
                 )
-            elif not static[slot_a]:
+            elif slot_a in batched:
                 shifted = [axis + 1 for axis in axes_a]
                 buffer[out] = np.tensordot(tensor_a, tensor_b, axes=(shifted, list(axes_b)))
             else:

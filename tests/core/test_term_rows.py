@@ -61,8 +61,8 @@ class TestOneScheduleForBothHalves:
             decompositions = ApproximateNoisySimulator().decompose_noises(circuit)
             dominant = {index: d.terms[0] for index, d in enumerate(decompositions)}
             upper, lower = substituted_split_networks(circuit, dominant, *states)
-            upper_plan, _ = ContractionPlan.record(upper)
-            lower_plan, _ = ContractionPlan.record(lower)
+            upper_plan = ContractionPlan.record(upper)
+            lower_plan = ContractionPlan.record(lower)
             assert lower_plan.steps == upper_plan.steps, workload.describe()
             assert lower_plan.num_inputs == upper_plan.num_inputs
             assert lower_plan.peak_intermediate_entries == upper_plan.peak_intermediate_entries

@@ -1,8 +1,8 @@
 """Tests for recorded contraction plans and their partial evaluation.
 
 A :class:`ContractionPlan` must replay exactly the ``tensordot`` sequence of
-the live contraction it recorded, and :meth:`SpecializedPlan.execute` exactly
-the residual of that sequence — so those comparisons are bit-for-bit.  The
+its steps, and :meth:`SpecializedPlan.execute` exactly the residual of that
+sequence — so those comparisons are bit-for-bit.  The
 batched :meth:`SpecializedPlan.execute_rows` sums in a different order; it is
 compared with the per-row replay within 1e-12 relative, and bit-for-bit
 across devices.  Every replay runs from the plan's kernel table, and
@@ -72,11 +72,11 @@ BUILDERS = {
 
 
 def _record(name):
-    """(plan, recorded value, input tensors) for a fresh network."""
+    """(plan, value by a per-step tensordot replay, input tensors) for a fresh network."""
     network = BUILDERS[name]()
     tensors = [node.tensor for node in network.nodes]
-    plan, value = ContractionPlan.record(network)
-    return plan, value, tensors
+    plan = ContractionPlan.record(network)
+    return plan, tensordot_execute(plan, tensors), tensors
 
 
 def _perturbed(tensors, positions, rng):
@@ -90,11 +90,11 @@ def _perturbed(tensors, positions, rng):
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 class TestReplay:
-    def test_recorded_equals_execute_equals_live(self, name):
-        plan, recorded, tensors = _record(name)
-        live = BUILDERS[name]().contract_to_scalar()
+    def test_execute_equals_tensordot_and_contract_to_scalar(self, name):
+        plan, expected, tensors = _record(name)
+        one_shot = BUILDERS[name]().contract_to_scalar()
         assert plan.num_inputs == len(tensors)
-        assert plan.execute(tensors) == recorded == live
+        assert plan.execute(tensors) == expected == one_shot
 
     def test_execute_on_swapped_values_equals_live_contraction(self, name, rng):
         plan, _, tensors = _record(name)
@@ -105,8 +105,8 @@ class TestReplay:
         assert plan.execute(swapped) == network.contract_to_scalar()
 
     def test_replay_is_repeatable(self, name):
-        plan, recorded, tensors = _record(name)
-        assert [plan.execute(tensors) for _ in range(3)] == [recorded] * 3
+        plan, expected, tensors = _record(name)
+        assert [plan.execute(tensors) for _ in range(3)] == [expected] * 3
 
     def test_specialize_matches_full_execute(self, name, rng):
         plan, _, tensors = _record(name)
@@ -130,8 +130,8 @@ class TestReplay:
 
     def test_fake_gpu_equals_cpu(self, name, rng):
         xp = get_namespace("fake_gpu")
-        plan, recorded, tensors = _record(name)
-        assert plan.execute([xp.asarray(t) for t in tensors], xp=xp) == recorded
+        plan, expected, tensors = _record(name)
+        assert plan.execute([xp.asarray(t) for t in tensors], xp=xp) == expected
         subset = list(range(0, plan.num_inputs, 2))
         specialized = plan.specialize(tensors, subset)
         swapped = _perturbed(tensors, subset, rng)
@@ -150,7 +150,7 @@ class TestReplay:
             assert specialized.execute_rows(factors, rows[:0]).shape == (0,)
             # fake_gpu runs the same numpy kernels in the same order: == cpu.
             xp = get_namespace("fake_gpu")
-            on_device = [tuple(xp.asarray(t) for t in candidates) for candidates in factors]
+            on_device = [xp.asarray(candidates) for candidates in factors]
             assert np.array_equal(specialized.execute_rows(on_device, rows, xp=xp), batched)
 
     def test_execute_rows_in_uneven_chunks(self, name, rng, monkeypatch):
@@ -166,10 +166,10 @@ class TestReplay:
 
 
 def _row_candidates(plan, tensors, positions, rng):
-    """``plan`` specialized over ``positions``, with three random candidates per position."""
+    """``plan`` specialized over ``positions``, with three random candidates stacked per position."""
     positions = list(positions)
     factors = [
-        tuple(_perturbed(tensors, [position], rng)[position] for _ in range(3))
+        np.stack([_perturbed(tensors, [position], rng)[position] for _ in range(3)])
         for position in positions
     ]
     return plan.specialize(tensors, positions), factors
@@ -269,9 +269,7 @@ class TestTensordotOracle:
         specialized, factors = _row_candidates(plan, tensors, subset, rng)
         rows = rng.integers(0, 3, size=(7, len(subset)))
         xp, _ = self._on(device, [])
-        candidates = factors if xp is None else [
-            tuple(xp.asarray(tensor) for tensor in options) for options in factors
-        ]
+        candidates = factors if xp is None else [xp.asarray(options) for options in factors]
         expected = tensordot_execute_rows(plan, tensors, subset, factors, rows)
         assert np.array_equal(specialized.execute_rows(candidates, rows, xp=xp), expected)
         # Uneven chunks (3 + 3 + 1 rows): every chunk size shares one kernel.
@@ -281,7 +279,7 @@ class TestTensordotOracle:
 
 
 class TestKernelTable:
-    """The kernel table is derived once per plan and never for a one-shot run."""
+    """The kernel table is derived once per plan."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -319,11 +317,11 @@ class TestKernelTable:
                 executable.gradient(params)
         assert len(builds) == 1
 
-    def test_one_shot_run_derives_no_table(self, builds):
+    def test_one_shot_run_derives_one_table(self, builds):
         circuit = benchmark_circuit("qaoa_4", seed=3, native_gates=False)
         with Session(seed=1) as session:
             session.run(circuit, "tn", noise={"channel": "depolarizing", "parameter": 0.01, "count": 3})
-        assert builds == []
+        assert len(builds) == 1
 
 
 def test_environments_of_crossed_contraction_axes():
@@ -346,7 +344,7 @@ class TestSingleNode:
     def test_environment_of_the_only_input_is_one(self):
         network = TensorNetwork()
         network.add_node(np.array(0.25 + 0.5j))
-        plan, _ = ContractionPlan.record(network)
+        plan = ContractionPlan.record(network)
         value, environments = plan.environments([np.array(0.25 + 0.5j)], [0])
         assert value == 0.25 + 0.5j and environments[0] == 1.0
 
@@ -354,9 +352,9 @@ class TestSingleNode:
     def test_plan_without_steps_returns_the_input(self):
         network = TensorNetwork()
         network.add_node(np.array(0.25 + 0.5j))
-        plan, value = ContractionPlan.record(network)
+        plan = ContractionPlan.record(network)
         assert plan.num_steps == 0
-        assert value == plan.execute([np.array(0.25 + 0.5j)]) == 0.25 + 0.5j
+        assert network.contract_to_scalar() == plan.execute([np.array(0.25 + 0.5j)]) == 0.25 + 0.5j
         specialized = plan.specialize([np.array(0.0)], [0])
         assert specialized.execute([np.array(2.0 + 0j)]) == 2.0
 
@@ -364,9 +362,9 @@ class TestSingleNode:
     def test_execute_rows_without_steps_returns_the_picked_inputs(self, device):
         network = TensorNetwork()
         network.add_node(np.array(0.25 + 0.5j))
-        plan, _ = ContractionPlan.record(network)
+        plan = ContractionPlan.record(network)
         xp = get_namespace(device)
-        candidates = [(xp.asarray(np.array(0.5 + 0j)), xp.asarray(np.array(2.0 - 1j)))]
+        candidates = [xp.asarray(np.array([0.5 + 0j, 2.0 - 1j]))]
         rows = np.array([[1], [0], [1]])
         assert plan.specialize([np.array(0.0)], [0]).execute_rows(
             candidates, rows, xp=xp
