@@ -40,7 +40,6 @@ from repro.backends.engine import RNG_BLOCK, BatchedTrajectoryEngine
 from repro.circuits.library import benchmark_circuit
 from repro.core import ApproximateNoisySimulator
 from repro.core.approximation import level_rows
-from repro.tensornetwork import substituted_split_networks
 from tests.core.reference import rows_close
 
 _CIRCUIT = apply_noise(
@@ -64,22 +63,18 @@ _results: dict = {}
 def _algorithm1_cases(level: int):
     prepared = ApproximateNoisySimulator().prepare(_CIRCUIT)
     rows = level_rows(prepared.decompositions, level)
-    zeros = "0" * _CIRCUIT.num_qubits
-    dominant = {index: d.terms[0] for index, d in enumerate(prepared.decompositions)}
-    networks = substituted_split_networks(_CIRCUIT, dominant, zeros, zeros)
-    halves = ((prepared.upper, prepared.upper_factors), (prepared.lower, prepared.lower_factors))
+    halves = (
+        (prepared.upper, prepared.upper_factors, prepared.upper_tensors),
+        (prepared.lower, prepared.lower_factors, prepared.lower_tensors),
+    )
     return [
         (
             specialized,
             factors,
             rows,
-            tensordot_specialize(
-                prepared.plan,
-                [node.tensor for node in network.nodes],
-                specialized.variable_positions,
-            ),
+            tensordot_specialize(prepared.plan, tensors, specialized.variable_positions),
         )
-        for (specialized, factors), network in zip(halves, networks)
+        for specialized, factors, tensors in halves
     ]
 
 

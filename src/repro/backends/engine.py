@@ -55,7 +55,7 @@ from repro.simulators.statevector import apply_matrix
 from repro.tensornetwork.circuit_to_tn import (
     StateLike,
     dense_product_state,
-    noise_node_positions,
+    instruction_node_positions,
     operator_amplitude_network,
 )
 from repro.tensornetwork.plan import ContractionPlan
@@ -179,10 +179,11 @@ class _TrajectoryContext:
     ``template`` is a context prepared from another binding of the same
     parametric structure.  Its value-independent parts are shared: the
     boundary states, the recorded :class:`ContractionPlan` (the greedy
-    ordering inspects tensor sizes, never entries) and the Kraus sampling
-    distributions (noise channels carry no parameters).  The TN template
-    tensors, their specialization and the device tensor cache are rebuilt
-    from ``circuit``.
+    ordering inspects tensor sizes, never entries), the Kraus sampling
+    distributions and stacked Kraus candidates (noise channels carry no
+    parameters).  No network is built for a rebind: the template tensors
+    are copied with every parametric gate node overwritten from ``circuit``,
+    and only the specialization's static intermediates are recomputed.
     """
 
     def __init__(
@@ -197,8 +198,11 @@ class _TrajectoryContext:
         self.num_qubits = circuit.num_qubits
         self.num_channels = circuit.noise_count()
         #: Per-namespace cache of device-resident operator tensors (see
-        #: :meth:`device_tensors`, :meth:`kraus_factors`); reusable across devices.
+        #: :meth:`device_tensors`); reusable across devices.
         self._device_cache = {}
+        #: Per-namespace stacked Kraus candidates (see :meth:`kraus_factors`),
+        #: shared with every rebind of this structure.
+        self._kraus_cache = {} if template is None else template._kraus_cache
         if engine.backend != "statevector":
             self._prepare_tn(engine, circuit, input_state, output_state, template)
         elif template is None:
@@ -216,28 +220,45 @@ class _TrajectoryContext:
         output_state: StateLike,
         template: "_TrajectoryContext | None",
     ) -> None:
-        # Each noise enters the template as its first Kraus operator; samples
-        # swap in the drawn one at the same node.
-        operations = [
-            (
-                inst.operation.matrix if inst.is_gate else inst.operation.kraus_operators[0],
-                inst.qubits,
-            )
-            for inst in circuit
-        ]
-        network = operator_amplitude_network(
-            circuit.num_qubits,
-            operations,
-            input_state,
-            output_state,
-            name="trajectory_template",
-            max_intermediate_size=engine.max_intermediate_size,
-        )
-        self.template_tensors = [node.tensor for node in network.nodes]
         if template is None:
+            # Each noise enters the template as its first Kraus operator;
+            # samples swap in the drawn one at the same node.
+            operations = [
+                (
+                    inst.operation.matrix if inst.is_gate else inst.operation.kraus_operators[0],
+                    inst.qubits,
+                )
+                for inst in circuit
+            ]
+            network = operator_amplitude_network(
+                circuit.num_qubits,
+                operations,
+                input_state,
+                output_state,
+                name="trajectory_template",
+                max_intermediate_size=engine.max_intermediate_size,
+            )
+            self.template_tensors = [node.tensor for node in network.nodes]
+            positions = instruction_node_positions(circuit, input_state)
+            #: Instruction index -> node of every parametric gate (the only
+            #: tensors another binding of the structure changes).
+            self.gate_nodes = {
+                index: positions[index][0]
+                for index, inst in enumerate(circuit)
+                if getattr(inst.operation, "is_parametric_gate", False)
+            }
+            self.noise_nodes = tuple(
+                nodes[0] for nodes, inst in zip(positions, circuit) if inst.is_noise
+            )
             self.plan = ContractionPlan.record(network)
             self._derive_kraus_distributions()
         else:
+            tensors = list(template.template_tensors)
+            for index, node in template.gate_nodes.items():
+                inst = circuit[index]
+                tensors[node] = _node_tensor(inst.operation.matrix, inst.qubits)
+            self.template_tensors = tensors
+            self.gate_nodes, self.noise_nodes = template.gate_nodes, template.noise_nodes
             self.plan = template.plan
             self.q_dists, self.q_cdfs = template.q_dists, template.q_cdfs
         # Partial evaluation over the static tensors: the batched sample
@@ -246,7 +267,7 @@ class _TrajectoryContext:
         # per-sample replay to within a few ulps, not bit for bit).
         # Noiseless circuits take the single-replay short circuit instead.
         self.specialized = (
-            self.plan.specialize(self.template_tensors, noise_node_positions(circuit, input_state))
+            self.plan.specialize(self.template_tensors, self.noise_nodes)
             if self.num_channels
             else None
         )
@@ -274,8 +295,8 @@ class _TrajectoryContext:
         device (host if None); built once per namespace and cached, like
         :meth:`device_tensors`.
         """
-        key = ("kraus", None if xp is None else xp.name)
-        cached = self._device_cache.get(key)
+        key = None if xp is None else xp.name
+        cached = self._kraus_cache.get(key)
         if cached is None:
             to_device = np.asarray if xp is None else xp.asarray
             cached = tuple(
@@ -284,7 +305,7 @@ class _TrajectoryContext:
                 )
                 for inst in self.circuit.noise_instructions
             )
-            self._device_cache[key] = cached
+            self._kraus_cache[key] = cached
         return cached
 
     def device_tensors(self, xp):

@@ -329,7 +329,9 @@ class ParametricGate:
     #: which raises on unbound gates.
     is_parametric_gate = True
 
-    __slots__ = ("name", "num_qubits", "_factory", "_params", "binding", "offsets", "_bound_gate")
+    __slots__ = (
+        "name", "num_qubits", "_factory", "_params", "_names", "binding", "offsets", "_bound_gate",
+    )
 
     def __init__(
         self,
@@ -359,11 +361,12 @@ class ParametricGate:
         self.num_qubits = probe.num_qubits
         self._factory = factory
         self._params = params
-        relevant = frozenset().union(*(p.parameters for p in params))
+        #: Every parameter name the expressions mention (bound or not).
+        self._names = frozenset().union(*(p.parameters for p in params))
         self.binding = {
             str(key): float(value)
             for key, value in dict(binding or {}).items()
-            if str(key) in relevant
+            if str(key) in self._names
         }
         if offsets is None:
             offsets = (0.0,) * len(params)
@@ -384,8 +387,7 @@ class ParametricGate:
     @property
     def free_parameters(self) -> FrozenSet[str]:
         """Parameter names still unbound on this gate."""
-        names = frozenset().union(*(p.parameters for p in self._params))
-        return names - frozenset(self.binding)
+        return self._names.difference(self.binding)
 
     @property
     def is_bound(self) -> bool:
@@ -416,8 +418,10 @@ class ParametricGate:
         """
         merged = dict(self.binding)
         for key, value in dict(binding).items():
-            merged[str(key.name if isinstance(key, Parameter) else key)] = float(value)
-        return ParametricGate(self.name, self._params, binding=merged, offsets=self.offsets)
+            name = str(key.name if isinstance(key, Parameter) else key)
+            if name in self._names:
+                merged[name] = float(value)
+        return self._copy(merged, self.offsets)
 
     def shifted(self, slot: int, delta: float) -> "ParametricGate":
         """Return a copy with slot ``slot``'s evaluated angle shifted by ``delta``."""
@@ -427,9 +431,19 @@ class ParametricGate:
             )
         offsets = list(self.offsets)
         offsets[slot] += float(delta)
-        return ParametricGate(
-            self.name, self._params, binding=self.binding, offsets=tuple(offsets)
-        )
+        return self._copy(dict(self.binding), tuple(offsets))
+
+    def _copy(self, binding: Dict[str, float], offsets: Tuple[float, ...]) -> "ParametricGate":
+        """This gate with another (already normalised) binding and offsets.
+
+        Skips the constructor's validation and factory probe: the name,
+        expressions and qubit count are this gate's, already checked.
+        """
+        gate = object.__new__(ParametricGate)
+        gate.name, gate.num_qubits, gate._factory = self.name, self.num_qubits, self._factory
+        gate._params, gate._names = self._params, self._names
+        gate.binding, gate.offsets, gate._bound_gate = binding, offsets, None
+        return gate
 
     # -- bound-gate delegation -------------------------------------------
     def bound_gate(self) -> glib.Gate:
@@ -524,7 +538,7 @@ def substitute(circuit, binding: Mapping):
     oracle rely on.  Raises :class:`UnboundParameterError` when ``binding``
     misses a free parameter; extra names are ignored.
     """
-    from repro.circuits.circuit import Circuit
+    from repro.circuits.circuit import Circuit, Instruction
 
     normalized = normalize_binding(binding)
     missing = sorted(circuit_parameters(circuit) - frozenset(normalized))
@@ -532,10 +546,15 @@ def substitute(circuit, binding: Mapping):
         raise UnboundParameterError(
             f"substitute() is missing values for parameters {missing}"
         )
+    # The source's instructions are already validated and immutable, so
+    # literal ones are shared; binding keeps every structure token, so the
+    # copy inherits the source's structural fingerprint.
     new = Circuit(circuit.num_qubits, name=circuit.name)
-    for inst in circuit:
-        operation = inst.operation
-        if getattr(operation, "is_parametric_gate", False):
-            operation = operation.bind(normalized)
-        new.append(operation, inst.qubits)
+    new._instructions = [
+        Instruction(inst.operation.bind(normalized), inst.qubits)
+        if getattr(inst.operation, "is_parametric_gate", False)
+        else inst
+        for inst in circuit
+    ]
+    new._digests[True] = circuit.structural_fingerprint()
     return new

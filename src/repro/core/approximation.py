@@ -77,6 +77,10 @@ class PreparedApproximation:
     #: stacked along a leading term axis.
     upper_factors: Tuple[np.ndarray, ...]
     lower_factors: Tuple[np.ndarray, ...]
+    #: Each half's node tensors (dominant terms at the noise nodes), the
+    #: inputs ``upper``/``lower`` were specialized from.
+    upper_tensors: Tuple[np.ndarray, ...]
+    lower_tensors: Tuple[np.ndarray, ...]
 
     def evaluate(self, rows) -> np.ndarray:
         """Value ``upper · lower`` of every term; row ``r`` picks SVD term ``rows[r, s]`` of noise ``s``."""
@@ -230,8 +234,8 @@ class ApproximateNoisySimulator:
             output_state,
             max_intermediate_size=self.max_intermediate_size,
         )
-        upper_tensors = [node.tensor for node in upper.nodes]
-        lower_tensors = [node.tensor for node in lower.nodes]
+        upper_tensors = tuple(node.tensor for node in upper.nodes)
+        lower_tensors = tuple(node.tensor for node in lower.nodes)
         noise_positions = noise_node_positions(circuit, input_state)
         if template is None:
             plan = ContractionPlan.record(upper, strategy=self.strategy)
@@ -257,6 +261,8 @@ class ApproximateNoisySimulator:
             lower=plan.specialize(lower_tensors, noise_positions),
             upper_factors=upper_factors,
             lower_factors=lower_factors,
+            upper_tensors=upper_tensors,
+            lower_tensors=lower_tensors,
         )
 
     # ------------------------------------------------------------------

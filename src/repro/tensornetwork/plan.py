@@ -247,7 +247,10 @@ class ContractionPlan:
         positions are ignored, but their shapes are read); the returned
         :class:`SpecializedPlan` accepts fresh values for the variable
         positions per call and replays only the steps that depend on them.
-        Only the static intermediates a residual step reads stay baked.
+        Only the static intermediates a residual step reads stay baked.  The
+        split into baked and residual steps and the residual row kernels are
+        derived once per set of variable positions and cached on the kernel
+        table, so specializing another binding only computes the baked values.
         """
         self._check_inputs(tensors)
         variable = {int(position) for position in variable_positions}
@@ -255,27 +258,7 @@ class ContractionPlan:
         if unknown:
             raise ValidationError(f"variable positions {unknown} out of range")
         table = self._kernel_table(tensors)
-        static = [position not in variable for position in range(self.num_inputs)]
-        static += [True] * len(self.steps)
-        baked_steps, residual, rows = [], [], []
-        for step, kernel in zip(self.steps, table.forward):
-            slot_a, slot_b, axes_a, axes_b, out = step
-            if static[slot_a] and static[slot_b]:
-                baked_steps.append(kernel)
-                continue
-            static[out] = False
-            residual.append(kernel)
-            rows.append(
-                (slot_a, slot_b, out)
-                + _kernel(
-                    table.shapes[slot_a],
-                    table.shapes[slot_b],
-                    axes_a,
-                    axes_b,
-                    rows_a=not static[slot_a],
-                    rows_b=not static[slot_b],
-                )
-            )
+        baked_steps, residual, rows, static = table.specialization(frozenset(variable))
         baked: List[np.ndarray | None] = [
             tensor if static[position] else None for position, tensor in enumerate(tensors)
         ]
@@ -444,7 +427,7 @@ class _KernelTable:
     that are only replayed never pay for them).
     """
 
-    __slots__ = ("steps", "shapes", "forward", "_reverse")
+    __slots__ = ("steps", "shapes", "forward", "_reverse", "_specializations")
 
     def __init__(self, steps: Sequence[_Step], input_shapes: Sequence[Tuple[int, ...]]) -> None:
         shapes: List[Tuple[int, ...]] = [tuple(shape) for shape in input_shapes]
@@ -457,6 +440,44 @@ class _KernelTable:
         self.shapes = shapes
         self.forward = forward
         self._reverse: List[Tuple[_Kernel, _Kernel]] | None = None
+        self._specializations: Dict[AbstractSet[int], tuple] = {}
+
+    def specialization(self, variable: AbstractSet[int]) -> tuple:
+        """``(baked_steps, residual, rows, static)`` for the inputs in ``variable``.
+
+        ``baked_steps`` are the forward kernels whose operands are all
+        static, ``residual`` the rest and ``rows`` their row-batched
+        variants; ``static[slot]`` says whether a slot's value is fixed.
+        Derived on first use per variable set and built whole before it is
+        stored, like the table itself.
+        """
+        cached = self._specializations.get(variable)
+        if cached is not None:
+            return cached
+        num_inputs = len(self.shapes) - len(self.steps)
+        static = [position not in variable for position in range(num_inputs)]
+        static += [True] * len(self.steps)
+        baked_steps, residual, rows = [], [], []
+        for step, kernel in zip(self.steps, self.forward):
+            slot_a, slot_b, axes_a, axes_b, out = step
+            if static[slot_a] and static[slot_b]:
+                baked_steps.append(kernel)
+                continue
+            static[out] = False
+            residual.append(kernel)
+            rows.append(
+                (slot_a, slot_b, out)
+                + _kernel(
+                    self.shapes[slot_a],
+                    self.shapes[slot_b],
+                    axes_a,
+                    axes_b,
+                    rows_a=not static[slot_a],
+                    rows_b=not static[slot_b],
+                )
+            )
+        cached = self._specializations[variable] = (baked_steps, residual, rows, static)
+        return cached
 
     def reverse(self) -> List[Tuple[_Kernel, _Kernel]]:
         """Per step, the environment kernels of its operands ``a`` and ``b``."""

@@ -12,7 +12,9 @@ paths different defaults.
 import numpy as np
 import pytest
 
+import repro.backends.engine as engine_module
 import repro.core.approximation as approximation
+import repro.tensornetwork.plan as plan_module
 from repro.api import Session, apply_noise, plan_cache_key
 from repro.backends import SimulationTask, get_backend
 from repro.backends.engine import BatchedTrajectoryEngine
@@ -142,6 +144,34 @@ class TestTemplateReuse:
             executable.bind(binding).run()
         assert calls == {"decompose_noise": 0, "record": 0}
 
+    def test_trajectory_tn_bind_builds_no_network_and_no_kernel(
+        self, noisy_parametric_qaoa, monkeypatch
+    ):
+        # A bound traj_tn run overwrites the parametric gate tensors of the
+        # compiled template and reuses its specialization's kernels.
+        binding = _binding_for(noisy_parametric_qaoa)
+        calls = {"network": 0, "kernel": 0}
+        build, kernel = engine_module.operator_amplitude_network, plan_module._kernel
+
+        def counting_build(*args, **kwargs):
+            calls["network"] += 1
+            return build(*args, **kwargs)
+
+        def counting_kernel(*args, **kwargs):
+            calls["kernel"] += 1
+            return kernel(*args, **kwargs)
+
+        options = dict(backend="trajectories_tn", samples=SAMPLES, seed=SEED, workers=1)
+        with Session(seed=5) as session:
+            executable = session.compile(noisy_parametric_qaoa, **options)
+            monkeypatch.setattr(engine_module, "operator_amplitude_network", counting_build)
+            monkeypatch.setattr(plan_module, "_kernel", counting_kernel)
+            value = executable.bind(binding).run().value
+        assert calls == {"network": 0, "kernel": 0}
+        monkeypatch.undo()
+        with Session(plan_cache_size=0) as independent:
+            assert value == independent.run(substitute(noisy_parametric_qaoa, binding), **options).value
+
     def test_approximation_compile_records_one_plan(
         self, noisy_parametric_qaoa, monkeypatch
     ):
@@ -205,6 +235,11 @@ class TestTemplateReuse:
         prepared = engine.prepare(second, template=template)
         assert prepared.plan is template.plan
         assert prepared.q_dists is template.q_dists
+        assert prepared.kraus_factors(None) is template.kraus_factors(None)
+        fresh = engine.prepare(second)
+        assert len(prepared.template_tensors) == len(fresh.template_tensors)
+        for rebound, built in zip(prepared.template_tensors, fresh.template_tensors):
+            assert np.array_equal(rebound, built)
         assert (
             engine.estimate_fidelity(second, SAMPLES, rng=SEED, context=prepared).estimate
             == engine.estimate_fidelity(second, SAMPLES, rng=SEED).estimate

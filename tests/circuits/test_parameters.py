@@ -133,6 +133,18 @@ class TestCircuitHelpers:
             == two.structural_fingerprint()
         )
 
+    def test_substitute_inherits_the_structural_fingerprint_it_would_compute(self):
+        # substitute() copies the source's structural fingerprint instead of
+        # hashing again; a fresh circuit with the same instructions hashes
+        # to the same value.
+        circuit = self._circuit()
+        bound = substitute(circuit, {"a": 0.1, "b": 0.2, "unused": 0.3})
+        rebuilt = Circuit(2, name="pc").extend(bound)
+        assert rebuilt.structural_fingerprint() == bound.structural_fingerprint()
+        assert rebuilt.fingerprint() == bound.fingerprint()
+        assert bound[0] is circuit[0]
+        assert bound[1].operation.binding == {"a": 0.1}
+
     def test_fingerprint_distinguishes_parameter_names(self):
         left = Circuit(1).append(ParametricGate("rx", (Parameter("a"),)), (0,))
         right = Circuit(1).append(ParametricGate("rx", (Parameter("b"),)), (0,))

@@ -191,10 +191,3 @@ class TestNetworkContraction:
             ContractionPlan.record(network)
         with pytest.raises(ContractionMemoryError):
             network.contract_to_scalar()
-
-    def test_plan_reports_peak_and_leaves_network_alone(self):
-        network, _ = self._chain_network([np.eye(2)] * 3)
-        plan = ContractionPlan.record(network)
-        assert plan.num_steps == network.num_nodes - 1 == 4
-        assert plan.peak_intermediate_entries == 2
-        assert network.num_nodes == 5
