@@ -96,10 +96,16 @@ class TestReplay:
         assert plan.num_inputs == len(tensors)
         assert plan.execute(tensors) == expected == one_shot
 
-    def test_execute_on_swapped_values_equals_tensordot(self, name, rng):
+    def test_swapped_values_contract_by_the_same_plan(self, name, rng):
+        # Ordering reads shapes only: the network holding other values plans
+        # the same steps, and its one-shot value is that plan's tensordot replay.
         plan, _, tensors = _record(name)
         swapped = _perturbed(tensors, range(0, len(tensors), 3), rng)
-        assert plan.execute(swapped) == tensordot_execute(plan, swapped)
+        network = BUILDERS[name]()
+        for node, tensor in zip(network.nodes, swapped):
+            node.tensor = tensor
+        assert ContractionPlan.record(network).steps == plan.steps
+        assert network.contract_to_scalar() == tensordot_execute(plan, swapped)
 
     def test_replay_is_repeatable(self, name):
         plan, expected, tensors = _record(name)
