@@ -3,15 +3,18 @@
 Replaces the per-sample Python loop of the quantum-trajectories method with
 two batched hot paths:
 
-* **statevector** — a slab of trajectories is evolved as one ``(G, 2**n)``
-  array holding a single state per *distinct Kraus history* so far (at the
-  paper's noise rates almost all trajectories share a history, so G stays
-  far below the slab size), plus a sample → group index.  Gates are applied
-  with one einsum-style ``tensordot`` per gate over the G states; at a
-  channel the exact Born probabilities are computed once per group, every
-  trajectory draws from its group's cdf with its own uniform, and the groups
-  split by (group, branch).  The final overlaps are gathered back to the
-  samples.
+* **statevector** — the trajectories of up to :data:`PASS_BLOCKS` RNG
+  blocks are evolved in one grouped pass as a ``(G, 2**n)`` array holding a
+  single state per *distinct Kraus history* so far (at the paper's noise
+  rates almost all trajectories share a history, so G stays far below the
+  sample count), plus a sample → group index.  Gates are applied with one
+  einsum-style ``tensordot`` per gate over the G states; at a channel the
+  exact Born probabilities are computed once per group, every trajectory
+  draws from its group's cdf with its own uniform, and the groups split by
+  (group, branch).  G is capped by ``max_batch_entries`` (states × ``2**n``
+  entries): a split that yields more groups continues depth-first on runs
+  of at most the cap, each with its own samples.  The final overlaps are
+  gathered back to the samples.
 * **tn** — the amplitude network of a trajectory has the same topology for
   every sample (only the sampled Kraus tensor *values* change), so the node /
   edge construction and the greedy contraction-ordering work are done once on
@@ -32,12 +35,14 @@ only on the seed, never on the worker count: ``workers=None`` and
 ``workers=1`` run the blocks in-process, ``workers=k > 1`` on a
 ``concurrent.futures`` process pool, all with identical values.  (numpy's
 ``default_rng([s, 0])`` is the same stream as ``default_rng(s)``, so block 0
-is the plain seeded stream.)
+is the plain seeded stream.)  A grouped statevector pass concatenates its
+blocks' uniforms and hands the values back per block, so the streaming
+estimator merges them in block order whatever the pass layout.
 
 Both hot paths dispatch their dense math through an
 :class:`repro.xp.ArrayNamespace` (``device=`` on the constructor).  Gate and
 Kraus tensors are transferred once per prepared context and cached per
-namespace; the slab-sized group-state buffer comes from the namespace
+namespace; the capped group-state buffer comes from the namespace
 ``workspace`` cache; sampling decisions (Born probabilities, cdfs, choices)
 run on the host from small transferred weight vectors, so the same uniforms
 produce the same trajectories on every device.
@@ -84,6 +89,12 @@ class WorkerPoolError(RuntimeError):
 #: are reproducible across worker counts.
 RNG_BLOCK = 256
 
+#: RNG blocks per grouped statevector pass.  Fixed like :data:`RNG_BLOCK`,
+#: though values never depend on it: a pass holds one uniform per (sample,
+#: channel) of up to ``PASS_BLOCKS * RNG_BLOCK`` samples, so million-sample
+#: runs stream through bounded host memory.
+PASS_BLOCKS = 64
+
 
 def _apply_gate_tensor(tensor, gate_tensor, qubits: Sequence[int], num_qubits: int, xp):
     """Apply a reshaped gate tensor to a batched state, returning a lazy transpose view."""
@@ -117,6 +128,59 @@ def apply_matrix_batched(
     return xp.reshape(
         _apply_gate_tensor(tensor, gate_tensor, qubits, num_qubits, xp), (batch, -1)
     )
+
+
+def _kraus_branches(tensor, kraus_tensors, qubits: Sequence[int], xp):
+    """All K branches ``E_k|ψ_g⟩`` of the group states from one ``tensordot``.
+
+    ``kraus_tensors`` stacks a channel's Kraus operators on a leading axis.
+    The raw (un-transposed, hence contiguous) result's axes are: branch, the
+    k gate-output axes, then groups, then the spectator qubits.
+    """
+    k = len(qubits)
+    axes = [int(q) + 1 for q in qubits]
+    return xp.tensordot(kraus_tensors, tensor, axes=(list(range(k + 1, 2 * k + 1)), axes))
+
+
+def _born_cdfs(raw, num_gate_qubits: int, xp) -> np.ndarray:
+    """Per group, the host cdf over branches of the exact Born probabilities.
+
+    The (groups, K) weights ``‖E_k|ψ_g⟩‖²`` come from a single float-view
+    einsum pass over :func:`_kraus_branches`' raw output, with no conjugate
+    temporaries; only these small vectors cross back to the host.
+    """
+    num_branches = raw.shape[0]
+    rows = raw.shape[num_gate_qubits + 1]
+    floats = xp.view_real(xp.reshape(raw, (num_branches, 2**num_gate_qubits, rows, -1)))
+    probabilities = xp.to_host(xp.einsum("basd,basd->sb", floats, floats))
+    totals = probabilities.sum(axis=1)
+    if np.any(totals <= 0):
+        raise ValidationError("trajectory collapsed to zero norm (invalid channel?)")
+    probabilities = probabilities / totals[:, None]
+    cdf = np.cumsum(probabilities, axis=1)
+    return cdf / cdf[:, -1:]
+
+
+def _select_branches(raw, keys: np.ndarray, qubits: Sequence[int], num_qubits: int, cap: int, xp):
+    """The normalised new group states ``keys`` (``parent * K + branch``) of ``raw``.
+
+    Selection gathers only each new group's branch through a lazy transpose
+    view, so no branch is materialised in full, into the first rows of one
+    ``(cap, 2**n)`` workspace buffer (keyed by the cap, never by the group
+    count, so every channel and run of an estimate reuses one allocation).
+    Overwriting it is safe: every read of the previous states happened in
+    :func:`_kraus_branches`.  State tensors stay on the device.
+    """
+    parents, branches = np.divmod(keys, raw.shape[0])
+    axes = [int(q) + 1 for q in qubits]
+    order = axes + [ax for ax in range(num_qubits + 1) if ax not in axes]
+    flat = xp.transpose(raw, [0] + [1 + ax for ax in np.argsort(order)])
+    chosen = xp.workspace((cap, 2**num_qubits), tag="kraus_chosen")[: keys.size]
+    chosen[:] = flat[branches, parents].reshape(keys.size, -1)
+    floats = xp.view_real(chosen)
+    norms = xp.sqrt(xp.einsum("bd,bd->b", floats, floats))
+    chosen = xp.idivide(chosen, xp.reshape(norms, (keys.size, 1)))
+    return xp.reshape(chosen, (keys.size,) + (2,) * num_qubits)
 
 
 def _searchsorted_rows(cdf_rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -343,7 +407,7 @@ class BatchedTrajectoryEngine:
         self,
         backend: str = "statevector",
         max_intermediate_size: int | None = 2**26,
-        max_batch_entries: int = 2**16,
+        max_batch_entries: int = 2**15,
         device: str | None = None,
     ) -> None:
         if backend not in ("statevector", "tn"):
@@ -354,11 +418,15 @@ class BatchedTrajectoryEngine:
         self.device = device
         self._xp = get_namespace(device or "cpu")
         self.max_intermediate_size = max_intermediate_size
-        #: Cap on ``slab × 2**n`` entries (statevector path), where a slab of
-        #: trajectories holds at most one group state per trajectory.  The
-        #: default keeps each batched array around 1 MB, which measures faster
-        #: than huge slabs (cache locality) while still amortising the per-op
-        #: numpy overhead over ≤128 distinct histories at 9 qubits.
+        #: Cap on ``states × 2**n`` entries of a batched statevector array: a
+        #: grouped pass holds at most :meth:`_slab_size` group states
+        #: (distinct Kraus histories) at a time, whatever its sample count.
+        #: The default (512 KB arrays, ≤64 histories at 9 qubits) amortises
+        #: the per-op numpy overhead while keeping a single-qubit Kraus
+        #: stack's product at 2**18 multiply-adds, below the size where
+        #: OpenBLAS starts a second thread (2**19 at twice the cap).  On a
+        #: 2-vCPU host that thread bought no wall time, and when both
+        #: threads shared one core it stalled a qaoa_9 p=0.1 estimate ~15x.
         self.max_batch_entries = int(max_batch_entries)
 
     # ------------------------------------------------------------------
@@ -458,10 +526,7 @@ class BatchedTrajectoryEngine:
                     circuit, input_state, output_state, seed, blocks, workers, executor
                 )
             else:
-                block_values = (
-                    self._run_block(context, seed, block_index, block_samples)
-                    for block_index, block_samples in blocks
-                )
+                block_values = self._run_blocks(context, seed, blocks)
             for values in block_values:
                 absorb(values)
 
@@ -473,12 +538,13 @@ class BatchedTrajectoryEngine:
     # Scheduling helpers
     # ------------------------------------------------------------------
     def _slab_size(self, num_qubits: int) -> int:
-        # Samples per statevector pass; the pass holds at most one group
-        # state per sample.  A floor of 4 keeps some batching for wide
-        # circuits, but Kraus sampling holds all K branches of up to a slab of
-        # group states at once, so above 2**20 amplitudes per state the floor
-        # drops to 1 to keep the peak memory profile of the per-sample loop
-        # (~6 state-sized arrays, not 6×slab).
+        # Group states per batched statevector array: the cap on G within a
+        # grouped pass.  A floor of 4 keeps some batching for wide circuits,
+        # but Kraus sampling holds all K branches of up to the cap of group
+        # states at once, so above 2**20 amplitudes per state the floor drops
+        # to 1 to keep the peak memory profile of the per-sample loop (~6
+        # state-sized arrays, not 6×cap) plus one pending parent state per
+        # split channel (see :meth:`_run_statevector`).
         dim = 2**num_qubits
         floor = 4 if dim <= 2**20 else 1
         return max(floor, self.max_batch_entries // dim)
@@ -503,12 +569,33 @@ class BatchedTrajectoryEngine:
             index += 1
         return blocks
 
-    def _run_block(
-        self, context: _TrajectoryContext, seed: int, block_index: int, block_samples: int
-    ) -> np.ndarray:
-        generator = np.random.default_rng([seed, block_index])
-        uniforms = generator.random((block_samples, context.num_channels))
-        return self._run_uniforms(context, uniforms)
+    def _run_blocks(
+        self, context: _TrajectoryContext, seed: int, blocks: Sequence[Tuple[int, int]]
+    ):
+        """Yield the values of each ``(block_index, block_samples)`` block, in order.
+
+        Block ``b`` draws its uniforms from ``default_rng([seed, b])``.  The
+        statevector path evolves up to :data:`PASS_BLOCKS` blocks as one
+        grouped pass (each distinct Kraus history of the pass once); the tn
+        path replays block by block.  Either way the values come back per
+        block, so they never depend on how the blocks were batched.
+        """
+        step = PASS_BLOCKS if self.backend == "statevector" else 1
+        for start in range(0, len(blocks), step):
+            chunk = blocks[start : start + step]
+            uniforms = np.concatenate(
+                [
+                    np.random.default_rng([seed, block_index]).random(
+                        (block_samples, context.num_channels)
+                    )
+                    for block_index, block_samples in chunk
+                ]
+            )
+            values = self._run_uniforms(context, uniforms)
+            stop = 0
+            for _, block_samples in chunk:
+                stop += block_samples
+                yield values[stop - block_samples : stop]
 
     def _run_pool(
         self,
@@ -520,7 +607,7 @@ class BatchedTrajectoryEngine:
         workers: int,
         executor=None,
     ):
-        """Distribute contiguous block groups over a process pool.
+        """Deal the blocks round-robin over a process pool, one block group per worker.
 
         Block seeding makes the values independent of the distribution, so a
         pool failure (restricted environments) degrades to serial execution
@@ -587,6 +674,22 @@ class BatchedTrajectoryEngine:
         return self._run_tn(context, uniforms)
 
     def _run_statevector(self, context: _TrajectoryContext, uniforms: np.ndarray) -> np.ndarray:
+        """Evolve one grouped pass: each distinct Kraus history of ``uniforms`` once.
+
+        The pass starts from a single ψ₀ row and keeps one state per distinct
+        Kraus history so far plus a sample → group index.  When a channel
+        splits a run into more groups than the cap ``c = _slab_size(n)``, the
+        run goes on as runs of at most ``c`` groups in sorted-key order, each
+        with its own samples: the first at once, the others depth-first from
+        a stack.  Pending runs hold their split's parent rows (≤ ``c`` states,
+        shared by the split's runs), never a state per sample, and derive
+        their branches again on resume; their sample index arrays partition
+        the pass.  Depth-first order leaves at most one split pending per
+        channel, so the states held at once are bounded by
+        ``(num_channels + 1) × c`` rows plus the ``K × c``-row branch tensor
+        of the channel at hand: a per-channel multiple of the capped buffer,
+        independent of the sample count.
+        """
         num_samples = uniforms.shape[0]
         n = context.num_qubits
         if context.num_channels == 0:
@@ -599,80 +702,63 @@ class BatchedTrajectoryEngine:
 
         xp = self._xp
         psi0, v_conj, op_tensors = context.device_tensors(xp)
+        instructions = context.circuit.instructions
+        cap = self._slab_size(n)
         values = np.empty(num_samples)
-        slab = self._slab_size(n)
-        for start in range(0, num_samples, slab):
-            stop = min(start + slab, num_samples)
-            # One state per distinct Kraus history so far (a single psi0 row
-            # before the first channel); ``group`` maps each sample to its row.
-            # Between gates the states live as a (groups, 2, …, 2) tensor whose
-            # axes may be a lazy transpose view: the next tensordot reorders
-            # internally anyway, so forcing contiguity per gate would only add
-            # a full copy.  Contiguity is restored at sampling points.
-            tensor = xp.reshape(psi0, [1] + [2] * n)
-            group = np.zeros(stop - start, dtype=np.intp)
-            channel = 0
-            for position, inst in enumerate(context.circuit):
+        # A run is (position, channel, tensor, keys, samples, group): ``tensor``
+        # holds its group states before instruction ``position`` (a single psi0
+        # row at the start) and ``group`` maps each of its ``samples`` to a
+        # row.  A pending run instead holds the parent rows of the channel at
+        # ``position`` and the sorted ``keys`` of its groups there.  Between
+        # gates the states live as a (groups, 2, …, 2) tensor whose axes may be
+        # a lazy transpose view: the next tensordot reorders internally anyway,
+        # so forcing contiguity per gate would only add a full copy.
+        # Contiguity is restored at sampling points.
+        runs = [
+            (
+                0,
+                0,
+                xp.reshape(psi0, [1] + [2] * n),
+                None,
+                np.arange(num_samples),
+                np.zeros(num_samples, dtype=np.intp),
+            )
+        ]
+        while runs:
+            position, channel, tensor, keys, samples, group = runs.pop()
+            if keys is not None:
+                inst = instructions[position]
+                raw = _kraus_branches(tensor, op_tensors[position], inst.qubits, xp)
+                tensor = _select_branches(raw, keys, inst.qubits, n, cap, xp)
+                position, channel = position + 1, channel + 1
+            for position in range(position, len(instructions)):
+                inst = instructions[position]
                 if inst.is_gate:
-                    tensor = _apply_gate_tensor(
-                        tensor, op_tensors[position], inst.qubits, n, xp
-                    )
-                else:
-                    tensor, group = self._sample_kraus(
-                        tensor, group, op_tensors[position], inst, n,
-                        uniforms[start:stop, channel], slab, xp,
-                    )
-                    channel += 1
+                    tensor = _apply_gate_tensor(tensor, op_tensors[position], inst.qubits, n, xp)
+                    continue
+                num_branches = op_tensors[position].shape[0]
+                raw = _kraus_branches(tensor, op_tensors[position], inst.qubits, xp)
+                cdf = _born_cdfs(raw, len(inst.qubits), xp)
+                choice = _searchsorted_rows(cdf[group], uniforms[samples, channel])
+                keys, group = _regroup(group, choice, num_branches)
+                if keys.size > cap:
+                    # Right after a channel the states live in the workspace
+                    # buffer that the selection below overwrites, so pending
+                    # runs keep a copy of them; otherwise the tensor is fresh.
+                    parent = tensor
+                    if position > 0 and instructions[position - 1].is_noise:
+                        parent = xp.empty(tensor.shape)
+                        xp.copyto(parent, tensor)
+                    for start in range(cap * ((keys.size - 1) // cap), 0, -cap):
+                        later = group >= start
+                        pending = (keys[start:], samples[later], group[later] - start)
+                        runs.append((position, channel, parent) + pending)
+                        keys, samples, group = keys[:start], samples[~later], group[~later]
+                tensor = _select_branches(raw, keys, inst.qubits, n, cap, xp)
+                channel += 1
             states = xp.reshape(xp.ascontiguousarray(tensor), (tensor.shape[0], -1))
-            values[start:stop] = (np.abs(xp.to_host(xp.matmul(states, v_conj))) ** 2)[group]
+            values[samples] = (np.abs(xp.to_host(xp.matmul(states, v_conj))) ** 2)[group]
         return values
-
-    @staticmethod
-    def _sample_kraus(tensor, group, kraus_tensors, inst, num_qubits, uniforms, slab, xp):
-        """Draw one Kraus operator per trajectory with exact Born probabilities.
-
-        ``tensor`` holds one state per group of trajectories that share their
-        Kraus history so far, and ``group`` maps each trajectory to its row.
-        All K branches come from one ``tensordot`` of the stacked Kraus
-        operators over the groups, whose raw (un-transposed) output is
-        contiguous, so the (groups, K) Born weights ``‖E_k|ψ_g⟩‖²`` come from
-        a single float-view einsum pass with no conjugate temporaries.  Every
-        trajectory then draws from its group's cdf row with its own uniform,
-        the groups split by (group, branch), and only each new group's branch
-        is copied back into standard axis order.  Only the small weight
-        vectors cross back to the host for the sampling decision; state
-        tensors stay on the device.  Returns the new ``(tensor, group)``.
-        """
-        qubits = [int(q) for q in inst.qubits]
-        k = len(qubits)
-        axes = [q + 1 for q in qubits]
-        num_branches, rows = kraus_tensors.shape[0], tensor.shape[0]
-        # Raw axes: branch, k gate-output axes, then groups, then spectators.
-        raw = xp.tensordot(kraus_tensors, tensor, axes=(list(range(k + 1, 2 * k + 1)), axes))
-        floats = xp.view_real(xp.reshape(raw, (num_branches, 2**k, rows, -1)))
-        probabilities = xp.to_host(xp.einsum("basd,basd->sb", floats, floats))
-        totals = probabilities.sum(axis=1)
-        if np.any(totals <= 0):
-            raise ValidationError("trajectory collapsed to zero norm (invalid channel?)")
-        probabilities = probabilities / totals[:, None]
-        cdf = np.cumsum(probabilities, axis=1)
-        cdf = cdf / cdf[:, -1:]
-        keys, group = _regroup(group, _searchsorted_rows(cdf[group], uniforms), num_branches)
-        parents, branches = np.divmod(keys, num_branches)
-        # Selection gathers only each new group's branch through a lazy
-        # transpose view — no branch is materialised in full.
-        order = list(axes) + [ax for ax in range(num_qubits + 1) if ax not in axes]
-        flat = xp.transpose(raw, [0] + [1 + ax for ax in np.argsort(order)])
-        # The result rows come from one slab-sized workspace buffer (keyed by
-        # the slab, never by the group count, so every channel and slab of a
-        # run reuses one allocation).  Overwriting it here is safe: all reads
-        # of the previous state tensor happened in the tensordot above.
-        chosen = xp.workspace((slab, 2**num_qubits), tag="kraus_chosen")[: keys.size]
-        chosen[:] = flat[branches, parents].reshape(keys.size, -1)
-        floats = xp.view_real(chosen)
-        norms = xp.sqrt(xp.einsum("bd,bd->b", floats, floats))
-        chosen = xp.idivide(chosen, xp.reshape(norms, (keys.size, 1)))
-        return xp.reshape(chosen, (keys.size,) + (2,) * num_qubits), group
 
     def _run_tn(self, context: _TrajectoryContext, uniforms: np.ndarray) -> np.ndarray:
         num_samples = uniforms.shape[0]
@@ -731,7 +817,4 @@ def _pool_worker(payload) -> List[np.ndarray]:
         device=device,
     )
     context = _TrajectoryContext(engine, circuit, input_state, output_state)
-    return [
-        engine._run_block(context, seed, block_index, block_samples)
-        for block_index, block_samples in group
-    ]
+    return list(engine._run_blocks(context, seed, group))

@@ -1,6 +1,6 @@
 """``repro.xp`` — the array-namespace seam between algorithms and devices.
 
-Every dense-math hot path in the library (batched trajectory slabs,
+Every dense-math hot path in the library (grouped trajectory passes,
 contraction-plan replay, statevector/density-matrix evolution, PTM algebra)
 reduces to ndarray ops: ``einsum``/``tensordot`` contractions, reshapes and a
 little linear algebra on ``(batch, 2**n)`` arrays.  This package factors those

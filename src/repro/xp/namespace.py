@@ -44,7 +44,8 @@ class Workspace:
 
     The trajectory engine and the specialized contraction-plan replay request
     the same buffer shapes thousands of times per serving session (one
-    ``(slab, 2**n)`` group-state scratch per noise channel per slab, one small
+    ``(cap, 2**n)`` group-state scratch per noise channel per grouped pass,
+    whose ``cap`` bounds the distinct Kraus histories held at once, one small
     tensor per bound Kraus value); allocating them once and reusing them is the gpuarray
     cache idiom from quantumsim's CUDA backend.  Keys carry an optional
     caller-supplied ``tag`` so two *live* buffers of the same shape (e.g. two

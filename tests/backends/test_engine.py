@@ -9,9 +9,14 @@ Covers the two guarantees the engine makes:
 2. The result depends only on the seed — never on ``workers`` (``None``,
    ``1`` or a process pool) — thanks to fixed-size per-block RNG streams.
 
-Both paths evolve (statevector) or replay (tn) each distinct Kraus history of
-a slab once and copy its value to every sample sharing it; the oracle tests
-at the end pin that grouping on a many-duplicates and a two-qubit-Kraus case.
+Both paths evolve (statevector) or replay (tn) each distinct Kraus history
+once and copy its value to every sample sharing it: the statevector path
+groups across every RNG block of a pass (up to ``PASS_BLOCKS`` blocks),
+splitting depth-first into capped runs when a channel yields more group
+states than ``max_batch_entries`` allows; the tn path groups per block.  The
+oracle tests at the end pin that grouping on a many-duplicates and a
+two-qubit-Kraus case, and check that forced splits and pass boundaries never
+move a value.
 """
 
 import numpy as np
@@ -138,8 +143,8 @@ class TestSampleRetention:
         assert result.estimate == pytest.approx(np.mean(result.samples))
 
     def test_streaming_moments_match_full_array(self, noisy_circuit):
-        # Engine slabs are tiny here, so the streaming merge is exercised
-        # across many chunks; moments must match a direct computation.
+        # A 4-state cap forces split runs here; the streamed moments must
+        # still match a direct computation.
         engine = BatchedTrajectoryEngine("statevector", max_batch_entries=8 * 4)
         result = engine.estimate_fidelity(noisy_circuit, 100, rng=8, keep_samples=True)
         values = np.array(result.samples)
@@ -285,3 +290,77 @@ def test_group_states_reuse_one_slab_buffer():
     for seed in range(3):
         engine.estimate_fidelity(circuit, 2000, rng=seed, workers=1)
     assert xp.workspace_stats()["evictions"] == 0
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_forced_splits_keep_every_value(monkeypatch, noisy_circuit, workers):
+    # 8 * 4 entries cap a 3-qubit pass at 4 group states, so the p = 0.1
+    # depolarizing channels (4 branches each) split runs depth-first.
+    batches = []
+    apply = engine_module._apply_gate_tensor
+
+    def spy(tensor, *args):
+        batches.append(tensor.shape[0])
+        return apply(tensor, *args)
+
+    monkeypatch.setattr(engine_module, "_apply_gate_tensor", spy)
+    capped = BatchedTrajectoryEngine("statevector", max_batch_entries=8 * 4)
+    result = capped.estimate_fidelity(
+        noisy_circuit, 400, rng=0, keep_samples=True, workers=workers
+    )
+    capped_batches = list(batches)
+    default = BatchedTrajectoryEngine("statevector").estimate_fidelity(
+        noisy_circuit, 400, rng=0, keep_samples=True, workers=workers
+    )
+    assert result.samples == default.samples
+    reference = reference_statevector_loop(noisy_circuit, 400, 0)
+    np.testing.assert_allclose(np.array(result.samples), reference, rtol=0, atol=1e-12)
+    if workers is None:
+        # Split runs replay the gates after their channel; no batch tops the cap.
+        num_gates = sum(inst.is_gate for inst in noisy_circuit)
+        assert max(capped_batches) <= 4 and len(capped_batches) > 2 * num_gates
+
+
+def test_split_right_after_a_channel_keeps_its_parent_rows():
+    # Runs of consecutive channels split while their states sit in the
+    # shared group-state buffer, which the first run's later channels
+    # overwrite; the pending runs must resume from their own parent rows.
+    noisy = Circuit(3, name="back_to_back_channels")
+    for position, inst in enumerate(random_circuit(3, 9, rng=6)):
+        noisy.append(inst.operation, inst.qubits)
+        if position % 3 == 2:
+            noisy.append(depolarizing_channel(0.3), (0,))
+            noisy.append(depolarizing_channel(0.3), (1,))
+            noisy.append(amplitude_damping_channel(0.4), (2,))
+    capped = BatchedTrajectoryEngine("statevector", max_batch_entries=8 * 4)
+    result = capped.estimate_fidelity(noisy, 300, rng=3, keep_samples=True)
+    reference = reference_statevector_loop(noisy, 300, 3)
+    np.testing.assert_allclose(np.array(result.samples), reference, rtol=0, atol=1e-12)
+
+
+def test_one_pass_applies_each_gate_once(monkeypatch):
+    # 2000 samples span 8 RNG blocks; at p = 0.001 their few distinct
+    # histories fit one grouped pass, so each gate instruction acts once.
+    circuit = _qaoa9(0.001)
+    applied = []
+    apply = engine_module._apply_gate_tensor
+
+    def spy(tensor, gate_tensor, qubits, *args):
+        applied.append(tuple(qubits))
+        return apply(tensor, gate_tensor, qubits, *args)
+
+    monkeypatch.setattr(engine_module, "_apply_gate_tensor", spy)
+    BatchedTrajectoryEngine("statevector").estimate_fidelity(circuit, 2000, rng=1)
+    assert applied == [tuple(inst.qubits) for inst in circuit if inst.is_gate]
+
+
+@pytest.mark.parametrize("probability", [0.01, 0.1])
+def test_pass_boundaries_never_move_a_value(monkeypatch, probability):
+    circuit = _qaoa9(probability)
+    engine = BatchedTrajectoryEngine("statevector")
+    one_pass = engine.estimate_fidelity(circuit, 2000, rng=2, keep_samples=True)
+    monkeypatch.setattr(engine_module, "PASS_BLOCKS", 1)
+    per_block = engine.estimate_fidelity(circuit, 2000, rng=2, keep_samples=True)
+    assert per_block.samples == one_pass.samples
+    assert per_block.estimate == one_pass.estimate
+    assert per_block.standard_error == one_pass.standard_error
