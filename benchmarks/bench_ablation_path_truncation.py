@@ -1,6 +1,6 @@
 """Ablation — level-based truncation (Algorithm 1) vs weight-ordered path truncation.
 
-Both schemes spend a budget of split-network evaluations on the expansion of
+Both schemes spend a budget of term evaluations on the expansion of
 ``M_{E_N} … M_{E_1}``; Algorithm 1 organises it by the number of non-dominant
 noises, the path-truncated variant by the product of singular values.  With a
 homogeneous noise model the two coincide; with one strong noise among weak

@@ -13,8 +13,9 @@ the per-row path do not move the ratio) on ``qaoa_9`` built as
 ``benchmarks/specs/table3.yaml`` builds it, with 8 depolarizing noises at
 p=0.001:
 
-* **ours_l1** — the 1 + 3·8 level-1 rows, both split-network halves;
-* **ours_l2** — the 1 + 3·8 + 9·28 level-2 rows, both halves;
+* **ours_l1** — the 1 + 3·8 level-1 rows of the one amplitude network a
+  term replays;
+* **ours_l2** — the 1 + 3·8 + 9·28 level-2 rows;
 * **traj_tn** — 2000 sampled Kraus rows of the trajectory plan, replayed
   in blocks of :data:`~repro.backends.engine.RNG_BLOCK` rows as the engine
   replays them.
@@ -60,36 +61,29 @@ _results: dict = {}
 # the reference residual is the same plan specialized by tensordot_specialize.
 
 
+def _reference(network):
+    """``network``'s specialization, recomputed by tensordot_specialize."""
+    return tensordot_specialize(network.plan, network.tensors, network.noise_nodes)
+
+
 def _algorithm1_cases(level: int):
     prepared = ApproximateNoisySimulator().prepare(_CIRCUIT)
     rows = level_rows(prepared.decompositions, level)
-    halves = (
-        (prepared.upper, prepared.upper_factors, prepared.upper_tensors),
-        (prepared.lower, prepared.lower_factors, prepared.lower_tensors),
-    )
-    return [
-        (
-            specialized,
-            factors,
-            rows,
-            tensordot_specialize(prepared.plan, tensors, specialized.variable_positions),
-        )
-        for specialized, factors, tensors in halves
-    ]
+    network = prepared.network
+    return [(network.specialized, prepared.factors, rows, _reference(network))]
 
 
 def _traj_cases():
     context = BatchedTrajectoryEngine("tn").prepare(_CIRCUIT)
     factors = context.kraus_factors(None)
-    reference = tensordot_specialize(
-        context.plan, context.template_tensors, context.specialized.variable_positions
-    )
+    network = context.network
+    reference = _reference(network)
     rng = np.random.default_rng(11)
     rows = np.stack(
         [rng.integers(0, len(candidates), size=TRAJ_SAMPLES) for candidates in factors], axis=1
     )
     return [
-        (context.specialized, factors, rows[start : start + RNG_BLOCK], reference)
+        (network.specialized, factors, rows[start : start + RNG_BLOCK], reference)
         for start in range(0, TRAJ_SAMPLES, RNG_BLOCK)
     ]
 

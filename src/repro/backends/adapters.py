@@ -20,9 +20,9 @@ one-shot run and a compiled run execute the same code.  Adapters with
 expensive per-circuit one-time work put it in ``_compile``: the TN adapter
 records its contraction schedule, the trajectory adapters prepare the
 engine's per-circuit context (template network, Kraus sampling
-distributions), the approximation adapter records the one split-network
-schedule all substituted terms replay in both halves, and the statevector adapter resolves
-its dense boundary states.  The remaining adapters have no plan (``None``).
+distributions), the approximation adapter records the schedule of the one
+amplitude network every substituted term replays, and the statevector
+adapter resolves its dense boundary states.  The remaining adapters have no plan (``None``).
 Every ``_compile`` takes the ``template`` of a parametric plan, which
 :meth:`~repro.backends.base.SimulationBackend.run` passes when it
 re-prepares a compiled plan on another binding's values.  The TN adapter

@@ -58,12 +58,11 @@ from typing import List, Sequence, Tuple
 from repro.circuits.circuit import Circuit
 from repro.simulators.statevector import apply_matrix
 from repro.tensornetwork.circuit_to_tn import (
+    KrausRowNetwork,
     StateLike,
     dense_product_state,
-    instruction_node_positions,
-    operator_amplitude_network,
+    operator_tensor,
 )
-from repro.tensornetwork.plan import ContractionPlan
 from repro.utils.validation import ValidationError
 from repro.xp import declare_seam, get_namespace
 from repro.xp import host as np
@@ -242,12 +241,11 @@ class _TrajectoryContext:
 
     ``template`` is a context prepared from another binding of the same
     parametric structure.  Its value-independent parts are shared: the
-    boundary states, the recorded :class:`ContractionPlan` (the greedy
+    boundary states, the recorded contraction plan (the greedy
     ordering inspects tensor sizes, never entries), the Kraus sampling
     distributions and stacked Kraus candidates (noise channels carry no
-    parameters).  No network is built for a rebind: the template tensors
-    are copied with every parametric gate node overwritten from ``circuit``,
-    and only the specialization's static intermediates are recomputed.
+    parameters).  No network is built for a rebind
+    (:meth:`KrausRowNetwork.rebind`).
     """
 
     def __init__(
@@ -268,73 +266,24 @@ class _TrajectoryContext:
         #: shared with every rebind of this structure.
         self._kraus_cache = {} if template is None else template._kraus_cache
         if engine.backend != "statevector":
-            self._prepare_tn(engine, circuit, input_state, output_state, template)
+            # Batched rows agree with a per-sample replay to within a few
+            # ulps, not bit for bit.
+            if template is None:
+                self.network = KrausRowNetwork.build(
+                    circuit,
+                    input_state,
+                    output_state,
+                    max_intermediate_size=engine.max_intermediate_size,
+                )
+                self._derive_kraus_distributions()
+            else:
+                self.network = template.network.rebind(circuit)
+                self.q_dists, self.q_cdfs = template.q_dists, template.q_cdfs
         elif template is None:
             self.psi0 = dense_product_state(input_state, self.num_qubits)
             self.v = dense_product_state(output_state, self.num_qubits)
         else:
             self.psi0, self.v = template.psi0, template.v
-
-    # -- TN template -----------------------------------------------------
-    def _prepare_tn(
-        self,
-        engine: "BatchedTrajectoryEngine",
-        circuit: Circuit,
-        input_state: StateLike,
-        output_state: StateLike,
-        template: "_TrajectoryContext | None",
-    ) -> None:
-        if template is None:
-            # Each noise enters the template as its first Kraus operator;
-            # samples swap in the drawn one at the same node.
-            operations = [
-                (
-                    inst.operation.matrix if inst.is_gate else inst.operation.kraus_operators[0],
-                    inst.qubits,
-                )
-                for inst in circuit
-            ]
-            network = operator_amplitude_network(
-                circuit.num_qubits,
-                operations,
-                input_state,
-                output_state,
-                name="trajectory_template",
-                max_intermediate_size=engine.max_intermediate_size,
-            )
-            self.template_tensors = [node.tensor for node in network.nodes]
-            positions = instruction_node_positions(circuit, input_state)
-            #: Instruction index -> node of every parametric gate (the only
-            #: tensors another binding of the structure changes).
-            self.gate_nodes = {
-                index: positions[index][0]
-                for index, inst in enumerate(circuit)
-                if getattr(inst.operation, "is_parametric_gate", False)
-            }
-            self.noise_nodes = tuple(
-                nodes[0] for nodes, inst in zip(positions, circuit) if inst.is_noise
-            )
-            self.plan = ContractionPlan.record(network)
-            self._derive_kraus_distributions()
-        else:
-            tensors = list(template.template_tensors)
-            for index, node in template.gate_nodes.items():
-                inst = circuit[index]
-                tensors[node] = _node_tensor(inst.operation.matrix, inst.qubits)
-            self.template_tensors = tensors
-            self.gate_nodes, self.noise_nodes = template.gate_nodes, template.noise_nodes
-            self.plan = template.plan
-            self.q_dists, self.q_cdfs = template.q_dists, template.q_cdfs
-        # Partial evaluation over the static tensors: the batched sample
-        # replay touches only the contractions downstream of a sampled Kraus
-        # tensor (the static prefix is paid once; values agree with a
-        # per-sample replay to within a few ulps, not bit for bit).
-        # Noiseless circuits take the single-replay short circuit instead.
-        self.specialized = (
-            self.plan.specialize(self.template_tensors, self.noise_nodes)
-            if self.num_channels
-            else None
-        )
 
     def _derive_kraus_distributions(self) -> None:
         # State-independent sampling distributions q_k = tr(E_k† E_k)/d and
@@ -365,7 +314,7 @@ class _TrajectoryContext:
             to_device = np.asarray if xp is None else xp.asarray
             cached = tuple(
                 to_device(
-                    np.stack([_node_tensor(op, inst.qubits) for op in inst.operation.kraus_operators])
+                    np.stack([operator_tensor(op, inst.qubits) for op in inst.operation.kraus_operators])
                 )
                 for inst in self.circuit.noise_instructions
             )
@@ -385,7 +334,7 @@ class _TrajectoryContext:
         if cached is None:
             kraus = iter(self.kraus_factors(xp))
             op_tensors = [
-                xp.asarray(_node_tensor(inst.operation.matrix, inst.qubits))
+                xp.asarray(operator_tensor(inst.operation.matrix, inst.qubits))
                 if inst.is_gate
                 else next(kraus)
                 for inst in self.circuit
@@ -393,11 +342,6 @@ class _TrajectoryContext:
             cached = (xp.asarray(self.psi0), xp.asarray(self.v.conj()), op_tensors)
             self._device_cache[xp.name] = cached
         return cached
-
-
-def _node_tensor(matrix, qubits) -> np.ndarray:
-    """A ``k``-qubit operator matrix as a ``[2] * 2k`` complex tensor."""
-    return np.asarray(matrix, dtype=complex).reshape([2] * (2 * len(qubits)))
 
 
 class BatchedTrajectoryEngine:
@@ -440,8 +384,9 @@ class BatchedTrajectoryEngine:
         """Precompute the sample-independent state of a trajectory estimate.
 
         For the statevector engine this resolves the dense boundary states;
-        for the TN engine it builds the template amplitude network, records
-        its :class:`~repro.tensornetwork.plan.ContractionPlan` and derives the
+        for the TN engine it prepares the circuit's
+        :class:`~repro.tensornetwork.circuit_to_tn.KrausRowNetwork` (the
+        amplitude network and its recorded, specialized plan) and derives the
         state-independent Kraus sampling distributions.  The returned context
         can be passed back to :meth:`estimate_fidelity` (``context=...``) any
         number of times — values are identical to an uncontexted call, the
@@ -764,8 +709,8 @@ class BatchedTrajectoryEngine:
         num_samples = uniforms.shape[0]
         if context.num_channels == 0:
             # Only reached via the noiseless short-circuit in estimate_fidelity:
-            # one replay gives the deterministic amplitude.
-            value = float(abs(context.plan.execute(list(context.template_tensors))) ** 2)
+            # the specialization baked the deterministic amplitude.
+            value = float(abs(context.network.specialized.execute([])) ** 2)
             return np.full(num_samples, value)
 
         # Draw all Kraus choices channel-by-channel (same uniforms as the
@@ -788,7 +733,7 @@ class BatchedTrajectoryEngine:
         rows = np.empty((keys.size, context.num_channels), dtype=int)
         rows[group] = choices
         dispatch = None if self._xp.device == "cpu" else self._xp
-        amplitudes = context.specialized.execute_rows(
+        amplitudes = context.network.specialized.execute_rows(
             context.kraus_factors(dispatch), rows, xp=dispatch
         )[group]
         # hypot then pow are the libm calls of Python's abs(amplitude) ** 2

@@ -9,12 +9,15 @@ algorithm
 2. enumerates every way of replacing at most ``l`` noises by one of their
    sub-dominant terms (``i ∈ {1,2,3}``) while all remaining noises use the
    dominant term ``U_0 ⊗ V_0``;
-3. evaluates each substituted diagram as the product of two independent
-   single-size tensor-network contractions (upper and lower half) and sums
-   the contributions.  A term fixes one SVD term per noise, so it is an
-   integer *index row* ``[i_1 … i_N]``; both halves share one schedule,
-   recorded once (:meth:`prepare`), and every row replays it through
-   :meth:`~repro.tensornetwork.plan.SpecializedPlan.execute_rows`.
+3. evaluates each substituted diagram and sums the contributions.  A term
+   fixes one SVD term per noise: an integer *index row* ``[i_1 … i_N]``.
+   The paper multiplies an upper network over the ``U_i`` by a lower one
+   over the ``V_i``.  Since ``V_i = conj(U_i)/d_i`` (see
+   :func:`~repro.core.svd_decomposition.decompose_noise`), that product is
+   ``|upper|²/Π d_i``: the squared amplitude of the circuit's
+   :class:`~repro.tensornetwork.circuit_to_tn.KrausRowNetwork` over the
+   factors ``U_i/√d_i``, prepared once (:meth:`prepare`) and replayed for
+   every row by :meth:`~repro.tensornetwork.plan.SpecializedPlan.execute_rows`.
 
 The result ``A(l)`` approximates the fidelity ``⟨v| E_N(|ψ⟩⟨ψ|) |v⟩`` with
 the Theorem-1 error bound; ``l = N`` recovers the exact value.
@@ -41,12 +44,7 @@ import numpy as np
 from repro.circuits.circuit import Circuit
 from repro.core.error_bounds import contraction_count, theorem1_error_bound
 from repro.core.svd_decomposition import NoiseTermDecomposition, decompose_noise
-from repro.tensornetwork.circuit_to_tn import (
-    StateLike,
-    noise_node_positions,
-    substituted_split_networks,
-)
-from repro.tensornetwork.plan import ContractionPlan, SpecializedPlan
+from repro.tensornetwork.circuit_to_tn import KrausRowNetwork, StateLike
 from repro.utils.validation import ValidationError
 
 __all__ = ["ApproximationResult", "ApproximateNoisySimulator", "PreparedApproximation"]
@@ -56,50 +54,35 @@ __all__ = ["ApproximationResult", "ApproximateNoisySimulator", "PreparedApproxim
 class PreparedApproximation:
     """One-time work of Algorithm 1, reusable across levels and repeat runs.
 
-    Every substituted term of the algorithm produces the *same* network
-    topology in both halves (only the inserted ``U_i``/``V_i`` tensor values
-    change), so the noise decompositions and one recorded contraction
-    schedule can be computed once — by
-    :meth:`ApproximateNoisySimulator.prepare` — and replayed per term with the
-    noise tensors swapped in.  The plan is level-independent: one prepared
-    object serves ``fidelity(..., level=l)`` for every ``l``.  It is also
-    value-independent: another binding of a parametric structure re-prepares
-    with this object as its ``template`` and rebuilds only the tensors.
+    Every substituted term of the algorithm evaluates the *same* network
+    (only the inserted SVD factors change), so the noise decompositions and
+    the prepared :class:`~repro.tensornetwork.circuit_to_tn.KrausRowNetwork`
+    are computed once — by :meth:`ApproximateNoisySimulator.prepare` — and
+    replayed per term with the factors swapped in.  The plan is
+    level-independent: one prepared object serves ``fidelity(..., level=l)``
+    for every ``l``.  It is also value-independent: another binding of a
+    parametric structure re-prepares with this object as its ``template``
+    and rebinds only the gate tensors.
     """
 
     decompositions: Tuple[NoiseTermDecomposition, ...]
-    #: The split-network schedule, recorded once on the upper half.
-    plan: ContractionPlan
-    #: ``plan`` partially evaluated over each half's static tensors.
-    upper: SpecializedPlan
-    lower: SpecializedPlan
-    #: Per noise, every SVD term's ``U_i`` (resp. ``V_i``) node tensor,
-    #: stacked along a leading term axis.
-    upper_factors: Tuple[np.ndarray, ...]
-    lower_factors: Tuple[np.ndarray, ...]
-    #: Each half's node tensors (dominant terms at the noise nodes), the
-    #: inputs ``upper``/``lower`` were specialized from.
-    upper_tensors: Tuple[np.ndarray, ...]
-    lower_tensors: Tuple[np.ndarray, ...]
+    #: The circuit's amplitude network, replayed once per term.
+    network: KrausRowNetwork
+    #: Per noise, every SVD term's ``U_i/√d_i`` as a node tensor, stacked
+    #: along a leading term axis.
+    factors: Tuple[np.ndarray, ...]
 
     def evaluate(self, rows) -> np.ndarray:
-        """Value ``upper · lower`` of every term; row ``r`` picks SVD term ``rows[r, s]`` of noise ``s``."""
-        upper = self.upper.execute_rows(self.upper_factors, rows)
-        lower = self.lower.execute_rows(self.lower_factors, rows)
-        # The textbook product with one rounding per operation, as Python's
-        # complex multiply does (numpy's complex multiply may fuse them).
-        values = np.empty(len(upper), dtype=complex)
-        values.real = upper.real * lower.real - upper.imag * lower.imag
-        values.imag = upper.real * lower.imag + upper.imag * lower.real
-        return values
+        """Value ``|upper|²/w ≥ 0`` of every term; row ``r`` picks SVD term ``rows[r, s]`` of noise ``s``."""
+        amplitudes = self.network.specialized.execute_rows(self.factors, rows)
+        return amplitudes.real**2 + amplitudes.imag**2
 
     def describe(self) -> dict:
         """Plan-cost summary (what :meth:`repro.api.Executable.describe` reports)."""
         return {
             "num_noises": len(self.decompositions),
-            "plan": self.plan.describe(),
-            "upper_residual_steps": self.upper.num_residual_steps,
-            "lower_residual_steps": self.lower.num_residual_steps,
+            "plan": self.network.plan.describe(),
+            "residual_steps": self.network.specialized.num_residual_steps,
         }
 
 
@@ -125,7 +108,10 @@ class ApproximationResult:
     value: float
     level: int
     num_noises: int
+    #: Terms evaluated; the replay contracts one network per term.
     num_terms: int
+    #: The paper's Theorem-1 contraction count, two per term (upper and
+    #: lower network), kept comparable with the paper's tables.
     num_contractions: int
     level_contributions: Tuple[float, ...]
     max_noise_rate: float
@@ -202,68 +188,45 @@ class ApproximateNoisySimulator:
     ) -> PreparedApproximation:
         """Precompute the term-independent work of Algorithm 1 for ``circuit``.
 
-        SVD-decomposes every noise channel and records the contraction
-        schedule of the dominant-term upper split network.  Every substituted
-        term, in either half, shares that topology and its tensor shapes (the
-        greedy heuristic decides from shapes only), so the one schedule is
-        specialized over the upper and the lower tensors, and :meth:`fidelity`
-        replays it with swapped noise tensors instead of building and
-        greedy-ordering two fresh networks per term.
+        SVD-decomposes every noise channel, builds the circuit's
+        :class:`~repro.tensornetwork.circuit_to_tn.KrausRowNetwork` and
+        records its contraction schedule.  Every substituted term shares that
+        topology and its tensor shapes (the greedy heuristic decides from
+        shapes only), so :meth:`fidelity` replays the one schedule with
+        swapped noise factors instead of building and greedy-ordering fresh
+        networks per term.
 
         ``template`` is a plan prepared from another binding of the same
-        parametric structure.  Its noise decompositions and schedule are
-        reused with their U/V factor tensors (noise channels carry no
-        parameters); only the split networks' tensors and their
-        specializations are rebuilt.
+        parametric structure and boundary states.  Its noise decompositions,
+        factor stacks and schedule are reused (noise channels carry no
+        parameters); only the parametric gate tensors and the specialization
+        are rebuilt (:meth:`KrausRowNetwork.rebind`).
         """
-        n = circuit.num_qubits
-        input_state = "0" * n if input_state is None else input_state
-        output_state = "0" * n if output_state is None else output_state
-        if template is None:
-            decompositions = tuple(self.decompose_noises(circuit))
-        else:
-            decompositions = template.decompositions
-        dominant = {
-            index: decomposition.terms[0]
-            for index, decomposition in enumerate(decompositions)
-        }
-        upper, lower = substituted_split_networks(
-            circuit,
-            dominant,
-            input_state,
-            output_state,
-            max_intermediate_size=self.max_intermediate_size,
-        )
-        upper_tensors = tuple(node.tensor for node in upper.nodes)
-        lower_tensors = tuple(node.tensor for node in lower.nodes)
-        noise_positions = noise_node_positions(circuit, input_state)
-        if template is None:
-            plan = ContractionPlan.record(upper, strategy=self.strategy)
-            upper_factors, lower_factors = (
-                tuple(
-                    np.stack(
-                        [
-                            np.asarray(term[half], dtype=complex).reshape(upper_tensors[position].shape)
-                            for term in decomposition.terms
-                        ]
-                    )
-                    for decomposition, position in zip(decompositions, noise_positions)
-                )
-                for half in (0, 1)
+        if template is not None:
+            return PreparedApproximation(
+                decompositions=template.decompositions,
+                network=template.network.rebind(circuit),
+                factors=template.factors,
             )
-        else:
-            plan = template.plan
-            upper_factors, lower_factors = template.upper_factors, template.lower_factors
-        return PreparedApproximation(
-            decompositions=decompositions,
-            plan=plan,
-            upper=plan.specialize(upper_tensors, noise_positions),
-            lower=plan.specialize(lower_tensors, noise_positions),
-            upper_factors=upper_factors,
-            lower_factors=lower_factors,
-            upper_tensors=upper_tensors,
-            lower_tensors=lower_tensors,
+        n = circuit.num_qubits
+        decompositions = tuple(self.decompose_noises(circuit))
+        network = KrausRowNetwork.build(
+            circuit,
+            "0" * n if input_state is None else input_state,
+            "0" * n if output_state is None else output_state,
+            max_intermediate_size=self.max_intermediate_size,
+            strategy=self.strategy,
         )
+        factors = tuple(
+            np.stack(
+                [
+                    np.asarray(u, dtype=complex).reshape(network.tensors[node].shape) / np.sqrt(d)
+                    for (u, _), d in zip(decomposition.terms, decomposition.singular_values)
+                ]
+            )
+            for decomposition, node in zip(decompositions, network.noise_nodes)
+        )
+        return PreparedApproximation(decompositions=decompositions, network=network, factors=factors)
 
     # ------------------------------------------------------------------
     # Algorithm 1
@@ -364,7 +327,7 @@ class ApproximateNoisySimulator:
         )
 
     def planned_contractions(self, circuit: Circuit, level: int | None = None) -> int:
-        """Number of contractions Algorithm 1 will perform (Theorem 1 count)."""
+        """Number of contractions Algorithm 1 performs by Theorem 1's count (two per term)."""
         level = self.level if level is None else int(level)
         return contraction_count(circuit.noise_count(), level)
 

@@ -51,10 +51,11 @@ def terms_per_level(num_noises: int, level: int) -> int:
 
 
 def contraction_count(num_noises: int, level: int) -> int:
-    """Total tensor-network contractions of Algorithm 1 (Theorem 1).
+    """Total tensor-network contractions of Algorithm 1, as Theorem 1 counts them.
 
-    Every term splits into two independent networks (upper and lower), hence
-    the count is ``2 · Σ_{i=0}^{l} C(N, i) · 3**i``.
+    The paper splits every term into two independent networks (upper and
+    lower), hence the count is ``2 · Σ_{i=0}^{l} C(N, i) · 3**i``.  The
+    library contracts one network per term (:mod:`repro.core.approximation`).
     """
     level = min(level, num_noises)
     return 2 * sum(terms_per_level(num_noises, k) for k in range(level + 1))

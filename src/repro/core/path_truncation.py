@@ -11,10 +11,11 @@ than a level, and the partial sums improve monotonically in expectation as
 paths are added.
 
 A path is the same index row as an Algorithm-1 term, so the heaviest ``K``
-paths replay the prepared split-network plan of
+paths replay the prepared amplitude network of
 :class:`~repro.core.approximation.ApproximateNoisySimulator` through
 :meth:`~repro.core.approximation.PreparedApproximation.evaluate` (one
-:meth:`~repro.tensornetwork.plan.SpecializedPlan.execute_rows` per half).
+:meth:`~repro.tensornetwork.plan.SpecializedPlan.execute_rows` for all of
+them).
 The level-``l`` approximation corresponds to the set of paths
 with at most ``l`` non-dominant indices, so the two truncation schemes
 coincide when the singular-value gaps are uniform, and differ when some
@@ -89,6 +90,7 @@ class PathTruncationResult:
 
     value: float
     num_paths: int
+    #: The paper's Theorem-1 contraction count, two per path.
     num_contractions: int
     total_weight_evaluated: float
     total_weight_available: float

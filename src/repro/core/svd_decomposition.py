@@ -89,7 +89,6 @@ class NoiseTermDecomposition:
 def decompose_matrix_representation(
     matrix_rep: np.ndarray,
     drop_tolerance: float = 1e-14,
-    split_singular_values: bool = False,
 ) -> NoiseTermDecomposition:
     """Decompose a matrix representation ``M_E`` into ``Σ_i U_i ⊗ V_i``.
 
@@ -100,10 +99,6 @@ def decompose_matrix_representation(
     drop_tolerance:
         Kronecker terms whose singular value is below this threshold are
         dropped (they contribute nothing within numerical precision).
-    split_singular_values:
-        When True, assign ``√d_i`` to both factors instead of putting ``d_i``
-        entirely on ``U_i`` (the paper's convention).  The product
-        ``U_i ⊗ V_i`` is identical either way.
     """
     matrix_rep = np.asarray(matrix_rep, dtype=complex)
     total = matrix_rep.shape[0]
@@ -119,12 +114,8 @@ def decompose_matrix_representation(
     for i, value in enumerate(singular):
         if value <= drop_tolerance and i > 0:
             continue
-        if split_singular_values:
-            u = np.sqrt(value) * left[:, i].reshape(dim, dim)
-            v = np.sqrt(value) * right_h[i, :].reshape(dim, dim)
-        else:
-            u = value * left[:, i].reshape(dim, dim)
-            v = right_h[i, :].reshape(dim, dim)
+        u = value * left[:, i].reshape(dim, dim)
+        v = right_h[i, :].reshape(dim, dim)
         terms.append((u, v))
         kept.append(float(value))
 
@@ -140,11 +131,13 @@ def decompose_matrix_representation(
 def decompose_noise(
     channel: KrausChannel,
     drop_tolerance: float = 1e-14,
-    split_singular_values: bool = False,
 ) -> NoiseTermDecomposition:
-    """Decompose a Kraus channel's matrix representation into Kronecker terms."""
+    """Decompose a Kraus channel's matrix representation into Kronecker terms.
+
+    A Kraus channel's ``~M_E`` is its Choi matrix, Hermitian and positive
+    semi-definite, so the SVD's two factors agree: ``V_i = conj(U_i)/d_i``
+    for every kept term.
+    """
     return decompose_matrix_representation(
-        matrix_representation(channel),
-        drop_tolerance=drop_tolerance,
-        split_singular_values=split_singular_values,
+        matrix_representation(channel), drop_tolerance=drop_tolerance
     )

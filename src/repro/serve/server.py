@@ -226,7 +226,7 @@ class ReproServer:
         }
 
     def _run_job(
-        self, job, future: "asyncio.Future", loop, state: Dict[str, Any]
+        self, job, future: "asyncio.Future", loop, state: Dict[str, Any], deadline: float
     ) -> None:
         """Bridge a worker-thread job back onto the event loop, exactly once.
 
@@ -234,6 +234,10 @@ class ReproServer:
         by the time any response reaches a client the slot it occupied is
         free again (a timed-out request's slot stays held exactly as long as
         its worker thread actually runs — never shorter, never longer).
+
+        A job finishing after its ``time.monotonic()`` ``deadline`` delivers a
+        timeout: a starved loop may run the late outcome before the expired
+        timer, and ``asyncio.wait_for`` would then return the outcome.
         """
         try:
             outcome = job()
@@ -241,6 +245,8 @@ class ReproServer:
             result, error = None, exc
         else:
             result, error = outcome, None
+        if time.monotonic() > deadline:
+            result, error = None, asyncio.TimeoutError()
         self._admission.release(started=state["started"])
         try:
             loop.call_soon_threadsafe(self._resolve, future, result, error)
@@ -308,7 +314,9 @@ class ReproServer:
         state: Dict[str, Any] = {"started": False, "phase": "compile"}
         future: "asyncio.Future" = loop.create_future()
         job = partial(self._job, request, circuit, seed, state, arrival)
-        handle = self._executor.submit(self._run_job, job, future, loop, state)
+        timeout = request.timeout if request.timeout is not None else self._default_timeout
+        deadline = time.monotonic() + timeout
+        handle = self._executor.submit(self._run_job, job, future, loop, state, deadline)
         # A job cancelled before it started never reaches _run_job; its slot
         # is returned here (the only other release site).
         handle.add_done_callback(
@@ -316,7 +324,6 @@ class ReproServer:
             if f.cancelled()
             else None
         )
-        timeout = request.timeout if request.timeout is not None else self._default_timeout
         try:
             outcome = await asyncio.wait_for(future, timeout)
         except asyncio.TimeoutError:

@@ -14,7 +14,6 @@ from repro.tensornetwork.circuit_to_tn import (
     noisy_observable_network,
     operator_amplitude_network,
     resolve_product_state,
-    substituted_split_networks,
 )
 from repro.tensornetwork.network import ContractionMemoryError, TensorNetwork
 from repro.tensornetwork.node import Edge, Node, connect
@@ -31,6 +30,5 @@ __all__ = [
     "noisy_doubled_network",
     "noisy_observable_network",
     "operator_amplitude_network",
-    "substituted_split_networks",
     "resolve_product_state",
 ]

@@ -9,10 +9,10 @@ Three diagrams are needed by the library:
    and ``U*`` on the mirrored lower rails) and every noise channel appears as
    its matrix representation ``M_E = Σ_k E_k ⊗ E_k*`` coupling upper and
    lower rails.  Contracting it yields ``⟨v| E_N(|ψ⟩⟨ψ|) |v⟩`` exactly.
-3. ``substituted_split_networks`` — the diagrams used by Algorithm 1: when
-   every noise is substituted by a Kronecker product ``U_i ⊗ V_i`` the doubled
-   network falls apart into two independent ``n``-rail networks which are
-   contracted separately and multiplied.
+3. :class:`KrausRowNetwork` — the ``n``-rail amplitude network of a noisy
+   circuit whose noise nodes take one operator per *index row*: a sampled
+   Kraus operator (``trajectories_tn``) or an SVD factor (Algorithm 1, see
+   :mod:`repro.core.approximation`).
 
 States are given either as bitstrings (``"0100"``), per-qubit vectors, or a
 dense statevector.  Product-state forms keep every boundary tensor rank-1 so
@@ -25,6 +25,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.circuits.circuit import Circuit
 from repro.tensornetwork.network import TensorNetwork
+from repro.tensornetwork.plan import ContractionPlan
 from repro.utils.validation import ValidationError
 
 from repro.xp import declare_seam
@@ -38,11 +39,11 @@ __all__ = [
     "dense_product_state",
     "operator_amplitude_network",
     "instruction_node_positions",
-    "noise_node_positions",
+    "operator_tensor",
+    "KrausRowNetwork",
     "circuit_amplitude_network",
     "noisy_doubled_network",
     "noisy_observable_network",
-    "substituted_split_networks",
 ]
 
 #: Accepted state descriptions: bitstring, per-qubit vectors, or a dense vector.
@@ -171,8 +172,8 @@ def instruction_node_positions(
     boundary comes first (one node per rail for a product state, one node
     for a dense state), then one node per operation in application order,
     then the output boundary.  In a one-op-per-instruction network
-    (:func:`circuit_amplitude_network`, Algorithm 1's split networks, the
-    trajectory template) instruction ``i`` is node ``boundary + i``.  In the
+    (:func:`circuit_amplitude_network`, :class:`KrausRowNetwork`)
+    instruction ``i`` is node ``boundary + i``.  In the
     ``doubled`` diagram (:func:`noisy_doubled_network`, ``2n`` rails) a gate
     is two consecutive nodes, ``U`` then ``U*``, and a noise is one ``M_E``
     node.  Entry ``i`` of the result holds instruction ``i``'s nodes.
@@ -196,13 +197,94 @@ def instruction_node_positions(
     return tuple(positions)
 
 
-def noise_node_positions(circuit: Circuit, input_state: StateLike) -> Tuple[int, ...]:
-    """Node indices of ``circuit``'s noise instructions in a one-op-per-instruction network.
+def operator_tensor(matrix: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
+    """A ``k``-qubit operator matrix as its ``[2] * 2k`` complex node tensor."""
+    return np.asarray(matrix, dtype=complex).reshape([2] * (2 * len(qubits)))
 
-    See :func:`instruction_node_positions` for the node-order rule.
+
+class KrausRowNetwork:
+    """``⟨v| O_d … O_1 |ψ⟩`` of a noisy circuit, prepared for index-row replay.
+
+    One node per instruction (:func:`instruction_node_positions`).  An index
+    row picks every noise node's operator from a stack of candidates, so all
+    rows share one recorded plan, specialized over the other nodes and
+    replayed by ``specialized.execute_rows``.  The template's noise nodes
+    hold each noise's first Kraus operator, whose values no replay reads.
+    :meth:`rebind` serves another binding without building a network.
     """
-    positions = instruction_node_positions(circuit, input_state)
-    return tuple(nodes[0] for nodes, inst in zip(positions, circuit) if inst.is_noise)
+
+    __slots__ = ("tensors", "gate_nodes", "noise_nodes", "plan", "specialized")
+
+    def __init__(
+        self,
+        tensors: Tuple[np.ndarray, ...],
+        gate_nodes: Dict[int, int],
+        noise_nodes: Tuple[int, ...],
+        plan: ContractionPlan,
+    ) -> None:
+        #: The node tensors, one per boundary factor and instruction.
+        self.tensors = tensors
+        #: Instruction index -> node of every parametric gate (the only
+        #: tensors another binding of the structure changes).
+        self.gate_nodes = gate_nodes
+        #: The node of every noise instruction, in circuit order.
+        self.noise_nodes = noise_nodes
+        self.plan = plan
+        #: ``plan`` partially evaluated over every tensor but the noise
+        #: nodes (a noiseless network bakes its whole value).
+        self.specialized = plan.specialize(tensors, noise_nodes)
+
+    @classmethod
+    def build(
+        cls,
+        circuit: Circuit,
+        input_state: StateLike,
+        output_state: StateLike,
+        max_intermediate_size: int | None = None,
+        strategy: str = "greedy",
+    ) -> "KrausRowNetwork":
+        """Build ``circuit``'s network and record its contraction order by ``strategy``."""
+        operations = [
+            (
+                inst.operation.matrix if inst.is_gate else inst.operation.kraus_operators[0],
+                inst.qubits,
+            )
+            for inst in circuit
+        ]
+        network = operator_amplitude_network(
+            circuit.num_qubits,
+            operations,
+            input_state,
+            output_state,
+            name=f"{circuit.name}_kraus_rows",
+            max_intermediate_size=max_intermediate_size,
+        )
+        positions = instruction_node_positions(circuit, input_state)
+        gate_nodes = {
+            index: positions[index][0]
+            for index, inst in enumerate(circuit)
+            if getattr(inst.operation, "is_parametric_gate", False)
+        }
+        noise_nodes = tuple(nodes[0] for nodes, inst in zip(positions, circuit) if inst.is_noise)
+        return cls(
+            tuple(node.tensor for node in network.nodes),
+            gate_nodes,
+            noise_nodes,
+            ContractionPlan.record(network, strategy=strategy),
+        )
+
+    def rebind(self, circuit: Circuit) -> "KrausRowNetwork":
+        """This network for another binding ``circuit`` of the same parametric structure.
+
+        The tensors are copied with every parametric gate node overwritten
+        from ``circuit``; the plan is shared, and only the specialization's
+        static intermediates are recomputed.
+        """
+        tensors = list(self.tensors)
+        for index, node in self.gate_nodes.items():
+            inst = circuit[index]
+            tensors[node] = operator_tensor(inst.operation.matrix, inst.qubits)
+        return KrausRowNetwork(tuple(tensors), self.gate_nodes, self.noise_nodes, self.plan)
 
 
 def circuit_amplitude_network(
@@ -313,69 +395,3 @@ def _double_state(state: StateLike, num_qubits: int) -> StateLike:
     if isinstance(resolved, list):
         return resolved + [factor.conj() for factor in resolved]
     return np.kron(resolved, resolved.conj())
-
-
-def substituted_split_networks(
-    circuit: Circuit,
-    substitution: Dict[int, Tuple[np.ndarray, np.ndarray]],
-    input_state: StateLike,
-    output_state: StateLike,
-    max_intermediate_size: int | None = None,
-) -> Tuple[TensorNetwork, TensorNetwork]:
-    """Build the two independent ``n``-rail networks of a fully substituted term.
-
-    ``substitution`` maps the *noise occurrence index* (0-based position among
-    the circuit's noise instructions, in order) to a pair ``(U, V)`` so that
-    the noise's matrix representation is replaced by ``U ⊗ V``.  Every noise
-    occurrence must be substituted — that is what makes the doubled diagram
-    factorise into the upper network (⟨v| … U … |ψ⟩) and the lower network
-    (⟨v*| … V … |ψ*⟩).
-    """
-    upper_ops: List[Tuple[np.ndarray, Tuple[int, ...]]] = []
-    lower_ops: List[Tuple[np.ndarray, Tuple[int, ...]]] = []
-    noise_index = 0
-    for inst in circuit:
-        if inst.is_gate:
-            upper_ops.append((inst.operation.matrix, inst.qubits))
-            lower_ops.append((inst.operation.matrix.conj(), inst.qubits))
-        else:
-            if noise_index not in substitution:
-                raise ValidationError(
-                    f"noise occurrence {noise_index} has no substitution; "
-                    "all noises must be substituted to split the diagram"
-                )
-            upper_matrix, lower_matrix = substitution[noise_index]
-            upper_ops.append((np.asarray(upper_matrix, dtype=complex), inst.qubits))
-            lower_ops.append((np.asarray(lower_matrix, dtype=complex), inst.qubits))
-            noise_index += 1
-    if noise_index != len(substitution):
-        raise ValidationError(
-            f"substitution has {len(substitution)} entries but the circuit has "
-            f"{noise_index} noise occurrences"
-        )
-
-    upper = operator_amplitude_network(
-        circuit.num_qubits,
-        upper_ops,
-        input_state,
-        output_state,
-        name=f"{circuit.name}_upper",
-        max_intermediate_size=max_intermediate_size,
-    )
-    resolved_in = resolve_product_state(input_state, circuit.num_qubits)
-    resolved_out = resolve_product_state(output_state, circuit.num_qubits)
-    conj_in = (
-        [f.conj() for f in resolved_in] if isinstance(resolved_in, list) else resolved_in.conj()
-    )
-    conj_out = (
-        [f.conj() for f in resolved_out] if isinstance(resolved_out, list) else resolved_out.conj()
-    )
-    lower = operator_amplitude_network(
-        circuit.num_qubits,
-        lower_ops,
-        conj_in,
-        conj_out,
-        name=f"{circuit.name}_lower",
-        max_intermediate_size=max_intermediate_size,
-    )
-    return upper, lower

@@ -151,7 +151,9 @@ class CrossBackendAgreement(Oracle):
     """Every capable backend agrees with the reference within its contract.
 
     Per-backend tolerance: exact backends get ``exact_tol`` (floating point),
-    the approximation backend gets its own Theorem-1 ``error_bound``, the
+    the approximation backend gets its own Theorem-1 ``error_bound`` below
+    the reference and only ``bound_slack`` above it (every Algorithm-1 term
+    is a squared amplitude, so ``A(l) ≤ F``), the
     stochastic backends get a ``z``-sigma interval plus an absolute floor,
     and the truncating MPS/MPDO backends (run untruncated here) get
     ``inexact_tol``.
@@ -210,9 +212,15 @@ class CrossBackendAgreement(Oracle):
             )
         ]
 
-    def _tolerance(self, name: str, result, circuit: Circuit) -> float:
+    def _deviation(self, name: str, result, circuit: Circuit, reference: float):
+        """``(|value − reference|, tolerance)`` of ``name``'s ``result``."""
+        return abs(result.value - reference), self._tolerance(name, result, circuit, reference)
+
+    def _tolerance(self, name: str, result, circuit: Circuit, reference: float) -> float:
         capabilities = get_backend(name).capabilities
         if result.error_bound is not None:
+            if result.value > reference:
+                return self.bound_slack
             return result.error_bound + self.bound_slack
         if capabilities.stochastic:
             mass = _jump_mass(circuit)
@@ -222,18 +230,6 @@ class CrossBackendAgreement(Oracle):
         if capabilities.exact:
             return self.exact_tol
         return self.inexact_tol
-
-    def _compare_one(
-        self, name: str, circuit: Circuit, reference_value: float,
-        session: Session, samples: int, seed: int, level: int,
-    ):
-        result = session.run(
-            circuit, backend=name, samples=samples, seed=seed, level=level,
-            output_state=self._output_arg(),
-        )
-        tolerance = self._tolerance(name, result, circuit)
-        deviation = abs(result.value - reference_value)
-        return result, deviation, tolerance
 
     def check(self, workload: Workload, session: Session) -> List[Violation]:
         circuit = workload.noisy_circuit()
@@ -258,8 +254,7 @@ class CrossBackendAgreement(Oracle):
         ]
         for name, future in futures:
             result = future.result()
-            tolerance = self._tolerance(name, result, circuit)
-            deviation = abs(result.value - reference)
+            deviation, tolerance = self._deviation(name, result, circuit, reference)
             if deviation > tolerance:
                 violations.append(
                     self._violation(
@@ -285,10 +280,11 @@ class CrossBackendAgreement(Oracle):
         reference = session.run(
             circuit, backend=self.reference, output_state=self._output_arg()
         ).value
-        _, deviation, tolerance = self._compare_one(
-            name, circuit, reference, session,
-            details["samples"], details["seed"], details["level"],
+        result = session.run(
+            circuit, backend=name, samples=details["samples"], seed=details["seed"],
+            level=details["level"], output_state=self._output_arg(),
         )
+        deviation, tolerance = self._deviation(name, result, circuit, reference)
         return deviation > tolerance
 
 

@@ -12,8 +12,8 @@ paths different defaults.
 import numpy as np
 import pytest
 
-import repro.backends.engine as engine_module
 import repro.core.approximation as approximation
+import repro.tensornetwork.circuit_to_tn as circuit_to_tn
 import repro.tensornetwork.plan as plan_module
 from repro.api import Session, apply_noise, plan_cache_key
 from repro.backends import SimulationTask, get_backend
@@ -126,8 +126,9 @@ class TestTemplateReuse:
         self, noisy_parametric_qaoa, monkeypatch
     ):
         binding = _binding_for(noisy_parametric_qaoa)
-        calls = {"decompose_noise": 0, "record": 0}
+        calls = {"decompose_noise": 0, "record": 0, "network": 0}
         decompose, record = approximation.decompose_noise, ContractionPlan.record
+        build = circuit_to_tn.operator_amplitude_network
 
         def counting_decompose(*args, **kwargs):
             calls["decompose_noise"] += 1
@@ -137,12 +138,17 @@ class TestTemplateReuse:
             calls["record"] += 1
             return record(*args, **kwargs)
 
+        def counting_build(*args, **kwargs):
+            calls["network"] += 1
+            return build(*args, **kwargs)
+
         with Session(seed=5) as session:
             executable = session.compile(noisy_parametric_qaoa, backend="approximation")
             monkeypatch.setattr(approximation, "decompose_noise", counting_decompose)
             monkeypatch.setattr(ContractionPlan, "record", staticmethod(counting_record))
+            monkeypatch.setattr(circuit_to_tn, "operator_amplitude_network", counting_build)
             executable.bind(binding).run()
-        assert calls == {"decompose_noise": 0, "record": 0}
+        assert calls == {"decompose_noise": 0, "record": 0, "network": 0}
 
     def test_trajectory_tn_bind_builds_no_network_and_no_kernel(
         self, noisy_parametric_qaoa, monkeypatch
@@ -151,7 +157,7 @@ class TestTemplateReuse:
         # compiled template and reuses its specialization's kernels.
         binding = _binding_for(noisy_parametric_qaoa)
         calls = {"network": 0, "kernel": 0}
-        build, kernel = engine_module.operator_amplitude_network, plan_module._kernel
+        build, kernel = circuit_to_tn.operator_amplitude_network, plan_module._kernel
 
         def counting_build(*args, **kwargs):
             calls["network"] += 1
@@ -164,7 +170,7 @@ class TestTemplateReuse:
         options = dict(backend="trajectories_tn", samples=SAMPLES, seed=SEED, workers=1)
         with Session(seed=5) as session:
             executable = session.compile(noisy_parametric_qaoa, **options)
-            monkeypatch.setattr(engine_module, "operator_amplitude_network", counting_build)
+            monkeypatch.setattr(circuit_to_tn, "operator_amplitude_network", counting_build)
             monkeypatch.setattr(plan_module, "_kernel", counting_kernel)
             value = executable.bind(binding).run().value
         assert calls == {"network": 0, "kernel": 0}
@@ -175,7 +181,7 @@ class TestTemplateReuse:
     def test_approximation_compile_records_one_plan(
         self, noisy_parametric_qaoa, monkeypatch
     ):
-        # Both split-network halves share one schedule, so compiling records it once.
+        # Every term replays one network, so compiling records one schedule.
         calls = []
         record = ContractionPlan.record
 
@@ -222,9 +228,9 @@ class TestTemplateReuse:
         algorithm = ApproximateNoisySimulator(level=1)
         template = algorithm.prepare(first)
         prepared = algorithm.prepare(second, template=template)
-        assert prepared.plan is template.plan
+        assert prepared.network.plan is template.network.plan
         assert prepared.decompositions is template.decompositions
-        assert prepared.upper_factors is template.upper_factors
+        assert prepared.factors is template.factors
         assert (
             algorithm.fidelity(second, prepared=prepared).value
             == algorithm.fidelity(second).value
@@ -233,12 +239,12 @@ class TestTemplateReuse:
         engine = BatchedTrajectoryEngine("tn")
         template = engine.prepare(first)
         prepared = engine.prepare(second, template=template)
-        assert prepared.plan is template.plan
+        assert prepared.network.plan is template.network.plan
         assert prepared.q_dists is template.q_dists
         assert prepared.kraus_factors(None) is template.kraus_factors(None)
         fresh = engine.prepare(second)
-        assert len(prepared.template_tensors) == len(fresh.template_tensors)
-        for rebound, built in zip(prepared.template_tensors, fresh.template_tensors):
+        assert len(prepared.network.tensors) == len(fresh.network.tensors)
+        for rebound, built in zip(prepared.network.tensors, fresh.network.tensors):
             assert np.array_equal(rebound, built)
         assert (
             engine.estimate_fidelity(second, SAMPLES, rng=SEED, context=prepared).estimate

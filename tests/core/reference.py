@@ -1,10 +1,16 @@
 """Reference evaluators for Algorithm 1's index rows (test oracles).
 
 :class:`StatevectorReference` runs the library's term enumeration but
-evaluates every term's index row by dense matrix application instead of
-replaying the recorded split-network plan: the upper half applies each gate
-``U`` and each noise's ``U_i`` to ``|ψ⟩``, the lower half applies ``U*`` and
-``V_i`` to ``|ψ*⟩``, and the term is ``⟨v|upper⟩ · ⟨v*|lower⟩``.
+evaluates every term's index row as the paper does, by dense matrix
+application instead of replaying the library's amplitude network: the upper
+half applies each gate ``U`` and each noise's ``U_i`` to ``|ψ⟩``, the lower
+half applies ``U*`` and ``V_i`` to ``|ψ*⟩``, and the term is
+``⟨v|upper⟩ · ⟨v*|lower⟩``.
+
+:func:`substituted_split_networks` builds the paper's two networks of a
+fully substituted term, the upper and the lower one, which the library
+never builds: its lower network is the conjugate of the upper one over the
+term's singular-value product.
 
 :func:`sequential_execute_rows` replays a specialized plan once per row
 through :meth:`SpecializedPlan.execute` — the per-row loop the batched
@@ -33,13 +39,21 @@ from benchmarks.reference_loops import tensordot_environments, tensordot_execute
 from repro.circuits.circuit import Circuit
 from repro.core import ApproximateNoisySimulator
 from repro.simulators.statevector import apply_matrix
-from repro.tensornetwork.circuit_to_tn import StateLike, dense_product_state
+from repro.tensornetwork.circuit_to_tn import (
+    StateLike,
+    dense_product_state,
+    operator_amplitude_network,
+    resolve_product_state,
+)
+from repro.tensornetwork.network import TensorNetwork
 from repro.tensornetwork.plan import SpecializedPlan
+from repro.utils.validation import ValidationError
 
 __all__ = [
     "StatevectorReference",
     "rows_close",
     "sequential_execute_rows",
+    "substituted_split_networks",
     "tensordot_environments",
     "tensordot_execute",
     "tensordot_execute_rows",
@@ -47,6 +61,47 @@ __all__ = [
 
 #: Batched vs sequential row replay: only the summation order differs.
 BATCHED_RTOL = 1e-12
+
+
+def substituted_split_networks(
+    circuit: Circuit, substitution, input_state: StateLike, output_state: StateLike
+) -> tuple[TensorNetwork, TensorNetwork]:
+    """Build the two independent ``n``-rail networks of a fully substituted term.
+
+    ``substitution`` maps the *noise occurrence index* (0-based position among
+    the circuit's noise instructions, in order) to a pair ``(U, V)`` so that
+    the noise's matrix representation is replaced by ``U ⊗ V``.  Every noise
+    occurrence must be substituted — that is what makes the doubled diagram
+    factorise into the upper network (⟨v| … U … |ψ⟩) and the lower network
+    (⟨v*| … V … |ψ*⟩).
+    """
+    if len(substitution) != circuit.noise_count() or any(
+        index not in substitution for index in range(circuit.noise_count())
+    ):
+        raise ValidationError(
+            f"substitution covers {sorted(substitution)} but the circuit has "
+            f"{circuit.noise_count()} noise occurrences; all must be substituted"
+        )
+    states = [resolve_product_state(state, circuit.num_qubits) for state in (input_state, output_state)]
+    halves = []
+    for half in (0, 1):
+        noises = iter(range(circuit.noise_count()))
+        operations = [
+            (
+                (inst.operation.matrix.conj() if half else inst.operation.matrix)
+                if inst.is_gate
+                else substitution[next(noises)][half],
+                inst.qubits,
+            )
+            for inst in circuit
+        ]
+        halves.append(operator_amplitude_network(circuit.num_qubits, operations, *states))
+        # The lower network runs from |ψ*⟩ to ⟨v*|.
+        states = [
+            [factor.conj() for factor in state] if isinstance(state, list) else state.conj()
+            for state in states
+        ]
+    return tuple(halves)
 
 
 def sequential_execute_rows(plan: SpecializedPlan, factors, rows, xp=None) -> np.ndarray:

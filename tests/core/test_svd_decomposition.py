@@ -14,10 +14,14 @@ from repro.core import (
 from repro.noise import (
     KrausChannel,
     amplitude_damping_channel,
+    bit_flip_channel,
+    bit_phase_flip_channel,
     coherent_overrotation_channel,
     depolarizing_channel,
+    generalized_amplitude_damping_channel,
     pauli_channel,
     phase_damping_channel,
+    phase_flip_channel,
     thermal_relaxation_channel,
     two_qubit_depolarizing_channel,
 )
@@ -32,6 +36,21 @@ CHANNELS = [
     pauli_channel(0.01, 0.005, 0.02),
     thermal_relaxation_channel(15_000, 10_000, 25),
     coherent_overrotation_channel(0.05),
+]
+
+#: One instance of every channel the library builds.
+LIBRARY_CHANNELS = [
+    depolarizing_channel(0.01),
+    bit_flip_channel(0.02),
+    phase_flip_channel(0.03),
+    bit_phase_flip_channel(0.04),
+    pauli_channel(0.01, 0.005, 0.02),
+    amplitude_damping_channel(0.1),
+    generalized_amplitude_damping_channel(0.1, 0.2),
+    phase_damping_channel(0.05),
+    two_qubit_depolarizing_channel(0.05),
+    *(coherent_overrotation_channel(0.05, axis) for axis in "xyz"),
+    thermal_relaxation_channel(15_000, 10_000, 25),
 ]
 
 
@@ -76,12 +95,12 @@ class TestDecomposition:
         decomposition = decompose_noise(depolarizing_channel(1e-4))
         assert operator_norm(decomposition.term_matrix(0) - np.eye(4)) < 1e-3
 
-    def test_split_singular_values_same_product(self):
-        channel = amplitude_damping_channel(0.2)
-        paper_form = decompose_noise(channel)
-        split_form = decompose_noise(channel, split_singular_values=True)
-        for i in range(paper_form.num_terms):
-            assert np.allclose(paper_form.term_matrix(i), split_form.term_matrix(i), atol=1e-10)
+    @pytest.mark.parametrize("channel", LIBRARY_CHANNELS, ids=lambda c: c.name)
+    def test_lower_factor_is_the_conjugate_upper_factor(self, channel):
+        """``d_i·V_i = conj(U_i)``: the realigned ``M_E`` is the Hermitian PSD Choi matrix."""
+        decomposition = decompose_noise(channel)
+        for (u, v), d in zip(decomposition.terms, decomposition.singular_values):
+            assert np.max(np.abs(d * v - u.conj())) <= 1e-12
 
     def test_two_qubit_channel(self):
         decomposition = decompose_noise(two_qubit_depolarizing_channel(0.05))

@@ -1,14 +1,17 @@
 """Algorithm 1's terms, path truncation's paths and traj_tn's samples as index rows.
 
-All three replay their rows through one ``SpecializedPlan.execute_rows``.
-Two invariants make that sound: the lower split network contracts by the
-same schedule as the upper one (so one recorded plan serves both halves),
-and the values are the ones the per-term substitution evaluator produced.
-The golden values below were computed by that evaluator.  They are compared
-with ``==`` against the sequential per-row replay
-(:func:`tests.core.reference.sequential_execute_rows`) and within 1e-12
-relative against the library's batched replay, which sums in a different
-order.
+All three replay their rows through one ``SpecializedPlan.execute_rows`` of
+the circuit's ``KrausRowNetwork``.  Two invariants make that sound: the
+paper's lower split network is the conjugate of the upper one over the
+term's singular-value product ``w`` (so one network serves a term, whose
+value is ``|upper|²/w``), and the values are the ones the per-term
+substitution evaluator produced.  The traj_tn golden values below were
+computed by that evaluator.  The Algorithm 1 and path-truncation ones were
+re-derived by the one-network replay when it replaced the two-half product;
+each moved by less than 1e-14 relative.  All are compared with ``==``
+against the sequential per-row replay (:func:`tests.core.reference.sequential_execute_rows`) and
+within 1e-12 relative against the library's batched replay, which sums in a
+different order.
 """
 
 import numpy as np
@@ -22,12 +25,18 @@ from repro.core import ApproximateNoisySimulator
 from repro.core.approximation import level_rows
 from repro.core.path_truncation import PathTruncatedSimulator
 from repro.noise import NoiseModel, depolarizing_channel
-from repro.tensornetwork.circuit_to_tn import substituted_split_networks
+from repro.tensornetwork.circuit_to_tn import instruction_node_positions
 from repro.tensornetwork.plan import ContractionPlan, SpecializedPlan
 from repro.verify import generate_workloads
 from repro.verify.generators import FAMILIES
 from repro.utils.validation import ValidationError
-from tests.core.reference import BATCHED_RTOL, rows_close, sequential_execute_rows
+from tests.core.reference import (
+    BATCHED_RTOL,
+    rows_close,
+    sequential_execute_rows,
+    substituted_split_networks,
+    tensordot_execute_rows,
+)
 
 
 def _dense_state(num_qubits, seed):
@@ -53,31 +62,62 @@ def _family_cases(family, boundary):
         yield workload, circuit, states
 
 
+def _split_halves(circuit, states, decompositions, rows):
+    """The paper's upper and lower split networks of every row, by the tensordot reference."""
+    dominant = {index: d.terms[0] for index, d in enumerate(decompositions)}
+    positions = instruction_node_positions(circuit, states[0])
+    nodes = [node for (node, *_), inst in zip(positions, circuit) if inst.is_noise]
+    halves = []
+    for half, network in enumerate(substituted_split_networks(circuit, dominant, *states)):
+        tensors = [node.tensor for node in network.nodes]
+        factors = [
+            np.stack([np.reshape(term[half], tensors[node].shape) for term in d.terms])
+            for d, node in zip(decompositions, nodes)
+        ]
+        plan = ContractionPlan.record(network)
+        halves.append(tensordot_execute_rows(plan, tensors, nodes, factors, rows))
+    return halves
+
+
+def _weights(decompositions, rows):
+    """``w = Π_s d_{rows[r, s]}``: each row's product of selected singular values."""
+    weights = np.ones(len(rows))
+    for column, decomposition in enumerate(decompositions):
+        weights *= np.asarray(decomposition.singular_values)[rows[:, column]]
+    return weights
+
+
 @pytest.mark.parametrize("boundary", ["product", "dense"])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-class TestOneScheduleForBothHalves:
-    def test_lower_network_records_the_upper_steps(self, family, boundary):
+class TestOneNetworkPerTerm:
+    def test_lower_network_is_the_conjugate_upper_network(self, family, boundary):
         for workload, circuit, states in _family_cases(family, boundary):
-            decompositions = ApproximateNoisySimulator().decompose_noises(circuit)
-            dominant = {index: d.terms[0] for index, d in enumerate(decompositions)}
-            upper, lower = substituted_split_networks(circuit, dominant, *states)
-            upper_plan = ContractionPlan.record(upper)
-            lower_plan = ContractionPlan.record(lower)
-            assert lower_plan.steps == upper_plan.steps, workload.describe()
-            assert lower_plan.num_inputs == upper_plan.num_inputs
-            assert lower_plan.peak_intermediate_entries == upper_plan.peak_intermediate_entries
+            prepared = ApproximateNoisySimulator().prepare(circuit, *states)
+            rows = level_rows(prepared.decompositions, 2)
+            upper, lower = _split_halves(circuit, states, prepared.decompositions, rows)
+            weights = _weights(prepared.decompositions, rows)
+            assert rows_close(lower, upper.conj() / weights, rtol=1e-13), workload.describe()
+            assert rows_close(prepared.evaluate(rows), upper * lower, rtol=1e-13), workload.describe()
 
     def test_batched_rows_equal_sequential_rows(self, family, boundary):
         for workload, circuit, states in _family_cases(family, boundary):
             prepared = ApproximateNoisySimulator().prepare(circuit, *states)
             rows = level_rows(prepared.decompositions, 2)
-            for half, factors in (
-                (prepared.upper, prepared.upper_factors),
-                (prepared.lower, prepared.lower_factors),
-            ):
-                batched = half.execute_rows(factors, rows)
-                sequential = sequential_execute_rows(half, factors, rows)
-                assert rows_close(batched, sequential), workload.describe()
+            specialized = prepared.network.specialized
+            batched = specialized.execute_rows(prepared.factors, rows)
+            sequential = sequential_execute_rows(specialized, prepared.factors, rows)
+            assert rows_close(batched, sequential), workload.describe()
+
+    def test_terms_are_nonnegative_and_levels_increase(self, family, boundary):
+        simulator = ApproximateNoisySimulator()
+        for workload, circuit, states in _family_cases(family, boundary):
+            prepared = simulator.prepare(circuit, *states)
+            assert np.all(prepared.evaluate(level_rows(prepared.decompositions, 2)) >= 0.0)
+            values = [
+                simulator.fidelity(circuit, *states, level=level, prepared=prepared).value
+                for level in range(3)
+            ]
+            assert values == sorted(values), workload.describe()
 
 
 class TestLevelRows:
@@ -102,29 +142,29 @@ class TestLevelRows:
 # traj_tn estimate and standard error (rng = noise seed, workers=1).
 GOLDEN = {
     (9, 1): (
-        0.00036158118068858056,
-        (0.00032232268076096273, 3.925849992761785e-05),
-        0.00036333074753402294,
-        (0.00032232268076096273, 3.925849992761785e-05, 1.749566845442397e-06),
-        0.0003478067515557866,
+        0.0003615811806885773,
+        (0.00032232268076095975, 3.925849992761754e-05),
+        0.0003633307475340197,
+        (0.00032232268076095975, 3.925849992761754e-05, 1.7495668454423855e-06),
+        0.0003478067515557834,
         0.00035993921096339783,
         3.914649946667523e-06,
     ),
     (9, 2): (
-        0.00037252073008149796,
-        (0.00032232268076096246, 5.019804932053549e-05),
-        0.0003754205748070114,
-        (0.00032232268076096246, 5.019804932053549e-05, 2.8998447255134643e-06),
-        0.00035211497307745373,
+        0.0003725207300814954,
+        (0.00032232268076096024, 5.0198049320535194e-05),
+        0.00037542057480700886,
+        (0.00032232268076096024, 5.0198049320535194e-05, 2.8998447255134486e-06),
+        0.00035211497307745124,
         0.00036829358194180345,
         5.096112072289331e-06,
     ),
     (6, 3): (
-        0.00928572220039343,
-        (0.008395891223942083, 0.000889830976451348),
-        0.009320622966892154,
-        (0.008395891223942083, 0.000889830976451348, 3.490076649872254e-05),
-        0.008955558863518308,
+        0.009285722200393367,
+        (0.008395891223942024, 0.0008898309764513428),
+        0.00932062296689209,
+        (0.008395891223942024, 0.0008898309764513428, 3.490076649872236e-05),
+        0.008955558863518245,
         0.009348211891776854,
         7.007646266620108e-05,
     ),
@@ -204,7 +244,7 @@ class TestMalformedRows:
 
     def test_empty_rows_evaluate_to_nothing(self, prepared):
         values = prepared.evaluate(np.zeros((0, 3), dtype=int))
-        assert values.shape == (0,) and values.dtype == complex
+        assert values.shape == (0,) and values.dtype == float
 
 
 def test_fidelity_to_error_decomposes_each_noise_once(monkeypatch):

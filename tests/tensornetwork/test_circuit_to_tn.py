@@ -15,11 +15,11 @@ from repro.tensornetwork import (
     noisy_doubled_network,
     operator_amplitude_network,
     resolve_product_state,
-    substituted_split_networks,
 )
 from repro.core import decompose_noise
 from repro.utils import basis_state, zero_state
 from repro.utils.validation import ValidationError
+from tests.core.reference import substituted_split_networks
 
 
 def _dense(state, n):

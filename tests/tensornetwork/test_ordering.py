@@ -22,8 +22,8 @@ from repro.tensornetwork import (
     ContractionPlan,
     noisy_doubled_network,
     operator_amplitude_network,
-    substituted_split_networks,
 )
+from tests.core.reference import substituted_split_networks
 from tests.tensornetwork.test_plan import BUILDERS
 
 #: The Table III cell: qaoa_9 with 8 depolarizing noises at p=0.001, placed

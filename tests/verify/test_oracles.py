@@ -1,8 +1,11 @@
 """Tests for the metamorphic oracles (clean pass + seeded-bug sensitivity)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.api import Session
+from repro.backends.adapters import ApproximationBackend
 from repro.circuits import Circuit
 from repro.circuits.library import brickwork_circuit, ghz_circuit
 from repro.noise import NoiseModel, depolarizing_channel
@@ -54,6 +57,25 @@ class TestCrossBackendAgreement:
         oracle = CrossBackendAgreement(output_state="ideal")
         details = {"backend": "tn", "samples": 64, "seed": 3, "level": 1}
         assert not oracle.violates(ghz_circuit(3), details, session)
+
+    def test_bounded_result_above_the_reference_violates(self, session, monkeypatch):
+        # Every Algorithm-1 term is non-negative, so A(l) <= F: a bounded
+        # result may fall short of the reference by its error bound, but
+        # overshooting it by half the bound is a violation.
+        noisy = NoiseModel(depolarizing_channel(0.05), seed=2).insert_random(ghz_circuit(3), 4)
+        workload = _workload(noisy)
+        oracle = CrossBackendAgreement(backends=["approximation"])
+        assert oracle.check(workload, session) == []
+        execute = ApproximationBackend._execute
+
+        def overshooting(self, circuit, task, plan):
+            result = execute(self, circuit, task, plan)
+            return replace(result, value=result.value + result.metadata["error_bound"] / 2)
+
+        monkeypatch.setattr(ApproximationBackend, "_execute", overshooting)
+        with Session(seed=11) as fresh:
+            (violation,) = oracle.check(workload, fresh)
+        assert violation.tolerance == oracle.bound_slack
 
     def test_jump_mass_counts_noise_channels(self):
         circuit = ghz_circuit(2)
