@@ -118,7 +118,7 @@ def reference_tn_loop(circuit, num_samples, seed):
             n, operations, "0" * n, "0" * n, max_intermediate_size=2**26
         )
         amplitude = tensordot_execute(
-            ContractionPlan.record(network), [node.tensor for node in network.nodes]
+            ContractionPlan.record(network), network.tensors
         )
         values.append(float(abs(amplitude) ** 2) * weight)
     return np.array(values)

@@ -33,6 +33,7 @@ from repro.tensornetwork.circuit_to_tn import (
     instruction_node_positions,
     noisy_doubled_network,
     noisy_observable_network,
+    operator_tensor,
 )
 from repro.tensornetwork.plan import ContractionPlan
 from repro.utils.validation import ValidationError
@@ -105,12 +106,11 @@ class PreparedFidelity:
         """
         tensors = list(self.tensors)
         for index, nodes in self.gate_nodes.items():
-            operation = circuit[index].operation
-            matrix = np.asarray(operation.matrix, dtype=complex)
-            shape = [2] * (2 * operation.num_qubits)
-            tensors[nodes[0]] = matrix.reshape(shape)
+            inst = circuit[index]
+            matrix = inst.operation.matrix
+            tensors[nodes[0]] = operator_tensor(matrix, inst.qubits)
             if len(nodes) > 1:
-                tensors[nodes[1]] = matrix.conj().reshape(shape)
+                tensors[nodes[1]] = operator_tensor(matrix.conj(), inst.qubits)
         return PreparedFidelity(
             self.plan, tensors, self.noiseless, xp=xp, gate_nodes=self.gate_nodes
         )
@@ -135,8 +135,8 @@ class PreparedFidelity:
         ops = get_namespace("cpu") if self._xp is None else self._xp
         derivatives = []
         for index in indices:
-            operation = circuit[index].operation
-            tensor = gate_derivative(operation).reshape([2] * (2 * operation.num_qubits))
+            inst = circuit[index]
+            tensor = operator_tensor(gate_derivative(inst.operation), inst.qubits)
             nodes = self.gate_nodes[index]
             upper = _pair(ops.to_host(envs[nodes[0]]), tensor)
             if self.noiseless:
@@ -253,7 +253,7 @@ class TNSimulator:
         }
         return PreparedFidelity(
             ContractionPlan.record(network, strategy=self.strategy),
-            [node.tensor for node in network.nodes],
+            network.tensors,
             noiseless,
             xp=self._xp,
             gate_nodes=gate_nodes,

@@ -97,32 +97,32 @@ def dense_product_state(state: StateLike, num_qubits: int) -> np.ndarray:
 def _add_boundary(
     network: TensorNetwork,
     state: StateLike,
-    num_qubits: int,
+    rails: Sequence[int],
     conjugate: bool,
-    label: str,
-) -> List:
-    """Add input/output boundary nodes and return one dangling edge per qubit."""
-    resolved = resolve_product_state(state, num_qubits)
-    edges = []
+) -> None:
+    """Add the boundary tensors of ``state`` on the qubit rails labelled ``rails``."""
+    resolved = resolve_product_state(state, len(rails))
     if isinstance(resolved, list):
-        for qubit, factor in enumerate(resolved):
-            vec = factor.conj() if conjugate else factor
-            node = network.add_node(vec, name=f"{label}{qubit}")
-            edges.append(node.edges[0])
+        for factor, rail in zip(resolved, rails):
+            network.add(factor.conj() if conjugate else factor, (rail,))
     else:
         vec = resolved.conj() if conjugate else resolved
-        node = network.add_node(vec.reshape([2] * num_qubits), name=label)
-        edges.extend(node.edges)
-    return edges
+        network.add(vec.reshape([2] * len(rails)), rails)
 
 
 def _add_operations(
     network: TensorNetwork,
     operations: Sequence[Tuple[np.ndarray, Sequence[int]]],
-    open_edges: List,
+    rails: List[int],
 ) -> None:
-    """Append one node per ``(matrix, qubits)`` operation, threading the open edges."""
-    num_qubits = len(open_edges)
+    """Append one tensor per ``(matrix, qubits)`` operation, threading the rail labels.
+
+    ``rails[q]`` is qubit ``q``'s open label, initially ``q``.  An operation's
+    tensor has its output axes first, each a fresh label that becomes its
+    qubit's open label, then its input axes on the qubits' open labels.
+    """
+    num_qubits = len(rails)
+    fresh = num_qubits
     for op_index, (matrix, qubits) in enumerate(operations):
         qubits = [int(q) for q in qubits]
         k = len(qubits)
@@ -134,10 +134,11 @@ def _add_operations(
         for q in qubits:
             if not 0 <= q < num_qubits:
                 raise ValidationError(f"operation {op_index} touches invalid qubit {q}")
-        node = network.add_node(matrix.reshape([2] * (2 * k)), name=f"op{op_index}")
-        for j, qubit in enumerate(qubits):
-            network.connect(node.edges[k + j], open_edges[qubit])
-            open_edges[qubit] = node.edges[j]
+        outputs = list(range(fresh, fresh + k))
+        fresh += k
+        network.add(operator_tensor(matrix, qubits), outputs + [rails[q] for q in qubits])
+        for qubit, label in zip(qubits, outputs):
+            rails[qubit] = label
 
 
 def operator_amplitude_network(
@@ -145,7 +146,6 @@ def operator_amplitude_network(
     operations: Sequence[Tuple[np.ndarray, Sequence[int]]],
     input_state: StateLike,
     output_state: StateLike,
-    name: str = "amplitude",
     max_intermediate_size: int | None = None,
 ) -> TensorNetwork:
     """Build the network for ``⟨v| O_d … O_1 |ψ⟩`` with arbitrary matrices ``O_i``.
@@ -154,19 +154,18 @@ def operator_amplitude_network(
     matrices need not be unitary (the approximation algorithm inserts the SVD
     factors ``U_i``/``V_i`` here).
     """
-    network = TensorNetwork(name=name, max_intermediate_size=max_intermediate_size)
-    open_edges = _add_boundary(network, input_state, num_qubits, conjugate=False, label="in")
-    _add_operations(network, operations, open_edges)
-    output_edges = _add_boundary(network, output_state, num_qubits, conjugate=True, label="out")
-    for qubit in range(num_qubits):
-        network.connect(output_edges[qubit], open_edges[qubit])
+    network = TensorNetwork(max_intermediate_size=max_intermediate_size)
+    rails = list(range(num_qubits))
+    _add_boundary(network, input_state, rails, conjugate=False)
+    _add_operations(network, operations, rails)
+    _add_boundary(network, output_state, rails, conjugate=True)
     return network
 
 
 def instruction_node_positions(
     circuit: Circuit, input_state: StateLike, doubled: bool = False
 ) -> Tuple[Tuple[int, ...], ...]:
-    """Node indices of every instruction of ``circuit`` in the network built from it.
+    """Tensor positions of every instruction of ``circuit`` in the network built from it.
 
     The node-order rule of :func:`operator_amplitude_network`: the input
     boundary comes first (one node per rail for a product state, one node
@@ -256,7 +255,6 @@ class KrausRowNetwork:
             operations,
             input_state,
             output_state,
-            name=f"{circuit.name}_kraus_rows",
             max_intermediate_size=max_intermediate_size,
         )
         positions = instruction_node_positions(circuit, input_state)
@@ -267,7 +265,7 @@ class KrausRowNetwork:
         }
         noise_nodes = tuple(nodes[0] for nodes, inst in zip(positions, circuit) if inst.is_noise)
         return cls(
-            tuple(node.tensor for node in network.nodes),
+            tuple(network.tensors),
             gate_nodes,
             noise_nodes,
             ContractionPlan.record(network, strategy=strategy),
@@ -305,7 +303,6 @@ def circuit_amplitude_network(
         operations,
         input_state,
         output_state,
-        name=f"{circuit.name}_amplitude",
         max_intermediate_size=max_intermediate_size,
     )
 
@@ -328,7 +325,6 @@ def noisy_doubled_network(
         _doubled_operations(circuit),
         _double_state(input_state, n),
         _double_state(output_state, n),
-        name=f"{circuit.name}_doubled",
         max_intermediate_size=max_intermediate_size,
     )
 
@@ -358,18 +354,13 @@ def noisy_observable_network(
         if np.asarray(op).shape != (2, 2):
             raise ValidationError("observable factors must be single-qubit (2x2) operators")
 
-    network = TensorNetwork(
-        name=f"{circuit.name}_observable", max_intermediate_size=max_intermediate_size
-    )
-    open_edges = _add_boundary(
-        network, _double_state(input_state, n), 2 * n, conjugate=False, label="in"
-    )
-    _add_operations(network, _doubled_operations(circuit), open_edges)
+    network = TensorNetwork(max_intermediate_size=max_intermediate_size)
+    rails = list(range(2 * n))
+    _add_boundary(network, _double_state(input_state, n), rails, conjugate=False)
+    _add_operations(network, _doubled_operations(circuit), rails)
     for qubit in range(n):
         operator = np.asarray(observable_ops.get(qubit, np.eye(2)), dtype=complex)
-        boundary = network.add_node(operator.T, name=f"obs{qubit}")
-        network.connect(boundary.edges[0], open_edges[qubit])
-        network.connect(boundary.edges[1], open_edges[qubit + n])
+        network.add(operator.T, (rails[qubit], rails[qubit + n]))
     return network
 
 

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.tensornetwork.node import Edge, Node, connect
+from typing import List, Sequence, Tuple
 
 from repro.xp import declare_seam
 from repro.xp import host as np
@@ -24,46 +22,47 @@ class ContractionMemoryError(MemoryError):
 
 
 class TensorNetwork:
-    """A collection of nodes with shared edges.
+    """Tensors with one integer index label per axis.
 
-    A network is a description: planning its contraction reads only the
-    node shapes and the edges, and a plan replays over any tensors of those
-    shapes, so nothing here ever changes the nodes.
+    ``tensors[i]`` carries ``labels[i]``, one label per axis.  A label on two
+    axes is a bond (the axes are summed over together and must have equal
+    dimensions); a label on one axis is a free index.  A network is a
+    description: planning its contraction
+    (:func:`~repro.tensornetwork.ordering.plan_contraction`, which rejects a
+    malformed one) reads only the shapes and labels, and a plan replays over
+    any tensors of those shapes, so nothing here ever changes a tensor.
+
+    >>> network = TensorNetwork()
+    >>> network.add([1.0, 2.0], (7,))
+    0
+    >>> network.add([3.0, 4.0], (7,))
+    1
+    >>> network.contract_to_scalar()
+    (11+0j)
     """
 
-    def __init__(self, name: str = "network", max_intermediate_size: int | None = None) -> None:
-        self.name = name
-        self.nodes: List[Node] = []
+    def __init__(self, max_intermediate_size: int | None = None) -> None:
+        self.tensors: List[np.ndarray] = []
+        self.labels: List[Tuple[int, ...]] = []
         #: Maximum number of entries allowed in any intermediate tensor.  None
         #: disables the check.
         self.max_intermediate_size = max_intermediate_size
 
-    # ------------------------------------------------------------------
-    def add_node(self, tensor: np.ndarray, name: str | None = None) -> Node:
-        """Wrap ``tensor`` in a node and add it to the network."""
-        node = Node(tensor, name=name)
-        self.nodes.append(node)
-        return node
-
-    def connect(self, edge_a: Edge, edge_b: Edge, name: str | None = None) -> Edge:
-        """Connect two dangling edges of nodes in this network."""
-        return connect(edge_a, edge_b, name=name)
-
-    # ------------------------------------------------------------------
-    @property
-    def num_nodes(self) -> int:
-        """Number of nodes in the network."""
-        return len(self.nodes)
+    def add(self, tensor: np.ndarray, labels: Sequence[int]) -> int:
+        """Append ``tensor`` (as a complex array) with one label per axis; return its position."""
+        self.tensors.append(np.asarray(tensor, dtype=complex))
+        self.labels.append(tuple(int(label) for label in labels))
+        return len(self.tensors) - 1
 
     def contract_to_scalar(self, strategy: str = "greedy") -> complex:
-        """Contract a network with no dangling edges to a complex number.
+        """Contract a network without free indices to a complex number.
 
         Plans the order (:meth:`ContractionPlan.record
         <repro.tensornetwork.plan.ContractionPlan.record>`, ``strategy``
-        ``"greedy"`` or ``"sequential"``), then replays it over the node
-        tensors; the network is left untouched.
+        ``"greedy"`` or ``"sequential"``), then replays it over the tensors;
+        the network is left untouched.
         """
         from repro.tensornetwork.plan import ContractionPlan
 
         plan = ContractionPlan.record(self, strategy=strategy)
-        return plan.execute([node.tensor for node in self.nodes])
+        return plan.execute(self.tensors)

@@ -1,10 +1,11 @@
 """Contraction ordering: the one planner every network is contracted by.
 
 The efficiency of tensor-network simulation is dominated by the order in
-which nodes are contracted (the paper notes this for its TN-based baseline).
-:func:`plan_contraction` decides that order from the network's tensor
-*shapes* and edge adjacency alone — it never reads a tensor entry and never
-allocates one — and emits it as the slot program
+which tensors are contracted (the paper notes this for its TN-based
+baseline).  :func:`plan_contraction` decides that order from the network's
+tensor *shapes* and index labels alone (two tensors are adjacent when they
+share a label) — it never reads a tensor entry and never allocates one —
+and emits it as the slot program
 :class:`~repro.tensornetwork.plan.ContractionPlan` replays.  Two heuristics
 pick the next pair:
 
@@ -12,12 +13,12 @@ pick the next pair:
   broken by the largest immediate size reduction, then by enumeration
   order).  This is the default everywhere and is the same flavour of
   heuristic the Google TensorNetwork / opt_einsum "greedy" path uses.
-* ``"sequential"`` — the first node (in network order) that has a
+* ``"sequential"`` — the first tensor (in network order) that has a
   neighbour, with its first neighbour; cheap to plan but can build huge
   intermediates.  Used as the ablation baseline.
 
 Either way, disconnected components are then joined by outer products,
-oldest first.  A step's result lands after every live node, its axes are
+oldest first.  A step's result lands after every live tensor, its axes are
 ``a``'s remaining axes followed by ``b``'s, and a step over the entry budget
 (``network.max_intermediate_size``) raises
 :class:`~repro.tensornetwork.network.ContractionMemoryError` before anything
@@ -29,7 +30,6 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.tensornetwork.network import ContractionMemoryError, TensorNetwork
-from repro.tensornetwork.node import Edge
 from repro.utils.validation import ValidationError
 
 from repro.xp import declare_seam
@@ -43,38 +43,47 @@ def plan_contraction(network: TensorNetwork, strategy: str = "greedy") -> Tuple[
     """Order the pairwise contractions of ``network`` down to a scalar.
 
     Returns ``(steps, peak)``: ``steps`` is the slot program (inputs occupy
-    slots ``0..num_nodes-1`` in node order, step ``i`` reads slots ``a`` and
-    ``b``, contracts ``axes_a`` with ``axes_b`` and writes slot
-    ``num_nodes + i``) and ``peak`` the entry count of its largest
-    intermediate.  The network is left untouched.
+    slots ``0..len(network.tensors)-1`` in network order, step ``i`` reads
+    slots ``a`` and ``b``, contracts ``axes_a`` with ``axes_b`` and writes
+    slot ``len(network.tensors) + i``) and ``peak`` the entry count of its
+    largest intermediate.  The network is left untouched.  A malformed
+    description (a tensor whose label count is not its rank, a label on more
+    than two axes, a bond joining unequal dimensions, a self-loop) raises
+    :class:`~repro.utils.validation.ValidationError`.
     """
-    if not network.nodes:
+    if not network.tensors:
         raise ValidationError("cannot contract an empty network")
     if strategy not in ("greedy", "sequential"):
         raise ValidationError(f"unknown contraction strategy {strategy!r}")
-    slot_of = {node: slot for slot, node in enumerate(network.nodes)}
-    #: Per live slot (ascending: a result takes the next slot), the edge of
+    #: Per live slot (ascending: a result takes the next slot), the label of
     #: every axis; a self-loop appears twice.
-    legs: Dict[int, List[Edge]] = {}
+    legs: Dict[int, List[int]] = {}
     sizes: Dict[int, int] = {}
-    #: Per edge, its dimension and its endpoint slots (one for a dangling edge).
-    dims: Dict[Edge, int] = {}
-    ends: Dict[Edge, List[int]] = {}
-    for slot, node in enumerate(network.nodes):
-        legs[slot] = list(node.edges)
-        sizes[slot] = node.size
-        for edge, dim in zip(node.edges, node.shape):
-            dims[edge] = dim
-            ends[edge] = [slot_of[end] for end in (edge.node1, edge.node2) if end in slot_of]
+    #: Per label, its dimension and its endpoint slots (one for a free index).
+    dims: Dict[int, int] = {}
+    ends: Dict[int, List[int]] = {}
+    for slot, (tensor, labels) in enumerate(zip(network.tensors, network.labels)):
+        if len(labels) != tensor.ndim:
+            raise ValidationError(f"tensor {slot} has {tensor.ndim} axes but {len(labels)} labels")
+        legs[slot] = list(labels)
+        sizes[slot] = int(tensor.size)
+        for label, dim in zip(labels, tensor.shape):
+            slots = ends.setdefault(label, [])
+            if len(slots) == 2:
+                raise ValidationError(f"label {label} is on more than two axes")
+            if slots and dims[label] != dim:
+                raise ValidationError(f"bond {label} joins axes of dimension {dims[label]} and {dim}")
+            dims[label] = dim
+            slots.append(slot)
 
     def neighbours(slot: int) -> Dict[int, int]:
         """Distinct neighbour slots in axis order, each with its shared dimension."""
         shared: Dict[int, int] = {}
-        for edge in legs[slot]:
-            pair = ends[edge]
+        for label in legs[slot]:
+            pair = ends[label]
             if len(pair) == 2:
                 other = pair[1] if pair[0] == slot else pair[0]
-                shared[other] = shared.get(other, 1) * dims[edge]
+                shared[other] = shared.get(other, 1) * dims[label]
         return shared
 
     def greedy_candidate(slot: int):
@@ -119,15 +128,15 @@ def plan_contraction(network: TensorNetwork, strategy: str = "greedy") -> Tuple[
                 f"intermediate tensor with {size} entries exceeds the budget of {budget} entries"
             )
         peak = max(peak, size)
-        out = len(network.nodes) + len(steps)
-        contracted = [edge for edge in legs[a] if ends[edge] in ([a, b], [b, a])]
-        axes_a = tuple(legs[a].index(edge) for edge in contracted)
-        axes_b = tuple(legs[b].index(edge) for edge in contracted)
+        out = len(network.tensors) + len(steps)
+        contracted = [label for label in legs[a] if ends[label] in ([a, b], [b, a])]
+        axes_a = tuple(legs[a].index(label) for label in contracted)
+        axes_b = tuple(legs[b].index(label) for label in contracted)
         steps.append((a, b, axes_a, axes_b, out))
         # The result's axes: a's remaining axes, then b's.
-        legs[out] = [edge for edge in legs.pop(a) + legs.pop(b) if edge not in contracted]
-        for edge in legs[out]:
-            ends[edge] = [out if end in (a, b) else end for end in ends[edge]]
+        legs[out] = [label for label in legs.pop(a) + legs.pop(b) if label not in contracted]
+        for label in legs[out]:
+            ends[label] = [out if end in (a, b) else end for end in ends[label]]
         sizes[out] = size
         touched = (set(adjacency.pop(a)) | set(adjacency.pop(b)) | {out}) - {a, b}
         del candidates[a], candidates[b]
@@ -137,6 +146,6 @@ def plan_contraction(network: TensorNetwork, strategy: str = "greedy") -> Tuple[
             candidates[slot] = greedy_candidate(slot)
     (result,) = legs
     if sizes[result] != 1:
-        shape = tuple(dims[edge] for edge in legs[result])
+        shape = tuple(dims[label] for label in legs[result])
         raise ValidationError(f"network does not contract to a scalar (residual shape {shape})")
     return steps, peak

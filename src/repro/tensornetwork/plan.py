@@ -1,11 +1,11 @@
 """Reusable contraction plans: the one way a network is contracted.
 
 The ordering heuristics (:mod:`repro.tensornetwork.ordering`) decide which
-node pair to contract from tensor *shapes* and edge adjacency only, so two
-networks with the same topology and the same tensor shapes contract in the
+tensor pair to contract from tensor *shapes* and index labels only, so two
+networks with the same labels and the same tensor shapes contract in the
 same order regardless of the tensor values.  Every evaluation in the library
-exploits this: the ordering work and all node/edge bookkeeping are paid
-once, and the order is replayed on tensor values as a flat sequence of
+exploits this: the ordering work and all label bookkeeping are paid once,
+and the order is replayed on tensor values as a flat sequence of
 precompiled ``dot`` kernels — for a one-off value
 (:meth:`TensorNetwork.contract_to_scalar
 <repro.tensornetwork.network.TensorNetwork.contract_to_scalar>`) as much as
@@ -58,12 +58,12 @@ forward loop keeps the operands a reverse sweep needs, and the sweep returns
 the environment of each requested input — the tensor whose full
 contraction with that input gives the value, i.e. the value's derivative
 with respect to it.  The ``tn`` backend's gradients read the environments of
-the parametric gate nodes.
+the parametric gate tensors.
 
 Plans are recorded over whatever circuit the session hands the backend —
 since the optimizing passes (:mod:`repro.circuits.passes`) run before plan
 construction, a recorded schedule covers the *optimized* network (fewer
-nodes after fusion/folding/pruning), and the plan-cache key is derived from
+tensors after fusion/folding/pruning), and the plan-cache key is derived from
 that circuit's fingerprint.
 """
 
@@ -110,7 +110,7 @@ class ContractionPlan:
         peak_intermediate_entries: int = 0,
     ) -> None:
         self.steps = steps
-        #: Number of tensors the plan expects (the template's node count).
+        #: Number of tensors the plan expects (the template's tensor count).
         self.num_inputs = num_inputs
         #: Entry count of the largest intermediate the schedule produces
         #: (recorded at planning time; the replay cost estimate).
@@ -136,15 +136,15 @@ class ContractionPlan:
     def record(cls, network: TensorNetwork, strategy: str = "greedy") -> "ContractionPlan":
         """Plan the contraction of ``network`` to a scalar by ``strategy`` (greedy or sequential).
 
-        The order comes from the network's shapes and edges alone
+        The order comes from the network's shapes and labels alone
         (:func:`~repro.tensornetwork.ordering.plan_contraction`): nothing is
         contracted and the network is left untouched.  A caller that needs
-        the value replays the plan over the node tensors.  Raises
+        the value replays the plan over ``network.tensors``.  Raises
         :class:`~repro.tensornetwork.network.ContractionMemoryError` when a
         step would exceed ``network.max_intermediate_size``.
         """
         steps, peak = plan_contraction(network, strategy)
-        return cls(steps, network.num_nodes, peak_intermediate_entries=peak)
+        return cls(steps, len(network.tensors), peak_intermediate_entries=peak)
 
     # ------------------------------------------------------------------
     def _check_inputs(self, tensors: Sequence) -> None:
@@ -173,7 +173,7 @@ class ContractionPlan:
     def execute(self, tensors: List[np.ndarray], xp=None) -> complex:
         """Replay the schedule over ``tensors`` and return the scalar result.
 
-        ``tensors`` must match the template's node order and shapes; only the
+        ``tensors`` must match the template's tensor order and shapes; only the
         values may differ (device arrays of ``xp`` when a namespace is given).
         """
         self._check_inputs(tensors)

@@ -69,7 +69,7 @@ def _split_halves(circuit, states, decompositions, rows):
     nodes = [node for (node, *_), inst in zip(positions, circuit) if inst.is_noise]
     halves = []
     for half, network in enumerate(substituted_split_networks(circuit, dominant, *states)):
-        tensors = [node.tensor for node in network.nodes]
+        tensors = network.tensors
         factors = [
             np.stack([np.reshape(term[half], tensors[node].shape) for term in d.terms])
             for d, node in zip(decompositions, nodes)

@@ -1,66 +1,93 @@
-"""Tests for the tensor-network engine (nodes, edges, contraction).
+"""Tests for the tensor-network engine (labelled tensors, contraction).
 
 Every contraction is planned (``ContractionPlan.record``) and then replayed;
 these tests drive both through ``TensorNetwork.contract_to_scalar``.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.circuits.circuit import Circuit
 from repro.tensornetwork import (
     ContractionMemoryError,
     ContractionPlan,
-    Node,
     TensorNetwork,
-    connect,
+    noisy_doubled_network,
 )
 from repro.utils.validation import ValidationError
 
 
-class TestNodesAndEdges:
-    def test_node_creation(self):
-        node = Node(np.zeros((2, 3, 4)), name="a")
-        assert node.rank == 3
-        assert node.shape == (2, 3, 4)
-        assert node.size == 24
-        assert all(edge.is_dangling for edge in node.edges)
+class TestLabels:
+    def test_add_returns_the_position_of_a_complex_tensor(self):
+        network = TensorNetwork()
+        assert network.add(np.zeros((2, 3, 4)), [0, 1, 2]) == 0
+        assert network.add(np.ones(4, dtype=int), (2,)) == 1
+        assert [tensor.dtype for tensor in network.tensors] == [complex, complex]
+        assert [tensor.shape for tensor in network.tensors] == [(2, 3, 4), (4,)]
+        assert network.labels == [(0, 1, 2), (2,)]
 
-    def test_connect_matching_dimensions(self):
-        a = Node(np.zeros((2, 3)))
-        b = Node(np.zeros((3, 4)))
-        edge = connect(a.edges[1], b.edges[0])
-        assert not edge.is_dangling
-        assert edge.dimension == 3
-        assert (edge.node1, edge.node2) == (a, b)
+    def test_shared_labels_are_bonds_on_their_axes(self):
+        rng = np.random.default_rng(5)
+        a_mat, b_mat = rng.normal(size=(2, 3)), rng.normal(size=(3, 2))
+        network = TensorNetwork()
+        network.add(a_mat, (5, 6))
+        network.add(b_mat, (6, 5))
+        plan = ContractionPlan.record(network)
+        assert plan.steps == [(0, 1, (0, 1), (1, 0), 2)]
+        assert network.contract_to_scalar() == pytest.approx(np.trace(a_mat @ b_mat))
 
-    def test_connect_dimension_mismatch(self):
-        a = Node(np.zeros((2, 3)))
-        b = Node(np.zeros((4, 4)))
-        with pytest.raises(ValidationError):
-            connect(a.edges[1], b.edges[0])
+    def test_bond_dimension_mismatch(self):
+        network = TensorNetwork()
+        network.add(np.zeros((2, 3)), (0, 1))
+        network.add(np.zeros((4, 2)), (1, 0))
+        with pytest.raises(ValidationError, match="dimension 3 and 4"):
+            ContractionPlan.record(network)
 
-    def test_connect_already_connected(self):
-        a = Node(np.zeros((2, 2)))
-        b = Node(np.zeros((2, 2)))
-        c = Node(np.zeros((2, 2)))
-        edge = connect(a.edges[0], b.edges[0])
-        with pytest.raises(ValidationError):
-            connect(edge, c.edges[0])
+    def test_label_on_a_third_axis(self):
+        network = TensorNetwork()
+        for _ in range(3):
+            network.add(np.zeros(2), (0,))
+        with pytest.raises(ValidationError, match="more than two axes"):
+            ContractionPlan.record(network)
 
-    def test_edge_endpoints_and_axes(self):
-        a = Node(np.zeros((2, 2)))
-        b = Node(np.zeros((2, 2)))
-        edge = connect(a.edges[1], b.edges[0])
-        assert (edge.node1, edge.axis1, edge.node2, edge.axis2) == (a, 1, b, 0)
-        assert a.edges[1] is b.edges[0] is edge
+    @pytest.mark.parametrize("labels", [(0,), (0, 1, 2)])
+    def test_label_count_must_match_rank(self, labels):
+        network = TensorNetwork()
+        network.add(np.zeros((2, 2)), labels)
+        with pytest.raises(ValidationError, match="2 axes but"):
+            ContractionPlan.record(network)
+
+    def test_dropped_network_is_freed_without_the_cyclic_collector(self):
+        # A network holds plain lists, so dropping the last reference frees
+        # its tensors at once; a reference cycle would keep them alive until
+        # the cyclic garbage collector runs.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            network = noisy_doubled_network(Circuit(2).h(0).cx(0, 1), "00", "00")
+            boundary = weakref.ref(network.tensors[0])
+            assert boundary() is not None
+            del network
+            assert boundary() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def _closed(tensors, bonds):
-    """A network of ``tensors`` joined by ``bonds`` of ``(node, axis, node, axis)``."""
-    network = TensorNetwork()
-    nodes = [network.add_node(tensor, name=f"t{i}") for i, tensor in enumerate(tensors)]
+    """A network of ``tensors`` joined by ``bonds`` of ``(tensor, axis, tensor, axis)``."""
+    labels, fresh = [], 0
+    for tensor in tensors:
+        labels.append(list(range(fresh, fresh + np.ndim(tensor))))
+        fresh += np.ndim(tensor)
     for a, axis_a, b, axis_b in bonds:
-        network.connect(nodes[a].edges[axis_a], nodes[b].edges[axis_b])
+        labels[b][axis_b] = labels[a][axis_a]
+    network = TensorNetwork()
+    for tensor, axes in zip(tensors, labels):
+        network.add(tensor, axes)
     return network
 
 
@@ -99,8 +126,7 @@ class TestPairContraction:
     @pytest.mark.parametrize("strategy", ["greedy", "sequential"])
     def test_self_contraction_rejected(self, strategy):
         network = TensorNetwork()
-        a = network.add_node(np.zeros((2, 2)))
-        network.connect(a.edges[0], a.edges[1])
+        network.add(np.zeros((2, 2)), (0, 0))
         with pytest.raises(ValidationError, match="self-contraction"):
             ContractionPlan.record(network, strategy=strategy)
 
@@ -108,11 +134,11 @@ class TestPairContraction:
         rng = np.random.default_rng(6)
         ring = [(0, 1, 1, 0), (1, 1, 2, 0), (2, 1, 0, 0)]
         network = _closed([rng.normal(size=(3, 3)) for _ in range(3)], ring)
-        edges = [list(node.edges) for node in network.nodes]
-        tensors = [node.tensor for node in network.nodes]
+        labels = list(network.labels)
+        tensors = list(network.tensors)
         first = network.contract_to_scalar()
-        assert [list(node.edges) for node in network.nodes] == edges
-        assert all(node.tensor is tensor for node, tensor in zip(network.nodes, tensors))
+        assert network.labels == labels
+        assert all(held is tensor for held, tensor in zip(network.tensors, tensors))
         expected = np.trace(tensors[0] @ tensors[1] @ tensors[2])
         assert network.contract_to_scalar() == first == pytest.approx(expected)
 
@@ -138,14 +164,13 @@ class TestNetworkContraction:
         v = rng.normal(size=5)
         w = rng.normal(size=5)
         network = TensorNetwork()
-        a = network.add_node(v)
-        b = network.add_node(w)
-        network.connect(a.edges[0], b.edges[0])
+        network.add(v, (0,))
+        network.add(w, (0,))
         assert network.contract_to_scalar() == pytest.approx(float(v @ w))
 
     def test_scalar_rejects_nonscalar(self):
         network = TensorNetwork()
-        network.add_node(np.zeros((2, 2)))
+        network.add(np.zeros((2, 2)), (0, 1))
         with pytest.raises(ValidationError, match="does not contract to a scalar"):
             ContractionPlan.record(network)
         with pytest.raises(ValidationError, match="does not contract to a scalar"):
@@ -153,12 +178,10 @@ class TestNetworkContraction:
 
     def test_disconnected_components_multiply(self):
         network = TensorNetwork()
-        a1 = network.add_node(np.array([1.0, 0.0]))
-        a2 = network.add_node(np.array([1.0, 0.0]))
-        b1 = network.add_node(np.array([0.0, 2.0]))
-        b2 = network.add_node(np.array([0.0, 2.0]))
-        network.connect(a1.edges[0], a2.edges[0])
-        network.connect(b1.edges[0], b2.edges[0])
+        network.add(np.array([1.0, 0.0]), (0,))
+        network.add(np.array([1.0, 0.0]), (0,))
+        network.add(np.array([0.0, 2.0]), (1,))
+        network.add(np.array([0.0, 2.0]), (1,))
         assert network.contract_to_scalar() == pytest.approx(4.0)
 
     def test_sequential_strategy_matches_greedy(self):
@@ -184,9 +207,8 @@ class TestNetworkContraction:
 
     def test_memory_budget_enforced(self):
         network = TensorNetwork(max_intermediate_size=8)
-        a = network.add_node(np.zeros((2, 2, 2)))
-        b = network.add_node(np.zeros((2, 2, 2)))
-        network.connect(a.edges[0], b.edges[0])
+        network.add(np.zeros((2, 2, 2)), (0, 1, 2))
+        network.add(np.zeros((2, 2, 2)), (0, 3, 4))
         with pytest.raises(ContractionMemoryError, match="16 entries exceeds the budget of 8"):
             ContractionPlan.record(network)
         with pytest.raises(ContractionMemoryError):

@@ -101,15 +101,15 @@ def test_plan_matches_golden(name, strategy):
     plan = ContractionPlan.record(network, strategy=strategy)
     digest = hashlib.sha256(repr(plan.steps).encode()).hexdigest()
     assert (digest, plan.peak_intermediate_entries) == GOLDENS[f"{name}/{strategy}"]
-    assert plan.num_inputs == network.num_nodes
-    assert plan.num_steps == network.num_nodes - 1
+    assert plan.num_inputs == len(network.tensors)
+    assert plan.num_steps == len(network.tensors) - 1
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_planned_peak_is_the_largest_replayed_intermediate(name):
     network = BUILDERS[name]()
     plan = ContractionPlan.record(network)
-    shapes = plan._kernel_table([node.tensor for node in network.nodes]).shapes
+    shapes = plan._kernel_table(network.tensors).shapes
     assert plan.peak_intermediate_entries == max(
         int(np.prod(shape)) for shape in shapes[plan.num_inputs :]
     )

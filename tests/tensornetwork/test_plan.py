@@ -74,7 +74,7 @@ BUILDERS = {
 def _record(name):
     """(plan, value by a per-step tensordot replay, input tensors) for a fresh network."""
     network = BUILDERS[name]()
-    tensors = [node.tensor for node in network.nodes]
+    tensors = list(network.tensors)
     plan = ContractionPlan.record(network)
     return plan, tensordot_execute(plan, tensors), tensors
 
@@ -102,8 +102,7 @@ class TestReplay:
         plan, _, tensors = _record(name)
         swapped = _perturbed(tensors, range(0, len(tensors), 3), rng)
         network = BUILDERS[name]()
-        for node, tensor in zip(network.nodes, swapped):
-            node.tensor = tensor
+        network.tensors[:] = swapped
         assert ContractionPlan.record(network).steps == plan.steps
         assert network.contract_to_scalar() == tensordot_execute(plan, swapped)
 
@@ -346,7 +345,7 @@ def test_environments_of_crossed_contraction_axes():
 class TestSingleNode:
     def test_environment_of_the_only_input_is_one(self):
         network = TensorNetwork()
-        network.add_node(np.array(0.25 + 0.5j))
+        network.add(np.array(0.25 + 0.5j), ())
         plan = ContractionPlan.record(network)
         value, environments = plan.environments([np.array(0.25 + 0.5j)], [0])
         assert value == 0.25 + 0.5j and environments[0] == 1.0
@@ -354,7 +353,7 @@ class TestSingleNode:
 
     def test_plan_without_steps_returns_the_input(self):
         network = TensorNetwork()
-        network.add_node(np.array(0.25 + 0.5j))
+        network.add(np.array(0.25 + 0.5j), ())
         plan = ContractionPlan.record(network)
         assert plan.num_steps == 0
         assert network.contract_to_scalar() == plan.execute([np.array(0.25 + 0.5j)]) == 0.25 + 0.5j
@@ -364,7 +363,7 @@ class TestSingleNode:
     @pytest.mark.parametrize("device", ["cpu", "fake_gpu"])
     def test_execute_rows_without_steps_returns_the_picked_inputs(self, device):
         network = TensorNetwork()
-        network.add_node(np.array(0.25 + 0.5j))
+        network.add(np.array(0.25 + 0.5j), ())
         plan = ContractionPlan.record(network)
         xp = get_namespace(device)
         candidates = [xp.asarray(np.array([0.5 + 0j, 2.0 - 1j]))]
