@@ -18,7 +18,7 @@ import dataclasses
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, List, Mapping, Sequence
+from typing import Any, ClassVar, List, Mapping, Sequence
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.parameters import UnboundParameterError, circuit_parameters, is_parametric
@@ -57,17 +57,6 @@ class BackendCapabilities:
     #: through :func:`repro.xp.get_namespace` (cpu-only backends reject
     #: non-cpu tasks in :meth:`SimulationBackend.supports`).
     supports_device: bool = False
-
-    def as_dict(self) -> Dict[str, object]:
-        """Plain-dict view used by the CLI capability table and JSON reports."""
-        return {
-            "noisy": self.noisy,
-            "exact": self.exact,
-            "stochastic": self.stochastic,
-            "max_qubits": self.max_qubits,
-            "needs_product_state": self.needs_product_state,
-            "supports_device": self.supports_device,
-        }
 
 
 @dataclass(frozen=True)

@@ -707,18 +707,15 @@ class BatchedTrajectoryEngine:
 
     def _run_tn(self, context: _TrajectoryContext, uniforms: np.ndarray) -> np.ndarray:
         num_samples = uniforms.shape[0]
-        if context.num_channels == 0:
-            # Only reached via the noiseless short-circuit in estimate_fidelity:
-            # the specialization baked the deterministic amplitude.
-            value = float(abs(context.network.specialized.execute([])) ** 2)
-            return np.full(num_samples, value)
-
         # Draw all Kraus choices channel-by-channel (same uniforms as the
         # per-sample loop would consume), accumulate importance weights in
         # channel order, matching the loop's sequential division exactly, and
-        # group the samples by their Kraus history as it grows.
+        # group the samples by their Kraus history as it grows.  Without
+        # channels every sample shares the one empty history, whose row
+        # replays the amplitude the specialization baked.
         choices = np.empty((num_samples, context.num_channels), dtype=int)
         weights = np.ones(num_samples)
+        keys = np.zeros(1, dtype=np.intp)
         group = np.zeros(num_samples, dtype=np.intp)
         for channel, cdf in enumerate(context.q_cdfs):
             choices[:, channel] = np.searchsorted(cdf, uniforms[:, channel], side="right")

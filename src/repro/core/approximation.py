@@ -264,22 +264,22 @@ class ApproximateNoisySimulator:
         level = min(level, num_noises)
 
         rows = level_rows(decompositions, level)
-        contributions = [0.0 + 0.0j] * (level + 1)
+        contributions = [0.0] * (level + 1)
         for k, value in zip(np.count_nonzero(rows, axis=1).tolist(), prepared.evaluate(rows).tolist()):
             contributions[k] += value
-        total = 0.0 + 0.0j
+        total = 0.0
         for contribution in contributions:
             total += contribution
 
         max_rate = max((d.noise_rate for d in decompositions), default=0.0)
         elapsed = time.perf_counter() - start
         return ApproximationResult(
-            value=float(np.real(total)),
+            value=total,
             level=level,
             num_noises=num_noises,
             num_terms=len(rows),
             num_contractions=2 * len(rows),
-            level_contributions=tuple(float(np.real(c)) for c in contributions),
+            level_contributions=tuple(contributions),
             max_noise_rate=max_rate,
             elapsed_seconds=elapsed,
         )

@@ -143,7 +143,7 @@ class PathTruncatedSimulator:
 
         weights, paths = zip(*enumerate_paths_by_weight(decompositions, max_paths=max_paths))
         rows = np.array(paths, dtype=int).reshape(len(paths), len(decompositions))
-        total = 0.0 + 0.0j
+        total = 0.0
         for value in prepared.evaluate(rows).tolist():
             total += value
         evaluated_weight = 0.0
@@ -152,7 +152,7 @@ class PathTruncatedSimulator:
 
         elapsed = time.perf_counter() - start
         return PathTruncationResult(
-            value=float(np.real(total)),
+            value=total,
             num_paths=len(paths),
             num_contractions=2 * len(paths),
             total_weight_evaluated=evaluated_weight,

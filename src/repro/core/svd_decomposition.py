@@ -60,11 +60,6 @@ class NoiseTermDecomposition:
         """The dominant term ``(U_0, V_0)``."""
         return self.terms[0]
 
-    @property
-    def subdominant(self) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
-        """The non-dominant terms ``(U_i, V_i)`` for ``i ≥ 1``."""
-        return self.terms[1:]
-
     def term_matrix(self, index: int) -> np.ndarray:
         """Return the Kronecker product ``U_i ⊗ V_i`` of term ``index``."""
         u, v = self.terms[index]

@@ -28,9 +28,9 @@ numpy's own ``tensordot`` decomposition, precomputed:
 is what ``np.tensordot(a, b, (axes_a, axes_b))`` computes, so a replay is
 bit-identical to a per-step ``tensordot`` replay while skipping
 ``tensordot``'s per-call axis validation and shape arithmetic (the whole
-cost of a step on small tensors).  The same table carries the row-batched
-variants of the residual steps and the reverse sweep's environment kernels,
-and one loop (:func:`_run`) executes every one of them.
+cost of a step on small tensors).  The same table carries each
+specialization's row-batched kernels and the reverse sweep's environment
+kernels, and one loop (:func:`_run`) executes every one of them.
 
 When only a known subset of inputs varies between replays (the sampled Kraus
 tensors of a trajectory, the substituted SVD factors of an approximation
@@ -38,20 +38,20 @@ term), :meth:`ContractionPlan.specialize` partially evaluates the plan over
 the static inputs once — every contraction whose operands are (transitively)
 independent of the variable positions is computed at specialisation time —
 leaving a :class:`SpecializedPlan` that replays only the residual,
-variable-dependent steps.  :meth:`SpecializedPlan.execute` and
-:meth:`ContractionPlan.execute` run the same kernels in the same order, so
-the residual's value is bit-identical to a full replay — a full replay is
-simply a specialization with no baked steps.
+variable-dependent steps, from one list of row-batched kernels.
 
 A replay picks one candidate tensor per variable position, so it is an
 integer *index row*: Algorithm 1's terms and path truncation's paths pick an
 SVD term per noise, a ``trajectories_tn`` sample its drawn Kraus operator.
 :meth:`SpecializedPlan.execute_rows` is the one evaluator for such rows: it
 gathers every row's candidates from their stacks into inputs with a leading
-row axis and walks the residual steps once per chunk of rows.  Batched
-contractions sum in a different order than per-row replays, so
-row values agree with :meth:`SpecializedPlan.execute` to within a few ulps
-(≤1e-15 relative on the tracked workloads), not bit for bit.
+row axis and walks the residual steps once per chunk of rows.  A single
+substitution (:meth:`SpecializedPlan.execute`) is a one-row batch: with one
+row, each row kernel multiplies the same matrices as the sequential step, so
+its value equals a full :meth:`ContractionPlan.execute` with the same inputs
+bit for bit.  Batched contractions of many rows sum in a different order,
+so their values agree with one-row replays to within a few ulps (≤1e-15
+relative on the tracked workloads), not bit for bit.
 
 :meth:`ContractionPlan.environments` differentiates a plan: the same
 forward loop keeps the operands a reverse sweep needs, and the sweep returns
@@ -179,7 +179,7 @@ class ContractionPlan:
         self._check_inputs(tensors)
         table = self._kernel_table(tensors)
         buffer = list(tensors) + [None] * len(self.steps)
-        return _replay(buffer, table.forward, self._result_slot(), xp)
+        return _scalar(_replay(buffer, table.forward, self._result_slot(), xp), xp)
 
     def environments(
         self, tensors: List[np.ndarray], positions: Sequence[int], xp=None
@@ -207,34 +207,32 @@ class ContractionPlan:
         if unknown:
             raise ValidationError(f"environment positions {unknown} out of range")
         table = self._kernel_table(tensors)
-        on_path = set(wanted)
-        keep = set()
-        for slot_a, slot_b, _, _, out in self.steps:
-            if slot_a in on_path or slot_b in on_path:
-                on_path.add(out)
-                if slot_a in on_path:
-                    keep.add(slot_b)
-                if slot_b in on_path:
-                    keep.add(slot_a)
+        # A slot is on a path to a requested input exactly when it is not
+        # static in the specialization over those inputs.
+        _, _, static = table.specialization(frozenset(wanted))
+        keep = {
+            other
+            for slot_a, slot_b, _, _, _ in self.steps
+            for slot, other in ((slot_a, slot_b), (slot_b, slot_a))
+            if not static[slot]
+        }
         buffer = list(tensors) + [None] * len(self.steps)
-        result_slot = self._result_slot()
-        value = _replay(buffer, table.forward, result_slot, xp, keep)
+        result = _replay(buffer, table.forward, self._result_slot(), xp, keep=keep)
         ops = get_namespace("cpu") if xp is None else xp
         primitives = _primitives(xp)
-        result = buffer[result_slot]
-        envs = {result_slot: ops.full(result.shape, 1.0, dtype=ops.complex_dtype)}
+        envs = {self._result_slot(): ops.full(result.shape, 1.0, dtype=ops.complex_dtype)}
         for (slot_a, slot_b, _, _, out), (kernel_a, kernel_b) in zip(
             reversed(self.steps), reversed(table.reverse())
         ):
-            if out not in on_path:
+            if static[out]:
                 continue
             env = envs.pop(out)
-            if slot_a in on_path:
+            if not static[slot_a]:
                 envs[slot_a] = _apply(kernel_a, env, buffer[slot_b], primitives)
-            if slot_b in on_path:
+            if not static[slot_b]:
                 envs[slot_b] = _apply(kernel_b, env, buffer[slot_a], primitives)
             buffer[slot_a] = buffer[slot_b] = None
-        return value, {position: envs[position] for position in sorted(wanted)}
+        return _scalar(result, xp), {position: envs[position] for position in sorted(wanted)}
 
     def specialize(
         self,
@@ -248,9 +246,10 @@ class ContractionPlan:
         :class:`SpecializedPlan` accepts fresh values for the variable
         positions per call and replays only the steps that depend on them.
         Only the static intermediates a residual step reads stay baked.  The
-        split into baked and residual steps and the residual row kernels are
-        derived once per set of variable positions and cached on the kernel
-        table, so specializing another binding only computes the baked values.
+        split into baked and residual steps and the residual steps' row
+        kernels are derived once per set of variable positions and cached on
+        the kernel table, so specializing another binding only computes the
+        baked values.
         """
         self._check_inputs(tensors)
         variable = {int(position) for position in variable_positions}
@@ -258,7 +257,7 @@ class ContractionPlan:
         if unknown:
             raise ValidationError(f"variable positions {unknown} out of range")
         table = self._kernel_table(tensors)
-        baked_steps, residual, rows, static = table.specialization(frozenset(variable))
+        baked_steps, rows, static = table.specialization(frozenset(variable))
         baked: List[np.ndarray | None] = [
             tensor if static[position] else None for position, tensor in enumerate(tensors)
         ]
@@ -266,7 +265,6 @@ class ContractionPlan:
         _run(baked, baked_steps, _HOST)
         return SpecializedPlan(
             baked,
-            residual,
             rows,
             sorted(variable),
             self._result_slot(),
@@ -277,16 +275,32 @@ class ContractionPlan:
 class SpecializedPlan:
     """A partially evaluated :class:`ContractionPlan` (see :meth:`ContractionPlan.specialize`).
 
-    Static intermediates are baked in; :meth:`execute` substitutes the
-    variable inputs and replays only the residual steps, bit-identical to a
-    full :meth:`ContractionPlan.execute` replay with the same inputs.
-    :meth:`execute_rows` replays many index rows in one batched pass; its
-    values agree with :meth:`execute` to within a few ulps.
+    Static intermediates are baked in, and the residual steps are kept once,
+    as row-batched kernels.  :meth:`execute_rows` substitutes a candidate per
+    variable position for every index row and replays the residual steps in
+    one batched pass; :meth:`execute` is a one-row batch, bit-identical to a
+    full :meth:`ContractionPlan.execute` replay with the same inputs:
+
+        >>> import numpy as np
+        >>> from repro.tensornetwork import ContractionPlan, TensorNetwork
+        >>> network = TensorNetwork()
+        >>> for tensor, labels in (([1, 2], (0,)), (np.eye(2), (0, 1)), ([1, 2], (1,))):
+        ...     _ = network.add(np.array(tensor), labels)
+        >>> plan = ContractionPlan.record(network)
+        >>> specialized = plan.specialize(network.tensors, [1])
+        >>> swap = np.array([[0, 1], [1, 0]], dtype=complex)
+        >>> candidates = np.stack([network.tensors[1], swap])
+        >>> values = specialized.execute_rows([candidates], np.array([[0], [1]])).tolist()
+        >>> values
+        [(5+0j), (4+0j)]
+        >>> [specialized.execute([network.tensors[1]]), specialized.execute([swap])] == values
+        True
+        >>> plan.execute(network.tensors) == values[0]
+        True
     """
 
     __slots__ = (
         "_baked",
-        "_residual",
         "_rows",
         "variable_positions",
         "_result_slot",
@@ -297,23 +311,20 @@ class SpecializedPlan:
     def __init__(
         self,
         baked: List[np.ndarray | None],
-        residual: List[tuple],
         rows: List[tuple],
         variable_positions: List[int],
         result_slot: int,
         peak_intermediate_entries: int,
     ) -> None:
         self._baked = baked
-        #: The residual steps' kernels (one row per replay) ...
-        self._residual = residual
-        #: ... and their row-batched variants (execute_rows).
+        #: The residual steps' row-batched kernels.
         self._rows = rows
         self.variable_positions = variable_positions
         self._result_slot = result_slot
         #: The recorded plan's largest intermediate (sizes row chunks).
         self.peak_intermediate_entries = peak_intermediate_entries
         #: Per-namespace device copies of the baked tensors, transferred once
-        #: on the first device execute (callers keep their variable candidates
+        #: on the first device replay (callers keep their variable candidates
         #: device-resident too; see BatchedTrajectoryEngine._run_tn).
         self._device_baked: dict = {}
 
@@ -332,24 +343,18 @@ class SpecializedPlan:
     @property
     def num_residual_steps(self) -> int:
         """Contractions actually replayed per call (the rest are baked)."""
-        return len(self._residual)
+        return len(self._rows)
 
     def execute(self, variables: Sequence[np.ndarray], xp=None) -> complex:
-        """Return the scalar for the given variable-input values.
+        """Return the scalar for the given variable-input values: a one-row :meth:`execute_rows`.
 
         ``variables[j]`` is the tensor for ``variable_positions[j]`` in this
         call (shapes must match the template's; device arrays of ``xp`` when
         a namespace is given — the baked static intermediates are transferred
         to that device once and cached).
         """
-        if len(variables) != len(self.variable_positions):
-            raise ValidationError(
-                f"missing substitution: {len(self.variable_positions)} variables, got {len(variables)}"
-            )
-        buffer = list(self._baked_for(xp))
-        for position, tensor in zip(self.variable_positions, variables):
-            buffer[position] = tensor
-        return _replay(buffer, self._residual, self._result_slot, xp)
+        stacks = [tensor.reshape((1,) + tensor.shape) for tensor in variables]
+        return complex(self.execute_rows(stacks, np.zeros((1, len(variables)), dtype=np.intp), xp)[0])
 
     def execute_rows(self, factors: Sequence[np.ndarray], rows, xp=None) -> np.ndarray:
         """Replay the plan for every index row at once; return a complex array ``[K]``.
@@ -359,19 +364,29 @@ class SpecializedPlan:
         when a namespace is given) and ``rows`` is an integer array of shape
         ``[K, len(factors)]``: row ``r`` substitutes ``factors[j][rows[r, j]]``
         at every variable position.  Rows are replayed in chunks of
-        ``ROW_BATCH_ENTRIES // peak_intermediate_entries``; values agree with
-        a per-row :meth:`execute` to within a few ulps.
+        ``ROW_BATCH_ENTRIES // peak_intermediate_entries``; a chunk of one row
+        is bit-identical to a full :meth:`ContractionPlan.execute`, and larger
+        chunks agree with it to within a few ulps.
+
+        A slot of the replay is either static (a baked tensor) or batched (a
+        leading row axis in front of the sequential step's axes); every
+        residual step has a batched operand, and its row kernel (see
+        :func:`_kernel`) leaves the row axis first.  Without variables nothing
+        is batched and the baked result is every row's value.
         """
         rows = self._check_rows(factors, rows)
         values = np.empty(len(rows), dtype=complex)
-        if not len(rows):
-            return values
         ops = get_namespace("cpu") if xp is None else xp
         baked = self._baked_for(xp)
         chunk = max(1, ROW_BATCH_ENTRIES // max(1, self.peak_intermediate_entries))
         for start in range(0, len(rows), chunk):
             block = rows[start : start + chunk]
-            values[start : start + len(block)] = self._replay_block(baked, factors, block, ops, xp)
+            buffer = list(baked)
+            for column, position in enumerate(self.variable_positions):
+                buffer[position] = factors[column][block[:, column]]
+            entries = len(block) if self.variable_positions else 1
+            result = _replay(buffer, self._rows, self._result_slot, xp, entries)
+            values[start : start + len(block)] = ops.to_host(result).reshape(-1)
         return values
 
     def _check_rows(self, factors: Sequence[np.ndarray], rows) -> np.ndarray:
@@ -395,26 +410,6 @@ class SpecializedPlan:
                 f"which has {counts[column]} candidates"
             )
         return rows.astype(np.intp, copy=False)
-
-    def _replay_block(self, baked: List, stacks: List, rows: np.ndarray, ops, xp) -> np.ndarray:
-        """Run the residual steps for every row of ``rows`` at once; return the host values ``[K]``.
-
-        A slot is either static (a baked tensor) or batched (a leading row
-        axis ``K`` in front of the sequential step's axes); every residual
-        step has a batched operand, and its row kernel (see :func:`_kernel`)
-        leaves the row axis first.  Without variables nothing is batched and
-        the baked result is every row's value.
-        """
-        buffer = list(baked)
-        for column, position in enumerate(self.variable_positions):
-            buffer[position] = stacks[column][rows[:, column]]
-        _run(buffer, self._rows, _primitives(xp))
-        result = buffer[self._result_slot]
-        batched = bool(self.variable_positions)
-        if result is None or result.size != (len(rows) if batched else 1):
-            raise ValidationError("plan did not reduce the network to a scalar")
-        values = ops.to_host(result).reshape(-1)
-        return values if batched else np.full(len(rows), values[0])
 
 
 class _KernelTable:
@@ -443,13 +438,14 @@ class _KernelTable:
         self._specializations: Dict[AbstractSet[int], tuple] = {}
 
     def specialization(self, variable: AbstractSet[int]) -> tuple:
-        """``(baked_steps, residual, rows, static)`` for the inputs in ``variable``.
+        """``(baked_steps, rows, static)`` for the inputs in ``variable``.
 
         ``baked_steps`` are the forward kernels whose operands are all
-        static, ``residual`` the rest and ``rows`` their row-batched
-        variants; ``static[slot]`` says whether a slot's value is fixed.
-        Derived on first use per variable set and built whole before it is
-        stored, like the table itself.
+        static, ``rows`` the row-batched kernels of the other (residual)
+        steps, and ``static[slot]`` says whether a slot's value is fixed: a
+        step is residual exactly when an operand depends on an input in
+        ``variable``.  Derived on first use per variable set and built whole
+        before it is stored, like the table itself.
         """
         cached = self._specializations.get(variable)
         if cached is not None:
@@ -457,14 +453,13 @@ class _KernelTable:
         num_inputs = len(self.shapes) - len(self.steps)
         static = [position not in variable for position in range(num_inputs)]
         static += [True] * len(self.steps)
-        baked_steps, residual, rows = [], [], []
+        baked_steps, rows = [], []
         for step, kernel in zip(self.steps, self.forward):
             slot_a, slot_b, axes_a, axes_b, out = step
             if static[slot_a] and static[slot_b]:
                 baked_steps.append(kernel)
                 continue
             static[out] = False
-            residual.append(kernel)
             rows.append(
                 (slot_a, slot_b, out)
                 + _kernel(
@@ -476,7 +471,7 @@ class _KernelTable:
                     rows_b=not static[slot_b],
                 )
             )
-        cached = self._specializations[variable] = (baked_steps, residual, rows, static)
+        cached = self._specializations[variable] = (baked_steps, rows, static)
         return cached
 
     def reverse(self) -> List[Tuple[_Kernel, _Kernel]]:
@@ -620,8 +615,8 @@ def _apply(kernel: _Kernel, left, right, primitives: tuple):
 def _run(buffer: List, kernels: Sequence[tuple], primitives: tuple, keep: AbstractSet[int] = frozenset()) -> None:
     """Execute ``(slot_a, slot_b, out) + kernel`` steps over the slot ``buffer``.
 
-    The one replay loop: full and residual replays, the row-batched replay
-    and specialisation all run through it.  Every slot is read by exactly
+    The one replay loop: full replays, the row-batched replay and
+    specialisation all run through it.  Every slot is read by exactly
     one step, so operands are released as soon as they are consumed (only
     the live intermediates stay in memory); slots in ``keep`` stay in
     ``buffer`` for a later reverse sweep (:meth:`ContractionPlan.environments`).
@@ -642,13 +637,27 @@ def _run(buffer: List, kernels: Sequence[tuple], primitives: tuple, keep: Abstra
 
 
 def _replay(
-    buffer: List, kernels: Sequence[tuple], result_slot: int, xp, keep: AbstractSet[int] = frozenset()
-) -> complex:
-    """:func:`_run` ``kernels`` over ``buffer`` and return the scalar in ``result_slot``."""
+    buffer: List,
+    kernels: Sequence[tuple],
+    result_slot: int,
+    xp,
+    entries: int = 1,
+    keep: AbstractSet[int] = frozenset(),
+):
+    """:func:`_run` ``kernels`` over ``buffer``; return the result slot's ``entries`` values.
+
+    The result stays a tensor of ``xp`` (host if None): a scalar replay
+    converts it with :func:`_scalar`, a row replay copies it to the host.
+    """
     _run(buffer, kernels, _primitives(xp), keep)
     result = buffer[result_slot]
-    if result is None or result.size != 1:
+    if result is None or result.size != entries:
         raise ValidationError("plan did not reduce the network to a scalar")
+    return result
+
+
+def _scalar(result, xp) -> complex:
+    """A one-entry replay result as a Python complex."""
     if xp is None:
         return complex(result.reshape(()))
     return complex(xp.to_scalar(result))

@@ -34,10 +34,11 @@ from repro.noise import (
     depolarizing_channel,
     two_qubit_depolarizing_channel,
 )
-from repro.simulators import DensityMatrixSimulator
+from repro.simulators import DensityMatrixSimulator, TNSimulator
 from repro.simulators.statevector import apply_matrix
 from repro.utils import zero_state
 from repro.utils.validation import ValidationError
+from repro.verify import generate_workloads
 from repro.xp import get_namespace
 
 
@@ -170,9 +171,18 @@ class TestEngineValidation:
         assert result.standard_error == pytest.approx(0.0, abs=1e-12)
         assert result.estimate == pytest.approx(0.5)
 
-    def test_noiseless_circuit_tn(self):
-        result = BatchedTrajectoryEngine("tn").estimate_fidelity(ghz_circuit(3), 10, rng=2)
-        assert result.estimate == pytest.approx(0.5)
+    @pytest.mark.parametrize(
+        "circuit",
+        [ghz_circuit(3), qaoa_circuit(4, seed=3, native_gates=False)]
+        + [workload.circuit for workload in generate_workloads(cases=24, seed=3)],
+        ids=lambda circuit: circuit.name,
+    )
+    def test_noiseless_circuit_tn(self, circuit):
+        # Every sample holds the noiseless |amplitude|², replayed as one empty row.
+        n = circuit.num_qubits
+        expected = abs(TNSimulator().amplitude(circuit, "0" * n, "0" * n)) ** 2
+        result = BatchedTrajectoryEngine("tn").estimate_fidelity(circuit, 10, rng=2, keep_samples=True)
+        assert result.samples == (expected,) * 10
 
 
 class TestBatchedApply:

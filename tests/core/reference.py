@@ -12,10 +12,11 @@ fully substituted term, the upper and the lower one, which the library
 never builds: its lower network is the conjugate of the upper one over the
 term's singular-value product.
 
-:func:`sequential_execute_rows` replays a specialized plan once per row
-through :meth:`SpecializedPlan.execute` — the per-row loop the batched
-:meth:`SpecializedPlan.execute_rows` replaced, and the reference the
-golden values were computed with.
+:func:`sequential_execute_rows` replays a specialized plan once per row,
+each row a one-row :meth:`SpecializedPlan.execute_rows` batch (what
+:meth:`SpecializedPlan.execute` runs) — the per-row loop the batched replay
+replaced, and the reference the golden values were computed with.  It holds
+the unpatched ``execute_rows``, so a test may patch that method with it.
 
 The tensordot slot replays are the plan replay written plainly, one
 ``np.tensordot`` (or stacked ``matmul``) per step: a kernel-table replay
@@ -104,15 +105,18 @@ def substituted_split_networks(
     return tuple(halves)
 
 
+#: The library's row replay, held before a test patches ``execute_rows`` with
+#: :func:`sequential_execute_rows` (which must not call the patched method).
+_execute_rows = SpecializedPlan.execute_rows
+
+
 def sequential_execute_rows(plan: SpecializedPlan, factors, rows, xp=None) -> np.ndarray:
-    """One :meth:`SpecializedPlan.execute` per index row (signature of ``execute_rows``)."""
-    return np.array(
-        [
-            plan.execute([candidates[index] for candidates, index in zip(factors, row)], xp)
-            for row in np.asarray(rows, dtype=int).tolist()
-        ],
-        dtype=complex,
-    )
+    """One one-row replay per index row (signature of ``execute_rows``)."""
+    rows = np.asarray(rows, dtype=np.intp)
+    values = np.empty(len(rows), dtype=complex)
+    for index in range(len(rows)):
+        values[index] = _execute_rows(plan, factors, rows[index : index + 1], xp)[0]
+    return values
 
 
 def tensordot_execute_rows(plan, tensors, variable_positions, factors, rows) -> np.ndarray:
@@ -181,8 +185,14 @@ class _DenseTerms:
     v: np.ndarray
 
     def evaluate(self, rows) -> np.ndarray:
-        """Dense value of every term; row ``r`` picks SVD term ``rows[r, s]`` of noise ``s``."""
-        return np.array([self._term(row) for row in np.asarray(rows, dtype=int).tolist()], dtype=complex)
+        """Dense value of every term; row ``r`` picks SVD term ``rows[r, s]`` of noise ``s``.
+
+        A term is real (the lower half is the conjugate of the upper one over
+        the singular-value product), so, like the library's, the values are
+        real: the rounding left in each imaginary part is dropped.
+        """
+        terms = [self._term(row) for row in np.asarray(rows, dtype=int).tolist()]
+        return np.array(terms, dtype=complex).real
 
     def _term(self, row) -> complex:
         n = self.circuit.num_qubits

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import repro.core.approximation as approximation
+from benchmarks.reference_loops import tensordot_row_loop, tensordot_specialize
 from repro.api import apply_noise
 from repro.backends.engine import BatchedTrajectoryEngine
 from repro.circuits.library import qaoa_circuit
@@ -107,6 +108,22 @@ class TestOneNetworkPerTerm:
             batched = specialized.execute_rows(prepared.factors, rows)
             sequential = sequential_execute_rows(specialized, prepared.factors, rows)
             assert rows_close(batched, sequential), workload.describe()
+
+    def test_sequential_rows_equal_the_tensordot_row_loop(self, family, boundary):
+        # An independent per-row oracle for the one-row replay.
+        for workload, circuit, states in _family_cases(family, boundary):
+            prepared = ApproximateNoisySimulator().prepare(circuit, *states)
+            rows = level_rows(prepared.decompositions, 2)
+            network = prepared.network
+            positions = network.specialized.variable_positions
+            oracle = tensordot_row_loop(
+                tensordot_specialize(network.plan, network.tensors, positions),
+                positions,
+                prepared.factors,
+                rows,
+            )
+            sequential = sequential_execute_rows(network.specialized, prepared.factors, rows)
+            assert np.array_equal(sequential, oracle), workload.describe()
 
     def test_terms_are_nonnegative_and_levels_increase(self, family, boundary):
         simulator = ApproximateNoisySimulator()
