@@ -17,8 +17,10 @@ p=0.001:
   term replays;
 * **ours_l2** — the 1 + 3·8 + 9·28 level-2 rows;
 * **traj_tn** — 2000 sampled Kraus rows of the trajectory plan, replayed
-  in blocks of :data:`~repro.backends.engine.RNG_BLOCK` rows as the engine
-  replays them.
+  in chunks of :data:`~repro.backends.engine.RNG_BLOCK` rows, as the engine
+  replays the distinct histories of a pass (one batch of all 2000 rows
+  crosses OpenBLAS's threading threshold and ran ~8x slower on a 2-vCPU
+  host).
 
 Both evaluators must agree within 1e-12 relative (the batched pass sums in a
 different order, nothing else).  The recorded headline is the aggregate

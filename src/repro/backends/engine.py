@@ -18,11 +18,12 @@ two batched hot paths:
 * **tn** — the amplitude network of a trajectory has the same topology for
   every sample (only the sampled Kraus tensor *values* change), so the node /
   edge construction and the greedy contraction-ordering work are done once on
-  a template; every distinct trajectory of a block is an index row of drawn
-  Kraus operators, all of them replay it in one batched pass through
-  :meth:`repro.tensornetwork.plan.SpecializedPlan.execute_rows`
-  (state-independent Kraus sampling with importance weights), and samples
-  gather their row's amplitude.
+  a template; every distinct Kraus history of a pass of up to
+  :data:`PASS_BLOCKS` RNG blocks is an index row of drawn Kraus operators
+  (state-independent Kraus sampling with importance weights), the sorted
+  rows replay it in batched calls of at most :data:`RNG_BLOCK` rows to
+  :meth:`repro.tensornetwork.plan.SpecializedPlan.execute_rows`, and
+  samples gather their row's amplitude.
 
 Grouping never changes which Kraus operators a sample draws: the per-sample
 values (to fp rounding), the estimator and its standard error are those of a
@@ -30,14 +31,15 @@ one-state-per-sample evolution, and only the wall time falls.
 
 Samples are split into fixed-size blocks of :data:`RNG_BLOCK` trajectories
 and block ``b`` draws one uniform per (sample, channel), sample-major, from
-the independent stream ``default_rng([seed, b])``.  Results therefore depend
-only on the seed, never on the worker count: ``workers=None`` and
-``workers=1`` run the blocks in-process, ``workers=k > 1`` on a
-``concurrent.futures`` process pool, all with identical values.  (numpy's
-``default_rng([s, 0])`` is the same stream as ``default_rng(s)``, so block 0
-is the plain seeded stream.)  A grouped statevector pass concatenates its
-blocks' uniforms and hands the values back per block, so the streaming
-estimator merges them in block order whatever the pass layout.
+the independent stream ``default_rng([seed, b])``.  Pass ``p`` is blocks
+``[p * PASS_BLOCKS, (p + 1) * PASS_BLOCKS)``: it concatenates its blocks'
+uniforms, is simulated in one grouped call and hands the values back per
+block, so the streaming estimator merges them in block order.  Results
+therefore depend only on the seed, never on the worker count:
+``workers=None`` and ``workers=1`` run the passes in-process,
+``workers=k > 1`` deals whole passes over a ``concurrent.futures`` process
+pool, all with identical values.  (numpy's ``default_rng([s, 0])`` is the
+same stream as ``default_rng(s)``, so block 0 is the plain seeded stream.)
 
 Both hot paths dispatch their dense math through an
 :class:`repro.xp.ArrayNamespace` (``device=`` on the constructor).  Gate and
@@ -88,10 +90,12 @@ class WorkerPoolError(RuntimeError):
 #: are reproducible across worker counts.
 RNG_BLOCK = 256
 
-#: RNG blocks per grouped statevector pass.  Fixed like :data:`RNG_BLOCK`,
-#: though values never depend on it: a pass holds one uniform per (sample,
-#: channel) of up to ``PASS_BLOCKS * RNG_BLOCK`` samples, so million-sample
-#: runs stream through bounded host memory.
+#: RNG blocks per grouped pass.  Fixed like :data:`RNG_BLOCK`: statevector
+#: values never depend on it, but a tn pass replays its distinct rows in
+#: batches whose rounding can move a value in the last ulp, so tn values
+#: depend on the pass (never on the worker, which runs whole passes).  A pass holds one
+#: uniform per (sample, channel) of up to ``PASS_BLOCKS * RNG_BLOCK`` samples,
+#: so million-sample runs stream through bounded host memory.
 PASS_BLOCKS = 64
 
 
@@ -465,13 +469,13 @@ class BatchedTrajectoryEngine:
             absorb(np.full(num_samples, value))
         else:
             seed = self._resolve_seed(rng)
-            blocks = self._blocks(num_samples)
+            passes = self._passes(num_samples)
             if pooled:
                 block_values = self._run_pool(
-                    circuit, input_state, output_state, seed, blocks, workers, executor
+                    circuit, input_state, output_state, seed, passes, workers, executor
                 )
             else:
-                block_values = self._run_blocks(context, seed, blocks)
+                block_values = self._run_blocks(context, seed, passes)
             for values in block_values:
                 absorb(values)
 
@@ -503,31 +507,33 @@ class BatchedTrajectoryEngine:
         return int(np.random.default_rng(rng).integers(2**63))
 
     @staticmethod
-    def _blocks(num_samples: int) -> List[Tuple[int, int]]:
-        """Fixed-size (block_index, block_samples) partition of the sample count."""
-        blocks = []
-        start = 0
-        index = 0
-        while start < num_samples:
-            blocks.append((index, min(RNG_BLOCK, num_samples - start)))
-            start += RNG_BLOCK
-            index += 1
-        return blocks
+    def _passes(num_samples: int) -> List[List[Tuple[int, int]]]:
+        """The fixed-size ``(block_index, block_samples)`` blocks of the sample count, in passes.
+
+        Pass ``p`` holds blocks ``[p * PASS_BLOCKS, (p + 1) * PASS_BLOCKS)``;
+        only the last block and the last pass can be partial.
+        """
+        blocks = [
+            (index, min(RNG_BLOCK, num_samples - start))
+            for index, start in enumerate(range(0, num_samples, RNG_BLOCK))
+        ]
+        return [blocks[start : start + PASS_BLOCKS] for start in range(0, len(blocks), PASS_BLOCKS)]
 
     def _run_blocks(
-        self, context: _TrajectoryContext, seed: int, blocks: Sequence[Tuple[int, int]]
+        self,
+        context: _TrajectoryContext,
+        seed: int,
+        passes: Sequence[Sequence[Tuple[int, int]]],
     ):
-        """Yield the values of each ``(block_index, block_samples)`` block, in order.
+        """Yield the values of each block of ``passes``, in order.
 
-        Block ``b`` draws its uniforms from ``default_rng([seed, b])``.  The
-        statevector path evolves up to :data:`PASS_BLOCKS` blocks as one
-        grouped pass (each distinct Kraus history of the pass once); the tn
-        path replays block by block.  Either way the values come back per
-        block, so they never depend on how the blocks were batched.
+        Block ``b`` draws its uniforms from ``default_rng([seed, b])``, and
+        each pass is simulated in one grouped call that evolves (statevector)
+        or replays (tn) each distinct Kraus history of the pass once.  The
+        values come back per block.  Passes are run as given, never merged or
+        re-sliced, so a block's values depend only on the seed and its pass.
         """
-        step = PASS_BLOCKS if self.backend == "statevector" else 1
-        for start in range(0, len(blocks), step):
-            chunk = blocks[start : start + step]
+        for chunk in passes:
             uniforms = np.concatenate(
                 [
                     np.random.default_rng([seed, block_index]).random(
@@ -548,20 +554,21 @@ class BatchedTrajectoryEngine:
         input_state: StateLike,
         output_state: StateLike,
         seed: int,
-        blocks: List[Tuple[int, int]],
+        passes: List[List[Tuple[int, int]]],
         workers: int,
         executor=None,
     ):
-        """Deal the blocks round-robin over a process pool, one block group per worker.
+        """Deal whole passes round-robin over a process pool, one list of passes per worker.
 
-        Block seeding makes the values independent of the distribution, so a
-        pool failure (restricted environments) degrades to serial execution
-        with identical results.  A caller-supplied ``executor`` is reused and
-        left running; otherwise a pool is created and torn down per call.
+        A pass is the unit of work, so its blocks are simulated together
+        whatever the worker count (an estimate of fewer than ``workers``
+        passes uses fewer processes).  Block seeding makes the values
+        independent of the distribution, so a pool failure (restricted
+        environments) degrades to serial execution with identical results.
+        A caller-supplied ``executor`` is reused and left running; otherwise
+        a pool is created and torn down per call.
         """
-        groups: List[List[Tuple[int, int]]] = [[] for _ in range(min(workers, len(blocks)))]
-        for position, block in enumerate(blocks):
-            groups[position % len(groups)].append(block)
+        groups = [passes[start :: workers] for start in range(min(workers, len(passes)))]
         payloads = [
             (
                 self.backend,
@@ -575,7 +582,6 @@ class BatchedTrajectoryEngine:
                 self.device,
             )
             for group in groups
-            if group
         ]
         if executor is not None:
             try:
@@ -604,8 +610,9 @@ class BatchedTrajectoryEngine:
                         group_results = [_pool_worker(payload) for payload in payloads]
         # Re-emit in block order regardless of which worker ran which group.
         by_block = {}
-        for payload, results in zip(payloads, group_results):
-            for (block_index, _), values in zip(payload[7], results):
+        for group, results in zip(groups, group_results):
+            blocks = (block for chunk in group for block in chunk)
+            for (block_index, _), values in zip(blocks, results):
                 by_block[block_index] = values
         for block_index in sorted(by_block):
             yield by_block[block_index]
@@ -723,15 +730,20 @@ class BatchedTrajectoryEngine:
             weights /= context.q_dists[channel][choices[:, channel]]
             keys, group = _regroup(group, choices[:, channel], len(cdf))
         # An index row (a drawn Kraus operator per channel) per distinct
-        # history replays the specialized plan in one batched pass; samples
-        # gather their group's amplitude (a group's samples all hold its row,
-        # so the scatter below is order-free).  On a device the candidate
-        # Kraus tensors and the baked intermediates are resident.
+        # history replays the specialized plan; samples gather their group's
+        # amplitude (a group's samples all hold its row, so the scatter below
+        # is order-free).  The sorted rows replay in calls of at most
+        # RNG_BLOCK rows, as many as one block can hold: larger batches turn
+        # a small plan's products into BLAS calls that OpenBLAS threads, and
+        # on a 2-vCPU host each of those stalled ~8 ms.  On a device the
+        # candidate Kraus tensors and the baked intermediates are resident.
         rows = np.empty((keys.size, context.num_channels), dtype=int)
         rows[group] = choices
         dispatch = None if self._xp.device == "cpu" else self._xp
-        amplitudes = context.network.specialized.execute_rows(
-            context.kraus_factors(dispatch), rows, xp=dispatch
+        factors, replay = context.kraus_factors(dispatch), context.network.specialized.execute_rows
+        starts = range(0, keys.size, RNG_BLOCK)
+        amplitudes = np.concatenate(
+            [replay(factors, rows[start : start + RNG_BLOCK], xp=dispatch) for start in starts]
         )[group]
         # hypot then pow are the libm calls of Python's abs(amplitude) ** 2
         # (numpy's SIMD abs and square round differently in the last ulp), so
@@ -740,7 +752,7 @@ class BatchedTrajectoryEngine:
 
 
 def _pool_worker(payload) -> List[np.ndarray]:
-    """Process-pool entry point: run a group of RNG blocks and return their values."""
+    """Process-pool entry point: run a list of passes and return their blocks' values."""
     (
         backend,
         max_intermediate_size,

@@ -7,16 +7,17 @@ Covers the two guarantees the engine makes:
    the statevector and the tensor-network path
    (:mod:`benchmarks.reference_loops`).
 2. The result depends only on the seed — never on ``workers`` (``None``,
-   ``1`` or a process pool) — thanks to fixed-size per-block RNG streams.
+   ``1`` or a process pool) — thanks to fixed-size per-block RNG streams
+   and a pool that runs whole passes.
 
 Both paths evolve (statevector) or replay (tn) each distinct Kraus history
-once and copy its value to every sample sharing it: the statevector path
-groups across every RNG block of a pass (up to ``PASS_BLOCKS`` blocks),
-splitting depth-first into capped runs when a channel yields more group
-states than ``max_batch_entries`` allows; the tn path groups per block.  The
-oracle tests at the end pin that grouping on a many-duplicates and a
-two-qubit-Kraus case, and check that forced splits and pass boundaries never
-move a value.
+of a pass (up to ``PASS_BLOCKS`` RNG blocks) once and copy its value to
+every sample sharing it; the statevector path splits depth-first into
+capped runs when a channel yields more group states than
+``max_batch_entries`` allows.  The oracle tests at the end pin that grouping
+on a many-duplicates and a two-qubit-Kraus case, and check that forced
+splits and pass boundaries never move a statevector value and that a tn
+pass replays each of its histories once.
 """
 
 import numpy as np
@@ -24,7 +25,12 @@ import pytest
 
 from benchmarks.reference_loops import reference_statevector_loop, reference_tn_loop
 from repro.backends import engine as engine_module
-from repro.backends.engine import RNG_BLOCK, BatchedTrajectoryEngine, apply_matrix_batched
+from repro.backends.engine import (
+    PASS_BLOCKS,
+    RNG_BLOCK,
+    BatchedTrajectoryEngine,
+    apply_matrix_batched,
+)
 from repro.circuits.circuit import Circuit
 from repro.circuits.library import ghz_circuit, qaoa_circuit, random_circuit
 from repro.noise import (
@@ -36,6 +42,7 @@ from repro.noise import (
 )
 from repro.simulators import DensityMatrixSimulator, TNSimulator
 from repro.simulators.statevector import apply_matrix
+from repro.tensornetwork.plan import SpecializedPlan
 from repro.utils import zero_state
 from repro.utils.validation import ValidationError
 from repro.verify import generate_workloads
@@ -362,6 +369,51 @@ def test_one_pass_applies_each_gate_once(monkeypatch):
     monkeypatch.setattr(engine_module, "_apply_gate_tensor", spy)
     BatchedTrajectoryEngine("statevector").estimate_fidelity(circuit, 2000, rng=1)
     assert applied == [tuple(inst.qubits) for inst in circuit if inst.is_gate]
+
+
+def _tn_replays(monkeypatch, probability):
+    calls = []
+    execute_rows = SpecializedPlan.execute_rows
+
+    def spy(self, factors, rows, xp=None):
+        calls.append(np.array(rows))
+        return execute_rows(self, factors, rows, xp=xp)
+
+    monkeypatch.setattr(SpecializedPlan, "execute_rows", spy)
+    BatchedTrajectoryEngine("tn").estimate_fidelity(_qaoa9(probability), 2000, rng=1)
+    rows = np.concatenate(calls)
+    assert len(np.unique(rows, axis=0)) == len(rows)
+    return [len(call) for call in calls]
+
+
+def test_one_pass_replays_each_tn_history_once(monkeypatch):
+    # The tn twin of the gate spy above: the 8 blocks of a 2000-sample
+    # estimate form one pass, whose distinct histories replay in one call.
+    assert len(_tn_replays(monkeypatch, 0.001)) == 1
+
+
+def test_tn_replays_a_pass_in_calls_of_at_most_a_block(monkeypatch):
+    # At p = 0.3 a pass holds ~1000 distinct histories: they replay once
+    # each, in calls no larger than one block's.
+    sizes = _tn_replays(monkeypatch, 0.3)
+    assert len(sizes) > 1 and max(sizes) <= RNG_BLOCK
+
+
+def test_tn_passes_identical_across_worker_counts():
+    # Three passes, the last one partial.  A tn pass replays its rows in
+    # batches whose rounding can move a value in the last ulp with the batch
+    # layout (here at p = 0.1, not on the 3-qubit fixture), so the pool must
+    # run whole passes to keep every value.
+    engine = BatchedTrajectoryEngine("tn")
+    circuit = _qaoa9(0.1)
+    num_samples = 2 * PASS_BLOCKS * RNG_BLOCK + 37
+    kept = [
+        engine.estimate_fidelity(
+            circuit, num_samples, rng=3, keep_samples=True, workers=workers
+        ).samples
+        for workers in (None, 1, 2, 3)
+    ]
+    assert kept[0] == kept[1] == kept[2] == kept[3]
 
 
 @pytest.mark.parametrize("probability", [0.01, 0.1])
