@@ -16,11 +16,9 @@ p=0.001:
 * **ours_l1** — the 1 + 3·8 level-1 rows of the one amplitude network a
   term replays;
 * **ours_l2** — the 1 + 3·8 + 9·28 level-2 rows;
-* **traj_tn** — 2000 sampled Kraus rows of the trajectory plan, replayed
-  in chunks of :data:`~repro.backends.engine.RNG_BLOCK` rows, as the engine
-  replays the distinct histories of a pass (one batch of all 2000 rows
-  crosses OpenBLAS's threading threshold and ran ~8x slower on a 2-vCPU
-  host).
+* **traj_tn** — 2000 sampled Kraus rows of the trajectory plan in one
+  call, as the engine replays the distinct histories of a pass
+  (``execute_rows`` chunks them by :func:`~repro.tensornetwork.plan.row_chunk`).
 
 Both evaluators must agree within 1e-12 relative (the batched pass sums in a
 different order, nothing else).  The recorded headline is the aggregate
@@ -39,7 +37,7 @@ from benchmarks.conftest import run_once, write_report
 from benchmarks.reference_loops import tensordot_row_loop, tensordot_specialize
 from repro.analysis import format_table
 from repro.api import apply_noise
-from repro.backends.engine import RNG_BLOCK, BatchedTrajectoryEngine
+from repro.backends.engine import BatchedTrajectoryEngine
 from repro.circuits.library import benchmark_circuit
 from repro.core import ApproximateNoisySimulator
 from repro.core.approximation import level_rows
@@ -84,10 +82,7 @@ def _traj_cases():
     rows = np.stack(
         [rng.integers(0, len(candidates), size=TRAJ_SAMPLES) for candidates in factors], axis=1
     )
-    return [
-        (network.specialized, factors, rows[start : start + RNG_BLOCK], reference)
-        for start in range(0, TRAJ_SAMPLES, RNG_BLOCK)
-    ]
+    return [(network.specialized, factors, rows, reference)]
 
 
 METHODS = (

@@ -76,11 +76,9 @@ def plan_cache_key(
     optimized circuit (and correctly share a plan) or different fingerprints.  ``seed``, ``num_samples``,
     ``keep_samples`` and the approximation ``level`` never change what a
     backend precomputes, so they are excluded — a sweep over seeds, sample
-    counts or levels compiles once.  Of the execution plumbing, only the
-    pooled-vs-in-process *regime* bit (``workers > 1``) enters the key —
-    never the worker count or the executor handle — because a multi-process
-    run prepares its per-circuit context inside each worker and therefore
-    compiles to a different (empty) plan than an in-process run.
+    counts or levels compiles once.  The execution plumbing (``workers``,
+    the executor handle) never enters the key either: a trajectory plan is
+    one prepared context, replayed in-process or shipped to pool workers.
 
     >>> from repro.backends import SimulationTask
     >>> from repro.circuits.library import ghz_circuit
@@ -103,7 +101,6 @@ structural_fingerprint` — parameter *names*, expression coefficients and
     """
     payload = structural_config_payload(backend, task, backend_options)
     payload["circuit"] = circuit.structural_fingerprint()
-    payload["pooled"] = task.workers is not None and task.workers > 1
     return hash_payload(payload)
 
 

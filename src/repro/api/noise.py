@@ -29,7 +29,9 @@ from repro.circuits.circuit import Circuit
 from repro.noise import CHANNEL_FACTORIES, NoiseModel, SYCAMORE_LIKE_SPEC
 from repro.utils.validation import ValidationError
 
-__all__ = ["NOISE_CHANNELS", "NoiseSpec", "apply_noise", "canonical_noise", "noise_model"]
+__all__ = [
+    "NOISE_CHANNELS", "NoiseSpec", "apply_noise", "canonical_noise", "noise_model", "validated_noise",
+]
 
 #: Channel names ``noise`` mappings may use: every single-parameter factory in
 #: :data:`repro.noise.CHANNEL_FACTORIES` plus the superconducting model.
@@ -87,6 +89,17 @@ def canonical_noise(noise: Any, seed: int | None = None) -> NoiseSpec | None:
     """
     if noise is None:
         return None
+    spec = validated_noise(noise, seed)
+    return spec if spec.count else None
+
+
+def validated_noise(noise: Any, seed: int | None = None) -> NoiseSpec:
+    """The checks and defaults of :func:`canonical_noise`, keeping a zero count.
+
+    >>> from repro.api.noise import validated_noise
+    >>> validated_noise({"count": 0, "parameter": 0.02})
+    NoiseSpec(channel='depolarizing', parameter=0.02, count=0, seed=None)
+    """
     if isinstance(noise, NoiseModel):
         raise ValidationError(
             "a bare NoiseModel does not say how many noises to inject; call "
@@ -100,15 +113,15 @@ def canonical_noise(noise: Any, seed: int | None = None) -> NoiseSpec | None:
             f"unknown noise key(s) {', '.join(map(repr, unknown))}; "
             f"allowed: {', '.join(_NOISE_KEYS)}"
         )
-    if "count" not in noise:
-        # Defaulting to 0 would silently simulate the noiseless circuit.
-        raise ValidationError("a noise mapping needs an explicit 'count'")
-    count = _whole(noise["count"], "count")
     channel = noise.get("channel", "depolarizing")
     if not isinstance(channel, str) or channel not in NOISE_CHANNELS:
         raise ValidationError(
             f"unknown noise channel {channel!r}; known: {', '.join(NOISE_CHANNELS)}"
         )
+    if "count" not in noise:
+        # Defaulting to 0 would silently simulate the noiseless circuit.
+        raise ValidationError("a noise mapping needs an explicit 'count'")
+    count = _whole(noise["count"], "count")
     parameter = noise.get("parameter", 0.001)
     if (
         isinstance(parameter, bool)
@@ -120,8 +133,6 @@ def canonical_noise(noise: Any, seed: int | None = None) -> NoiseSpec | None:
     # exactly as if the key were absent, so the session's resolved seed wins.
     injection_seed = noise.get("seed")
     injection_seed = seed if injection_seed is None else _whole(injection_seed, "seed")
-    if count == 0:
-        return None
     return NoiseSpec(channel, float(parameter), count, injection_seed)
 
 

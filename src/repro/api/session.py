@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-import hashlib
 import os
 import threading
 import time
@@ -76,6 +75,7 @@ from repro.backends.registry import get_backend
 from repro.circuits.circuit import Circuit
 from repro.circuits.parameters import circuit_parameters, substitute
 from repro.circuits.passes import PassConfig, run_passes
+from repro.utils.seeds import stable_seed
 from repro.utils.validation import ValidationError
 from repro.xp import default_device, get_namespace
 
@@ -96,12 +96,6 @@ def ideal_output_state(circuit: Circuit) -> np.ndarray:
 
     ideal = circuit.without_noise() if circuit.noise_count() else circuit
     return StatevectorSimulator().run(ideal)
-
-
-def _derive_seed(*parts: object) -> int:
-    """Deterministic 63-bit seed from string parts (stable across processes)."""
-    digest = hashlib.sha256("\x1f".join(str(part) for part in parts).encode()).digest()
-    return int.from_bytes(digest[:8], "big") % (2**63)
 
 
 class _Front(NamedTuple):
@@ -423,7 +417,7 @@ class Session:
         def submission_seed() -> int:
             """One seed per submission: session-derived, else freshly drawn."""
             if self.seed is not None:
-                return _derive_seed(self.seed, "task", index)
+                return stable_seed(self.seed, "task", index)
             return int(np.random.default_rng().integers(2**63))
 
         # Noise injection consumes the task seed as its fallback; resolve it
@@ -522,8 +516,8 @@ class Session:
         the input circuit's fingerprint, the canonical noise spec with its
         resolved injection seed, the requested backend (``"auto"`` stays
         ``"auto"``) and its options, the boundary states as passed
-        (``"ideal"`` is the string), the bond ceiling, the pass config, the
-        task and session devices and the pooled bit.  Built on the payload
+        (``"ideal"`` is the string), the bond ceiling, the pass config and
+        the task and session devices.  Built on the payload
         :func:`~repro.api.result.task_config_hash` and
         :func:`~repro.api.executable.plan_cache_key` share.
         """
@@ -533,7 +527,6 @@ class Session:
             noise=spec,
             passes=pass_config.to_dict(),
             session_device=self.device,
-            pooled=task.workers is not None and task.workers > 1,
         )
         return hash_payload(payload)
 
@@ -626,14 +619,13 @@ class Session:
         recording, trajectory-context preparation, noise SVD decompositions)
         — reusing a previously compiled plan from the session's LRU cache
         when an equivalent configuration was compiled before (see
-        :func:`~repro.api.executable.plan_cache_key`; ``seed``, ``samples``
-        and ``level`` do not fragment the cache, and the key covers the
-        *optimized* circuit, so pass-on and pass-off compiles of one circuit
-        never collide).
+        :func:`~repro.api.executable.plan_cache_key`; ``seed``, ``samples``,
+        ``level`` and ``workers`` do not fragment the cache, and the key
+        covers the *optimized* circuit, so pass-on and pass-off compiles of
+        one circuit never collide).
 
         A repeat of the same inputs (circuit, pinned noise, backend and
-        options, boundary states, passes, device, pooled regime) skips the
-        noise binding, ``"ideal"`` resolution and pass pipeline too: the
+        options, boundary states, passes, device) skips the noise binding, ``"ideal"`` resolution and pass pipeline too: the
         memoized front maps them straight to the optimized circuit and its
         cached plan, bit-identical to compiling from cold.  The returned
         ``compile_seconds`` is the plan search on a miss and the measured

@@ -267,11 +267,6 @@ class _TrajectoryBackendBase(SimulationBackend):
         return BatchedTrajectoryEngine(backend=self._engine_backend, device=task.device)
 
     def _compile(self, circuit: Circuit, task: SimulationTask, template=None):
-        if task.workers is not None and task.workers > 1:
-            # The multi-process path prepares a context inside each worker
-            # process; a parent-side context would be dead weight (the plan
-            # cache keys pooled and in-process regimes separately).
-            return None
         input_state, output_state = _default_states(circuit, task)
         return self.engine.prepare(circuit, input_state, output_state, template=template)
 

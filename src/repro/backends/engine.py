@@ -20,9 +20,9 @@ two batched hot paths:
   edge construction and the greedy contraction-ordering work are done once on
   a template; every distinct Kraus history of a pass of up to
   :data:`PASS_BLOCKS` RNG blocks is an index row of drawn Kraus operators
-  (state-independent Kraus sampling with importance weights), the sorted
-  rows replay it in batched calls of at most :data:`RNG_BLOCK` rows to
-  :meth:`repro.tensornetwork.plan.SpecializedPlan.execute_rows`, and
+  (state-independent Kraus sampling with importance weights), the pass's
+  sorted rows replay it in one
+  :meth:`repro.tensornetwork.plan.SpecializedPlan.execute_rows` call, and
   samples gather their row's amplitude.
 
 Grouping never changes which Kraus operators a sample draws: the per-sample
@@ -37,9 +37,13 @@ uniforms, is simulated in one grouped call and hands the values back per
 block, so the streaming estimator merges them in block order.  Results
 therefore depend only on the seed, never on the worker count:
 ``workers=None`` and ``workers=1`` run the passes in-process,
-``workers=k > 1`` deals whole passes over a ``concurrent.futures`` process
-pool, all with identical values.  (numpy's ``default_rng([s, 0])`` is the
-same stream as ``default_rng(s)``, so block 0 is the plain seeded stream.)
+``workers=k > 1`` deals whole passes of a multi-pass estimate over a
+``concurrent.futures`` process pool, all with identical values.  Every
+estimate replays one prepared context (:meth:`BatchedTrajectoryEngine.prepare`):
+a pool worker receives it pickled, without its per-namespace device caches,
+and builds no network, plan or sampling distribution of its own.  (numpy's
+``default_rng([s, 0])`` is the same stream as ``default_rng(s)``, so block 0
+is the plain seeded stream.)
 
 Both hot paths dispatch their dense math through an
 :class:`repro.xp.ArrayNamespace` (``device=`` on the constructor).  Gate and
@@ -58,7 +62,6 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.circuits.circuit import Circuit
-from repro.simulators.statevector import apply_matrix
 from repro.tensornetwork.circuit_to_tn import (
     KrausRowNetwork,
     StateLike,
@@ -241,7 +244,7 @@ class _StreamStats:
 
 
 class _TrajectoryContext:
-    """Per-process prepared state: everything that is constant across samples.
+    """Prepared state: everything that is constant across samples.
 
     ``template`` is a context prepared from another binding of the same
     parametric structure.  Its value-independent parts are shared: the
@@ -250,6 +253,9 @@ class _TrajectoryContext:
     distributions and stacked Kraus candidates (noise channels carry no
     parameters).  No network is built for a rebind
     (:meth:`KrausRowNetwork.rebind`).
+
+    A pickled context (a process-pool payload) carries host data only: the
+    per-namespace caches are dropped and rebuilt in the receiving process.
     """
 
     def __init__(
@@ -283,11 +289,13 @@ class _TrajectoryContext:
             else:
                 self.network = template.network.rebind(circuit)
                 self.q_dists, self.q_cdfs = template.q_dists, template.q_cdfs
-        elif template is None:
-            self.psi0 = dense_product_state(input_state, self.num_qubits)
-            self.v = dense_product_state(output_state, self.num_qubits)
         else:
-            self.psi0, self.v = template.psi0, template.v
+            # The boundary descriptions: the dense states are built per
+            # namespace by device_tensors, so a pickled context holds none.
+            self.input_state, self.output_state = input_state, output_state
+
+    def __getstate__(self):
+        return {**self.__dict__, "_device_cache": {}, "_kraus_cache": {}}
 
     def _derive_kraus_distributions(self) -> None:
         # State-independent sampling distributions q_k = tr(E_k† E_k)/d and
@@ -343,7 +351,9 @@ class _TrajectoryContext:
                 else next(kraus)
                 for inst in self.circuit
             ]
-            cached = (xp.asarray(self.psi0), xp.asarray(self.v.conj()), op_tensors)
+            psi0 = dense_product_state(self.input_state, self.num_qubits)
+            v = dense_product_state(self.output_state, self.num_qubits)
+            cached = (xp.asarray(psi0), xp.asarray(v.conj()), op_tensors)
             self._device_cache[xp.name] = cached
         return cached
 
@@ -427,8 +437,8 @@ class BatchedTrajectoryEngine:
         once instead of per call.  ``context`` optionally supplies the
         prepared per-circuit state from :meth:`prepare` (it must have been
         prepared from the same engine configuration, circuit and boundary
-        states); the multi-process path ignores it, since each worker process
-        prepares its own.
+        states).  A multi-pass estimate with ``workers > 1`` ships the
+        context to the pool; an estimate of one pass runs in-process.
 
         Example (noiseless GHZ, so the estimate is exact)::
 
@@ -457,12 +467,9 @@ class BatchedTrajectoryEngine:
             if keep_samples:
                 kept.append(values)
 
-        noisy = circuit.noise_count() > 0
-        pooled = noisy and workers is not None and workers > 1
-        if context is None and not pooled:
-            # (The pool path prepares one context inside each worker process.)
+        if context is None:
             context = _TrajectoryContext(self, circuit, input_state, output_state)
-        if not noisy:
+        if not context.num_channels:
             # Deterministic evolution: every trajectory yields the same value,
             # so compute one and broadcast (no RNG is consumed).
             value = self._run_uniforms(context, np.empty((1, 0)))[0]
@@ -470,10 +477,8 @@ class BatchedTrajectoryEngine:
         else:
             seed = self._resolve_seed(rng)
             passes = self._passes(num_samples)
-            if pooled:
-                block_values = self._run_pool(
-                    circuit, input_state, output_state, seed, passes, workers, executor
-                )
+            if workers is not None and workers > 1 and len(passes) > 1:
+                block_values = self._run_pool(context, seed, passes, workers, executor)
             else:
                 block_values = self._run_blocks(context, seed, passes)
             for values in block_values:
@@ -550,9 +555,7 @@ class BatchedTrajectoryEngine:
 
     def _run_pool(
         self,
-        circuit: Circuit,
-        input_state: StateLike,
-        output_state: StateLike,
+        context: _TrajectoryContext,
         seed: int,
         passes: List[List[Tuple[int, int]]],
         workers: int,
@@ -562,7 +565,8 @@ class BatchedTrajectoryEngine:
 
         A pass is the unit of work, so its blocks are simulated together
         whatever the worker count (an estimate of fewer than ``workers``
-        passes uses fewer processes).  Block seeding makes the values
+        passes uses fewer processes).  Every worker replays the pickled
+        ``context`` (host data only).  Block seeding makes the values
         independent of the distribution, so a pool failure (restricted
         environments) degrades to serial execution with identical results.
         A caller-supplied ``executor`` is reused and left running; otherwise
@@ -570,17 +574,7 @@ class BatchedTrajectoryEngine:
         """
         groups = [passes[start :: workers] for start in range(min(workers, len(passes)))]
         payloads = [
-            (
-                self.backend,
-                self.max_intermediate_size,
-                self.max_batch_entries,
-                circuit,
-                input_state,
-                output_state,
-                seed,
-                group,
-                self.device,
-            )
+            (self.backend, self.max_batch_entries, self.device, context, seed, group)
             for group in groups
         ]
         if executor is not None:
@@ -644,14 +638,6 @@ class BatchedTrajectoryEngine:
         """
         num_samples = uniforms.shape[0]
         n = context.num_qubits
-        if context.num_channels == 0:
-            # Only reached via the noiseless short-circuit in estimate_fidelity.
-            state = context.psi0.copy()
-            for inst in context.circuit:
-                state = apply_matrix(state, inst.operation.matrix, inst.qubits, n)
-            value = float(abs(np.vdot(context.v, state)) ** 2)
-            return np.full(num_samples, value)
-
         xp = self._xp
         psi0, v_conj, op_tensors = context.device_tensors(xp)
         instructions = context.circuit.instructions
@@ -732,18 +718,14 @@ class BatchedTrajectoryEngine:
         # An index row (a drawn Kraus operator per channel) per distinct
         # history replays the specialized plan; samples gather their group's
         # amplitude (a group's samples all hold its row, so the scatter below
-        # is order-free).  The sorted rows replay in calls of at most
-        # RNG_BLOCK rows, as many as one block can hold: larger batches turn
-        # a small plan's products into BLAS calls that OpenBLAS threads, and
-        # on a 2-vCPU host each of those stalled ~8 ms.  On a device the
-        # candidate Kraus tensors and the baked intermediates are resident.
+        # is order-free).  The sorted rows replay in one call, which chunks
+        # them by the plan's row rule.  On a device the candidate Kraus
+        # tensors and the baked intermediates are resident.
         rows = np.empty((keys.size, context.num_channels), dtype=int)
         rows[group] = choices
         dispatch = None if self._xp.device == "cpu" else self._xp
-        factors, replay = context.kraus_factors(dispatch), context.network.specialized.execute_rows
-        starts = range(0, keys.size, RNG_BLOCK)
-        amplitudes = np.concatenate(
-            [replay(factors, rows[start : start + RNG_BLOCK], xp=dispatch) for start in starts]
+        amplitudes = context.network.specialized.execute_rows(
+            context.kraus_factors(dispatch), rows, xp=dispatch
         )[group]
         # hypot then pow are the libm calls of Python's abs(amplitude) ** 2
         # (numpy's SIMD abs and square round differently in the last ulp), so
@@ -752,23 +734,10 @@ class BatchedTrajectoryEngine:
 
 
 def _pool_worker(payload) -> List[np.ndarray]:
-    """Process-pool entry point: run a list of passes and return their blocks' values."""
-    (
-        backend,
-        max_intermediate_size,
-        max_batch_entries,
-        circuit,
-        input_state,
-        output_state,
-        seed,
-        group,
-        device,
-    ) = payload
-    engine = BatchedTrajectoryEngine(
-        backend=backend,
-        max_intermediate_size=max_intermediate_size,
-        max_batch_entries=max_batch_entries,
-        device=device,
-    )
-    context = _TrajectoryContext(engine, circuit, input_state, output_state)
-    return list(engine._run_blocks(context, seed, group))
+    """Process-pool entry point: replay a shipped context over a list of passes.
+
+    Returns the values of every block of the passes, in order.
+    """
+    backend, max_batch_entries, device, context, seed, passes = payload
+    engine = BatchedTrajectoryEngine(backend, max_batch_entries=max_batch_entries, device=device)
+    return list(engine._run_blocks(context, seed, passes))

@@ -14,17 +14,12 @@ fresh server with the same server seed, and every value must match exactly.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from typing import Dict, Tuple
 
+from repro.utils.seeds import stable_seed
+
 __all__ = ["TenantRegistry", "tenant_request_seed"]
-
-
-def _derive(*parts: object) -> int:
-    """Deterministic 63-bit seed from parts (same scheme as the session layer)."""
-    digest = hashlib.sha256("\x1f".join(str(part) for part in parts).encode()).digest()
-    return int.from_bytes(digest[:8], "big") % (2**63)
 
 
 def tenant_request_seed(server_seed: int, tenant: str, seq: int) -> int:
@@ -40,7 +35,7 @@ def tenant_request_seed(server_seed: int, tenant: str, seq: int) -> int:
     ...      tenant_request_seed(0, "bob", 0), tenant_request_seed(1, "alice", 0)})
     4
     """
-    return _derive(server_seed, "tenant", tenant, "request", seq)
+    return stable_seed(server_seed, "tenant", tenant, "request", seq)
 
 
 class TenantRegistry:

@@ -32,12 +32,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
+from repro.api.noise import validated_noise
 from repro.backends import SimulationTask, resolve_backends
 from repro.backends.registry import check_adapter_options
 from repro.circuits.circuit import Circuit
 from repro.circuits.library import benchmark_circuit
 from repro.circuits.qasm import from_qasm
-from repro.noise import CHANNEL_FACTORIES as _CHANNEL_FACTORIES
+from repro.utils.seeds import stable_seed
 from repro.utils.validation import ValidationError
 from repro.xp import KNOWN_DEVICES
 
@@ -51,22 +52,7 @@ __all__ = [
     "stable_seed",
 ]
 
-#: Channels a noise axis entry may name: "none", every single-parameter
-#: factory in :data:`repro.noise.CHANNEL_FACTORIES`, and the calibration-style
-#: superconducting model (resolved in :mod:`repro.sweeps.runner`).
-NOISE_CHANNELS = ("none", *sorted(_CHANNEL_FACTORIES), "superconducting")
-
 _OUTPUT_STATES = ("zero", "ideal")
-
-
-def stable_seed(*parts: object) -> int:
-    """Deterministic 63-bit seed derived from the string forms of ``parts``.
-
-    Stable across processes and Python versions (unlike ``hash``), so sweep
-    cells keep their seeds when a grid is extended or records are resumed.
-    """
-    digest = hashlib.sha256("\x1f".join(str(part) for part in parts).encode()).digest()
-    return int.from_bytes(digest[:8], "big") % (2**63)
 
 
 def _require_mapping(value: Any, what: str) -> Mapping:
@@ -174,7 +160,10 @@ class NoiseSpec:
     ``count`` noises are appended after randomly chosen gates (the paper's
     fault model, :meth:`repro.noise.NoiseModel.insert_random`); ``seed``
     fixes the injection points so every backend of a row sees the *same*
-    noisy circuit (defaults to a seed derived from the spec seed).
+    noisy circuit (defaults to a seed derived from the spec seed).  An entry
+    is checked as a session ``noise=`` mapping
+    (:func:`repro.api.noise.validated_noise`); the channel ``"none"`` (the
+    default) marks a noiseless row and needs no ``count``.
     """
 
     channel: str = "none"
@@ -187,26 +176,12 @@ class NoiseSpec:
         if isinstance(entry, str):
             entry = {"channel": entry}
         entry = _require_mapping(entry, "noise entry")
-        _check_keys(entry, ("channel", "parameter", "count", "seed"), "noise")
-        spec = cls(
-            channel=str(entry.get("channel", "none")),
-            parameter=float(entry.get("parameter", 0.001)),
-            count=int(entry.get("count", 0)),
-            seed=None if entry.get("seed") is None else int(entry["seed"]),
-        )
-        if spec.channel not in NOISE_CHANNELS:
-            raise ValidationError(
-                f"unknown noise channel {spec.channel!r}; known: {', '.join(NOISE_CHANNELS)}"
-            )
-        if spec.channel != "none" and "count" not in entry:
-            # Defaulting to 0 would silently run the noiseless circuit.
-            raise ValidationError(
-                f"a {spec.channel!r} noise entry needs an explicit 'count' "
-                "(use channel 'none' for a noiseless row)"
-            )
-        if spec.count < 0:
-            raise ValidationError("noise count must be non-negative")
-        return spec
+        channel = entry.get("channel", "none")
+        if channel == "none":
+            # A noiseless row needs no count; its other keys are checked all the same.
+            entry = {**entry, "channel": "depolarizing", "count": entry.get("count", 0)}
+        checked = validated_noise(entry)
+        return cls(channel, checked.parameter, checked.count, checked.seed)
 
     @property
     def is_noiseless(self) -> bool:

@@ -80,12 +80,30 @@ from repro.xp import host as np
 
 declare_seam(__name__, mode="dispatch")
 
-__all__ = ["ContractionPlan", "ROW_BATCH_ENTRIES", "SpecializedPlan"]
+__all__ = ["ContractionPlan", "MAX_CHUNK_ROWS", "ROW_BATCH_ENTRIES", "SpecializedPlan", "row_chunk"]
 
 #: Entry budget of one batched replay: :meth:`SpecializedPlan.execute_rows`
-#: replays ``ROW_BATCH_ENTRIES // peak_intermediate_entries`` rows at a time,
-#: so a chunk depends only on the plan (never on workers or device).
+#: replays at most ``ROW_BATCH_ENTRIES // peak_intermediate_entries`` rows
+#: at a time (see :func:`row_chunk`).
 ROW_BATCH_ENTRIES = 2**20
+
+#: Row cap of one batched replay.  Larger chunks turn a small plan's
+#: products (``(4000, 2) @ (2, 1)`` for a 16-entry plan) into BLAS calls that
+#: OpenBLAS threads, and on a 2-vCPU host each of those stalled ~8 ms.
+MAX_CHUNK_ROWS = 256
+
+
+def row_chunk(peak_intermediate_entries: int) -> int:
+    """Rows per batched replay of a plan whose largest intermediate has this many entries.
+
+    The chunk depends only on the plan, never on the caller, its workers or
+    its device, so a replay's rounding is the same wherever it runs.
+
+    >>> row_chunk(16), row_chunk(2**14), row_chunk(2**30)
+    (256, 64, 1)
+    """
+    return max(1, min(MAX_CHUNK_ROWS, ROW_BATCH_ENTRIES // max(1, peak_intermediate_entries)))
+
 
 #: One slot-program step: input slots ``a``/``b``, their contracted axes
 #: (empty axes = outer product), and the output slot the result lands in.
@@ -328,6 +346,11 @@ class SpecializedPlan:
         #: device-resident too; see BatchedTrajectoryEngine._run_tn).
         self._device_baked: dict = {}
 
+    def __getstate__(self):
+        # A pickled plan carries host data only: the receiving process
+        # transfers its own device copies on its first device replay.
+        return None, {**{slot: getattr(self, slot) for slot in self.__slots__}, "_device_baked": {}}
+
     def _baked_for(self, xp) -> List:
         if xp is None or xp.device == "cpu":
             return self._baked
@@ -364,9 +387,9 @@ class SpecializedPlan:
         when a namespace is given) and ``rows`` is an integer array of shape
         ``[K, len(factors)]``: row ``r`` substitutes ``factors[j][rows[r, j]]``
         at every variable position.  Rows are replayed in chunks of
-        ``ROW_BATCH_ENTRIES // peak_intermediate_entries``; a chunk of one row
-        is bit-identical to a full :meth:`ContractionPlan.execute`, and larger
-        chunks agree with it to within a few ulps.
+        :func:`row_chunk` rows; a chunk of one row is bit-identical to a full
+        :meth:`ContractionPlan.execute`, and larger chunks agree with it to
+        within a few ulps.
 
         A slot of the replay is either static (a baked tensor) or batched (a
         leading row axis in front of the sequential step's axes); every
@@ -378,7 +401,7 @@ class SpecializedPlan:
         values = np.empty(len(rows), dtype=complex)
         ops = get_namespace("cpu") if xp is None else xp
         baked = self._baked_for(xp)
-        chunk = max(1, ROW_BATCH_ENTRIES // max(1, self.peak_intermediate_entries))
+        chunk = row_chunk(self.peak_intermediate_entries)
         for start in range(0, len(rows), chunk):
             block = rows[start : start + chunk]
             buffer = list(baked)

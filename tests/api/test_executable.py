@@ -1,5 +1,8 @@
 """Compile/execute split: Executable semantics, plan cache, provenance."""
 
+import dataclasses
+import pickle
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -12,8 +15,12 @@ from repro.api import (
     plan_cache_key,
     simulate,
 )
-from repro.backends import SimulationTask
+from repro.backends import SimulationTask, get_backend
+from repro.backends import engine as engine_module
+from repro.backends.engine import PASS_BLOCKS, RNG_BLOCK
 from repro.circuits.library import ghz_circuit, qaoa_circuit
+from repro.tensornetwork.circuit_to_tn import KrausRowNetwork
+from repro.tensornetwork.plan import ContractionPlan
 from repro.utils.validation import ValidationError
 
 
@@ -241,38 +248,86 @@ class TestPlanCache:
             "tn", noisy_circuit, SimulationTask(seed=1), {"max_intermediate_size": 2**20}
         )
 
-    def test_plan_cache_key_splits_pooled_regime_but_not_worker_count(self, noisy_circuit):
-        # workers>1 runs prepare their context inside each worker process, so
-        # the pooled regime compiles a different (empty) plan; the count
-        # itself never matters.
-        serial = plan_cache_key("trajectories_tn", noisy_circuit, SimulationTask(workers=None))
-        assert serial == plan_cache_key(
-            "trajectories_tn", noisy_circuit, SimulationTask(workers=1)
-        )
-        pooled = plan_cache_key("trajectories_tn", noisy_circuit, SimulationTask(workers=2))
-        assert pooled == plan_cache_key(
-            "trajectories_tn", noisy_circuit, SimulationTask(workers=8)
-        )
-        assert serial != pooled
+    def test_plan_cache_key_ignores_the_worker_regime(self, noisy_circuit):
+        # A trajectory plan is one prepared context, replayed in-process or
+        # shipped to pool workers, so neither the count nor the regime keys it.
+        keys = {
+            plan_cache_key("trajectories_tn", noisy_circuit, SimulationTask(workers=workers))
+            for workers in (None, 1, 2, 8)
+        }
+        assert len(keys) == 1
 
-    def test_pooled_trajectory_compile_skips_context_preparation(self, noisy_circuit):
+    def test_pooled_and_in_process_compiles_share_one_plan(self, noisy_circuit):
+        with Session() as session:
+            compiled = [
+                session.compile(
+                    noisy_circuit, backend="trajectories_tn", samples=32, seed=1, workers=workers
+                )
+                for workers in (2, 1, 3, None)
+            ]
+            assert [executable.cache_hit for executable in compiled] == [False, True, True, True]
+            assert len({executable.plan_key for executable in compiled}) == 1
+            assert compiled[0].describe()["plan"] is not None
+            assert session.cache_stats()["misses"] == 1
+            assert len({executable.run().value for executable in compiled}) == 1
+
+    def test_pooled_run_replays_the_shipped_context(self, noisy_circuit, monkeypatch):
+        # Each payload goes through pickle as a process pool ships it; the
+        # workers replay the compiled context and prepare nothing.
+        class PicklingExecutor:
+            payloads = 0
+
+            def map(self, fn, payloads):
+                results = []
+                for payload in payloads:
+                    PicklingExecutor.payloads += 1
+                    results.append(fn(pickle.loads(pickle.dumps(payload))))
+                return results
+
+        num_samples = PASS_BLOCKS * RNG_BLOCK + 1  # two passes
+        task = SimulationTask(num_samples=num_samples, seed=1, workers=2)
         with Session() as session:
             pooled = session.compile(
-                noisy_circuit, backend="trajectories_tn", samples=32, seed=1, workers=2
+                noisy_circuit,
+                backend="trajectories_tn",
+                task=dataclasses.replace(task, executor=PicklingExecutor()),
             )
             serial = session.compile(
-                noisy_circuit, backend="trajectories_tn", samples=32, seed=1, workers=1
+                noisy_circuit, backend="trajectories_tn", task=dataclasses.replace(task, workers=1)
             )
-            assert pooled.describe()["plan"] is None
-            assert serial.describe()["plan"] is not None
-            # identical values regardless of regime (seeded block mode)
-            assert pooled.run().value == serial.run().value
+            prepared = []
+
+            def spy(name, original):
+                def counted(*args, **kwargs):
+                    prepared.append(name)
+                    return original(*args, **kwargs)
+
+                return counted
+
+            context_class = engine_module._TrajectoryContext
+            build, record = KrausRowNetwork.build.__func__, ContractionPlan.record.__func__
+            monkeypatch.setattr(KrausRowNetwork, "build", classmethod(spy("build", build)))
+            monkeypatch.setattr(ContractionPlan, "record", classmethod(spy("record", record)))
+            monkeypatch.setattr(context_class, "__init__", spy("context", context_class.__init__))
+            result = pooled.run()
+            assert prepared == [] and PicklingExecutor.payloads == 2
+            assert result.value == serial.run().value
 
 
 class TestOneShotBilling:
-    def test_one_shot_billing_includes_compile_time_on_miss(self, noisy_circuit):
+    def test_one_shot_billing_includes_compile_time_on_miss(self, noisy_circuit, monkeypatch):
         from repro.api.executable import one_shot_result
 
+        # A plan search of a fixed minimum cost, so the lookup below is
+        # cheaper than the miss by construction, not by a wall-clock race.
+        backend_class = type(get_backend("tn"))
+        plan_search = backend_class._compile
+
+        def slow_compile(self, *args, **kwargs):
+            time.sleep(0.05)
+            return plan_search(self, *args, **kwargs)
+
+        monkeypatch.setattr(backend_class, "_compile", slow_compile)
         with Session() as session:
             executable = session.compile(noisy_circuit, backend="tn")
             assert executable.compile_seconds > 0.0

@@ -116,8 +116,7 @@ class TestCollisions:
             "other backend": {"backend": "density_matrix"},
             "noiseless": {"backend": "mps", "noise": None},
             "bond ceiling": {"backend": "mps", "noise": None, "max_bond_dim": 4},
-            "pooled": {"backend": "trajectories_tn", "workers": 2, "samples": 8, "seed": 1},
-            "in-process": {"backend": "trajectories_tn", "workers": 1, "samples": 8, "seed": 1},
+            "trajectories": {"backend": "trajectories_tn", "workers": 1, "samples": 8, "seed": 1},
         }
         with Session() as session:
             def compile_variant(name):
@@ -129,6 +128,17 @@ class TestCollisions:
             for name in variants:
                 hit, executable = _front_hit(calls, lambda: compile_variant(name))
                 assert hit and executable.cache_hit, f"{name} lost its entry"
+
+    def test_worker_counts_share_one_entry(self, calls):
+        # The front half reads nothing of the worker regime: a pooled and an
+        # in-process compile of one configuration share its entry.
+        circuit = qaoa_circuit(4, seed=7, native_gates=False)
+        with Session() as session:
+            for index, workers in enumerate((2, 1, None, 3)):
+                hit, executable = _front_hit(calls, lambda: session.compile(
+                    circuit, "trajectories_tn", noise=PINNED, samples=8, seed=1, workers=workers
+                ))
+                assert hit == executable.cache_hit == (index > 0), workers
 
     def test_dense_output_states_score_against_their_own_state(self):
         circuit = ghz_circuit(2)

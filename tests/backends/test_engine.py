@@ -20,6 +20,8 @@ splits and pass boundaries never move a statevector value and that a tn
 pass replays each of its histories once.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,7 @@ from repro.noise import (
 )
 from repro.simulators import DensityMatrixSimulator, TNSimulator
 from repro.simulators.statevector import apply_matrix
+from repro.tensornetwork import plan as plan_module
 from repro.tensornetwork.plan import SpecializedPlan
 from repro.utils import zero_state
 from repro.utils.validation import ValidationError
@@ -392,11 +395,20 @@ def test_one_pass_replays_each_tn_history_once(monkeypatch):
     assert len(_tn_replays(monkeypatch, 0.001)) == 1
 
 
-def test_tn_replays_a_pass_in_calls_of_at_most_a_block(monkeypatch):
+def test_tn_replays_a_pass_in_one_call_of_capped_chunks(monkeypatch):
     # At p = 0.3 a pass holds ~1000 distinct histories: they replay once
-    # each, in calls no larger than one block's.
+    # each, in one call whose chunks the plan caps.
+    chunks = []
+    replay = plan_module._replay
+
+    def spy(buffer, kernels, result_slot, xp, entries):
+        chunks.append(entries)
+        return replay(buffer, kernels, result_slot, xp, entries)
+
+    monkeypatch.setattr(plan_module, "_replay", spy)
     sizes = _tn_replays(monkeypatch, 0.3)
-    assert len(sizes) > 1 and max(sizes) <= RNG_BLOCK
+    assert len(sizes) == 1 and sizes[0] > plan_module.MAX_CHUNK_ROWS
+    assert sum(chunks) == sizes[0] and max(chunks) == plan_module.MAX_CHUNK_ROWS
 
 
 def test_tn_passes_identical_across_worker_counts():
@@ -426,3 +438,46 @@ def test_pass_boundaries_never_move_a_value(monkeypatch, probability):
     assert per_block.samples == one_pass.samples
     assert per_block.estimate == one_pass.estimate
     assert per_block.standard_error == one_pass.standard_error
+
+
+def test_one_pass_estimate_stays_in_process(monkeypatch, noisy_circuit):
+    # A pass is the unit of work, so a one-pass estimate gains nothing from
+    # a pool: it neither creates one nor maps onto a caller's.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-pass estimate used a process pool")
+
+    class RefusingExecutor:
+        map = refuse
+
+    monkeypatch.setattr(engine_module, "ProcessPoolExecutor", refuse)
+    engine = BatchedTrajectoryEngine("statevector")
+    num_samples = PASS_BLOCKS * RNG_BLOCK
+    serial = engine.estimate_fidelity(noisy_circuit, num_samples, rng=5, keep_samples=True)
+    for executor in (None, RefusingExecutor()):
+        pooled = engine.estimate_fidelity(
+            noisy_circuit, num_samples, rng=5, keep_samples=True, workers=2, executor=executor
+        )
+        assert pooled.samples == serial.samples
+
+
+@pytest.mark.parametrize("backend", ["statevector", "tn"])
+def test_pickled_context_carries_host_data_only(backend, noisy_circuit):
+    # A pool payload ships the prepared context: its per-namespace caches
+    # stay behind, and the statevector context holds no dense state.
+    engine = BatchedTrajectoryEngine(backend, device="fake_gpu")
+    context = engine.prepare(noisy_circuit)
+    before = engine.estimate_fidelity(noisy_circuit, 300, rng=2, keep_samples=True, context=context)
+    assert context._kraus_cache
+    shipped = pickle.loads(pickle.dumps(context))
+    assert shipped._device_cache == {} and shipped._kraus_cache == {}
+    if backend == "tn":
+        assert context.network.specialized._device_baked
+        assert shipped.network.specialized._device_baked == {}
+    else:
+        assert context._device_cache
+        assert not any(
+            isinstance(value, np.ndarray) and value.size >= 2**noisy_circuit.num_qubits
+            for value in vars(shipped).values()
+        )
+    after = engine.estimate_fidelity(noisy_circuit, 300, rng=2, keep_samples=True, context=shipped)
+    assert after.samples == before.samples

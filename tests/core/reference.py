@@ -132,7 +132,7 @@ def tensordot_execute_rows(plan, tensors, variable_positions, factors, rows) -> 
     baked, residual = tensordot_specialize(plan, tensors, variable)
     batched = set(variable) | {step[4] for step in residual}
     rows = np.asarray(rows, dtype=np.intp)
-    chunk = max(1, plan_module.ROW_BATCH_ENTRIES // max(1, plan.peak_intermediate_entries))
+    chunk = plan_module.row_chunk(plan.peak_intermediate_entries)
     values = []
     for start in range(0, len(rows), chunk):
         block = rows[start : start + chunk]

@@ -27,6 +27,7 @@ from repro.core.approximation import level_rows
 from repro.core.path_truncation import PathTruncatedSimulator
 from repro.noise import NoiseModel, depolarizing_channel
 from repro.tensornetwork.circuit_to_tn import instruction_node_positions
+from repro.tensornetwork import plan as plan_module
 from repro.tensornetwork.plan import ContractionPlan, SpecializedPlan
 from repro.verify import generate_workloads
 from repro.verify.generators import FAMILIES
@@ -279,3 +280,22 @@ def test_fidelity_to_error_decomposes_each_noise_once(monkeypatch):
     result = ApproximateNoisySimulator().fidelity_to_error(noisy, 1e-4)
     assert len(calls) == noisy.noise_count() == 5
     assert result.error_bound <= 1e-4
+
+
+def test_algorithm1_rows_replay_in_capped_chunks(monkeypatch):
+    # Level 3 on the Table III cell is 1789 rows of a 16-entry plan: one
+    # execute_rows call, chunked by the plan's row cap.
+    noisy = NoiseModel(depolarizing_channel(0.01), seed=1).insert_random(
+        qaoa_circuit(9, seed=3, native_gates=False), 8
+    )
+    chunks = []
+    replay = plan_module._replay
+
+    def spy(buffer, kernels, result_slot, xp, entries):
+        chunks.append(entries)
+        return replay(buffer, kernels, result_slot, xp, entries)
+
+    monkeypatch.setattr(plan_module, "_replay", spy)
+    result = ApproximateNoisySimulator().fidelity(noisy, level=3)
+    assert sum(chunks) == result.num_terms == 1789
+    assert max(chunks) == plan_module.MAX_CHUNK_ROWS

@@ -14,6 +14,7 @@ import threading
 import pytest
 
 from repro.backends import get_backend
+from repro.backends.engine import PASS_BLOCKS, RNG_BLOCK
 from repro.serve import (
     FaultInjector,
     ReproServer,
@@ -165,7 +166,8 @@ class TestBrokenProcessPool:
             "backend": "trajectories",
             "noise": {"channel": "depolarizing", "parameter": 0.02,
                       "count": 3, "seed": 11},
-            "samples": 16,
+            # Two passes: a one-pass estimate runs in-process, off the pool.
+            "samples": PASS_BLOCKS * RNG_BLOCK + 1,
         }
 
         async def scenario():

@@ -114,6 +114,35 @@ def test_malformed_specs_raise_validation_error(mutate, match):
         load_spec(data)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"channel": "depolarizing", "count": 2.5},
+        {"channel": "depolarizing", "count": True},
+        {"channel": "depolarizing", "count": -1},
+        {"channel": "depolarizing", "count": 2, "seed": 1.7},
+        {"channel": "depolarizing", "count": 2, "parameter": float("nan")},
+        {"channel": "depolarizing", "count": 2, "parameter": "x"},
+        {"channel": "none", "seed": True},
+    ],
+    ids=["fractional count", "bool count", "negative count", "fractional seed",
+         "nan parameter", "string parameter", "bool seed on none"],
+)
+def test_noise_entries_are_checked_like_session_noise(entry):
+    with pytest.raises(ValidationError, match="noise '(count|seed|parameter)'"):
+        load_spec(_minimal(grid={"circuit": "ghz_2", "backend": "tn", "noise": entry}))
+
+
+def test_noise_entry_shorthands():
+    noises = load_spec(_minimal(grid={
+        "circuit": "ghz_2",
+        "backend": "tn",
+        "noise": ["none", {"channel": "depolarizing", "count": 2.0, "parameter": 0.02}],
+    })).noises
+    assert [noise.label for noise in noises] == ["noiseless", "depolarizing-p0.02-x2"]
+    assert noises[1].count == 2 and type(noises[1].count) is int
+
+
 def test_load_spec_from_yaml_and_json_files(tmp_path):
     pytest.importorskip("yaml")
     yaml_text = (

@@ -166,6 +166,22 @@ class TestReplay:
         assert rows_close(chunked, sequential_execute_rows(specialized, factors, rows))
         assert rows_close(chunked, whole)
 
+    def test_no_replay_chunk_exceeds_the_cap(self, name, rng, monkeypatch):
+        plan, _, tensors = _record(name)
+        specialized, factors = _row_candidates(plan, tensors, range(0, plan.num_inputs, 2), rng)
+        rows = rng.integers(0, 3, size=(2 * plan_module.MAX_CHUNK_ROWS + 5, len(factors)))
+        chunks = []
+        replay = plan_module._replay
+
+        def spy(buffer, kernels, result_slot, xp, entries):
+            chunks.append(entries)
+            return replay(buffer, kernels, result_slot, xp, entries)
+
+        monkeypatch.setattr(plan_module, "_replay", spy)
+        specialized.execute_rows(factors, rows)
+        chunk = plan_module.row_chunk(plan.peak_intermediate_entries)
+        assert sum(chunks) == len(rows) and max(chunks) == chunk <= plan_module.MAX_CHUNK_ROWS
+
 
 def _row_candidates(plan, tensors, positions, rng):
     """``plan`` specialized over ``positions``, with three random candidates stacked per position."""
