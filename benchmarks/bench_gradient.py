@@ -34,10 +34,6 @@ from repro.api import Session
 from repro.backends import get_backend
 from repro.circuits.library import benchmark_circuit
 from repro.circuits.parameters import circuit_parameters, substitute
-from repro.xp import default_device, get_namespace
-
-#: The device this benchmark actually ran on (REPRO_DEVICE-aware).
-DEVICE = get_namespace(default_device()).device
 
 NOISE = {"channel": "depolarizing", "parameter": 0.001, "count": 8, "seed": 5}
 
@@ -52,7 +48,7 @@ _results: dict = {}
 
 def _measure(point: int) -> dict:
     circuit = benchmark_circuit("qaoa_9", seed=3, native_gates=False, parametric=True)
-    with Session(seed=1, device=DEVICE) as session:
+    with Session(seed=1) as session:
         executable = session.compile(circuit, "tn", noise=NOISE)
         draw = np.random.default_rng([point, 5])
         params = {
@@ -79,7 +75,7 @@ def _measure(point: int) -> dict:
         "speedup": loop_seconds / sweep_seconds,
         "max_deviation": max(abs(swept[name] - shifted[name]) for name in params),
         "parameters": len(params),
-        "device": DEVICE,
+        "device": "cpu",
     }
 
 
@@ -117,7 +113,7 @@ def test_gradient_report(benchmark):
         "gradient_seconds": total_sweep,
         "speedup": aggregate,
         "repeat": REPEAT,
-        "device": DEVICE,
+        "device": "cpu",
     })
     table = format_table(
         headers,

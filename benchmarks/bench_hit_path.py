@@ -33,10 +33,6 @@ from benchmarks.conftest import run_once, write_report
 from repro.analysis import format_table
 from repro.api import Session
 from repro.sweeps import CircuitCache, load_spec
-from repro.xp import default_device, get_namespace
-
-#: The device this benchmark actually ran on (REPRO_DEVICE-aware).
-DEVICE = get_namespace(default_device()).device
 
 SPEC = load_spec(Path(__file__).resolve().parent / "specs" / "table3.yaml")
 _CELL = [cell for cell in SPEC.cells() if cell.circuit.label == "qaoa_9"][0]
@@ -67,7 +63,7 @@ def _timed(call) -> tuple:
 
 
 def _measure(backend: str, kwargs: dict) -> dict:
-    with Session(device=DEVICE) as session:
+    with Session() as session:
         def session_run():
             return session.run(_CIRCUIT, backend, noise=_NOISE, **kwargs)
 
@@ -92,7 +88,7 @@ def _measure(backend: str, kwargs: dict) -> dict:
         "identical": len(values) == 1,
         "all_hits": stats["misses"] == 1,
         "value": values.pop(),
-        "device": DEVICE,
+        "device": "cpu",
     }
 
 
@@ -133,7 +129,7 @@ def test_hit_path_report(benchmark):
         "speedup": aggregate,
         "repeat": REPEAT,
         "workload": _CELL.cell_id,
-        "device": DEVICE,
+        "device": "cpu",
     })
     table = format_table(
         headers,

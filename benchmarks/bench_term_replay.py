@@ -75,7 +75,7 @@ def _algorithm1_cases(level: int):
 
 def _traj_cases():
     context = BatchedTrajectoryEngine("tn").prepare(_CIRCUIT)
-    factors = context.kraus_factors(None)
+    factors = context.replay.kraus
     network = context.network
     reference = _reference(network)
     rng = np.random.default_rng(11)

@@ -43,7 +43,6 @@ def render_matrix() -> str:
         "Stochastic",
         "Max qubits",
         "Product states only",
-        "Device",
         "Options",
         "Simulator",
     ]
@@ -63,7 +62,6 @@ def render_matrix() -> str:
                 "yes" if caps.stochastic else "no",
                 str(caps.max_qubits) if caps.max_qubits is not None else "–",
                 "yes" if caps.needs_product_state else "no",
-                "cpu+device" if caps.supports_device else "cpu",
                 ", ".join(
                     f"`{option}={default!r}`" for option, default in adapter_options(name).items()
                 ) or "–",

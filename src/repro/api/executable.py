@@ -270,7 +270,6 @@ class Executable:
             "compile_seconds": self._compile_seconds,
             "executions": self._executions,
             "seed": self._task.seed,
-            "device": self._task.device or "cpu",
             "num_samples": self._task.num_samples,
             "level": self._task.level,
             "plan": plan_info,
@@ -542,7 +541,6 @@ parameters.Parameter` objects) to floats and must cover the free parameters
             seed=task.seed,
             config_hash=config_hash,
             cache_hit=reused,
-            device=task.device,
         )
 
     def submit(

@@ -51,10 +51,6 @@ def structural_config_payload(
     :func:`repro.api.executable.plan_cache_key` (which adds the circuit
     fingerprint) extend this one builder, so a new task field cannot be
     added to one hash and silently forgotten in the other.
-
-    ``device`` enters the payload only when it is set and not ``"cpu"`` (the
-    session normalises a resolved cpu device back to ``None``), so every
-    hash and plan-cache key minted before devices existed is unchanged.
     """
     payload = {
         "backend": backend,
@@ -66,8 +62,6 @@ def structural_config_payload(
         "output_state": _state_token(task.output_state),
         "max_bond_dim": task.max_bond_dim,
     }
-    if task.device not in (None, "cpu"):
-        payload["device"] = task.device
     return payload
 
 
@@ -146,9 +140,6 @@ class SimulationResult:
     #: The RNG seed that actually drove the run (resolved by the session, so
     #: a recorded result can always be reproduced).
     seed: int | None = None
-    #: Device the backend's hot path executed on ("cpu" unless a device-capable
-    #: backend ran with an explicit or session-default device).
-    device: str = "cpu"
     #: Content hash of the task configuration (see :func:`task_config_hash`).
     config_hash: str = ""
     #: True when the one-time work behind this result (plan search, noise
@@ -166,7 +157,6 @@ class SimulationResult:
         seed: int | None = None,
         config_hash: str = "",
         cache_hit: bool = False,
-        device: str | None = None,
     ) -> "SimulationResult":
         """Lift a backend-layer result into the unified schema."""
         metadata = dict(result.metadata or {})
@@ -180,7 +170,6 @@ class SimulationResult:
             num_samples=result.num_samples,
             num_contractions=result.num_contractions,
             seed=seed,
-            device=device or "cpu",
             config_hash=config_hash,
             cache_hit=cache_hit,
             metadata=metadata,
@@ -201,7 +190,6 @@ class SimulationResult:
             "num_samples": self.num_samples,
             "num_contractions": self.num_contractions,
             "seed": self.seed,
-            "device": self.device,
             "config_hash": self.config_hash,
             "cache_hit": self.cache_hit,
             "metadata": {str(key): _state_token(value) for key, value in self.metadata.items()},
@@ -227,6 +215,8 @@ class SimulationResult:
         num_samples = payload.get("num_samples")
         num_contractions = payload.get("num_contractions")
         seed = payload.get("seed")
+        # Records written while results carried an execution device hold
+        # "device": "cpu"; like any unknown key, it is read and dropped.
         return cls(
             backend=str(payload["backend"]),
             value=float(payload["value"]),
@@ -236,7 +226,6 @@ class SimulationResult:
             num_samples=None if num_samples is None else int(num_samples),
             num_contractions=None if num_contractions is None else int(num_contractions),
             seed=None if seed is None else int(seed),
-            device=str(payload.get("device", "cpu")),
             config_hash=str(payload.get("config_hash", "")),
             cache_hit=bool(payload.get("cache_hit", False)),
             metadata=dict(payload.get("metadata", {})),

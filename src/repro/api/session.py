@@ -77,7 +77,6 @@ from repro.circuits.parameters import circuit_parameters, substitute
 from repro.circuits.passes import PassConfig, run_passes
 from repro.utils.seeds import stable_seed
 from repro.utils.validation import ValidationError
-from repro.xp import default_device, get_namespace
 
 __all__ = ["Session", "ideal_output_state", "simulate"]
 
@@ -173,18 +172,6 @@ class Session:
         toggles; see :mod:`repro.circuits.passes`).  Overridable per call
         via the ``passes=`` argument of :meth:`compile`/:meth:`run`/
         :meth:`submit`.
-    device:
-        Default execution device for device-capable backends (see
-        :mod:`repro.xp` and ``docs/xp.md``).  ``None`` reads the
-        ``REPRO_DEVICE`` environment variable and falls back to ``"cpu"``.
-        Validated eagerly: an unavailable device (``"cuda"``, which has no
-        namespace in this package) raises
-        :class:`~repro.xp.DeviceUnavailableError` here rather than falling
-        back silently.  The session default is *soft* —
-        it is applied only to backends whose capabilities advertise
-        ``supports_device``, so cpu-only backends keep working; a per-call
-        ``device=`` (or ``SimulationTask.device``) is *hard* and makes
-        cpu-only backends fail capability checking instead.
     """
 
     def __init__(
@@ -194,7 +181,6 @@ class Session:
         seed: int | None = None,
         plan_cache_size: int = 32,
         passes: Any = True,
-        device: str | None = None,
     ) -> None:
         if workers is not None and workers < 1:
             raise ValidationError("workers must be >= 1")
@@ -202,12 +188,6 @@ class Session:
             raise ValidationError("max_parallel must be >= 1")
         if plan_cache_size < 0:
             raise ValidationError("plan_cache_size must be >= 0")
-        # Resolve the session-default device eagerly (DeviceUnavailableError
-        # now, not at dispatch time); "auto"/env values resolve to a concrete
-        # namespace, and a cpu resolution normalises back to None so cpu
-        # sessions hash and plan-cache exactly as before devices existed.
-        namespace = get_namespace(device if device is not None else default_device())
-        self.device = None if namespace.device == "cpu" else namespace.device
         self.workers = workers
         self.seed = seed
         self.passes = PassConfig.resolve(passes)
@@ -350,13 +330,11 @@ class Session:
         output_state: Any,
         keep_samples: bool,
         max_bond_dim: int | None,
-        device: str | None,
     ) -> SimulationTask:
         if task is not None:
             overrides = {
                 "level": level, "samples": samples, "seed": seed,
                 "input_state": input_state, "max_bond_dim": max_bond_dim,
-                "device": device,
             }
             conflicting = sorted(key for key, value in overrides.items() if value is not None)
             if conflicting or keep_samples:
@@ -383,7 +361,6 @@ class Session:
                 workers=workers,
                 keep_samples=keep_samples,
                 max_bond_dim=max_bond_dim,
-                device=device,
             )
         if built.workers is not None and built.workers < 1:
             raise ValidationError("workers must be >= 1")
@@ -406,7 +383,7 @@ class Session:
         noise binding, ``output_state="ideal"`` and the pass pipeline — is
         memoized beside the plan it resolved to (see :meth:`_front_key`), so
         a repeated configuration skips straight to its cached plan.  Backend,
-        device, workers and seed are still resolved per call, and capability
+        workers and seed are still resolved per call, and capability
         checking and the config hash still run.
         """
         self._check_open()
@@ -469,19 +446,6 @@ class Session:
             # memoized one, at zero cost.
             pass_info = {**front.pass_info, "seconds": 0.0}
             lookup = {"plan_key": front.plan_key, "lookup_seconds": lookup_seconds}
-        # Device resolution.  An explicit task device is *hard*: it must name
-        # an available device (structured DeviceUnavailableError otherwise)
-        # and cpu-only backends reject it below in check_supported().  The
-        # session default is *soft*: applied only to device-capable backends.
-        # Either way a cpu resolution normalises to device=None, keeping
-        # config hashes and plan-cache keys identical to pre-device sessions.
-        if task.device is not None:
-            namespace = get_namespace(task.device)
-            resolved_device = None if namespace.device == "cpu" else namespace.device
-            if resolved_device != task.device:
-                task = dataclasses.replace(task, device=resolved_device)
-        elif self.device is not None and backend.capabilities.supports_device:
-            task = dataclasses.replace(task, device=self.device)
         stochastic = backend.capabilities.stochastic
         if stochastic:
             if task.workers is None and self.workers is not None:
@@ -516,8 +480,8 @@ class Session:
         the input circuit's fingerprint, the canonical noise spec with its
         resolved injection seed, the requested backend (``"auto"`` stays
         ``"auto"``) and its options, the boundary states as passed
-        (``"ideal"`` is the string), the bond ceiling, the pass config and
-        the task and session devices.  Built on the payload
+        (``"ideal"`` is the string), the bond ceiling and the pass config.
+        Built on the payload
         :func:`~repro.api.result.task_config_hash` and
         :func:`~repro.api.executable.plan_cache_key` share.
         """
@@ -526,7 +490,6 @@ class Session:
             circuit=circuit.fingerprint(),
             noise=spec,
             passes=pass_config.to_dict(),
-            session_device=self.device,
         )
         return hash_payload(payload)
 
@@ -603,7 +566,6 @@ class Session:
         keep_samples: bool = False,
         max_bond_dim: int | None = None,
         passes: Any = None,
-        device: str | None = None,
     ) -> Executable:
         """Perform all one-time work now; return an :class:`~repro.api.Executable`.
 
@@ -625,7 +587,7 @@ class Session:
         one circuit never collide).
 
         A repeat of the same inputs (circuit, pinned noise, backend and
-        options, boundary states, passes, device) skips the noise binding, ``"ideal"`` resolution and pass pipeline too: the
+        options, boundary states, passes) skips the noise binding, ``"ideal"`` resolution and pass pipeline too: the
         memoized front maps them straight to the optimized circuit and its
         cached plan, bit-identical to compiling from cold.  The returned
         ``compile_seconds`` is the plan search on a miss and the measured
@@ -648,7 +610,7 @@ class Session:
         built = self._build_task(
             task=task, level=level, samples=samples, seed=seed, workers=workers,
             input_state=input_state, output_state=output_state,
-            keep_samples=keep_samples, max_bond_dim=max_bond_dim, device=device,
+            keep_samples=keep_samples, max_bond_dim=max_bond_dim,
         )
         resolved, circuit, built, config_hash, pass_info, lookup = self._prepare(
             circuit, backend, noise, backend_options, built, passes
@@ -829,7 +791,6 @@ class Session:
         keep_samples: bool = False,
         max_bond_dim: int | None = None,
         passes: Any = None,
-        device: str | None = None,
     ) -> SimulationResult:
         """Simulate ``circuit`` on ``backend``, blocking until the result.
 
@@ -861,7 +822,6 @@ class Session:
                 keep_samples=keep_samples,
                 max_bond_dim=max_bond_dim,
                 passes=passes,
-                device=device,
             )
         )
 
@@ -882,7 +842,6 @@ class Session:
         keep_samples: bool = False,
         max_bond_dim: int | None = None,
         passes: Any = None,
-        device: str | None = None,
     ) -> "Future[SimulationResult]":
         """Non-blocking :meth:`run`: dispatch now, read the result later.
 
@@ -899,7 +858,7 @@ class Session:
         built = self._build_task(
             task=task, level=level, samples=samples, seed=seed, workers=workers,
             input_state=input_state, output_state=output_state,
-            keep_samples=keep_samples, max_bond_dim=max_bond_dim, device=device,
+            keep_samples=keep_samples, max_bond_dim=max_bond_dim,
         )
         resolved, circuit, built, config_hash, pass_info, lookup = self._prepare(
             circuit, backend, noise, backend_options, built, passes
@@ -977,7 +936,6 @@ def simulate(
     max_bond_dim: int | None = None,
     backend_options: Mapping[str, Any] | None = None,
     passes: Any = True,
-    device: str | None = None,
 ) -> SimulationResult:
     """One-call convenience: run ``circuit`` through a one-shot :class:`Session`.
 
@@ -1000,5 +958,4 @@ def simulate(
             max_bond_dim=max_bond_dim,
             backend_options=backend_options,
             passes=passes,
-            device=device,
         )

@@ -10,7 +10,7 @@ memory budgets behind Table II's "MO" cells are configurable:
 ``density_matrix(max_qubits)``, ``tdd(max_nodes)``,
 ``tn(max_intermediate_size)`` and ``approximation(max_intermediate_size)``.
 The other adapters take no arguments; per-run method knobs (samples, level,
-bond dimension, device) are :class:`~repro.backends.base.SimulationTask`
+bond dimension) are :class:`~repro.backends.base.SimulationTask`
 fields.
 
 Every adapter has exactly one execution method, ``_execute(circuit, task,
@@ -76,8 +76,7 @@ def _default_states(circuit: Circuit, task: SimulationTask):
 
 
 @register_backend(
-    "statevector", noisy=False, exact=True, max_qubits=24, supports_device=True,
-    aliases=("sv",),
+    "statevector", noisy=False, exact=True, max_qubits=24, aliases=("sv",),
 )
 class StatevectorBackend(SimulationBackend):
     """Dense noiseless simulation: ``|⟨v| C |ψ⟩|²``."""
@@ -92,14 +91,13 @@ class StatevectorBackend(SimulationBackend):
 
     def _execute(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
         psi, v = plan
-        simulator = StatevectorSimulator(max_qubits=self.max_qubits(), device=task.device)
+        simulator = StatevectorSimulator(max_qubits=self.max_qubits())
         amplitude = simulator.amplitude(circuit, v, psi)
         return BackendResult(backend=self.name, value=float(abs(amplitude) ** 2))
 
 
 @register_backend(
-    "density_matrix", noisy=True, exact=True, max_qubits=12, supports_device=True,
-    aliases=("mm", "dm"),
+    "density_matrix", noisy=True, exact=True, max_qubits=12, aliases=("mm", "dm"),
 )
 class DensityMatrixBackend(SimulationBackend):
     """MM-based exact noisy simulation (the paper's Table II baseline)."""
@@ -114,7 +112,7 @@ class DensityMatrixBackend(SimulationBackend):
     def _execute(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
         input_state, output_state = _default_states(circuit, task)
         n = circuit.num_qubits
-        simulator = DensityMatrixSimulator(max_qubits=self.max_qubits(), device=task.device)
+        simulator = DensityMatrixSimulator(max_qubits=self.max_qubits())
         value = simulator.fidelity(
             circuit,
             dense_product_state(output_state, n),
@@ -123,7 +121,7 @@ class DensityMatrixBackend(SimulationBackend):
         return BackendResult(backend=self.name, value=float(value))
 
 
-@register_backend("tn", noisy=True, exact=True, supports_device=True)
+@register_backend("tn", noisy=True, exact=True)
 class TNBackend(SimulationBackend):
     """Exact contraction of the paper's doubled tensor-network diagram."""
 
@@ -135,16 +133,10 @@ class TNBackend(SimulationBackend):
         # verbatim, so channel merging is an exact network rewrite here.
         return PassProfile(merge_channels=True)
 
-    def _simulator(self, task: SimulationTask) -> TNSimulator:
-        return TNSimulator(
-            max_intermediate_size=self.max_intermediate_size, device=task.device
-        )
-
     def _compile(self, circuit: Circuit, task: SimulationTask, template=None):
         input_state, output_state = _default_states(circuit, task)
-        return self._simulator(task).prepare(
-            circuit, input_state, output_state, template=template
-        )
+        simulator = TNSimulator(max_intermediate_size=self.max_intermediate_size)
+        return simulator.prepare(circuit, input_state, output_state, template=template)
 
     def _execute(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
         return BackendResult(
@@ -254,25 +246,13 @@ class _TrajectoryBackendBase(SimulationBackend):
     def __init__(self) -> None:
         self.engine = BatchedTrajectoryEngine(backend=self._engine_backend)
 
-    def _engine_for(self, task: SimulationTask) -> BatchedTrajectoryEngine:
-        """The default host engine, or a same-configuration one on ``task.device``.
-
-        Engine construction is cheap (namespaces are cached by the registry)
-        and the prepared context from :meth:`_compile` is engine-independent
-        — it caches device tensors per namespace — so plans compiled on one
-        device replay on another.
-        """
-        if task.device is None:
-            return self.engine
-        return BatchedTrajectoryEngine(backend=self._engine_backend, device=task.device)
-
     def _compile(self, circuit: Circuit, task: SimulationTask, template=None):
         input_state, output_state = _default_states(circuit, task)
         return self.engine.prepare(circuit, input_state, output_state, template=template)
 
     def _execute(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
         input_state, output_state = _default_states(circuit, task)
-        result = self._engine_for(task).estimate_fidelity(
+        result = self.engine.estimate_fidelity(
             circuit,
             task.num_samples,
             input_state,
@@ -298,7 +278,7 @@ class _TrajectoryBackendBase(SimulationBackend):
 
 @register_backend(
     "trajectories", noisy=True, exact=False, stochastic=True, max_qubits=22,
-    supports_device=True, aliases=("traj", "traj_mm"),
+    aliases=("traj", "traj_mm"),
 )
 class TrajectoryMMBackend(_TrajectoryBackendBase):
     """Quantum trajectories on batched dense statevectors (Traj (MM))."""
@@ -307,8 +287,7 @@ class TrajectoryMMBackend(_TrajectoryBackendBase):
 
 
 @register_backend(
-    "trajectories_tn", noisy=True, exact=False, stochastic=True, supports_device=True,
-    aliases=("traj_tn",),
+    "trajectories_tn", noisy=True, exact=False, stochastic=True, aliases=("traj_tn",),
 )
 class TrajectoryTNBackend(_TrajectoryBackendBase):
     """Quantum trajectories as cached-plan tensor-network contractions (Traj (TN))."""

@@ -53,10 +53,6 @@ class BackendCapabilities:
     max_qubits: int | None = None
     #: Input/output states must be product states (bitstrings or factor lists).
     needs_product_state: bool = False
-    #: Honours ``SimulationTask.device`` by dispatching its dense hot path
-    #: through :func:`repro.xp.get_namespace` (cpu-only backends reject
-    #: non-cpu tasks in :meth:`SimulationBackend.supports`).
-    supports_device: bool = False
 
 
 @dataclass(frozen=True)
@@ -80,10 +76,7 @@ class SimulationTask:
     typically a :class:`repro.api.Session` — and never shut down by the
     backend), so batches of tasks share one pool.  Adapter configuration
     (memory budgets) is not a task field: it is fixed when the adapter is
-    constructed (``get_backend(name, **options)``).  ``device`` selects the
-    :class:`repro.xp.ArrayNamespace` a device-capable backend executes its
-    dense hot path on (``None`` = host cpu); backends without the
-    ``supports_device`` capability reject non-cpu tasks.
+    constructed (``get_backend(name, **options)``).
     """
 
     input_state: Any = None
@@ -95,7 +88,6 @@ class SimulationTask:
     keep_samples: bool = False
     max_bond_dim: int | None = None
     executor: Any = None
-    device: str | None = None
 
 
 @dataclass(frozen=True)
@@ -154,12 +146,6 @@ class SimulationBackend(ABC):
         ceiling = self.max_qubits()
         if ceiling is not None and circuit.num_qubits > ceiling:
             return f"{self.name} is limited to {ceiling} qubits (circuit has {circuit.num_qubits})"
-        if (
-            task is not None
-            and task.device not in (None, "cpu")
-            and not self.capabilities.supports_device
-        ):
-            return f"{self.name} runs on the cpu only (task requests device {task.device!r})"
         if self.capabilities.needs_product_state and task is not None:
             for state in (task.input_state, task.output_state):
                 if state is None or isinstance(state, str):

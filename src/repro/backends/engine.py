@@ -39,19 +39,15 @@ therefore depend only on the seed, never on the worker count:
 ``workers=None`` and ``workers=1`` run the passes in-process,
 ``workers=k > 1`` deals whole passes of a multi-pass estimate over a
 ``concurrent.futures`` process pool, all with identical values.  Every
-estimate replays one prepared context (:meth:`BatchedTrajectoryEngine.prepare`):
-a pool worker receives it pickled, without its per-namespace device caches,
+estimate replays one prepared context (:meth:`BatchedTrajectoryEngine.prepare`).
+A pool worker receives only what a pass reads (the context's ``replay``)
 and builds no network, plan or sampling distribution of its own.  (numpy's
 ``default_rng([s, 0])`` is the same stream as ``default_rng(s)``, so block 0
 is the plain seeded stream.)
 
-Both hot paths dispatch their dense math through an
-:class:`repro.xp.ArrayNamespace` (``device=`` on the constructor).  Gate and
-Kraus tensors are transferred once per prepared context and cached per
-namespace; the capped group-state buffer comes from the namespace
-``workspace`` cache; sampling decisions (Born probabilities, cdfs, choices)
-run on the host from small transferred weight vectors, so the same uniforms
-produce the same trajectories on every device.
+A pass runs on one BLAS thread (:func:`~repro.utils.blas.single_blas_thread`):
+its stacked products are small enough that a second BLAS thread only
+competes with the caller for a core.
 """
 
 from __future__ import annotations
@@ -59,7 +55,9 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
+
+import numpy as np
 
 from repro.circuits.circuit import Circuit
 from repro.tensornetwork.circuit_to_tn import (
@@ -68,11 +66,9 @@ from repro.tensornetwork.circuit_to_tn import (
     dense_product_state,
     operator_tensor,
 )
+from repro.tensornetwork.plan import SpecializedPlan
+from repro.utils.blas import single_blas_thread
 from repro.utils.validation import ValidationError
-from repro.xp import declare_seam, get_namespace
-from repro.xp import host as np
-
-declare_seam(__name__, mode="dispatch")
 
 __all__ = ["BatchedTrajectoryEngine", "RNG_BLOCK", "WorkerPoolError", "apply_matrix_batched"]
 
@@ -102,41 +98,33 @@ RNG_BLOCK = 256
 PASS_BLOCKS = 64
 
 
-def _apply_gate_tensor(tensor, gate_tensor, qubits: Sequence[int], num_qubits: int, xp):
+def _apply_gate_tensor(tensor, gate_tensor, qubits: Sequence[int], num_qubits: int):
     """Apply a reshaped gate tensor to a batched state, returning a lazy transpose view."""
     qubits = [int(q) for q in qubits]
     k = len(qubits)
     axes = [q + 1 for q in qubits]
-    contracted = xp.tensordot(gate_tensor, tensor, axes=(list(range(k, 2 * k)), axes))
+    contracted = np.tensordot(gate_tensor, tensor, axes=(list(range(k, 2 * k)), axes))
     order = list(axes) + [ax for ax in range(num_qubits + 1) if ax not in axes]
-    return xp.transpose(contracted, np.argsort(order))
+    return np.transpose(contracted, np.argsort(order))
 
 
-def apply_matrix_batched(
-    states, matrix, qubits: Sequence[int], num_qubits: int, xp=None
-):
+def apply_matrix_batched(states, matrix, qubits: Sequence[int], num_qubits: int) -> np.ndarray:
     """Apply ``matrix`` to the given qubits of every state in a ``(batch, 2**n)`` array.
 
     The batched analogue of :func:`repro.simulators.statevector.apply_matrix`:
     one ``tensordot`` contracts the gate's input axes with the qubit axes of
-    the whole batch at once.  ``matrix`` is host data; ``states`` must already
-    live on ``xp``'s device (default: host numpy).
+    the whole batch at once.
     """
-    if xp is None:
-        xp = get_namespace("cpu")
     matrix = np.asarray(matrix, dtype=complex)
     k = len(qubits)
     if matrix.shape != (2**k, 2**k):
         raise ValidationError(f"matrix shape {matrix.shape} does not match {k} qubits")
     batch = states.shape[0]
-    gate_tensor = xp.asarray(matrix.reshape([2] * (2 * k)))
-    tensor = xp.reshape(xp.asarray(states, dtype=xp.complex_dtype), [batch] + [2] * num_qubits)
-    return xp.reshape(
-        _apply_gate_tensor(tensor, gate_tensor, qubits, num_qubits, xp), (batch, -1)
-    )
+    tensor = np.asarray(states, dtype=complex).reshape([batch] + [2] * num_qubits)
+    return _apply_gate_tensor(tensor, matrix.reshape([2] * (2 * k)), qubits, num_qubits).reshape(batch, -1)
 
 
-def _kraus_branches(tensor, kraus_tensors, qubits: Sequence[int], xp):
+def _kraus_branches(tensor, kraus_tensors, qubits: Sequence[int]):
     """All K branches ``E_k|ψ_g⟩`` of the group states from one ``tensordot``.
 
     ``kraus_tensors`` stacks a channel's Kraus operators on a leading axis.
@@ -145,20 +133,20 @@ def _kraus_branches(tensor, kraus_tensors, qubits: Sequence[int], xp):
     """
     k = len(qubits)
     axes = [int(q) + 1 for q in qubits]
-    return xp.tensordot(kraus_tensors, tensor, axes=(list(range(k + 1, 2 * k + 1)), axes))
+    return np.tensordot(kraus_tensors, tensor, axes=(list(range(k + 1, 2 * k + 1)), axes))
 
 
-def _born_cdfs(raw, num_gate_qubits: int, xp) -> np.ndarray:
-    """Per group, the host cdf over branches of the exact Born probabilities.
+def _born_cdfs(raw, num_gate_qubits: int) -> np.ndarray:
+    """Per group, the cdf over branches of the exact Born probabilities.
 
     The (groups, K) weights ``‖E_k|ψ_g⟩‖²`` come from a single float-view
     einsum pass over :func:`_kraus_branches`' raw output, with no conjugate
-    temporaries; only these small vectors cross back to the host.
+    temporaries.
     """
     num_branches = raw.shape[0]
     rows = raw.shape[num_gate_qubits + 1]
-    floats = xp.view_real(xp.reshape(raw, (num_branches, 2**num_gate_qubits, rows, -1)))
-    probabilities = xp.to_host(xp.einsum("basd,basd->sb", floats, floats))
+    floats = raw.reshape(num_branches, 2**num_gate_qubits, rows, -1).view(np.float64)
+    probabilities = np.einsum("basd,basd->sb", floats, floats)
     totals = probabilities.sum(axis=1)
     if np.any(totals <= 0):
         raise ValidationError("trajectory collapsed to zero norm (invalid channel?)")
@@ -167,26 +155,22 @@ def _born_cdfs(raw, num_gate_qubits: int, xp) -> np.ndarray:
     return cdf / cdf[:, -1:]
 
 
-def _select_branches(raw, keys: np.ndarray, qubits: Sequence[int], num_qubits: int, cap: int, xp):
+def _select_branches(raw, keys: np.ndarray, qubits: Sequence[int], num_qubits: int):
     """The normalised new group states ``keys`` (``parent * K + branch``) of ``raw``.
 
     Selection gathers only each new group's branch through a lazy transpose
-    view, so no branch is materialised in full, into the first rows of one
-    ``(cap, 2**n)`` workspace buffer (keyed by the cap, never by the group
-    count, so every channel and run of an estimate reuses one allocation).
-    Overwriting it is safe: every read of the previous states happened in
-    :func:`_kraus_branches`.  State tensors stay on the device.
+    view, so no branch is materialised in full, into one fresh
+    ``(groups, 2**n)`` array.
     """
     parents, branches = np.divmod(keys, raw.shape[0])
     axes = [int(q) + 1 for q in qubits]
     order = axes + [ax for ax in range(num_qubits + 1) if ax not in axes]
-    flat = xp.transpose(raw, [0] + [1 + ax for ax in np.argsort(order)])
-    chosen = xp.workspace((cap, 2**num_qubits), tag="kraus_chosen")[: keys.size]
+    flat = np.transpose(raw, [0] + [1 + ax for ax in np.argsort(order)])
+    chosen = np.empty((keys.size, 2**num_qubits), dtype=complex)
     chosen[:] = flat[branches, parents].reshape(keys.size, -1)
-    floats = xp.view_real(chosen)
-    norms = xp.sqrt(xp.einsum("bd,bd->b", floats, floats))
-    chosen = xp.idivide(chosen, xp.reshape(norms, (keys.size, 1)))
-    return xp.reshape(chosen, (keys.size,) + (2,) * num_qubits)
+    floats = chosen.view(np.float64)
+    chosen /= np.sqrt(np.einsum("bd,bd->b", floats, floats)).reshape(keys.size, 1)
+    return chosen.reshape((keys.size,) + (2,) * num_qubits)
 
 
 def _searchsorted_rows(cdf_rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -243,19 +227,88 @@ class _StreamStats:
         return float(np.sqrt(self.m2 / (self.count - 1)) / np.sqrt(self.count))
 
 
+class _StatevectorReplay:
+    """What a statevector pass reads: per-instruction operators and dense boundaries.
+
+    ``steps[i]`` is ``(qubits, tensor, is_gate)`` of instruction ``i``: a
+    gate's reshaped matrix, or a channel's Kraus operators stacked on a
+    leading branch axis.  The dense ``2**n`` boundary states are built from
+    their descriptions once per process: the replay pickles as its
+    constructor arguments, so a pool payload carries no dense state.
+    """
+
+    def __init__(
+        self,
+        steps: Sequence[Tuple[Tuple[int, ...], np.ndarray, bool]],
+        input_state: StateLike,
+        output_state: StateLike,
+        num_qubits: int,
+    ) -> None:
+        self.steps = steps
+        self.input_state, self.output_state = input_state, output_state
+        self.num_qubits = num_qubits
+        self.num_channels = sum(not is_gate for _, _, is_gate in steps)
+        self.psi0 = dense_product_state(input_state, num_qubits)
+        self.v_conj = dense_product_state(output_state, num_qubits).conj()
+
+    def __reduce__(self):
+        return type(self), (self.steps, self.input_state, self.output_state, self.num_qubits)
+
+
+class _TnReplay(NamedTuple):
+    """What a tn pass reads: the specialized plan, its Kraus candidates and sampling cdfs."""
+
+    specialized: SpecializedPlan
+    #: Per channel, its Kraus operators as node tensors stacked on a leading
+    #: axis: the candidates a sample's index row picks from.
+    kraus: Tuple[np.ndarray, ...]
+    #: Per channel, the state-independent sampling distribution
+    #: ``q_k = tr(E_k† E_k)/d`` and its cdf.
+    q_dists: Tuple[np.ndarray, ...]
+    q_cdfs: Tuple[np.ndarray, ...]
+
+    @property
+    def num_channels(self) -> int:
+        return len(self.q_cdfs)
+
+
+def _kraus_stack(inst) -> np.ndarray:
+    """A channel's Kraus operators as node tensors stacked on a leading axis."""
+    return np.stack([operator_tensor(op, inst.qubits) for op in inst.operation.kraus_operators])
+
+
+def _tn_replay(specialized: SpecializedPlan, circuit: Circuit) -> _TnReplay:
+    """The tn replay of ``circuit``'s channels over ``specialized``.
+
+    The sampling cdfs are normalised exactly as ``np.random.Generator.choice``
+    does.
+    """
+    kraus, q_dists, q_cdfs = [], [], []
+    for inst in circuit.noise_instructions:
+        kraus.append(_kraus_stack(inst))
+        weights = np.array(
+            [np.real(np.trace(op.conj().T @ op)) for op in inst.operation.kraus_operators]
+        )
+        weights = weights / weights.sum()
+        cdf = weights.cumsum()
+        q_dists.append(weights)
+        q_cdfs.append(cdf / cdf[-1])
+    return _TnReplay(specialized, tuple(kraus), tuple(q_dists), tuple(q_cdfs))
+
+
 class _TrajectoryContext:
     """Prepared state: everything that is constant across samples.
 
+    ``replay`` is all a pass reads, and all a pool worker receives.  The tn
+    context also keeps its :class:`KrausRowNetwork` (template tensors and
+    recorded plan), which only a rebind reads.
+
     ``template`` is a context prepared from another binding of the same
     parametric structure.  Its value-independent parts are shared: the
-    boundary states, the recorded contraction plan (the greedy
-    ordering inspects tensor sizes, never entries), the Kraus sampling
-    distributions and stacked Kraus candidates (noise channels carry no
-    parameters).  No network is built for a rebind
-    (:meth:`KrausRowNetwork.rebind`).
-
-    A pickled context (a process-pool payload) carries host data only: the
-    per-namespace caches are dropped and rebuilt in the receiving process.
+    recorded contraction plan (the greedy ordering inspects tensor sizes,
+    never entries), the Kraus sampling distributions and stacked Kraus
+    candidates (noise channels carry no parameters).  No network is built
+    for a rebind (:meth:`KrausRowNetwork.rebind`).
     """
 
     def __init__(
@@ -266,96 +319,29 @@ class _TrajectoryContext:
         output_state: StateLike,
         template: "_TrajectoryContext | None" = None,
     ) -> None:
-        self.circuit = circuit
-        self.num_qubits = circuit.num_qubits
-        self.num_channels = circuit.noise_count()
-        #: Per-namespace cache of device-resident operator tensors (see
-        #: :meth:`device_tensors`); reusable across devices.
-        self._device_cache = {}
-        #: Per-namespace stacked Kraus candidates (see :meth:`kraus_factors`),
-        #: shared with every rebind of this structure.
-        self._kraus_cache = {} if template is None else template._kraus_cache
-        if engine.backend != "statevector":
+        if engine.backend == "statevector":
+            steps = [
+                (
+                    tuple(inst.qubits),
+                    operator_tensor(inst.operation.matrix, inst.qubits) if inst.is_gate else _kraus_stack(inst),
+                    inst.is_gate,
+                )
+                for inst in circuit
+            ]
+            self.replay = _StatevectorReplay(steps, input_state, output_state, circuit.num_qubits)
+        elif template is None:
             # Batched rows agree with a per-sample replay to within a few
             # ulps, not bit for bit.
-            if template is None:
-                self.network = KrausRowNetwork.build(
-                    circuit,
-                    input_state,
-                    output_state,
-                    max_intermediate_size=engine.max_intermediate_size,
-                )
-                self._derive_kraus_distributions()
-            else:
-                self.network = template.network.rebind(circuit)
-                self.q_dists, self.q_cdfs = template.q_dists, template.q_cdfs
+            self.network = KrausRowNetwork.build(
+                circuit,
+                input_state,
+                output_state,
+                max_intermediate_size=engine.max_intermediate_size,
+            )
+            self.replay = _tn_replay(self.network.specialized, circuit)
         else:
-            # The boundary descriptions: the dense states are built per
-            # namespace by device_tensors, so a pickled context holds none.
-            self.input_state, self.output_state = input_state, output_state
-
-    def __getstate__(self):
-        return {**self.__dict__, "_device_cache": {}, "_kraus_cache": {}}
-
-    def _derive_kraus_distributions(self) -> None:
-        # State-independent sampling distributions q_k = tr(E_k† E_k)/d and
-        # their cdfs (normalised exactly as np.random.Generator.choice does).
-        self.q_dists: List[np.ndarray] = []
-        self.q_cdfs: List[np.ndarray] = []
-        for inst in self.circuit.noise_instructions:
-            weights = np.array(
-                [np.real(np.trace(op.conj().T @ op)) for op in inst.operation.kraus_operators]
-            )
-            weights = weights / weights.sum()
-            cdf = weights.cumsum()
-            cdf = cdf / cdf[-1]
-            self.q_dists.append(weights)
-            self.q_cdfs.append(cdf)
-
-    # -- device residency ------------------------------------------------
-    def kraus_factors(self, xp):
-        """Per channel, its Kraus operators as node tensors stacked on a leading axis.
-
-        These are the candidates a sample's index row picks from, on ``xp``'s
-        device (host if None); built once per namespace and cached, like
-        :meth:`device_tensors`.
-        """
-        key = None if xp is None else xp.name
-        cached = self._kraus_cache.get(key)
-        if cached is None:
-            to_device = np.asarray if xp is None else xp.asarray
-            cached = tuple(
-                to_device(
-                    np.stack([operator_tensor(op, inst.qubits) for op in inst.operation.kraus_operators])
-                )
-                for inst in self.circuit.noise_instructions
-            )
-            self._kraus_cache[key] = cached
-        return cached
-
-    def device_tensors(self, xp):
-        """Return ``(psi0, v_conj, op_tensors)`` resident on ``xp``'s device.
-
-        Transferred once per namespace and cached: per-slab replays then touch
-        the host only for the small Born-weight vectors.  ``op_tensors`` holds
-        one reshaped gate tensor per gate instruction and the
-        :meth:`kraus_factors` stack (one leading branch axis) per noise
-        instruction, in circuit order.
-        """
-        cached = self._device_cache.get(xp.name)
-        if cached is None:
-            kraus = iter(self.kraus_factors(xp))
-            op_tensors = [
-                xp.asarray(operator_tensor(inst.operation.matrix, inst.qubits))
-                if inst.is_gate
-                else next(kraus)
-                for inst in self.circuit
-            ]
-            psi0 = dense_product_state(self.input_state, self.num_qubits)
-            v = dense_product_state(self.output_state, self.num_qubits)
-            cached = (xp.asarray(psi0), xp.asarray(v.conj()), op_tensors)
-            self._device_cache[xp.name] = cached
-        return cached
+            self.network = template.network.rebind(circuit)
+            self.replay = template.replay._replace(specialized=self.network.specialized)
 
 
 class BatchedTrajectoryEngine:
@@ -366,25 +352,16 @@ class BatchedTrajectoryEngine:
         backend: str = "statevector",
         max_intermediate_size: int | None = 2**26,
         max_batch_entries: int = 2**15,
-        device: str | None = None,
     ) -> None:
         if backend not in ("statevector", "tn"):
             raise ValidationError(f"unknown trajectory backend {backend!r}")
         self.backend = backend
-        #: Execution device for the batched hot paths (None = host).  Resolved
-        #: eagerly so an unavailable device fails at construction, not mid-run.
-        self.device = device
-        self._xp = get_namespace(device or "cpu")
         self.max_intermediate_size = max_intermediate_size
         #: Cap on ``states × 2**n`` entries of a batched statevector array: a
         #: grouped pass holds at most :meth:`_slab_size` group states
         #: (distinct Kraus histories) at a time, whatever its sample count.
         #: The default (512 KB arrays, ≤64 histories at 9 qubits) amortises
-        #: the per-op numpy overhead while keeping a single-qubit Kraus
-        #: stack's product at 2**18 multiply-adds, below the size where
-        #: OpenBLAS starts a second thread (2**19 at twice the cap).  On a
-        #: 2-vCPU host that thread bought no wall time, and when both
-        #: threads shared one core it stalled a qaoa_9 p=0.1 estimate ~15x.
+        #: the per-op numpy overhead while keeping every array small.
         self.max_batch_entries = int(max_batch_entries)
 
     # ------------------------------------------------------------------
@@ -438,7 +415,7 @@ class BatchedTrajectoryEngine:
         prepared per-circuit state from :meth:`prepare` (it must have been
         prepared from the same engine configuration, circuit and boundary
         states).  A multi-pass estimate with ``workers > 1`` ships the
-        context to the pool; an estimate of one pass runs in-process.
+        context's replay to the pool; an estimate of one pass runs in-process.
 
         Example (noiseless GHZ, so the estimate is exact)::
 
@@ -469,18 +446,19 @@ class BatchedTrajectoryEngine:
 
         if context is None:
             context = _TrajectoryContext(self, circuit, input_state, output_state)
-        if not context.num_channels:
+        replay = context.replay
+        if not replay.num_channels:
             # Deterministic evolution: every trajectory yields the same value,
             # so compute one and broadcast (no RNG is consumed).
-            value = self._run_uniforms(context, np.empty((1, 0)))[0]
+            value = self._run_uniforms(replay, np.empty((1, 0)))[0]
             absorb(np.full(num_samples, value))
         else:
             seed = self._resolve_seed(rng)
             passes = self._passes(num_samples)
             if workers is not None and workers > 1 and len(passes) > 1:
-                block_values = self._run_pool(context, seed, passes, workers, executor)
+                block_values = self._run_pool(replay, seed, passes, workers, executor)
             else:
-                block_values = self._run_blocks(context, seed, passes)
+                block_values = self._run_blocks(replay, seed, passes)
             for values in block_values:
                 absorb(values)
 
@@ -526,7 +504,7 @@ class BatchedTrajectoryEngine:
 
     def _run_blocks(
         self,
-        context: _TrajectoryContext,
+        replay: _StatevectorReplay | _TnReplay,
         seed: int,
         passes: Sequence[Sequence[Tuple[int, int]]],
     ):
@@ -542,12 +520,12 @@ class BatchedTrajectoryEngine:
             uniforms = np.concatenate(
                 [
                     np.random.default_rng([seed, block_index]).random(
-                        (block_samples, context.num_channels)
+                        (block_samples, replay.num_channels)
                     )
                     for block_index, block_samples in chunk
                 ]
             )
-            values = self._run_uniforms(context, uniforms)
+            values = self._run_uniforms(replay, uniforms)
             stop = 0
             for _, block_samples in chunk:
                 stop += block_samples
@@ -555,7 +533,7 @@ class BatchedTrajectoryEngine:
 
     def _run_pool(
         self,
-        context: _TrajectoryContext,
+        replay: _StatevectorReplay | _TnReplay,
         seed: int,
         passes: List[List[Tuple[int, int]]],
         workers: int,
@@ -566,7 +544,7 @@ class BatchedTrajectoryEngine:
         A pass is the unit of work, so its blocks are simulated together
         whatever the worker count (an estimate of fewer than ``workers``
         passes uses fewer processes).  Every worker replays the pickled
-        ``context`` (host data only).  Block seeding makes the values
+        ``replay``.  Block seeding makes the values
         independent of the distribution, so a pool failure (restricted
         environments) degrades to serial execution with identical results.
         A caller-supplied ``executor`` is reused and left running; otherwise
@@ -574,7 +552,7 @@ class BatchedTrajectoryEngine:
         """
         groups = [passes[start :: workers] for start in range(min(workers, len(passes)))]
         payloads = [
-            (self.backend, self.max_batch_entries, self.device, context, seed, group)
+            (self.backend, self.max_batch_entries, replay, seed, group)
             for group in groups
         ]
         if executor is not None:
@@ -614,12 +592,14 @@ class BatchedTrajectoryEngine:
     # ------------------------------------------------------------------
     # Batched execution
     # ------------------------------------------------------------------
-    def _run_uniforms(self, context: _TrajectoryContext, uniforms: np.ndarray) -> np.ndarray:
-        if self.backend == "statevector":
-            return self._run_statevector(context, uniforms)
-        return self._run_tn(context, uniforms)
+    def _run_uniforms(self, replay: _StatevectorReplay | _TnReplay, uniforms: np.ndarray) -> np.ndarray:
+        """Simulate one pass, on one BLAS thread."""
+        with single_blas_thread():
+            if self.backend == "statevector":
+                return self._run_statevector(replay, uniforms)
+            return self._run_tn(replay, uniforms)
 
-    def _run_statevector(self, context: _TrajectoryContext, uniforms: np.ndarray) -> np.ndarray:
+    def _run_statevector(self, replay: _StatevectorReplay, uniforms: np.ndarray) -> np.ndarray:
         """Evolve one grouped pass: each distinct Kraus history of ``uniforms`` once.
 
         The pass starts from a single ψ₀ row and keeps one state per distinct
@@ -633,14 +613,12 @@ class BatchedTrajectoryEngine:
         the pass.  Depth-first order leaves at most one split pending per
         channel, so the states held at once are bounded by
         ``(num_channels + 1) × c`` rows plus the ``K × c``-row branch tensor
-        of the channel at hand: a per-channel multiple of the capped buffer,
+        of the channel at hand: a per-channel multiple of the cap,
         independent of the sample count.
         """
         num_samples = uniforms.shape[0]
-        n = context.num_qubits
-        xp = self._xp
-        psi0, v_conj, op_tensors = context.device_tensors(xp)
-        instructions = context.circuit.instructions
+        n = replay.num_qubits
+        steps = replay.steps
         cap = self._slab_size(n)
         values = np.empty(num_samples)
         # A run is (position, channel, tensor, keys, samples, group): ``tensor``
@@ -656,7 +634,7 @@ class BatchedTrajectoryEngine:
             (
                 0,
                 0,
-                xp.reshape(psi0, [1] + [2] * n),
+                replay.psi0.reshape([1] + [2] * n),
                 None,
                 np.arange(num_samples),
                 np.zeros(num_samples, dtype=np.intp),
@@ -665,40 +643,33 @@ class BatchedTrajectoryEngine:
         while runs:
             position, channel, tensor, keys, samples, group = runs.pop()
             if keys is not None:
-                inst = instructions[position]
-                raw = _kraus_branches(tensor, op_tensors[position], inst.qubits, xp)
-                tensor = _select_branches(raw, keys, inst.qubits, n, cap, xp)
+                qubits, kraus, _ = steps[position]
+                tensor = _select_branches(_kraus_branches(tensor, kraus, qubits), keys, qubits, n)
                 position, channel = position + 1, channel + 1
-            for position in range(position, len(instructions)):
-                inst = instructions[position]
-                if inst.is_gate:
-                    tensor = _apply_gate_tensor(tensor, op_tensors[position], inst.qubits, n, xp)
+            for position in range(position, len(steps)):
+                qubits, operator, is_gate = steps[position]
+                if is_gate:
+                    tensor = _apply_gate_tensor(tensor, operator, qubits, n)
                     continue
-                num_branches = op_tensors[position].shape[0]
-                raw = _kraus_branches(tensor, op_tensors[position], inst.qubits, xp)
-                cdf = _born_cdfs(raw, len(inst.qubits), xp)
+                raw = _kraus_branches(tensor, operator, qubits)
+                cdf = _born_cdfs(raw, len(qubits))
                 choice = _searchsorted_rows(cdf[group], uniforms[samples, channel])
-                keys, group = _regroup(group, choice, num_branches)
+                keys, group = _regroup(group, choice, operator.shape[0])
                 if keys.size > cap:
-                    # Right after a channel the states live in the workspace
-                    # buffer that the selection below overwrites, so pending
-                    # runs keep a copy of them; otherwise the tensor is fresh.
-                    parent = tensor
-                    if position > 0 and instructions[position - 1].is_noise:
-                        parent = xp.empty(tensor.shape)
-                        xp.copyto(parent, tensor)
+                    # Pending runs keep this channel's parent rows, which no
+                    # selection overwrites (each selects into a fresh array).
                     for start in range(cap * ((keys.size - 1) // cap), 0, -cap):
                         later = group >= start
                         pending = (keys[start:], samples[later], group[later] - start)
-                        runs.append((position, channel, parent) + pending)
+                        runs.append((position, channel, tensor) + pending)
                         keys, samples, group = keys[:start], samples[~later], group[~later]
-                tensor = _select_branches(raw, keys, inst.qubits, n, cap, xp)
+                tensor = _select_branches(raw, keys, qubits, n)
                 channel += 1
-            states = xp.reshape(xp.ascontiguousarray(tensor), (tensor.shape[0], -1))
-            values[samples] = (np.abs(xp.to_host(xp.matmul(states, v_conj))) ** 2)[group]
+            states = np.ascontiguousarray(tensor).reshape(tensor.shape[0], -1)
+            values[samples] = (np.abs(states @ replay.v_conj) ** 2)[group]
         return values
 
-    def _run_tn(self, context: _TrajectoryContext, uniforms: np.ndarray) -> np.ndarray:
+    def _run_tn(self, replay: _TnReplay, uniforms: np.ndarray) -> np.ndarray:
         num_samples = uniforms.shape[0]
         # Draw all Kraus choices channel-by-channel (same uniforms as the
         # per-sample loop would consume), accumulate importance weights in
@@ -706,27 +677,23 @@ class BatchedTrajectoryEngine:
         # group the samples by their Kraus history as it grows.  Without
         # channels every sample shares the one empty history, whose row
         # replays the amplitude the specialization baked.
-        choices = np.empty((num_samples, context.num_channels), dtype=int)
+        choices = np.empty((num_samples, replay.num_channels), dtype=int)
         weights = np.ones(num_samples)
         keys = np.zeros(1, dtype=np.intp)
         group = np.zeros(num_samples, dtype=np.intp)
-        for channel, cdf in enumerate(context.q_cdfs):
+        for channel, cdf in enumerate(replay.q_cdfs):
             choices[:, channel] = np.searchsorted(cdf, uniforms[:, channel], side="right")
             np.clip(choices[:, channel], 0, len(cdf) - 1, out=choices[:, channel])
-            weights /= context.q_dists[channel][choices[:, channel]]
+            weights /= replay.q_dists[channel][choices[:, channel]]
             keys, group = _regroup(group, choices[:, channel], len(cdf))
         # An index row (a drawn Kraus operator per channel) per distinct
         # history replays the specialized plan; samples gather their group's
         # amplitude (a group's samples all hold its row, so the scatter below
         # is order-free).  The sorted rows replay in one call, which chunks
-        # them by the plan's row rule.  On a device the candidate Kraus
-        # tensors and the baked intermediates are resident.
-        rows = np.empty((keys.size, context.num_channels), dtype=int)
+        # them by the plan's row rule.
+        rows = np.empty((keys.size, replay.num_channels), dtype=int)
         rows[group] = choices
-        dispatch = None if self._xp.device == "cpu" else self._xp
-        amplitudes = context.network.specialized.execute_rows(
-            context.kraus_factors(dispatch), rows, xp=dispatch
-        )[group]
+        amplitudes = replay.specialized.execute_rows(replay.kraus, rows)[group]
         # hypot then pow are the libm calls of Python's abs(amplitude) ** 2
         # (numpy's SIMD abs and square round differently in the last ulp), so
         # the weighting adds no rounding change to the batched replay's.
@@ -734,10 +701,10 @@ class BatchedTrajectoryEngine:
 
 
 def _pool_worker(payload) -> List[np.ndarray]:
-    """Process-pool entry point: replay a shipped context over a list of passes.
+    """Process-pool entry point: run a shipped replay over a list of passes.
 
     Returns the values of every block of the passes, in order.
     """
-    backend, max_batch_entries, device, context, seed, passes = payload
-    engine = BatchedTrajectoryEngine(backend, max_batch_entries=max_batch_entries, device=device)
-    return list(engine._run_blocks(context, seed, passes))
+    backend, max_batch_entries, replay, seed, passes = payload
+    engine = BatchedTrajectoryEngine(backend, max_batch_entries=max_batch_entries)
+    return list(engine._run_blocks(replay, seed, passes))

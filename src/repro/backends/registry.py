@@ -48,7 +48,6 @@ def register_backend(
     stochastic: bool = False,
     max_qubits: int | None = None,
     needs_product_state: bool = False,
-    supports_device: bool = False,
     aliases: Iterable[str] = (),
 ):
     """Class decorator registering a :class:`SimulationBackend` under ``name``."""
@@ -65,7 +64,6 @@ def register_backend(
             stochastic=stochastic,
             max_qubits=max_qubits,
             needs_product_state=needs_product_state,
-            supports_device=supports_device,
         )
         _REGISTRY[name] = cls
         for alias in aliases:
@@ -207,7 +205,7 @@ def resolve_backends(spec: str | Iterable[str], circuit: Circuit | None = None) 
 
 
 def capability_table() -> List[List[object]]:
-    """Rows ``[name, noisy, exact, stochastic, max_qubits, product_only, device]``."""
+    """Rows ``[name, noisy, exact, stochastic, max_qubits, product_only]``."""
     rows = []
     for name in backend_names():
         caps = _REGISTRY[name].capabilities
@@ -219,7 +217,6 @@ def capability_table() -> List[List[object]]:
                 "yes" if caps.stochastic else "no",
                 caps.max_qubits if caps.max_qubits is not None else "-",
                 "yes" if caps.needs_product_state else "no",
-                "yes" if caps.supports_device else "no",
             ]
         )
     return rows

@@ -23,9 +23,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping
 
 from repro.utils.validation import ValidationError
-from repro.xp import declare_seam
-
-declare_seam(__name__, mode="host")  # no array math; declared so the seam lint stays total
 
 __all__ = ["PassConfig", "PassProfile", "PassStats"]
 

@@ -27,16 +27,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.circuits.circuit import Circuit, Instruction
 from repro.circuits.gates import Gate
 from repro.circuits.passes.fusion import expand_matrix
 from repro.circuits.passes.ptm import kraus_from_superoperator, superoperator_from_kraus
 from repro.noise.kraus import KrausChannel
-
-from repro.xp import declare_seam
-from repro.xp import host as np
-
-declare_seam(__name__, mode="host")
 
 __all__ = ["fold_unitary_channels", "merge_adjacent_channels"]
 

@@ -27,14 +27,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.circuits.circuit import Circuit, Instruction
 from repro.circuits.gates import Gate
 from repro.utils.linalg import embed_operator
-
-from repro.xp import declare_seam
-from repro.xp import host as np
-
-declare_seam(__name__, mode="host")
 
 __all__ = ["fuse_gates", "expand_matrix", "is_identity_up_to_phase"]
 

@@ -25,9 +25,6 @@ from repro.circuits.passes.config import PassConfig, PassProfile, PassStats
 from repro.circuits.passes.folding import fold_unitary_channels, merge_adjacent_channels
 from repro.circuits.passes.fusion import fuse_gates
 from repro.circuits.passes.pruning import prune_boundaries
-from repro.xp import declare_seam
-
-declare_seam(__name__, mode="host")  # no array math; declared so the seam lint stays total
 
 __all__ = ["run_passes"]
 

@@ -27,13 +27,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.circuits.circuit import Circuit, Instruction
 from repro.utils.linalg import kron_all, projector
-
-from repro.xp import declare_seam
-from repro.xp import host as np
-
-declare_seam(__name__, mode="host")
 
 __all__ = ["prune_boundaries", "prune_to_observable_cone"]
 

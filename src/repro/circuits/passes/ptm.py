@@ -20,13 +20,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import List, Sequence
 
+import numpy as np
+
 from repro.utils.linalg import kron_all
 from repro.utils.validation import ValidationError, check_square
-
-from repro.xp import declare_seam
-from repro.xp import host as np
-
-declare_seam(__name__, mode="host")
 
 __all__ = [
     "pauli_basis_matrices",

@@ -113,7 +113,7 @@ def _cmd_simulate(args) -> int:
     binding = _resolve_binding(circuit, args)
     print(circuit.summary())
     passes = not args.no_passes
-    with Session(passes=passes, device=args.device) as session:
+    with Session(passes=passes) as session:
         start = time.perf_counter()
         executable = session.compile(circuit, backend="approximation", level=args.level)
         if binding:
@@ -152,7 +152,7 @@ def _cmd_simulate(args) -> int:
                 cold_circuit = substitute(circuit, binding)
             else:
                 cold_circuit = circuit
-            with Session(plan_cache_size=0, passes=passes, device=args.device) as cold:
+            with Session(plan_cache_size=0, passes=passes) as cold:
                 uncached_start = time.perf_counter()
                 for _ in range(args.repeat - 1):
                     cold.run(cold_circuit, backend="approximation", level=args.level)
@@ -177,12 +177,7 @@ def _cmd_compare(args) -> int:
     # max_parallel=1 keeps the Time(s) column meaningful: each backend is
     # timed alone (as the old sequential loop did), while the submit() batch
     # still exercises the session's async front door end to end.
-    with Session(
-        workers=args.workers,
-        max_parallel=1,
-        passes=not args.no_passes,
-        device=args.device,
-    ) as session:
+    with Session(workers=args.workers, max_parallel=1, passes=not args.no_passes) as session:
         futures = []
         for name in names:
             stochastic = get_backend(name).capabilities.stochastic
@@ -231,8 +226,7 @@ def _cmd_compare(args) -> int:
 def _cmd_list_backends(args) -> int:
     print(
         format_table(
-            ["Backend", "Noisy", "Exact", "Stochastic", "Max qubits",
-             "Product states only", "Device"],
+            ["Backend", "Noisy", "Exact", "Stochastic", "Max qubits", "Product states only"],
             capability_table(),
             title="Registered simulation backends",
         )
@@ -253,7 +247,6 @@ def _cmd_verify(args) -> int:
         artifact_dir=args.artifacts,
         shrink=not args.no_shrink,
         passes=not args.no_passes,
-        device=args.device,
     )
     report = runner.run(progress=print if not args.quiet else None)
     print(report.summary_table())
@@ -655,9 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--param", action="append", metavar="NAME=VALUE",
                          help="bind one parameter of a --parametric circuit "
                               "(repeatable, e.g. --param gamma0=0.3)")
-        sub.add_argument("--device", default=None,
-                         help="execution device for device-capable backends "
-                              "(cpu, fake_gpu, cuda, auto; default: REPRO_DEVICE or cpu)")
 
     simulate = subparsers.add_parser("simulate", help="run the approximation algorithm")
     add_circuit_options(simulate)
@@ -713,9 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the oracles against the raw (unoptimized) pipeline")
     verify.add_argument("--quiet", action="store_true",
                         help="suppress per-case progress lines")
-    verify.add_argument("--device", default=None,
-                        help="session device for device-capable backends "
-                             "(cpu, fake_gpu, cuda, auto; default: REPRO_DEVICE or cpu)")
     verify.set_defaults(func=_cmd_verify)
 
     replay = subparsers.add_parser(

@@ -6,25 +6,18 @@ multiplications ``rho → E_k rho E_k†``.  It is exact but scales as ``4**n``
 in memory, which is why the paper reports MO (memory out) for it beyond a
 handful of qubits — the same behaviour this implementation exhibits through
 its ``max_qubits`` guard.
-
-Dense math dispatches through an :class:`repro.xp.ArrayNamespace`
-(``device=`` / ``dtype=`` on the constructor, or the ``xp=`` argument of the
-module functions); the default host numpy namespace is bit-identical to the
-pre-seam implementation, and public methods always return host arrays.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.circuits.circuit import Circuit
 from repro.utils.linalg import dagger, is_density_matrix, projector
 from repro.utils.states import zero_state
 from repro.utils.validation import ValidationError, check_square, check_statevector
-from repro.xp import declare_seam, get_namespace
-from repro.xp import host as np
-
-declare_seam(__name__, mode="dispatch")
 
 __all__ = ["apply_matrix_to_density", "apply_channel_to_density", "DensityMatrixSimulator"]
 
@@ -32,56 +25,42 @@ __all__ = ["apply_matrix_to_density", "apply_channel_to_density", "DensityMatrix
 MAX_DENSITY_QUBITS = 12
 
 
-def _reshape_apply(rho, matrix, qubits: Sequence[int], num_qubits: int, side: str, xp=None):
+def _reshape_apply(rho, matrix, qubits: Sequence[int], num_qubits: int, side: str):
     """Apply ``matrix`` to the row (side="left") or column (side="right") indices of ``rho``."""
-    if xp is None:
-        xp = get_namespace("cpu")
     qubits = [int(q) for q in qubits]
     k = len(qubits)
-    tensor = xp.reshape(rho, [2] * (2 * num_qubits))
-    gate = xp.reshape(xp.asarray(matrix), [2] * (2 * k))
+    tensor = rho.reshape([2] * (2 * num_qubits))
+    gate = matrix.reshape([2] * (2 * k))
     if side == "left":
         axes = qubits
     else:
         # Right multiplication by matrix^T on the column indices.
         axes = [q + num_qubits for q in qubits]
-    tensor = xp.tensordot(gate, tensor, axes=(list(range(k, 2 * k)), axes))
+    tensor = np.tensordot(gate, tensor, axes=(list(range(k, 2 * k)), axes))
     order = list(axes) + [ax for ax in range(2 * num_qubits) if ax not in axes]
-    tensor = xp.transpose(tensor, np.argsort(order))
-    return xp.reshape(tensor, rho.shape)
+    return np.transpose(tensor, np.argsort(order)).reshape(rho.shape)
 
 
-def apply_matrix_to_density(rho, matrix, qubits: Sequence[int], num_qubits: int, xp=None):
+def apply_matrix_to_density(rho, matrix, qubits: Sequence[int], num_qubits: int):
     """Return ``M rho M†`` with ``M`` acting only on ``qubits``."""
-    if xp is None:
-        xp = get_namespace("cpu")
-    matrix = np.asarray(matrix, dtype=complex).astype(xp.complex_dtype, copy=False)
-    left = _reshape_apply(rho, matrix, qubits, num_qubits, side="left", xp=xp)
-    return _reshape_apply(left, matrix.conj(), qubits, num_qubits, side="right", xp=xp)
+    matrix = np.asarray(matrix, dtype=complex)
+    left = _reshape_apply(rho, matrix, qubits, num_qubits, side="left")
+    return _reshape_apply(left, matrix.conj(), qubits, num_qubits, side="right")
 
 
-def apply_channel_to_density(rho, kraus_operators, qubits: Sequence[int], num_qubits: int, xp=None):
+def apply_channel_to_density(rho, kraus_operators, qubits: Sequence[int], num_qubits: int):
     """Return ``Σ_k E_k rho E_k†`` with the channel acting only on ``qubits``."""
-    if xp is None:
-        xp = get_namespace("cpu")
-    result = xp.zeros(rho.shape, dtype=rho.dtype)
+    result = np.zeros(rho.shape, dtype=rho.dtype)
     for op in kraus_operators:
-        result = xp.add(result, apply_matrix_to_density(rho, op, qubits, num_qubits, xp=xp))
+        result = result + apply_matrix_to_density(rho, op, qubits, num_qubits)
     return result
 
 
 class DensityMatrixSimulator:
     """Exact noisy simulation with dense density matrices (MM-based baseline)."""
 
-    def __init__(
-        self,
-        max_qubits: int = MAX_DENSITY_QUBITS,
-        device: str | None = None,
-        dtype=None,
-    ) -> None:
+    def __init__(self, max_qubits: int = MAX_DENSITY_QUBITS) -> None:
         self.max_qubits = int(max_qubits)
-        self.device = device
-        self._xp = get_namespace(device or "cpu", dtype=dtype)
 
     def _check(self, circuit: Circuit) -> None:
         if circuit.num_qubits > self.max_qubits:
@@ -116,18 +95,12 @@ class DensityMatrixSimulator:
                 f"initial state dimension {rho.shape[0]} does not match {n} qubits"
             )
 
-        xp = self._xp
-        device_rho = xp.asarray(rho.astype(xp.complex_dtype, copy=False))
         for inst in circuit:
             if inst.is_gate:
-                device_rho = apply_matrix_to_density(
-                    device_rho, inst.operation.matrix, inst.qubits, n, xp=xp
-                )
+                rho = apply_matrix_to_density(rho, inst.operation.matrix, inst.qubits, n)
             else:
-                device_rho = apply_channel_to_density(
-                    device_rho, inst.operation.kraus_operators, inst.qubits, n, xp=xp
-                )
-        return xp.to_host(device_rho)
+                rho = apply_channel_to_density(rho, inst.operation.kraus_operators, inst.qubits, n)
+        return rho
 
     def fidelity(
         self,

@@ -23,15 +23,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+import numpy as np
+
 from repro.circuits.circuit import Circuit
 from repro.circuits import gates as glib
 from repro.tensornetwork.circuit_to_tn import StateLike, resolve_product_state
 from repro.utils.validation import ValidationError
-
-from repro.xp import declare_seam
-from repro.xp import host as np
-
-declare_seam(__name__, mode="host")
 
 __all__ = ["MatrixProductDensityOperator", "MPDOSimulator"]
 

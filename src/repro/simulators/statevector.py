@@ -6,25 +6,17 @@ tensor contraction on the relevant axes.  It cannot represent noise channels
 (use the density-matrix or trajectory simulators for that), but it is the
 workhorse behind the quantum-trajectories baseline and all small-scale
 cross-checks in the test suite.
-
-Dense math dispatches through an :class:`repro.xp.ArrayNamespace`
-(``device=`` / ``dtype=`` on the constructor, or the ``xp=`` argument of
-:func:`apply_matrix`); the default is the host numpy namespace, which is
-bit-identical to calling numpy directly.  Public methods accept and return
-*host* arrays regardless of device — transfers happen at the boundary.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Sequence
 
+import numpy as np
+
 from repro.circuits.circuit import Circuit
 from repro.utils.states import zero_state
 from repro.utils.validation import ValidationError, check_statevector
-from repro.xp import declare_seam, get_namespace
-from repro.xp import host as np
-
-declare_seam(__name__, mode="dispatch")
 
 __all__ = ["apply_matrix", "StatevectorSimulator"]
 
@@ -32,56 +24,38 @@ __all__ = ["apply_matrix", "StatevectorSimulator"]
 MAX_DENSE_QUBITS = 24
 
 
-def apply_matrix(state, matrix, qubits: Sequence[int], num_qubits: int, xp=None):
+def apply_matrix(state, matrix, qubits: Sequence[int], num_qubits: int) -> np.ndarray:
     """Apply a (not necessarily unitary) matrix to the given qubits of ``state``.
 
     Parameters
     ----------
     state:
-        Dense amplitude vector of length ``2**num_qubits`` (a device array of
-        ``xp`` when one is given, else a host ndarray).
+        Dense amplitude vector of length ``2**num_qubits``.
     matrix:
-        ``2**k x 2**k`` matrix acting on ``k = len(qubits)`` qubits (host
-        data; transferred to the device per call — gates are small).
+        ``2**k x 2**k`` matrix acting on ``k = len(qubits)`` qubits.
     qubits:
         Big-endian qubit indices the matrix acts on, in the matrix's own order.
     num_qubits:
         Total register size.
-    xp:
-        Optional :class:`repro.xp.ArrayNamespace`; default is the host numpy
-        namespace (zero-copy, bit-identical to the pre-seam implementation).
     """
-    if xp is None:
-        xp = get_namespace("cpu")
     qubits = [int(q) for q in qubits]
     k = len(qubits)
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (2**k, 2**k):
         raise ValidationError(f"matrix shape {matrix.shape} does not match {k} qubits")
-    tensor = xp.reshape(xp.asarray(state, dtype=xp.complex_dtype), [2] * num_qubits)
-    gate_tensor = xp.asarray(
-        matrix.reshape([2] * (2 * k)).astype(xp.complex_dtype, copy=False)
-    )
+    tensor = np.asarray(state, dtype=complex).reshape([2] * num_qubits)
     # Contract the gate's input axes with the state's qubit axes.
-    tensor = xp.tensordot(gate_tensor, tensor, axes=(list(range(k, 2 * k)), qubits))
+    tensor = np.tensordot(matrix.reshape([2] * (2 * k)), tensor, axes=(list(range(k, 2 * k)), qubits))
     # tensordot moves the contracted axes to the front; restore the ordering.
     order = list(qubits) + [ax for ax in range(num_qubits) if ax not in qubits]
-    inverse = np.argsort(order)
-    return xp.reshape(xp.transpose(tensor, inverse), (-1,))
+    return np.transpose(tensor, np.argsort(order)).reshape(-1)
 
 
 class StatevectorSimulator:
     """Noiseless dense statevector simulator."""
 
-    def __init__(
-        self,
-        max_qubits: int = MAX_DENSE_QUBITS,
-        device: str | None = None,
-        dtype=None,
-    ) -> None:
+    def __init__(self, max_qubits: int = MAX_DENSE_QUBITS) -> None:
         self.max_qubits = int(max_qubits)
-        self.device = device
-        self._xp = get_namespace(device or "cpu", dtype=dtype)
 
     # ------------------------------------------------------------------
     def _check(self, circuit: Circuit) -> None:
@@ -97,25 +71,17 @@ class StatevectorSimulator:
             )
 
     def run(self, circuit: Circuit, initial_state=None) -> np.ndarray:
-        """Return the final statevector of ``circuit`` applied to ``initial_state``.
-
-        The result is always a *host* ndarray (device results are transferred
-        back at the end of the evolution).
-        """
+        """Return the final statevector of ``circuit`` applied to ``initial_state``."""
         self._check(circuit)
-        xp = self._xp
         n = circuit.num_qubits
         state = zero_state(n) if initial_state is None else check_statevector(initial_state)
         if state.size != 2**n:
             raise ValidationError(
                 f"initial state has {state.size} amplitudes, expected {2**n}"
             )
-        device_state = xp.asarray(state.astype(xp.complex_dtype, copy=False))
         for inst in circuit:
-            device_state = apply_matrix(
-                device_state, inst.operation.matrix, inst.qubits, n, xp=xp
-            )
-        return xp.to_host(device_state)
+            state = apply_matrix(state, inst.operation.matrix, inst.qubits, n)
+        return state
 
     def amplitude(
         self,

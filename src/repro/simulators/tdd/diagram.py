@@ -16,13 +16,10 @@ from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple
 
+import numpy as np
+
 from repro.simulators.tdd.node import TERMINAL, DDEdge, DDNode, UniqueTable
 from repro.utils.validation import ValidationError, check_power_of_two
-
-from repro.xp import declare_seam
-from repro.xp import host as np
-
-declare_seam(__name__, mode="host")
 
 __all__ = ["MatrixDD", "DDContext"]
 

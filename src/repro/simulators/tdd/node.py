@@ -12,10 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.xp import declare_seam
-from repro.xp import host as np
-
-declare_seam(__name__, mode="host")
+import numpy as np
 
 __all__ = ["DDNode", "DDEdge", "UniqueTable", "TERMINAL", "WEIGHT_DECIMALS"]
 

@@ -13,16 +13,13 @@ reports for the DD baseline.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.circuits.circuit import Circuit
 from repro.simulators.tdd.diagram import DDContext, MatrixDD
 from repro.utils.linalg import projector
 from repro.utils.states import zero_state
 from repro.utils.validation import ValidationError, check_statevector
-
-from repro.xp import declare_seam
-from repro.xp import host as np
-
-declare_seam(__name__, mode="host")
 
 __all__ = ["TDDSimulator"]
 

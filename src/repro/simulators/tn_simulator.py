@@ -13,17 +13,13 @@ intermediate-size budget; an order exceeding it raises
 :class:`~repro.tensornetwork.network.ContractionMemoryError` at plan time,
 before any tensor is allocated, which the benchmark harness reports as "MO"
 exactly like the paper's Table II.
-
-The replay hot path (:class:`PreparedFidelity`) dispatches its contractions
-through an :class:`repro.xp.ArrayNamespace` when the simulator is constructed
-with ``device=``: the recorded plan's tensors are transferred to the device
-once at prepare time and every :meth:`PreparedFidelity.execute` replays on
-the device.  Network *construction* and ordering search stay on the host.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.parameters import gate_derivative
@@ -37,10 +33,6 @@ from repro.tensornetwork.circuit_to_tn import (
 )
 from repro.tensornetwork.plan import ContractionPlan
 from repro.utils.validation import ValidationError
-from repro.xp import declare_seam, get_namespace
-from repro.xp import host as np
-
-declare_seam(__name__, mode="dispatch")
 
 __all__ = ["PreparedFidelity", "TNSimulator"]
 
@@ -61,48 +53,35 @@ class PreparedFidelity:
     the only tensors another binding of the structure changes.
     """
 
-    __slots__ = ("plan", "tensors", "noiseless", "gate_nodes", "_xp", "_device_tensors")
+    __slots__ = ("plan", "tensors", "noiseless", "gate_nodes")
 
     def __init__(
         self,
         plan: ContractionPlan,
         tensors: List[np.ndarray],
         noiseless: bool,
-        xp=None,
         gate_nodes: Dict[int, Tuple[int, ...]] | None = None,
     ) -> None:
         self.plan = plan
         self.tensors = tensors
         self.noiseless = noiseless
         self.gate_nodes = {} if gate_nodes is None else gate_nodes
-        #: Replay namespace (None = host numpy); device copies are lazy.
-        self._xp = xp
-        self._device_tensors = None
-
-    def _replay_tensors(self) -> List:
-        if self._xp is None or self._xp.device == "cpu":
-            return list(self.tensors)
-        if self._device_tensors is None:
-            # One-time host -> device transfer, reused by every replay.
-            self._device_tensors = [self._xp.asarray(tensor) for tensor in self.tensors]
-        return list(self._device_tensors)
 
     def execute(self) -> float:
         """Return the fidelity by one replay of the plan."""
-        value = self.plan.execute(self._replay_tensors(), xp=self._xp)
+        value = self.plan.execute(self.tensors)
         if self.noiseless:
             return float(abs(value) ** 2)
         return float(np.real(value))
 
-    def rebind(self, circuit: Circuit, xp=None) -> "PreparedFidelity":
+    def rebind(self, circuit: Circuit) -> "PreparedFidelity":
         """This plan over another binding of its structure: only the gate tensors change.
 
         Copies the tensor list and overwrites the nodes of every parametric
         gate with ``circuit``'s bound matrix (and its conjugate on the lower
         rails), exactly the tensors the network builder would produce — no
         network is built, and every other tensor (boundaries, fixed gates,
-        noise superoperators) is shared with this plan.  The copy replays on
-        ``xp`` (None = host numpy).
+        noise superoperators) is shared with this plan.
         """
         tensors = list(self.tensors)
         for index, nodes in self.gate_nodes.items():
@@ -111,9 +90,7 @@ class PreparedFidelity:
             tensors[nodes[0]] = operator_tensor(matrix, inst.qubits)
             if len(nodes) > 1:
                 tensors[nodes[1]] = operator_tensor(matrix.conj(), inst.qubits)
-        return PreparedFidelity(
-            self.plan, tensors, self.noiseless, xp=xp, gate_nodes=self.gate_nodes
-        )
+        return PreparedFidelity(self.plan, tensors, self.noiseless, gate_nodes=self.gate_nodes)
 
     def angle_derivatives(self, circuit: Circuit, indices: Sequence[int]) -> List[float]:
         """Exact ``∂F/∂θ`` of the single-angle gate at each instruction index.
@@ -131,18 +108,17 @@ class PreparedFidelity:
         if missing:
             raise ValidationError(f"instructions {missing} are not parametric gates of this plan")
         positions = [position for index in indices for position in self.gate_nodes[index]]
-        value, envs = self.plan.environments(self._replay_tensors(), positions, xp=self._xp)
-        ops = get_namespace("cpu") if self._xp is None else self._xp
+        value, envs = self.plan.environments(self.tensors, positions)
         derivatives = []
         for index in indices:
             inst = circuit[index]
             tensor = operator_tensor(gate_derivative(inst.operation), inst.qubits)
             nodes = self.gate_nodes[index]
-            upper = _pair(ops.to_host(envs[nodes[0]]), tensor)
+            upper = _pair(envs[nodes[0]], tensor)
             if self.noiseless:
                 derivatives.append(float(2.0 * np.real(np.conj(value) * upper)))
             else:
-                lower = _pair(ops.to_host(envs[nodes[1]]), tensor.conj())
+                lower = _pair(envs[nodes[1]], tensor.conj())
                 derivatives.append(float(np.real(upper + lower)))
         return derivatives
 
@@ -169,16 +145,11 @@ class TNSimulator:
         self,
         max_intermediate_size: int | None = 2**26,
         strategy: str = "greedy",
-        device: str | None = None,
     ) -> None:
         #: Budget on the entry count of any intermediate tensor (None = unlimited).
         self.max_intermediate_size = max_intermediate_size
         #: Contraction-order heuristic ("greedy" or "sequential").
         self.strategy = strategy
-        #: Replay device for prepared plans (None = host; construction and
-        #: the ordering search always run on the host).
-        self.device = device
-        self._xp = None if device is None else get_namespace(device)
 
     # ------------------------------------------------------------------
     def amplitude(
@@ -233,7 +204,7 @@ class TNSimulator:
         (:meth:`PreparedFidelity.rebind`) — no ordering search.
         """
         if template is not None:
-            return template.rebind(circuit, xp=self._xp)
+            return template.rebind(circuit)
         n = circuit.num_qubits
         input_state = "0" * n if input_state is None else input_state
         output_state = "0" * n if output_state is None else output_state
@@ -255,7 +226,6 @@ class TNSimulator:
             ContractionPlan.record(network, strategy=self.strategy),
             network.tensors,
             noiseless,
-            xp=self._xp,
             gate_nodes=gate_nodes,
         )
 

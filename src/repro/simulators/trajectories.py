@@ -21,8 +21,8 @@ Both run in the batched engine
 (:class:`repro.backends.engine.BatchedTrajectoryEngine`, or
 ``Session.run(circuit, "trajectories" | "trajectories_tn", ...)``), which
 simulates each distinct Kraus history of a batch of trajectories once and
-draws them from fixed-size seeded RNG blocks, so estimates are identical for every worker count and
-device.  This module holds what the engine and the session layer share: the
+draws them from fixed-size seeded RNG blocks, so estimates are identical for every worker count.
+This module holds what the engine and the session layer share: the
 :class:`TrajectoryResult` record and the :func:`required_samples` pilot math.
 """
 
@@ -30,11 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.utils.validation import ValidationError
-from repro.xp import declare_seam
-from repro.xp import host as np
+import numpy as np
 
-declare_seam(__name__)
+from repro.utils.validation import ValidationError
 
 __all__ = ["TrajectoryResult", "required_samples"]
 

@@ -67,11 +67,6 @@ def cell_record(cell, status: str, result=None, error: str | None = None) -> Dic
         record["elapsed_seconds"] = result.elapsed_seconds
         record["num_samples"] = result.num_samples
         record["num_contractions"] = result.num_contractions
-        # Per-cell device provenance (a soft sweep-level device applies only
-        # to device-capable backends, so cells can differ).  Emitted only for
-        # non-cpu devices, keeping pre-device record streams byte-identical.
-        if result.device != "cpu":
-            record["device"] = result.device
         # "workers" is runtime configuration, not an outcome: dropping it keeps
         # records identical across --workers settings.
         record["metadata"] = {

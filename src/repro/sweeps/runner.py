@@ -204,11 +204,7 @@ class SweepRunner:
         # The session owns the shared process pool for the stochastic cells;
         # it is created lazily on first use, so a fully-resumed re-run never
         # pays the pool start-up cost.
-        with Session(
-            workers=self.workers,
-            passes=self.spec.passes,
-            device=self.spec.device,
-        ) as session:
+        with Session(workers=self.workers, passes=self.spec.passes) as session:
             with SweepRecords.open_for(
                 self.spec, self.out_path, resume=self.resume, shard=shard_label
             ) as records:

@@ -40,7 +40,6 @@ from repro.circuits.library import benchmark_circuit
 from repro.circuits.qasm import from_qasm
 from repro.utils.seeds import stable_seed
 from repro.utils.validation import ValidationError
-from repro.xp import KNOWN_DEVICES
 
 __all__ = [
     "BackendSpec",
@@ -316,7 +315,6 @@ class SweepSpec:
     output_state: str = "zero"
     workers: int | None = None
     passes: bool = True
-    device: str | None = None
     circuits: Tuple[CircuitSpec, ...] = ()
     noises: Tuple[NoiseSpec, ...] = (NoiseSpec(),)
     backends: Tuple[BackendSpec, ...] = ()
@@ -358,9 +356,6 @@ class SweepSpec:
             # Emitted only when disabled so pre-existing spec hashes (which
             # never mentioned passes) remain stable for resumed JSONL files.
             payload["passes"] = False
-        if self.device is not None:
-            # Same stability idiom: cpu-default sweeps hash as before devices.
-            payload["device"] = self.device
         payload["grid"] = {
             "circuit": [
                 {
@@ -411,7 +406,6 @@ _SPEC_KEYS = (
     "output_state",
     "workers",
     "passes",
-    "device",
     "grid",
 )
 _GRID_KEYS = ("circuit", "noise", "backend", "level", "samples", "params")
@@ -495,13 +489,6 @@ def _parse_spec(data: Mapping, base_dir: Path | None) -> SweepSpec:
             "output_state: ideal is incompatible with parametric circuit "
             "entries (the ideal state depends on the bound parameter values)"
         )
-    device = None if data.get("device") is None else str(data["device"])
-    if device is not None and device not in KNOWN_DEVICES:
-        # Known-name check at parse time; *availability* (e.g. cuda, which
-        # has no namespace here) is checked when the runner opens its session.
-        raise ValidationError(
-            f"unknown device {device!r}; known: {', '.join(KNOWN_DEVICES)}"
-        )
 
     return SweepSpec(
         name=str(data["name"]),
@@ -511,7 +498,6 @@ def _parse_spec(data: Mapping, base_dir: Path | None) -> SweepSpec:
         output_state=output_state,
         workers=None if data.get("workers") is None else int(data["workers"]),
         passes=bool(data.get("passes", True)),
-        device=device,
         circuits=circuits,
         noises=noises,
         backends=backends,

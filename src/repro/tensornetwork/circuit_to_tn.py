@@ -23,15 +23,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.circuits.circuit import Circuit
 from repro.tensornetwork.network import TensorNetwork
 from repro.tensornetwork.plan import ContractionPlan
 from repro.utils.validation import ValidationError
-
-from repro.xp import declare_seam
-from repro.xp import host as np
-
-declare_seam(__name__, mode="host")
 
 __all__ = [
     "StateLike",

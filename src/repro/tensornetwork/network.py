@@ -4,10 +4,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from repro.xp import declare_seam
-from repro.xp import host as np
-
-declare_seam(__name__, mode="host")
+import numpy as np
 
 __all__ = ["TensorNetwork", "ContractionMemoryError"]
 

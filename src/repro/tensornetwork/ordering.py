@@ -32,10 +32,6 @@ from typing import Dict, List, Tuple
 from repro.tensornetwork.network import ContractionMemoryError, TensorNetwork
 from repro.utils.validation import ValidationError
 
-from repro.xp import declare_seam
-
-declare_seam(__name__, mode="host")
-
 __all__ = ["plan_contraction"]
 
 

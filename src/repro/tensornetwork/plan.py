@@ -72,37 +72,31 @@ from __future__ import annotations
 import math
 from typing import AbstractSet, Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.tensornetwork.network import TensorNetwork
 from repro.tensornetwork.ordering import plan_contraction
+from repro.utils.blas import single_blas_thread
 from repro.utils.validation import ValidationError
-from repro.xp import declare_seam, get_namespace
-from repro.xp import host as np
 
-declare_seam(__name__, mode="dispatch")
-
-__all__ = ["ContractionPlan", "MAX_CHUNK_ROWS", "ROW_BATCH_ENTRIES", "SpecializedPlan", "row_chunk"]
+__all__ = ["ContractionPlan", "ROW_BATCH_ENTRIES", "SpecializedPlan", "row_chunk"]
 
 #: Entry budget of one batched replay: :meth:`SpecializedPlan.execute_rows`
 #: replays at most ``ROW_BATCH_ENTRIES // peak_intermediate_entries`` rows
 #: at a time (see :func:`row_chunk`).
 ROW_BATCH_ENTRIES = 2**20
 
-#: Row cap of one batched replay.  Larger chunks turn a small plan's
-#: products (``(4000, 2) @ (2, 1)`` for a 16-entry plan) into BLAS calls that
-#: OpenBLAS threads, and on a 2-vCPU host each of those stalled ~8 ms.
-MAX_CHUNK_ROWS = 256
-
 
 def row_chunk(peak_intermediate_entries: int) -> int:
     """Rows per batched replay of a plan whose largest intermediate has this many entries.
 
-    The chunk depends only on the plan, never on the caller, its workers or
-    its device, so a replay's rounding is the same wherever it runs.
+    The chunk depends only on the plan, never on the caller or its workers,
+    so a replay's rounding is the same wherever it runs.
 
     >>> row_chunk(16), row_chunk(2**14), row_chunk(2**30)
-    (256, 64, 1)
+    (65536, 64, 1)
     """
-    return max(1, min(MAX_CHUNK_ROWS, ROW_BATCH_ENTRIES // max(1, peak_intermediate_entries)))
+    return max(1, ROW_BATCH_ENTRIES // max(1, peak_intermediate_entries))
 
 
 #: One slot-program step: input slots ``a``/``b``, their contracted axes
@@ -112,10 +106,6 @@ _Step = Tuple[int, int, Tuple[int, ...], Tuple[int, ...], int]
 #: One dot kernel (see :func:`_kernel`):
 #: ``(perm_a, shape_a, perm_b, shape_b, shape_out, stacked, order)``.
 _Kernel = tuple
-
-#: A host replay calls ndarray's own methods: the kernels behind
-#: ``np.transpose``/``np.reshape`` without numpy's function-dispatch layer.
-_HOST = (np.ndarray.transpose, np.ndarray.reshape, np.dot, np.matmul)
 
 
 class ContractionPlan:
@@ -188,19 +178,19 @@ class ContractionPlan:
             self._table = table
         return table
 
-    def execute(self, tensors: List[np.ndarray], xp=None) -> complex:
+    def execute(self, tensors: List[np.ndarray]) -> complex:
         """Replay the schedule over ``tensors`` and return the scalar result.
 
         ``tensors`` must match the template's tensor order and shapes; only the
-        values may differ (device arrays of ``xp`` when a namespace is given).
+        values may differ.
         """
         self._check_inputs(tensors)
         table = self._kernel_table(tensors)
         buffer = list(tensors) + [None] * len(self.steps)
-        return _scalar(_replay(buffer, table.forward, self._result_slot(), xp), xp)
+        return _scalar(_replay(buffer, table.forward, self._result_slot()))
 
     def environments(
-        self, tensors: List[np.ndarray], positions: Sequence[int], xp=None
+        self, tensors: List[np.ndarray], positions: Sequence[int]
     ) -> Tuple[complex, Dict[int, np.ndarray]]:
         """Replay once; return the value and the environment of each input in ``positions``.
 
@@ -216,8 +206,7 @@ class ContractionPlan:
         step's operand is the step's environment contracted with the other
         operand over that operand's free axes, transposed back to the
         operand's axis order (one precomputed kernel per operand, see
-        :func:`_environment_kernel`).  Each environment has its input's shape
-        (a device array of ``xp`` when a namespace is given).
+        :func:`_environment_kernel`).  Each environment has its input's shape.
         """
         self._check_inputs(tensors)
         wanted = {int(position) for position in positions}
@@ -235,10 +224,8 @@ class ContractionPlan:
             if not static[slot]
         }
         buffer = list(tensors) + [None] * len(self.steps)
-        result = _replay(buffer, table.forward, self._result_slot(), xp, keep=keep)
-        ops = get_namespace("cpu") if xp is None else xp
-        primitives = _primitives(xp)
-        envs = {self._result_slot(): ops.full(result.shape, 1.0, dtype=ops.complex_dtype)}
+        result = _replay(buffer, table.forward, self._result_slot(), keep=keep)
+        envs = {self._result_slot(): np.full(result.shape, 1.0, dtype=complex)}
         for (slot_a, slot_b, _, _, out), (kernel_a, kernel_b) in zip(
             reversed(self.steps), reversed(table.reverse())
         ):
@@ -246,11 +233,11 @@ class ContractionPlan:
                 continue
             env = envs.pop(out)
             if not static[slot_a]:
-                envs[slot_a] = _apply(kernel_a, env, buffer[slot_b], primitives)
+                envs[slot_a] = _apply(kernel_a, env, buffer[slot_b])
             if not static[slot_b]:
-                envs[slot_b] = _apply(kernel_b, env, buffer[slot_a], primitives)
+                envs[slot_b] = _apply(kernel_b, env, buffer[slot_a])
             buffer[slot_a] = buffer[slot_b] = None
-        return _scalar(result, xp), {position: envs[position] for position in sorted(wanted)}
+        return _scalar(result), {position: envs[position] for position in sorted(wanted)}
 
     def specialize(
         self,
@@ -280,7 +267,7 @@ class ContractionPlan:
             tensor if static[position] else None for position, tensor in enumerate(tensors)
         ]
         baked += [None] * len(self.steps)
-        _run(baked, baked_steps, _HOST)
+        _run(baked, baked_steps)
         return SpecializedPlan(
             baked,
             rows,
@@ -323,7 +310,6 @@ class SpecializedPlan:
         "variable_positions",
         "_result_slot",
         "peak_intermediate_entries",
-        "_device_baked",
     )
 
     def __init__(
@@ -341,52 +327,28 @@ class SpecializedPlan:
         self._result_slot = result_slot
         #: The recorded plan's largest intermediate (sizes row chunks).
         self.peak_intermediate_entries = peak_intermediate_entries
-        #: Per-namespace device copies of the baked tensors, transferred once
-        #: on the first device replay (callers keep their variable candidates
-        #: device-resident too; see BatchedTrajectoryEngine._run_tn).
-        self._device_baked: dict = {}
-
-    def __getstate__(self):
-        # A pickled plan carries host data only: the receiving process
-        # transfers its own device copies on its first device replay.
-        return None, {**{slot: getattr(self, slot) for slot in self.__slots__}, "_device_baked": {}}
-
-    def _baked_for(self, xp) -> List:
-        if xp is None or xp.device == "cpu":
-            return self._baked
-        cached = self._device_baked.get(xp.name)
-        if cached is None:
-            cached = [
-                None if tensor is None else xp.asarray(tensor)
-                for tensor in self._baked
-            ]
-            self._device_baked[xp.name] = cached
-        return cached
 
     @property
     def num_residual_steps(self) -> int:
         """Contractions actually replayed per call (the rest are baked)."""
         return len(self._rows)
 
-    def execute(self, variables: Sequence[np.ndarray], xp=None) -> complex:
+    def execute(self, variables: Sequence[np.ndarray]) -> complex:
         """Return the scalar for the given variable-input values: a one-row :meth:`execute_rows`.
 
         ``variables[j]`` is the tensor for ``variable_positions[j]`` in this
-        call (shapes must match the template's; device arrays of ``xp`` when
-        a namespace is given — the baked static intermediates are transferred
-        to that device once and cached).
+        call (shapes must match the template's).
         """
         stacks = [tensor.reshape((1,) + tensor.shape) for tensor in variables]
-        return complex(self.execute_rows(stacks, np.zeros((1, len(variables)), dtype=np.intp), xp)[0])
+        return complex(self.execute_rows(stacks, np.zeros((1, len(variables)), dtype=np.intp))[0])
 
-    def execute_rows(self, factors: Sequence[np.ndarray], rows, xp=None) -> np.ndarray:
+    def execute_rows(self, factors: Sequence[np.ndarray], rows) -> np.ndarray:
         """Replay the plan for every index row at once; return a complex array ``[K]``.
 
         ``factors[j]`` stacks the candidate tensors of ``variable_positions[j]``
-        along a leading axis (stacked once by the caller, an array of ``xp``
-        when a namespace is given) and ``rows`` is an integer array of shape
-        ``[K, len(factors)]``: row ``r`` substitutes ``factors[j][rows[r, j]]``
-        at every variable position.  Rows are replayed in chunks of
+        along a leading axis (stacked once by the caller) and ``rows`` is an
+        integer array of shape ``[K, len(factors)]``: row ``r`` substitutes
+        ``factors[j][rows[r, j]]`` at every variable position.  Rows are replayed in chunks of
         :func:`row_chunk` rows; a chunk of one row is bit-identical to a full
         :meth:`ContractionPlan.execute`, and larger chunks agree with it to
         within a few ulps.
@@ -395,21 +357,21 @@ class SpecializedPlan:
         leading row axis in front of the sequential step's axes); every
         residual step has a batched operand, and its row kernel (see
         :func:`_kernel`) leaves the row axis first.  Without variables nothing
-        is batched and the baked result is every row's value.
+        is batched and the baked result is every row's value.  The replay
+        runs on one BLAS thread (:func:`~repro.utils.blas.single_blas_thread`).
         """
         rows = self._check_rows(factors, rows)
         values = np.empty(len(rows), dtype=complex)
-        ops = get_namespace("cpu") if xp is None else xp
-        baked = self._baked_for(xp)
         chunk = row_chunk(self.peak_intermediate_entries)
-        for start in range(0, len(rows), chunk):
-            block = rows[start : start + chunk]
-            buffer = list(baked)
-            for column, position in enumerate(self.variable_positions):
-                buffer[position] = factors[column][block[:, column]]
-            entries = len(block) if self.variable_positions else 1
-            result = _replay(buffer, self._rows, self._result_slot, xp, entries)
-            values[start : start + len(block)] = ops.to_host(result).reshape(-1)
+        with single_blas_thread():
+            for start in range(0, len(rows), chunk):
+                block = rows[start : start + chunk]
+                buffer = list(self._baked)
+                for column, position in enumerate(self.variable_positions):
+                    buffer[position] = factors[column][block[:, column]]
+                entries = len(block) if self.variable_positions else 1
+                result = _replay(buffer, self._rows, self._result_slot, entries)
+                values[start : start + len(block)] = result.reshape(-1)
         return values
 
     def _check_rows(self, factors: Sequence[np.ndarray], rows) -> np.ndarray:
@@ -511,13 +473,6 @@ class _KernelTable:
             ]
             self._reverse = reverse
         return reverse
-
-
-def _primitives(xp) -> tuple:
-    """``(transpose, reshape, dot, matmul)`` for a replay on ``xp`` (None = host)."""
-    if xp is None or xp.device == "cpu":
-        return _HOST
-    return xp.transpose, xp.reshape, xp.dot, xp.matmul
 
 
 def _perm(axes) -> Tuple[int, ...] | None:
@@ -623,19 +578,18 @@ def _environment_kernel(
     return kernel[:6] + (_perm(labels.index(axis) for axis in range(len(labels))),)
 
 
-def _apply(kernel: _Kernel, left, right, primitives: tuple):
+def _apply(kernel: _Kernel, left, right):
     """One kernel on two operands (the reverse sweep's step; :func:`_run` inlines it)."""
-    transpose, reshape, dot, matmul = primitives
     perm_a, shape_a, perm_b, shape_b, shape_out, stacked, order = kernel
     if perm_a is not None:
-        left = transpose(left, perm_a)
+        left = left.transpose(perm_a)
     if perm_b is not None:
-        right = transpose(right, perm_b)
-    result = reshape((matmul if stacked else dot)(reshape(left, shape_a), reshape(right, shape_b)), shape_out)
-    return result if order is None else transpose(result, order)
+        right = right.transpose(perm_b)
+    result = (np.matmul if stacked else np.dot)(left.reshape(shape_a), right.reshape(shape_b)).reshape(shape_out)
+    return result if order is None else result.transpose(order)
 
 
-def _run(buffer: List, kernels: Sequence[tuple], primitives: tuple, keep: AbstractSet[int] = frozenset()) -> None:
+def _run(buffer: List, kernels: Sequence[tuple], keep: AbstractSet[int] = frozenset()) -> None:
     """Execute ``(slot_a, slot_b, out) + kernel`` steps over the slot ``buffer``.
 
     The one replay loop: full replays, the row-batched replay and
@@ -644,15 +598,15 @@ def _run(buffer: List, kernels: Sequence[tuple], primitives: tuple, keep: Abstra
     the live intermediates stay in memory); slots in ``keep`` stay in
     ``buffer`` for a later reverse sweep (:meth:`ContractionPlan.environments`).
     """
-    transpose, reshape, dot, matmul = primitives
+    dot, matmul = np.dot, np.matmul
     for slot_a, slot_b, out, perm_a, shape_a, perm_b, shape_b, shape_out, stacked, order in kernels:
         left, right = buffer[slot_a], buffer[slot_b]
         if perm_a is not None:
-            left = transpose(left, perm_a)
+            left = left.transpose(perm_a)
         if perm_b is not None:
-            right = transpose(right, perm_b)
-        result = reshape((matmul if stacked else dot)(reshape(left, shape_a), reshape(right, shape_b)), shape_out)
-        buffer[out] = result if order is None else transpose(result, order)
+            right = right.transpose(perm_b)
+        result = (matmul if stacked else dot)(left.reshape(shape_a), right.reshape(shape_b)).reshape(shape_out)
+        buffer[out] = result if order is None else result.transpose(order)
         if slot_a not in keep:
             buffer[slot_a] = None
         if slot_b not in keep:
@@ -663,24 +617,17 @@ def _replay(
     buffer: List,
     kernels: Sequence[tuple],
     result_slot: int,
-    xp,
     entries: int = 1,
     keep: AbstractSet[int] = frozenset(),
 ):
-    """:func:`_run` ``kernels`` over ``buffer``; return the result slot's ``entries`` values.
-
-    The result stays a tensor of ``xp`` (host if None): a scalar replay
-    converts it with :func:`_scalar`, a row replay copies it to the host.
-    """
-    _run(buffer, kernels, _primitives(xp), keep)
+    """:func:`_run` ``kernels`` over ``buffer``; return the result slot's ``entries`` values."""
+    _run(buffer, kernels, keep)
     result = buffer[result_slot]
     if result is None or result.size != entries:
         raise ValidationError("plan did not reduce the network to a scalar")
     return result
 
 
-def _scalar(result, xp) -> complex:
+def _scalar(result) -> complex:
     """A one-entry replay result as a Python complex."""
-    if xp is None:
-        return complex(result.reshape(()))
-    return complex(xp.to_scalar(result))
+    return complex(result.reshape(()))

@@ -639,9 +639,7 @@ class BindEquivalence(Oracle):
             .run()
             .value
         )
-        with Session(
-            plan_cache_size=0, passes=session.passes, device=session.device
-        ) as independent:
+        with Session(plan_cache_size=0, passes=session.passes) as independent:
             reference = independent.run(
                 substitute(parametric, binding), backend=name, samples=samples,
                 seed=seed, level=level, workers=workers,

@@ -90,11 +90,6 @@ class ConformanceRunner:
         :meth:`repro.api.PassConfig.resolve` accepts).  ``repro verify`` runs
         with passes on by default and with ``--no-passes`` in CI, so the
         oracles certify both the optimized and the raw pipeline.
-    device:
-        Session-default execution device (``repro verify --device``): applied
-        softly to device-capable backends, so a ``fake_gpu`` conformance run
-        certifies the device dispatch path against the cpu-only references.
-        An unavailable device raises here, before any workload runs.
     """
 
     def __init__(
@@ -110,7 +105,6 @@ class ConformanceRunner:
         shrink: bool = True,
         max_shrink_checks: int = 400,
         passes: Any = True,
-        device: str | None = None,
     ) -> None:
         if workers < 2:
             raise ValidationError("conformance runs need workers >= 2")
@@ -125,7 +119,6 @@ class ConformanceRunner:
         self.shrink = shrink
         self.max_shrink_checks = int(max_shrink_checks)
         self.passes = passes
-        self.device = device
 
     # ------------------------------------------------------------------
     def run(self, progress: Callable[[str], None] | None = None) -> ConformanceReport:
@@ -136,9 +129,7 @@ class ConformanceRunner:
             self.families, self.cases, self.seed, samples=self.samples, level=self.level
         )
         report = ConformanceReport(cases=len(workloads))
-        with Session(
-            workers=self.workers, seed=self.seed, passes=self.passes, device=self.device
-        ) as session:
+        with Session(workers=self.workers, seed=self.seed, passes=self.passes) as session:
             for workload in workloads:
                 note(f"[{workload.index + 1}/{len(workloads)}] {workload.describe()}")
                 for oracle in self.oracles:

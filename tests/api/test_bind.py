@@ -4,7 +4,7 @@ The contract under test: ``session.compile(parametric).bind(p).run(seed=s)``
 is bit-identical to compiling the substituted circuit from scratch in an
 *independent* session (plan cache disabled, so the reference path cannot
 reuse the parametric plan under test), on every backend, with passes on and
-off, on cpu and the fake_gpu device.  Seeds are explicit in both paths —
+off.  Seeds are explicit in both paths —
 the session's per-submission seed derivation would otherwise give the two
 paths different defaults.
 """
@@ -46,11 +46,11 @@ def _binding_for(circuit, offset=0.0):
     }
 
 
-def _assert_bind_matches_substitute(parametric, binding, backend, passes, device=None):
+def _assert_bind_matches_substitute(parametric, binding, backend, passes):
     if get_backend(backend).supports(substitute(parametric, binding)) is not None:
         pytest.skip(f"{backend} does not support this circuit")
     workers = 1 if get_backend(backend).capabilities.stochastic else None
-    with Session(seed=5, passes=passes, device=device) as session:
+    with Session(seed=5, passes=passes) as session:
         bound_value = (
             session.compile(
                 parametric, backend=backend, samples=SAMPLES, seed=SEED,
@@ -60,7 +60,7 @@ def _assert_bind_matches_substitute(parametric, binding, backend, passes, device
             .run()
             .value
         )
-    with Session(plan_cache_size=0, passes=passes, device=device) as independent:
+    with Session(plan_cache_size=0, passes=passes) as independent:
         reference = independent.run(
             substitute(parametric, binding), backend=backend, samples=SAMPLES,
             seed=SEED, workers=workers,
@@ -82,13 +82,6 @@ class TestBindEquivalence:
     def test_noisy_qaoa_all_backends(self, noisy_parametric_qaoa, backend, passes):
         binding = _binding_for(noisy_parametric_qaoa)
         _assert_bind_matches_substitute(noisy_parametric_qaoa, binding, backend, passes)
-
-    @pytest.mark.parametrize("backend", ["tn", "trajectories_tn", "statevector"])
-    def test_noisy_qaoa_fake_gpu(self, noisy_parametric_qaoa, backend):
-        binding = _binding_for(noisy_parametric_qaoa)
-        _assert_bind_matches_substitute(
-            noisy_parametric_qaoa, binding, backend, True, device="fake_gpu"
-        )
 
     @pytest.mark.parametrize("backend", ["tn", "density_matrix", "trajectories"])
     def test_hf_ansatz(self, backend):
@@ -240,8 +233,8 @@ class TestTemplateReuse:
         template = engine.prepare(first)
         prepared = engine.prepare(second, template=template)
         assert prepared.network.plan is template.network.plan
-        assert prepared.q_dists is template.q_dists
-        assert prepared.kraus_factors(None) is template.kraus_factors(None)
+        assert prepared.replay.q_dists is template.replay.q_dists
+        assert prepared.replay.kraus is template.replay.kraus
         fresh = engine.prepare(second)
         assert len(prepared.network.tensors) == len(fresh.network.tensors)
         for rebound, built in zip(prepared.network.tensors, fresh.network.tensors):

@@ -47,16 +47,21 @@ def _front_hit(calls, compile_once):
 class TestOracle:
     """A memo hit equals a cold compile bit for bit."""
 
-    @pytest.mark.parametrize("device", [None, "fake_gpu"])
     @pytest.mark.parametrize("passes", [True, False], ids=["passes", "no-passes"])
     @pytest.mark.parametrize(
         "backend, options",
-        [("tn", {"output_state": "ideal"}), ("approximation", {"level": 1})],
-        ids=["tn-ideal", "approximation"],
+        [
+            ("tn", {"output_state": "ideal"}),
+            ("approximation", {"level": 1}),
+            ("approximation", {"level": 2}),
+            ("density_matrix", {}),
+            ("trajectories_tn", {"samples": 200}),
+        ],
+        ids=["tn-ideal", "approximation", "approximation-level2", "density_matrix", "trajectories_tn"],
     )
-    def test_hit_matches_cold_compile(self, calls, backend, options, passes, device):
+    def test_hit_matches_cold_compile(self, calls, backend, options, passes):
         workloads = generate_workloads(cases=6, seed=7)
-        with Session(device=device) as hot, Session(plan_cache_size=0, device=device) as cold:
+        with Session() as hot, Session(plan_cache_size=0) as cold:
             for workload in workloads:
                 def compile_once(session):
                     return session.compile(
@@ -112,7 +117,6 @@ class TestCollisions:
             "dense output a": {"output_state": dense[0]},
             "dense output b": {"output_state": dense[1]},
             "backend options": {"backend_options": {"max_intermediate_size": 2**20}},
-            "device": {"device": "fake_gpu"},
             "other backend": {"backend": "density_matrix"},
             "noiseless": {"backend": "mps", "noise": None},
             "bond ceiling": {"backend": "mps", "noise": None, "max_bond_dim": 4},

@@ -40,6 +40,8 @@ from repro.noise import (
     NoiseModel,
     amplitude_damping_channel,
     depolarizing_channel,
+    pauli_channel,
+    phase_damping_channel,
     two_qubit_depolarizing_channel,
 )
 from repro.simulators import DensityMatrixSimulator, TNSimulator
@@ -49,7 +51,6 @@ from repro.tensornetwork.plan import SpecializedPlan
 from repro.utils import zero_state
 from repro.utils.validation import ValidationError
 from repro.verify import generate_workloads
-from repro.xp import get_namespace
 
 
 @pytest.fixture(scope="module")
@@ -233,12 +234,29 @@ def _two_qubit_kraus_circuit():
     return noisy
 
 
+def _non_unital_mix_circuit():
+    # Non-unital, dephasing and asymmetric Pauli noise in turn: the Kraus
+    # candidates of one history differ in their Born weights.
+    channels = [
+        amplitude_damping_channel(0.2),
+        phase_damping_channel(0.3),
+        pauli_channel(0.05, 0.1, 0.15),
+    ]
+    noisy = Circuit(3, name="non_unital_mix")
+    for position, inst in enumerate(random_circuit(3, 12, rng=8)):
+        noisy.append(inst.operation, inst.qubits)
+        if position % 3 == 0:
+            noisy.append(channels[(position // 3) % 3], (inst.qubits[0],))
+    return noisy
+
+
 # (circuit factory, statevector samples, tn samples): the low-noise qaoa_9
 # case spans 8 RNG blocks on the statevector path (the per-sample tn loop is
 # ~15 ms a sample, so its oracle run stays at two blocks).
 ORACLE_CASES = {
     "qaoa9_p0.001": (lambda: _qaoa9(0.001), 2000, RNG_BLOCK + 44),
     "two_qubit_kraus": (_two_qubit_kraus_circuit, 600, 600),
+    "non_unital_mix": (_non_unital_mix_circuit, 600, 600),
 }
 REFERENCE_LOOPS = {"statevector": reference_statevector_loop, "tn": reference_tn_loop}
 
@@ -260,19 +278,6 @@ def test_grouped_histories_match_per_sample_loop(oracle_case, backend):
             circuit, samples[backend], rng=1, keep_samples=True, workers=workers
         )
         np.testing.assert_allclose(np.array(result.samples), reference, rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize("oracle_case", sorted(ORACLE_CASES), indirect=True)
-@pytest.mark.parametrize("backend", ["statevector", "tn"])
-def test_grouped_histories_fake_gpu_equals_cpu(oracle_case, backend):
-    circuit, samples = oracle_case
-    kept = [
-        BatchedTrajectoryEngine(backend, device=device).estimate_fidelity(
-            circuit, samples[backend], rng=4, keep_samples=True
-        ).samples
-        for device in ("cpu", "fake_gpu")
-    ]
-    assert kept[0] == kept[1]
 
 
 def _gate_batches(monkeypatch, circuit):
@@ -297,19 +302,6 @@ def test_gates_act_on_fewer_states_than_the_slab_at_low_noise(monkeypatch):
 def test_gates_never_act_on_more_states_than_the_slab_at_high_noise(monkeypatch):
     batches, slab = _gate_batches(monkeypatch, _qaoa9(0.1))
     assert batches and max(batches) <= slab
-
-
-def test_group_states_reuse_one_slab_buffer():
-    # The group-state buffer is keyed by the slab, not by the group count,
-    # so a high-noise run (many group counts) evicts nothing from the
-    # per-thread workspace LRU it shares with plan replay.
-    xp = get_namespace("cpu")
-    xp.workspace_clear()
-    engine = BatchedTrajectoryEngine("statevector")
-    circuit = _qaoa9(0.1)
-    for seed in range(3):
-        engine.estimate_fidelity(circuit, 2000, rng=seed, workers=1)
-    assert xp.workspace_stats()["evictions"] == 0
 
 
 @pytest.mark.parametrize("workers", [None, 2])
@@ -342,9 +334,9 @@ def test_forced_splits_keep_every_value(monkeypatch, noisy_circuit, workers):
 
 
 def test_split_right_after_a_channel_keeps_its_parent_rows():
-    # Runs of consecutive channels split while their states sit in the
-    # shared group-state buffer, which the first run's later channels
-    # overwrite; the pending runs must resume from their own parent rows.
+    # Runs of consecutive channels split right after another channel's
+    # selection; the pending runs must resume from their own parent rows,
+    # untouched by the first run's later channels.
     noisy = Circuit(3, name="back_to_back_channels")
     for position, inst in enumerate(random_circuit(3, 9, rng=6)):
         noisy.append(inst.operation, inst.qubits)
@@ -378,9 +370,9 @@ def _tn_replays(monkeypatch, probability):
     calls = []
     execute_rows = SpecializedPlan.execute_rows
 
-    def spy(self, factors, rows, xp=None):
+    def spy(self, factors, rows):
         calls.append(np.array(rows))
-        return execute_rows(self, factors, rows, xp=xp)
+        return execute_rows(self, factors, rows)
 
     monkeypatch.setattr(SpecializedPlan, "execute_rows", spy)
     BatchedTrajectoryEngine("tn").estimate_fidelity(_qaoa9(probability), 2000, rng=1)
@@ -395,20 +387,20 @@ def test_one_pass_replays_each_tn_history_once(monkeypatch):
     assert len(_tn_replays(monkeypatch, 0.001)) == 1
 
 
-def test_tn_replays_a_pass_in_one_call_of_capped_chunks(monkeypatch):
+def test_tn_replays_a_pass_in_one_chunk(monkeypatch):
     # At p = 0.3 a pass holds ~1000 distinct histories: they replay once
-    # each, in one call whose chunks the plan caps.
+    # each, in one call that the plan's entry budget leaves unchunked.
     chunks = []
     replay = plan_module._replay
 
-    def spy(buffer, kernels, result_slot, xp, entries):
+    def spy(buffer, kernels, result_slot, entries):
         chunks.append(entries)
-        return replay(buffer, kernels, result_slot, xp, entries)
+        return replay(buffer, kernels, result_slot, entries)
 
     monkeypatch.setattr(plan_module, "_replay", spy)
     sizes = _tn_replays(monkeypatch, 0.3)
-    assert len(sizes) == 1 and sizes[0] > plan_module.MAX_CHUNK_ROWS
-    assert sum(chunks) == sizes[0] and max(chunks) == plan_module.MAX_CHUNK_ROWS
+    assert len(sizes) == 1 and sizes[0] > 500
+    assert chunks == sizes
 
 
 def test_tn_passes_identical_across_worker_counts():
@@ -461,23 +453,23 @@ def test_one_pass_estimate_stays_in_process(monkeypatch, noisy_circuit):
 
 
 @pytest.mark.parametrize("backend", ["statevector", "tn"])
-def test_pickled_context_carries_host_data_only(backend, noisy_circuit):
-    # A pool payload ships the prepared context: its per-namespace caches
-    # stay behind, and the statevector context holds no dense state.
-    engine = BatchedTrajectoryEngine(backend, device="fake_gpu")
+def test_pool_payload_carries_only_what_a_pass_reads(backend, noisy_circuit):
+    # A pool payload ships the context's replay: a tn replay holds the
+    # specialized plan, the stacked Kraus candidates and the sampling
+    # distributions (no template tensors, recorded plan or circuit), and a
+    # statevector replay pickles without its dense boundary states.
+    engine = BatchedTrajectoryEngine(backend)
     context = engine.prepare(noisy_circuit)
     before = engine.estimate_fidelity(noisy_circuit, 300, rng=2, keep_samples=True, context=context)
-    assert context._kraus_cache
-    shipped = pickle.loads(pickle.dumps(context))
-    assert shipped._device_cache == {} and shipped._kraus_cache == {}
     if backend == "tn":
-        assert context.network.specialized._device_baked
-        assert shipped.network.specialized._device_baked == {}
+        assert context.replay._fields == ("specialized", "kraus", "q_dists", "q_cdfs")
+        assert context.replay.specialized is context.network.specialized
     else:
-        assert context._device_cache
+        _, arguments = context.replay.__reduce__()
         assert not any(
             isinstance(value, np.ndarray) and value.size >= 2**noisy_circuit.num_qubits
-            for value in vars(shipped).values()
+            for value in arguments
         )
-    after = engine.estimate_fidelity(noisy_circuit, 300, rng=2, keep_samples=True, context=shipped)
+    context.replay = pickle.loads(pickle.dumps(context.replay))
+    after = engine.estimate_fidelity(noisy_circuit, 300, rng=2, keep_samples=True, context=context)
     assert after.samples == before.samples

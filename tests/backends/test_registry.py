@@ -94,7 +94,7 @@ class TestRegistry:
     def test_capability_table_covers_all_backends(self):
         rows = capability_table()
         assert [row[0] for row in rows] == backend_names()
-        assert all(len(row) == 7 for row in rows)
+        assert all(len(row) == 6 for row in rows)
 
     def test_resolve_backends_specs(self, noisy_circuit):
         assert resolve_backends("tn,mm") == ["tn", "density_matrix"]

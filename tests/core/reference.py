@@ -110,12 +110,12 @@ def substituted_split_networks(
 _execute_rows = SpecializedPlan.execute_rows
 
 
-def sequential_execute_rows(plan: SpecializedPlan, factors, rows, xp=None) -> np.ndarray:
+def sequential_execute_rows(plan: SpecializedPlan, factors, rows) -> np.ndarray:
     """One one-row replay per index row (signature of ``execute_rows``)."""
     rows = np.asarray(rows, dtype=np.intp)
     values = np.empty(len(rows), dtype=complex)
     for index in range(len(rows)):
-        values[index] = _execute_rows(plan, factors, rows[index : index + 1], xp)[0]
+        values[index] = _execute_rows(plan, factors, rows[index : index + 1])[0]
     return values
 
 

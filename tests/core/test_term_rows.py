@@ -282,20 +282,19 @@ def test_fidelity_to_error_decomposes_each_noise_once(monkeypatch):
     assert result.error_bound <= 1e-4
 
 
-def test_algorithm1_rows_replay_in_capped_chunks(monkeypatch):
+def test_algorithm1_rows_replay_in_one_chunk(monkeypatch):
     # Level 3 on the Table III cell is 1789 rows of a 16-entry plan: one
-    # execute_rows call, chunked by the plan's row cap.
+    # execute_rows call, whose entry budget holds them all in one chunk.
     noisy = NoiseModel(depolarizing_channel(0.01), seed=1).insert_random(
         qaoa_circuit(9, seed=3, native_gates=False), 8
     )
     chunks = []
     replay = plan_module._replay
 
-    def spy(buffer, kernels, result_slot, xp, entries):
+    def spy(buffer, kernels, result_slot, entries):
         chunks.append(entries)
-        return replay(buffer, kernels, result_slot, xp, entries)
+        return replay(buffer, kernels, result_slot, entries)
 
     monkeypatch.setattr(plan_module, "_replay", spy)
     result = ApproximateNoisySimulator().fidelity(noisy, level=3)
-    assert sum(chunks) == result.num_terms == 1789
-    assert max(chunks) == plan_module.MAX_CHUNK_ROWS
+    assert chunks == [result.num_terms] == [1789]

@@ -13,7 +13,6 @@ import hashlib
 import numpy as np
 import pytest
 
-import repro.tensornetwork.plan as plan_module
 from repro.api import Session
 from repro.circuits.library import benchmark_circuit
 from repro.core.svd_decomposition import decompose_noise
@@ -24,7 +23,7 @@ from repro.tensornetwork import (
     operator_amplitude_network,
 )
 from tests.core.reference import substituted_split_networks
-from tests.tensornetwork.test_plan import BUILDERS
+from tests.tensornetwork.test_plan import ALL_BUILDERS, BUILDERS
 
 #: The Table III cell: qaoa_9 with 8 depolarizing noises at p=0.001, placed
 #: with seed 5 (perfbench's pinned placement).
@@ -105,9 +104,9 @@ def test_plan_matches_golden(name, strategy):
     assert plan.num_steps == len(network.tensors) - 1
 
 
-@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("name", sorted(ALL_BUILDERS))
 def test_planned_peak_is_the_largest_replayed_intermediate(name):
-    network = BUILDERS[name]()
+    network = ALL_BUILDERS[name]()
     plan = ContractionPlan.record(network)
     shapes = plan._kernel_table(network.tensors).shapes
     assert plan.peak_intermediate_entries == max(
@@ -131,10 +130,6 @@ class TestBudgetAtPlanTime:
 
         for name in ("dot", "tensordot", "matmul"):
             monkeypatch.setattr(np, name, spy(name, getattr(np, name)))
-        transpose, reshape, dot, matmul = plan_module._HOST
-        monkeypatch.setattr(
-            plan_module, "_HOST", (transpose, reshape, spy("dot", dot), spy("matmul", matmul))
-        )
         return calls
 
     def test_spy_sees_a_replay(self, contractions):

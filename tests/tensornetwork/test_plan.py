@@ -4,8 +4,7 @@ A :class:`ContractionPlan` must replay exactly the ``tensordot`` sequence of
 its steps, and :meth:`SpecializedPlan.execute` exactly the residual of that
 sequence — so those comparisons are bit-for-bit.  The
 batched :meth:`SpecializedPlan.execute_rows` sums in a different order; it is
-compared with the per-row replay within 1e-12 relative, and bit-for-bit
-across devices.  Every replay runs from the plan's kernel table, and
+compared with the per-row replay within 1e-12 relative.  Every replay runs from the plan's kernel table, and
 :class:`TestTensordotOracle` pins each one bit for bit to a plain
 per-step ``np.tensordot`` replay (``tests/core/reference.py``).
 """
@@ -15,19 +14,35 @@ import pytest
 
 from repro.api import Session
 from repro.circuits.circuit import Circuit
-from repro.circuits.library import benchmark_circuit, ghz_circuit, qft_circuit, random_circuit
+from repro.circuits.library import (
+    benchmark_circuit,
+    brickwork_circuit,
+    clifford_t_circuit,
+    ghz_circuit,
+    qaoa_circuit,
+    qft_circuit,
+    random_circuit,
+)
 from repro.circuits.parameters import circuit_parameters
-from repro.noise import NoiseModel, amplitude_damping_channel, depolarizing_channel
+from repro.noise import (
+    NoiseModel,
+    amplitude_damping_channel,
+    depolarizing_channel,
+    pauli_channel,
+    phase_damping_channel,
+    two_qubit_depolarizing_channel,
+)
 from repro.tensornetwork import (
     ContractionPlan,
     TensorNetwork,
     circuit_amplitude_network,
     noisy_doubled_network,
+    noisy_observable_network,
+    operator_amplitude_network,
 )
 import repro.tensornetwork.plan as plan_module
 from repro.tensornetwork.plan import SpecializedPlan
 from repro.utils.validation import ValidationError
-from repro.xp import get_namespace
 from tests.core.reference import (
     rows_close,
     sequential_execute_rows,
@@ -48,10 +63,25 @@ def _idle_qubit_circuit():
     return circuit
 
 
-def _dense_output(num_qubits):
-    rng = np.random.default_rng(5)
+def _dense_output(num_qubits, seed=5):
+    rng = np.random.default_rng(seed)
     v = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
     return v / np.linalg.norm(v)
+
+
+def _two_qubit_noise(arity, _rng):
+    # One-qubit gates get single-qubit noise, two-qubit gates a joint channel.
+    return two_qubit_depolarizing_channel(0.03) if arity == 2 else depolarizing_channel(0.03)
+
+
+def _non_unitary_operations():
+    """Random non-unitary factors, as Algorithm 1 inserts ``U_i``/``V_i``."""
+    rng = np.random.default_rng(9)
+    placements = [(0,), (0, 1), (1, 2), (2,), (0, 2), (1,)]
+    return [
+        (rng.normal(size=(2 ** len(q),) * 2) + 1j * rng.normal(size=(2 ** len(q),) * 2), q)
+        for q in placements
+    ]
 
 
 #: name -> zero-argument builder of a fresh (deterministic) network.
@@ -70,10 +100,53 @@ BUILDERS = {
     "idle_qubit": lambda: circuit_amplitude_network(_idle_qubit_circuit(), "000", "110"),
 }
 
+#: More channels, boundaries and circuit families; ``test_ordering.py`` pins
+#: the plans of ``BUILDERS`` only.
+EXTRA_BUILDERS = {
+    "noisy_phase_damping": lambda: noisy_doubled_network(
+        _noisy(4, phase_damping_channel(0.1)), "000", "000"
+    ),
+    "noisy_pauli": lambda: noisy_doubled_network(
+        _noisy(5, pauli_channel(0.02, 0.03, 0.01)), "000", "101"
+    ),
+    "noisy_two_qubit_channel": lambda: noisy_doubled_network(
+        NoiseModel(_two_qubit_noise, seed=6).insert_random(random_circuit(3, 10, rng=6), 3),
+        "000",
+        "000",
+    ),
+    "noisy_dense_input": lambda: noisy_doubled_network(
+        _noisy(7, amplitude_damping_channel(0.05)), _dense_output(3, seed=8), "000"
+    ),
+    "noisy_observable": lambda: noisy_observable_network(
+        _noisy(8, depolarizing_channel(0.05)),
+        "000",
+        {0: np.diag([1.0, -1.0]), 2: np.array([[0.0, 1.0], [1.0, 0.0]])},
+    ),
+    "noisy_qaoa": lambda: noisy_doubled_network(
+        NoiseModel(depolarizing_channel(0.01), seed=9).insert_random(qaoa_circuit(4, seed=7), 4),
+        "0000",
+        "0000",
+    ),
+    "brickwork_amplitude": lambda: circuit_amplitude_network(
+        brickwork_circuit(4, depth=4), "0000", "0110"
+    ),
+    "clifford_t_amplitude": lambda: circuit_amplitude_network(
+        clifford_t_circuit(4, depth=8, seed=3), "0000", "1001"
+    ),
+    "dense_boundaries": lambda: circuit_amplitude_network(
+        random_circuit(4, 12, rng=10), _dense_output(4, seed=10), _dense_output(4, seed=11)
+    ),
+    "non_unitary_operators": lambda: operator_amplitude_network(
+        3, _non_unitary_operations(), "000", "011"
+    ),
+}
+
+ALL_BUILDERS = {**BUILDERS, **EXTRA_BUILDERS}
+
 
 def _record(name):
     """(plan, value by a per-step tensordot replay, input tensors) for a fresh network."""
-    network = BUILDERS[name]()
+    network = ALL_BUILDERS[name]()
     tensors = list(network.tensors)
     plan = ContractionPlan.record(network)
     return plan, tensordot_execute(plan, tensors), tensors
@@ -88,11 +161,11 @@ def _perturbed(tensors, positions, rng):
     return swapped
 
 
-@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("name", sorted(ALL_BUILDERS))
 class TestReplay:
     def test_execute_equals_tensordot_and_contract_to_scalar(self, name):
         plan, expected, tensors = _record(name)
-        one_shot = BUILDERS[name]().contract_to_scalar()
+        one_shot = ALL_BUILDERS[name]().contract_to_scalar()
         assert plan.num_inputs == len(tensors)
         assert plan.execute(tensors) == expected == one_shot
 
@@ -101,7 +174,7 @@ class TestReplay:
         # the same steps, and its one-shot value is that plan's tensordot replay.
         plan, _, tensors = _record(name)
         swapped = _perturbed(tensors, range(0, len(tensors), 3), rng)
-        network = BUILDERS[name]()
+        network = ALL_BUILDERS[name]()
         network.tensors[:] = swapped
         assert ContractionPlan.record(network).steps == plan.steps
         assert network.contract_to_scalar() == tensordot_execute(plan, swapped)
@@ -130,16 +203,6 @@ class TestReplay:
         assert plan.specialize(tensors, range(plan.num_inputs)).num_residual_steps == plan.num_steps
         assert plan.describe()["num_steps"] == plan.num_steps
 
-    def test_fake_gpu_equals_cpu(self, name, rng):
-        xp = get_namespace("fake_gpu")
-        plan, expected, tensors = _record(name)
-        assert plan.execute([xp.asarray(t) for t in tensors], xp=xp) == expected
-        subset = list(range(0, plan.num_inputs, 2))
-        specialized = plan.specialize(tensors, subset)
-        swapped = _perturbed(tensors, subset, rng)
-        on_device = specialized.execute([xp.asarray(swapped[p]) for p in subset], xp=xp)
-        assert on_device == specialized.execute([swapped[p] for p in subset])
-
     def test_execute_rows_equals_execute_per_row(self, name, rng):
         plan, _, tensors = _record(name)
         # Every third input varies; then none (a noiseless plan, rows [K, 0]).
@@ -150,10 +213,6 @@ class TestReplay:
             assert batched.shape == (5,) and batched.dtype == complex
             assert rows_close(batched, sequential_execute_rows(specialized, factors, rows)), subset
             assert specialized.execute_rows(factors, rows[:0]).shape == (0,)
-            # fake_gpu runs the same numpy kernels in the same order: == cpu.
-            xp = get_namespace("fake_gpu")
-            on_device = [xp.asarray(candidates) for candidates in factors]
-            assert np.array_equal(specialized.execute_rows(on_device, rows, xp=xp), batched)
 
     def test_execute_rows_in_uneven_chunks(self, name, rng, monkeypatch):
         plan, _, tensors = _record(name)
@@ -166,21 +225,21 @@ class TestReplay:
         assert rows_close(chunked, sequential_execute_rows(specialized, factors, rows))
         assert rows_close(chunked, whole)
 
-    def test_no_replay_chunk_exceeds_the_cap(self, name, rng, monkeypatch):
+    def test_chunks_follow_the_entry_budget(self, name, rng, monkeypatch):
         plan, _, tensors = _record(name)
         specialized, factors = _row_candidates(plan, tensors, range(0, plan.num_inputs, 2), rng)
-        rows = rng.integers(0, 3, size=(2 * plan_module.MAX_CHUNK_ROWS + 5, len(factors)))
+        monkeypatch.setattr(plan_module, "ROW_BATCH_ENTRIES", 4 * plan.peak_intermediate_entries)
+        rows = rng.integers(0, 3, size=(2 * 4 + 3, len(factors)))
         chunks = []
         replay = plan_module._replay
 
-        def spy(buffer, kernels, result_slot, xp, entries):
+        def spy(buffer, kernels, result_slot, entries):
             chunks.append(entries)
-            return replay(buffer, kernels, result_slot, xp, entries)
+            return replay(buffer, kernels, result_slot, entries)
 
         monkeypatch.setattr(plan_module, "_replay", spy)
         specialized.execute_rows(factors, rows)
-        chunk = plan_module.row_chunk(plan.peak_intermediate_entries)
-        assert sum(chunks) == len(rows) and max(chunks) == chunk <= plan_module.MAX_CHUNK_ROWS
+        assert chunks == [4, 4, 3]
 
 
 def _row_candidates(plan, tensors, positions, rng):
@@ -198,7 +257,7 @@ def _pair(environment, tensor):
     return complex(np.tensordot(environment, tensor, axes=tensor.ndim))
 
 
-@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("name", sorted(ALL_BUILDERS))
 class TestEnvironments:
     """One forward and one reverse replay give every input's environment."""
 
@@ -226,74 +285,47 @@ class TestEnvironments:
                 1.0, abs(moved)
             )
 
-    def test_fake_gpu_environments_equal_cpu(self, name):
-        plan, _, tensors = _record(name)
-        xp = get_namespace("fake_gpu")
-        positions = list(range(0, plan.num_inputs, 2))
-        value, environments = plan.environments(tensors, positions)
-        device_value, device_environments = plan.environments(
-            [xp.asarray(tensor) for tensor in tensors], positions, xp=xp
-        )
-        assert device_value == value
-        for position in positions:
-            assert np.array_equal(xp.to_host(device_environments[position]), environments[position])
 
-
-@pytest.mark.parametrize("device", ["cpu", "fake_gpu"])
-@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("name", sorted(ALL_BUILDERS))
 class TestTensordotOracle:
-    """Kernel-table replays equal a per-step ``np.tensordot`` replay bit for bit.
+    """Kernel-table replays equal a per-step ``np.tensordot`` replay bit for bit."""
 
-    The device replay runs on ``fake_gpu`` and is compared with the host
-    reference, so fake_gpu == cpu == tensordot.
-    """
-
-    @staticmethod
-    def _on(device, tensors):
-        xp = None if device == "cpu" else get_namespace(device)
-        return xp, tensors if xp is None else [xp.asarray(tensor) for tensor in tensors]
-
-    def test_execute(self, name, device, rng):
+    def test_execute(self, name, rng):
         plan, _, tensors = _record(name)
         for values in (tensors, _perturbed(tensors, range(plan.num_inputs), rng)):
-            xp, inputs = self._on(device, values)
             expected = tensordot_execute(plan, values)
-            assert [plan.execute(inputs, xp=xp) for _ in range(2)] == [expected] * 2
+            assert [plan.execute(values) for _ in range(2)] == [expected] * 2
 
-    def test_environments(self, name, device, rng):
+    def test_environments(self, name, rng):
         plan, _, tensors = _record(name)
         values = _perturbed(tensors, range(0, plan.num_inputs, 2), rng)
-        xp, inputs = self._on(device, values)
         for positions in (list(range(plan.num_inputs)), list(range(1, plan.num_inputs, 3))):
-            value, environments = plan.environments(inputs, positions, xp=xp)
+            value, environments = plan.environments(values, positions)
             expected, expected_environments = tensordot_environments(plan, values, positions)
             assert value == expected
             assert sorted(environments) == sorted(positions)
             for position in positions:
-                actual = environments[position] if xp is None else xp.to_host(environments[position])
-                assert np.array_equal(actual, expected_environments[position]), position
+                assert np.array_equal(environments[position], expected_environments[position]), position
 
-    def test_specialized_execute(self, name, device, rng):
+    def test_specialized_execute(self, name, rng):
         plan, _, tensors = _record(name)
         for subset in (list(range(0, plan.num_inputs, 3)), list(range(plan.num_inputs))):
             specialized = plan.specialize(tensors, subset)
             swapped = _perturbed(tensors, subset, rng)
-            xp, inputs = self._on(device, [swapped[position] for position in subset])
-            assert specialized.execute(inputs, xp=xp) == tensordot_execute(plan, swapped), subset
+            inputs = [swapped[position] for position in subset]
+            assert specialized.execute(inputs) == tensordot_execute(plan, swapped), subset
 
-    def test_execute_rows(self, name, device, rng, monkeypatch):
+    def test_execute_rows(self, name, rng, monkeypatch):
         plan, _, tensors = _record(name)
         subset = list(range(0, plan.num_inputs, 2))
         specialized, factors = _row_candidates(plan, tensors, subset, rng)
         rows = rng.integers(0, 3, size=(7, len(subset)))
-        xp, _ = self._on(device, [])
-        candidates = factors if xp is None else [xp.asarray(options) for options in factors]
         expected = tensordot_execute_rows(plan, tensors, subset, factors, rows)
-        assert np.array_equal(specialized.execute_rows(candidates, rows, xp=xp), expected)
+        assert np.array_equal(specialized.execute_rows(factors, rows), expected)
         # Uneven chunks (3 + 3 + 1 rows): every chunk size shares one kernel.
         monkeypatch.setattr(plan_module, "ROW_BATCH_ENTRIES", 3 * plan.peak_intermediate_entries)
         expected = tensordot_execute_rows(plan, tensors, subset, factors, rows)
-        assert np.array_equal(specialized.execute_rows(candidates, rows, xp=xp), expected)
+        assert np.array_equal(specialized.execute_rows(factors, rows), expected)
 
 
 class TestKernelTable:
@@ -376,19 +408,17 @@ class TestSingleNode:
         specialized = plan.specialize([np.array(0.0)], [0])
         assert specialized.execute([np.array(2.0 + 0j)]) == 2.0
 
-    @pytest.mark.parametrize("device", ["cpu", "fake_gpu"])
-    def test_execute_rows_without_steps_returns_the_picked_inputs(self, device):
+    def test_execute_rows_without_steps_returns_the_picked_inputs(self):
         network = TensorNetwork()
         network.add(np.array(0.25 + 0.5j), ())
         plan = ContractionPlan.record(network)
-        xp = get_namespace(device)
-        candidates = [xp.asarray(np.array([0.5 + 0j, 2.0 - 1j]))]
+        candidates = [np.array([0.5 + 0j, 2.0 - 1j])]
         rows = np.array([[1], [0], [1]])
         assert plan.specialize([np.array(0.0)], [0]).execute_rows(
-            candidates, rows, xp=xp
+            candidates, rows
         ).tolist() == [2.0 - 1j, 0.5, 2.0 - 1j]
         static = plan.specialize([np.array(0.25 + 0.5j)], [])
-        assert static.execute_rows([], np.zeros((2, 0), dtype=int), xp=xp).tolist() == [0.25 + 0.5j] * 2
+        assert static.execute_rows([], np.zeros((2, 0), dtype=int)).tolist() == [0.25 + 0.5j] * 2
 
 
 class TestErrors:
